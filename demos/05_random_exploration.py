@@ -3,7 +3,7 @@
 Scans deterministic seeded ensembles for anomaly rates, then runs the
 pattern search for the most negative projector weak value subject to a
 floor on the post-selection probability. Everything here reproduces
-bit-for-bit across runs and worker counts.
+bit-for-bit across runs at fixed seeds.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ print(" ensemble   | anomalous g | anomalous A_w | coherent but tame")
 for kind in (HAAR_PURE, REAL_PURE, REAL_MIXED, DIAGONAL):
     spec_psi = SamplerSpec(dim=2, kind=kind, seed=101)
     spec_phi = SamplerSpec(dim=2, kind=kind, seed=102)
-    s = scan_anomaly_rate(spec_phi, spec_psi, obs, n, workers=4)
+    s = scan_anomaly_rate(spec_phi, spec_psi, obs, n)
     print(f" {kind:10s} | {s.anomalous_g_fraction:10.1%} | {s.anomalous_aw_fraction:12.1%}"
           f" | {s.coherent_non_anomalous_fraction:10.1%}")
 

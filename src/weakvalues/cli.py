@@ -29,7 +29,6 @@ from .core import (
     StateVector,
     Tolerances,
     ValidationError,
-    coherence_l1,
     commutator_norm,
     eigensystem,
     pure_to_density,
@@ -260,8 +259,9 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
 
     tol = _parse_tolerances(data["tolerances"], "problem.tolerances") if "tolerances" in data else DEFAULT_TOL
     if tol_anom_override is not None:
-        if not tol_anom_override > 0.0:
-            raise ProblemFileError("--tol-anom", f"must be positive, got {tol_anom_override}")
+        if not 0.0 < tol_anom_override < np.inf:
+            raise ProblemFileError("--tol-anom",
+                                   f"must be positive and finite, got {tol_anom_override}")
         tol = Tolerances(**{**{k: getattr(tol, k) for k in _TOLERANCE_KEYS}, "anom": tol_anom_override})
 
     matrix = _parse_matrix(data["observable"], "problem.observable")
@@ -323,6 +323,17 @@ def _c(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _number_text(node) -> str | None:
+    """Report text of a bool, integer or float; None for any other node."""
+    if isinstance(node, (bool, np.bool_)):
+        return "true" if node else "false"
+    if isinstance(node, (int, np.integer)):
+        return str(int(node))
+    if isinstance(node, (float, np.floating)):
+        return _fmt_float(float(node))
+    return None
+
+
 def _emit_json(node, out: list[str]) -> None:
     if isinstance(node, dict):
         out.append("{")
@@ -340,18 +351,15 @@ def _emit_json(node, out: list[str]) -> None:
                 out.append(",")
             _emit_json(value, out)
         out.append("]")
-    elif isinstance(node, bool) or isinstance(node, np.bool_):
-        out.append("true" if node else "false")
-    elif isinstance(node, (int, np.integer)):
-        out.append(str(int(node)))
-    elif isinstance(node, (float, np.floating)):
-        out.append(_fmt_float(float(node)))
     elif node is None:
         out.append("null")
     elif isinstance(node, str):
         out.append(json.dumps(node))
     else:
-        raise TypeError(f"cannot serialize {type(node).__name__}")
+        text = _number_text(node)
+        if text is None:
+            raise TypeError(f"cannot serialize {type(node).__name__}")
+        out.append(text)
 
 
 def render_json(report: dict) -> str:
@@ -368,17 +376,8 @@ def _flatten(node, path: str, rows: list[tuple[str, str]]) -> None:
         for i, value in enumerate(node):
             _flatten(value, f"{path}.{i}", rows)
     else:
-        if isinstance(node, bool) or isinstance(node, np.bool_):
-            text = "true" if node else "false"
-        elif isinstance(node, (int, np.integer)):
-            text = str(int(node))
-        elif isinstance(node, (float, np.floating)):
-            text = _fmt_float(float(node))
-        elif node is None:
-            text = ""
-        else:
-            text = str(node)
-        rows.append((path, text))
+        text = _number_text(node)
+        rows.append((path, text if text is not None else "" if node is None else str(node)))
 
 
 def render_csv(report: dict) -> str:
@@ -623,11 +622,10 @@ def cmd_pointer(args) -> int:
 
 def cmd_search(args) -> int:
     matrix = _SEARCH_OBSERVABLES[args.observable]
-    result = search_max_negativity(matrix, args.budget, args.seed, workers=args.workers)
+    result = search_max_negativity(matrix, args.budget, args.seed)
     phi, psi = result.best_states
-    anomaly_tol = args.tol_anom if args.tol_anom is not None else DEFAULT_TOL.anom
-    check = weak_value_hermitian(matrix, pure_to_density(psi), pure_to_density(phi),
-                                 tol=Tolerances(anom=anomaly_tol))
+    tol = Tolerances(anom=DEFAULT_TOL.anom if args.tol_anom is None else args.tol_anom)
+    check = weak_value_hermitian(matrix, pure_to_density(psi), pure_to_density(phi), tol=tol)
     report = _report_head("search", seed=args.seed)
     report["search"] = {
         "observable": args.observable,
@@ -651,11 +649,10 @@ def cmd_search(args) -> int:
 def cmd_scan(args) -> int:
     kind = _SCAN_KINDS[args.kind]
     obs = eigensystem(np.diag(np.arange(args.dim, dtype=float)))
-    anomaly_tol = args.tol_anom if args.tol_anom is not None else DEFAULT_TOL.anom
-    tol = Tolerances(anom=anomaly_tol)
+    tol = Tolerances(anom=DEFAULT_TOL.anom if args.tol_anom is None else args.tol_anom)
     spec_psi = SamplerSpec(dim=args.dim, kind=kind, seed=args.seed)
     spec_phi = SamplerSpec(dim=args.dim, kind=kind, seed=(args.seed + 1) % 2 ** 64)
-    summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=tol, workers=args.workers)
+    summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=tol)
     report = _report_head("scan", seed=args.seed)
     report["scan"] = {
         "kind": args.kind,
@@ -805,8 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="objective evaluation budget (default 10000)")
     p_search.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                           help="master seed (default 0)")
-    p_search.add_argument("--workers", type=int, default=1, metavar="N",
-                          help="worker threads; the report does not depend on this")
     common(p_search)
     p_search.set_defaults(func=cmd_search)
 
@@ -819,8 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Hilbert space dimension (default 2)")
     p_scan.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                         help="master seed (default 0)")
-    p_scan.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker threads; the report does not depend on this")
     common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
@@ -840,13 +833,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValidationError as exc:
+    except (ProblemFileError, FileNotFoundError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ComputationError as exc:

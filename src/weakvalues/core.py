@@ -34,7 +34,9 @@ __all__ = [
     "validate_density",
     "eigensystem",
     "dephase",
+    "require_dims",
     "coherence_l1",
+    "coherence_l1_stack",
     "real_part_state",
     "antipodal",
     "commutator_norm",
@@ -112,8 +114,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not value > 0.0:
-                raise ValidationError(f"tolerance {name} must be positive, got {value!r}")
+            if not 0.0 < value < np.inf:
+                raise ValidationError(f"tolerance {name} must be positive and finite, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -201,6 +203,13 @@ def _require_same_dim(a: int, b: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a} vs {b}")
 
 
+def require_dims(dim: int, *states) -> None:
+    """Raise DimensionMismatchError unless every state has the observable's dimension."""
+    if any(state.dim != dim for state in states):
+        dims = "/".join(str(state.dim) for state in states)
+        raise DimensionMismatchError(f"states of dim {dims} against observable of dim {dim}")
+
+
 def _hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
@@ -285,12 +294,22 @@ def dephase(rho: DensityOperator, basis: Observable) -> DensityOperator:
     return DensityOperator((v * populations) @ v.conj().T)
 
 
+def coherence_l1_stack(stack: np.ndarray, basis: Observable) -> np.ndarray:
+    """l1 coherence of every matrix of an (n, d, d) stack in the eigenbasis of ``basis``.
+
+    V^dagger rho V is two (n d, d) x (d, d) products: rho V, then its transpose times conj(V).
+    """
+    n, d, _ = stack.shape
+    v = basis.eigenvectors
+    right = (stack.reshape(n * d, d) @ v).reshape(n, d, d)
+    moduli = np.abs(right.transpose(0, 2, 1).reshape(n * d, d) @ v.conj()).reshape(n, d, d)
+    return moduli.sum(axis=(1, 2)) - np.trace(moduli, axis1=1, axis2=2)
+
+
 def coherence_l1(rho: DensityOperator, basis: Observable) -> float:
     """Sum of the moduli of the off-diagonal entries of rho in the eigenbasis."""
     _require_same_dim(rho.dim, basis.dim)
-    v = basis.eigenvectors
-    in_basis = v.conj().T @ rho.matrix @ v
-    return float(np.sum(np.abs(in_basis)) - np.sum(np.abs(np.diag(in_basis))))
+    return float(coherence_l1_stack(rho.matrix[None], basis)[0])
 
 
 def real_part_state(rho: DensityOperator) -> DensityOperator:

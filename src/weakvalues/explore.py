@@ -1,13 +1,13 @@
 """Random-state exploration: samplers, anomaly-rate scans, negativity search.
 
 Every random draw flows through a counter-based generator keyed by
-(master seed, task index), so results are bit-identical no matter how many
-workers execute the tasks or in which order.
+(master seed, key). ``sample`` keys one state by its index; a scan draws
+its pairs in blocks of ``max(1, 65536 // d**2)`` and keys each block by its
+block number, so a fixed seed reproduces every count bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,21 +16,12 @@ from .core import (
     DEFAULT_TOL,
     DensityOperator,
     Observable,
-    OrthogonalSelectionError,
     StateVector,
     Tolerances,
     ValidationError,
-    coherence_l1,
-    pure_to_density,
-    real_part_state,
+    coherence_l1_stack,
 )
-from .quasiprob import (
-    DEFAULT_SELECTION_THRESHOLD,
-    NORMAL,
-    anomalous_indices,
-    quasi_prob,
-    weak_value,
-)
+from .quasiprob import DEFAULT_SELECTION_THRESHOLD, anomalous_mask, quasi_prob_stack
 from .witness import DEFAULT_COHERENCE_TOL
 
 __all__ = [
@@ -84,28 +75,39 @@ class SamplerSpec:
             raise ValidationError(f"rank is only meaningful for kind {MIXED_FIXED_RANK!r}")
 
 
-def _task_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one task, independent of worker scheduling."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+def _task_rng(seed: int, key: int) -> np.random.Generator:
+    """Counter-based generator for one (seed, key) pair."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
 
 
-def _draw(kind: str, dim: int, rank: int | None, rng: np.random.Generator):
-    if kind == HAAR_PURE:
-        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return StateVector(z / np.linalg.norm(z))
+def _draw(kind: str, dim: int, rank: int | None, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
+
+    State k consumes the generator's k-th run of variates, so the first
+    states of a draw do not depend on ``size``.
+    """
     if kind == REAL_PURE:
-        x = rng.normal(size=dim)
-        return StateVector(x.astype(complex) / np.linalg.norm(x))
+        x = rng.normal(size=(size, dim))
+        return x.astype(complex) / np.linalg.norm(x, axis=1, keepdims=True)
+    if kind == HAAR_PURE:
+        x = rng.normal(size=(size, 2, dim))
+        z = x[:, 0] + 1j * x[:, 1]
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
     if kind in (MIXED_FULL_RANK, MIXED_FIXED_RANK, REAL_MIXED):
         r = rank if kind == MIXED_FIXED_RANK else dim
-        g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        state = DensityOperator(rho)
-        return real_part_state(state) if kind == REAL_MIXED else state
+        x = rng.normal(size=(size, 2, dim, r))
+        g = x[:, 0] + 1j * x[:, 1]
+        rho = g @ g.conj().transpose(0, 2, 1)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        if kind == REAL_MIXED:
+            re = rho.real
+            rho = ((re + re.transpose(0, 2, 1)) / 2.0).astype(complex)
+        return rho
     if kind == DIAGONAL:
-        probs = rng.dirichlet(np.ones(dim))
-        return DensityOperator(np.diag(probs.astype(complex)))
+        probs = rng.dirichlet(np.ones(dim), size=size)
+        rho = np.zeros((size, dim, dim), dtype=complex)
+        rho[:, np.arange(dim), np.arange(dim)] = probs
+        return rho
     raise ValidationError(f"unknown sampler kind {kind!r}")
 
 
@@ -114,11 +116,21 @@ def sample(spec: SamplerSpec, index: int = 0):
 
     The same (spec, index) always reproduces the same state bit for bit.
     """
-    return _draw(spec.kind, spec.dim, spec.rank, _task_rng(spec.seed, index))
+    state = _draw(spec.kind, spec.dim, spec.rank, _task_rng(spec.seed, index), 1)[0]
+    return StateVector(state) if state.ndim == 1 else DensityOperator(state)
 
 
-def _as_density(state) -> DensityOperator:
-    return pure_to_density(state) if isinstance(state, StateVector) else state
+def _block_size(dim: int) -> int:
+    """Pairs per scan block: no (block, d, d) complex stack exceeds 1 MiB."""
+    return max(1, 65536 // dim ** 2)
+
+
+def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
+    """Block ``block`` of a scan as a (size, d, d) stack of density matrices."""
+    states = _draw(spec.kind, spec.dim, spec.rank, _task_rng(spec.seed, block), size)
+    if states.ndim == 2:
+        states = states[:, :, None] * states[:, None, :].conj()
+    return states
 
 
 @dataclass(frozen=True)
@@ -216,8 +228,7 @@ def search_max_negativity(observable, budget: int, seed: int, *,
                           min_overlap: float = 0.25,
                           initial_step: float = 0.9,
                           min_step: float = 1e-9,
-                          record_trace: bool = False,
-                          workers: int = 1) -> SearchResult:
+                          record_trace: bool = False) -> SearchResult:
     """Maximize -Re(A_w) over pure qubit selection pairs by pattern search.
 
     Pairs are parameterized by a polar and an azimuthal Bloch angle per
@@ -227,8 +238,8 @@ def search_max_negativity(observable, budget: int, seed: int, *,
     optimum for a rank-1 projector is 1/2, reached when the two states and
     the small eigenvector close a 120-degree great circle.
 
-    Restarts draw independent subseeded starting points and split the
-    evaluation budget evenly, so the result is identical for any ``workers``.
+    Restarts draw independent starting points keyed by (seed, restart) and
+    split the evaluation budget evenly.
     """
     matrix = observable.matrix if isinstance(observable, Observable) else np.asarray(observable, dtype=complex)
     if matrix.shape != (2, 2):
@@ -244,27 +255,13 @@ def search_max_negativity(observable, budget: int, seed: int, *,
 
     if budget <= 0:
         x, value = evaluate(random_start(_task_rng(seed, 0)))
-        phi, psi = _pair_from_params(x)
-        trace = ((0, value),) if record_trace else None
-        return SearchResult(
-            best_states=(StateVector(phi), StateVector(psi)),
-            best_value=value,
-            evaluations=1,
-            trace=trace,
-        )
-
-    n_restarts = max(1, min(restarts, budget))
-    shares = [budget // n_restarts + (1 if r < budget % n_restarts else 0) for r in range(n_restarts)]
-
-    def run_restart(r: int):
-        return _compass(evaluate, random_start(_task_rng(seed, r)), shares[r],
-                        initial_step, min_step, record_trace)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_restart, range(n_restarts)))
+        outcomes = [(x, value, 1, [(0, value)])]
     else:
-        outcomes = [run_restart(r) for r in range(n_restarts)]
+        n_restarts = max(1, min(restarts, budget))
+        shares = [budget // n_restarts + (1 if r < budget % n_restarts else 0) for r in range(n_restarts)]
+        outcomes = [_compass(evaluate, random_start(_task_rng(seed, r)), shares[r],
+                             initial_step, min_step, record_trace)
+                    for r in range(n_restarts)]
 
     best_x, best_val, best_trace = None, -np.inf, []
     evaluations = 0
@@ -307,13 +304,14 @@ class ScanSummary:
 def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observable, n: int,
                       threshold: float = DEFAULT_SELECTION_THRESHOLD,
                       coherence_tol: float = DEFAULT_COHERENCE_TOL,
-                      tol: Tolerances = DEFAULT_TOL,
-                      workers: int = 1) -> ScanSummary:
+                      tol: Tolerances = DEFAULT_TOL) -> ScanSummary:
     """Anomaly statistics over ``n`` independent selection pairs.
 
-    Task i draws its pair from the subseeds (spec.seed, i), so any worker
-    count produces the same summary. Pairs whose overlap falls at or below
-    the selection threshold are skipped and tallied separately.
+    Block b holds the next ``max(1, 65536 // d**2)`` pairs (the last block
+    is shorter), drawn from the keys (spec.seed, b), and goes through
+    :func:`quasi_prob_stack` at once; A_w = sum_i g_i a_i, and the rules of
+    ``classify`` and ``coherence_l1`` apply elementwise. Pairs whose overlap
+    falls at or below the selection threshold are skipped and tallied apart.
     """
     if n < 1:
         raise ValidationError(f"scan needs n >= 1, got {n}")
@@ -321,30 +319,23 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
         raise ValidationError(
             f"sampler dims {spec_phi.dim}/{spec_psi.dim} against observable of dim {obs.dim}"
         )
-
-    def one(i: int) -> tuple[int, int, int, int]:
-        rho_phi = _as_density(_draw(spec_phi.kind, spec_phi.dim, spec_phi.rank, _task_rng(spec_phi.seed, i)))
-        rho_psi = _as_density(_draw(spec_psi.kind, spec_psi.dim, spec_psi.rank, _task_rng(spec_psi.seed, i)))
-        try:
-            dist = quasi_prob(rho_phi, rho_psi, obs, threshold, tol)
-            aw = weak_value(obs, rho_psi, rho_phi, threshold, tol)
-        except OrthogonalSelectionError:
-            return (0, 0, 0, 1)
-        g_bad = bool(anomalous_indices(dist, tol.anom))
-        aw_bad = aw.classification != NORMAL
-        both_coherent = (coherence_l1(rho_phi, obs) >= coherence_tol
-                         and coherence_l1(rho_psi, obs) >= coherence_tol)
-        return (int(g_bad), int(aw_bad), int(both_coherent and not g_bad and not aw_bad), 0)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(n)))
-    else:
-        rows = [one(i) for i in range(n)]
-
-    g_count = sum(r[0] for r in rows)
-    aw_count = sum(r[1] for r in rows)
-    quiet_count = sum(r[2] for r in rows)
-    skipped = sum(r[3] for r in rows)
+    a = obs.eigenvalues
+    block = _block_size(obs.dim)
+    g_count = aw_count = quiet_count = skipped = 0
+    for b, start in enumerate(range(0, n, block)):
+        size = min(block, n - start)
+        rho_phi = _density_block(spec_phi, b, size)
+        rho_psi = _density_block(spec_psi, b, size)
+        den, g = quasi_prob_stack(rho_phi, rho_psi, obs, tol)
+        kept = den > threshold
+        g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
+        aw_bad = anomalous_mask((g * a).sum(axis=-1), a[0], a[-1], tol.anom) & kept
+        quiet = kept & ~g_bad & ~aw_bad
+        quiet[quiet] = ((coherence_l1_stack(rho_phi[quiet], obs) >= coherence_tol)
+                        & (coherence_l1_stack(rho_psi[quiet], obs) >= coherence_tol))
+        g_count += int(g_bad.sum())
+        aw_count += int(aw_bad.sum())
+        quiet_count += int(quiet.sum())
+        skipped += size - int(kept.sum())
     return ScanSummary(n=n, anomalous_g=g_count, anomalous_aw=aw_count,
                        coherent_non_anomalous=quiet_count, skipped=skipped)

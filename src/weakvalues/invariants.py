@@ -15,6 +15,7 @@ from .core import (
     Observable,
     Tolerances,
     ValidationError,
+    require_dims,
 )
 
 __all__ = [
@@ -124,10 +125,7 @@ def build_frame_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: O
     Vertices are labeled ``phi``, ``psi``, ``a1`` ... ``ad`` following the
     ascending eigenvalue order of the observable.
     """
-    if rho_phi.dim != obs.dim or rho_psi.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"states of dim {rho_phi.dim}/{rho_psi.dim} against observable of dim {obs.dim}"
-        )
+    require_dims(obs.dim, rho_phi, rho_psi)
     labels = ["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)]
     states = [rho_phi, rho_psi] + [obs.projector(i) for i in range(obs.dim)]
     return frame_graph_from_matrices(labels, states, tol)

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DimensionMismatchError,
-    Observable,
-    StateVector,
-    Tolerances,
-    ValidationError,
-    ZeroPostselectionError,
-)
+from .core import Observable, StateVector, ValidationError, ZeroPostselectionError, require_dims
 
 __all__ = [
     "PointerConfig",
@@ -55,15 +47,15 @@ class PointerConfig:
     couplings_series: tuple[float, ...] = DEFAULT_COUPLINGS
 
     def __post_init__(self) -> None:
-        if not self.coupling > 0.0:
-            raise ValidationError(f"coupling must be positive, got {self.coupling!r}")
-        if not self.width > 0.0:
-            raise ValidationError(f"pointer width must be positive, got {self.width!r}")
+        if not 0.0 < self.coupling < np.inf:
+            raise ValidationError(f"coupling must be positive and finite, got {self.coupling!r}")
+        if not 0.0 < self.width < np.inf:
+            raise ValidationError(f"pointer width must be positive and finite, got {self.width!r}")
         series = tuple(float(g) for g in self.couplings_series)
         if len(series) < 3:
             raise ValidationError(f"extrapolation needs at least 3 couplings, got {len(series)}")
-        if any(not g > 0.0 for g in series):
-            raise ValidationError("couplings must all be positive")
+        if any(not 0.0 < g < np.inf for g in series):
+            raise ValidationError("couplings must all be positive and finite")
         if any(b >= a for a, b in zip(series, series[1:])):
             raise ValidationError("couplings must be strictly decreasing")
         object.__setattr__(self, "couplings_series", series)
@@ -87,10 +79,7 @@ class ExtrapolationResult:
 
 
 def _branch_amplitudes(obs: Observable, psi: StateVector, phi: StateVector) -> np.ndarray:
-    if psi.dim != obs.dim or phi.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"states of dim {phi.dim}/{psi.dim} against observable of dim {obs.dim}"
-        )
+    require_dims(obs.dim, phi, psi)
     v = obs.eigenvectors
     return (v.conj().T @ phi.amps).conj() * (v.conj().T @ psi.amps)
 

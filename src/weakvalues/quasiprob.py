@@ -20,10 +20,12 @@ from .core import (
     DEFAULT_TOL,
     DensityOperator,
     DimensionMismatchError,
+    ImaginaryOverlapError,
     Observable,
     OrthogonalSelectionError,
     StateVector,
     Tolerances,
+    require_dims,
 )
 from .invariants import overlap
 
@@ -35,8 +37,12 @@ __all__ = [
     "QuasiProbDist",
     "WeakValueResult",
     "classify",
+    "anomalous_mask",
     "is_marginal",
     "quasi_prob",
+    "quasi_prob_and_weak_value",
+    "quasi_prob_stack",
+    "selection_overlap",
     "weak_value",
     "weak_value_hermitian",
     "weak_value_pure",
@@ -62,6 +68,13 @@ def classify(value: complex, lo: float, hi: float, anomaly_tol: float = DEFAULT_
     if value.real < lo - anomaly_tol or value.real > hi + anomaly_tol:
         return ANOMALOUS_REAL
     return NORMAL
+
+
+def anomalous_mask(values, lo: float, hi: float, anomaly_tol: float = DEFAULT_TOL.anom) -> np.ndarray:
+    """Elementwise: True wherever :func:`classify` would not return NORMAL."""
+    values = np.asarray(values)
+    return ((np.abs(values.imag) > anomaly_tol)
+            | (values.real < lo - anomaly_tol) | (values.real > hi + anomaly_tol))
 
 
 def is_marginal(value: complex, lo: float, hi: float, anomaly_tol: float = DEFAULT_TOL.anom) -> bool:
@@ -90,10 +103,6 @@ class QuasiProbDist:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass(frozen=True)
 class WeakValueResult:
@@ -110,6 +119,35 @@ class WeakValueResult:
     classification: str
 
 
+def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
+                     tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps and quasi-probabilities of (n, d, d) stacks of selection pairs.
+
+    Returns ``den[k] = Tr(rho_phi[k] rho_psi[k])`` and ``g[k, i] =
+    <a_i| rho_psi[k] rho_phi[k] |a_i> / den[k]`` over the ascending
+    eigenvectors a_i of ``obs``; the weak value is ``sum_i g[k, i] a_i``.
+    Rows at or below a selection threshold are the caller's to drop (their g
+    may be infinite or NaN). Raises ImaginaryOverlapError when any overlap
+    has an imaginary part above ``tol.eig``.
+    """
+    # overlap()'s operand order, so a stack of one reproduces its bits.
+    den = np.trace(rho_phi @ rho_psi, axis1=1, axis2=2)
+    imaginary = np.abs(den.imag) > tol.eig
+    if imaginary.any():
+        worst = den.imag[np.argmax(imaginary)]
+        raise ImaginaryOverlapError(f"two-state overlap has imaginary part {worst:.3e}")
+    den = den.real
+    # <a_i| rho_psi rho_phi |a_i> = sum_k (V^dagger rho_psi)_ik (rho_phi V)_ki, each
+    # factor one (n d, d) x (d, d) product: (V^dagger rho_psi)^T = rho_psi^T conj(V).
+    n, d, _ = rho_phi.shape
+    v = obs.eigenvectors
+    left = rho_psi.transpose(0, 2, 1).reshape(n * d, d) @ v.conj()
+    right = rho_phi.reshape(n * d, d) @ v
+    num = (left * right).reshape(n, d, d).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return den, num / den[:, None]
+
+
 def _check_selection(den: float, threshold: float) -> None:
     if den <= threshold:
         raise OrthogonalSelectionError(
@@ -117,43 +155,57 @@ def _check_selection(den: float, threshold: float) -> None:
         )
 
 
+def selection_overlap(rho_phi: DensityOperator, rho_psi: DensityOperator,
+                      threshold: float = DEFAULT_SELECTION_THRESHOLD,
+                      tol: Tolerances = DEFAULT_TOL) -> float:
+    """Tr(rho_phi rho_psi), raising OrthogonalSelectionError at or below ``threshold``."""
+    den = overlap(rho_phi, rho_psi, tol)
+    _check_selection(den, threshold)
+    return den
+
+
+def _classified(value: complex, den: float, lo: float, hi: float, anomaly_tol: float) -> WeakValueResult:
+    return WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
+                           classification=classify(value, lo, hi, anomaly_tol))
+
+
+def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
+                              threshold: float = DEFAULT_SELECTION_THRESHOLD,
+                              tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, WeakValueResult]:
+    """Quasi-probabilities and the weak value sum_i a_i g_i of one selection pair.
+
+    This is the n = 1 case of :func:`quasi_prob_stack` behind the selection gate.
+    """
+    require_dims(obs.dim, rho_phi, rho_psi)
+    den, g = quasi_prob_stack(rho_phi.matrix[None], rho_psi.matrix[None], obs, tol)
+    den = float(den[0])
+    _check_selection(den, threshold)
+    a = obs.eigenvalues
+    # An elementwise product and a row sum give each weak value the same bits
+    # in a stack of one as in a scan block; a matrix-vector product does not.
+    value = complex((g[0] * a).sum(axis=-1))
+    aw = _classified(value, den, float(a[0]), float(a[-1]), tol.anom)
+    return QuasiProbDist(weights=g[0], labels=a), aw
+
+
 def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
                threshold: float = DEFAULT_SELECTION_THRESHOLD,
                tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
-    """Quasi-probability of each eigenvector of ``obs`` for the given selection.
-
-    Uses g_i = <a_i| rho_psi rho_phi |a_i> / Tr(rho_phi rho_psi), which equals
-    the three-operator trace route at one matrix product per distribution.
-    """
-    if rho_phi.dim != obs.dim or rho_psi.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"states of dim {rho_phi.dim}/{rho_psi.dim} against observable of dim {obs.dim}"
-        )
-    den = overlap(rho_phi, rho_psi, tol)
-    _check_selection(den, threshold)
-    product = rho_psi.matrix @ rho_phi.matrix
-    v = obs.eigenvectors
-    numerators = np.einsum("ji,jk,ki->i", v.conj(), product, v)
-    return QuasiProbDist(weights=numerators / den, labels=obs.eigenvalues)
+    """Quasi-probability of each eigenvector of ``obs`` for the given selection."""
+    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, threshold, tol)[0]
 
 
 def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator,
                threshold: float = DEFAULT_SELECTION_THRESHOLD,
                tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
-    """Weak value of a validated observable by the direct trace ratio."""
-    if rho_phi.dim != obs.dim or rho_psi.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"states of dim {rho_phi.dim}/{rho_psi.dim} against observable of dim {obs.dim}"
-        )
-    lo = float(obs.eigenvalues[0])
-    hi = float(obs.eigenvalues[-1])
-    return _trace_ratio(obs.matrix, rho_psi, rho_phi, lo, hi, threshold, tol)
+    """Weak value of a validated observable as sum_i a_i g_i."""
+    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, threshold, tol)[1]
 
 
 def weak_value_hermitian(matrix, rho_psi: DensityOperator, rho_phi: DensityOperator,
                          threshold: float = DEFAULT_SELECTION_THRESHOLD,
                          tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
-    """Weak value of a raw Hermitian matrix, degenerate spectra included.
+    """Weak value of a raw Hermitian matrix by the trace ratio, degenerate spectra included.
 
     The classification needs only the spectrum edges, so projectors and the
     identity work here even though they carry no canonical eigenbasis.
@@ -161,46 +213,25 @@ def weak_value_hermitian(matrix, rho_psi: DensityOperator, rho_phi: DensityOpera
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"observable must be square, got shape {mat.shape}")
-    if rho_phi.dim != mat.shape[0] or rho_psi.dim != mat.shape[0]:
-        raise DimensionMismatchError(
-            f"states of dim {rho_phi.dim}/{rho_psi.dim} against observable of dim {mat.shape[0]}"
-        )
+    require_dims(mat.shape[0], rho_phi, rho_psi)
     spectrum = np.linalg.eigvalsh(mat)
-    return _trace_ratio(mat, rho_psi, rho_phi, float(spectrum[0]), float(spectrum[-1]),
-                        threshold, tol)
-
-
-def _trace_ratio(matrix: np.ndarray, rho_psi: DensityOperator, rho_phi: DensityOperator,
-                 lo: float, hi: float, threshold: float, tol: Tolerances) -> WeakValueResult:
-    den = overlap(rho_phi, rho_psi, tol)
-    _check_selection(den, threshold)
-    num = complex(np.trace(rho_phi.matrix @ matrix @ rho_psi.matrix))
-    value = num / den
-    return WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
-                           classification=classify(value, lo, hi, tol.anom))
+    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
+    value = complex(np.trace(rho_phi.matrix @ mat @ rho_psi.matrix)) / den
+    return _classified(value, den, float(spectrum[0]), float(spectrum[-1]), tol.anom)
 
 
 def weak_value_pure(obs: Observable, psi: StateVector, phi: StateVector,
                     threshold: float = DEFAULT_SELECTION_THRESHOLD,
                     tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
     """Weak value <phi|A|psi> / <phi|psi> for pure pre- and post-selection."""
-    if psi.dim != obs.dim or phi.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"states of dim {phi.dim}/{psi.dim} against observable of dim {obs.dim}"
-        )
+    require_dims(obs.dim, phi, psi)
     inner = complex(phi.amps.conj() @ psi.amps)
     den = abs(inner) ** 2
     _check_selection(den, threshold)
     value = complex(phi.amps.conj() @ obs.matrix @ psi.amps) / inner
-    lo = float(obs.eigenvalues[0])
-    hi = float(obs.eigenvalues[-1])
-    return WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
-                           classification=classify(value, lo, hi, tol.anom))
+    return _classified(value, den, float(obs.eigenvalues[0]), float(obs.eigenvalues[-1]), tol.anom)
 
 
 def anomalous_indices(dist: QuasiProbDist, anomaly_tol: float = DEFAULT_TOL.anom) -> tuple[int, ...]:
     """Indices whose quasi-probability leaves the real interval [0, 1]."""
-    return tuple(
-        i for i, w in enumerate(dist.weights)
-        if classify(complex(w), 0.0, 1.0, anomaly_tol) != NORMAL
-    )
+    return tuple(np.flatnonzero(anomalous_mask(dist.weights, 0.0, 1.0, anomaly_tol)).tolist())

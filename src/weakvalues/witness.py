@@ -16,23 +16,20 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     DensityOperator,
-    DimensionMismatchError,
     Observable,
-    OrthogonalSelectionError,
     Tolerances,
     ValidationError,
     coherence_l1,
+    require_dims,
 )
-from .invariants import overlap
 from .quasiprob import (
     DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
-    QuasiProbDist,
     WeakValueResult,
     anomalous_indices,
     classify,
-    quasi_prob,
-    weak_value,
+    quasi_prob_and_weak_value,
+    selection_overlap,
 )
 
 __all__ = [
@@ -88,21 +85,14 @@ def incoherent_quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, ob
     g_i = <a_i|rho_phi|a_i> <a_i|rho_psi|a_i> / Tr(rho_phi rho_psi),
     a genuine probability distribution.
     """
-    if rho_phi.dim != obs.dim or rho_psi.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"states of dim {rho_phi.dim}/{rho_psi.dim} against observable of dim {obs.dim}"
-        )
+    require_dims(obs.dim, rho_phi, rho_psi)
     for name, rho in (("post-selection", rho_phi), ("pre-selection", rho_psi)):
         l1 = coherence_l1(rho, obs)
         if l1 >= coherence_tol:
             raise NotIncoherentError(
                 f"{name} state has l1 coherence {l1:.3e} (threshold {coherence_tol:.1e})"
             )
-    den = overlap(rho_phi, rho_psi, tol)
-    if den <= threshold:
-        raise OrthogonalSelectionError(
-            f"post-selection overlap {den:.3e} at or below threshold {threshold:.1e}"
-        )
+    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
     v = obs.eigenvectors
     pops_phi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_phi.matrix, v))
     pops_psi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_psi.matrix, v))
@@ -121,9 +111,8 @@ def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, 
     """
     l1_post = coherence_l1(rho_phi, obs)
     l1_pre = coherence_l1(rho_psi, obs)
-    dist = quasi_prob(rho_phi, rho_psi, obs, threshold, tol)
+    dist, aw = quasi_prob_and_weak_value(rho_phi, rho_psi, obs, threshold, tol)
     bad = anomalous_indices(dist, tol.anom)
-    aw = weak_value(obs, rho_psi, rho_phi, threshold, tol)
     coherent_post = l1_post >= coherence_tol
     coherent_pre = l1_pre >= coherence_tol
     anomaly = bool(bad) or aw.classification != NORMAL
@@ -151,11 +140,7 @@ def corollary_projector_weak_value(rho_phi: DensityOperator, rho_psi: DensityOpe
     """
     if not 0 <= i < obs.dim:
         raise ValidationError(f"eigenvector index {i} out of range for dim {obs.dim}")
-    den = overlap(rho_phi, rho_psi, tol)
-    if den <= threshold:
-        raise OrthogonalSelectionError(
-            f"post-selection overlap {den:.3e} at or below threshold {threshold:.1e}"
-        )
+    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
     proj = obs.projector(i)
     num = complex(np.trace(rho_phi.matrix @ proj.matrix @ rho_psi.matrix))
     value = num / den

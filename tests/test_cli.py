@@ -262,8 +262,7 @@ def test_search_reports_are_byte_identical(capsys):
     argv = ["search", "--observable", "proj0", "--budget", "1500", "--seed", "3"]
     _, out1, _ = _run(capsys, argv)
     _, out2, _ = _run(capsys, argv)
-    _, out3, _ = _run(capsys, argv + ["--workers", "5"])
-    assert out1 == out2 == out3
+    assert out1 == out2
     report = json.loads(out1)
     assert report["search"]["best_value"] >= 0.4
     check = report["search"]["weak_value_at_best"]
@@ -274,7 +273,7 @@ def test_search_reports_are_byte_identical(capsys):
 def test_scan_reports_are_byte_identical(capsys):
     argv = ["scan", "--kind", "haar", "--n", "300", "--seed", "9"]
     _, out1, _ = _run(capsys, argv)
-    _, out2, _ = _run(capsys, argv + ["--workers", "6"])
+    _, out2, _ = _run(capsys, argv)
     assert out1 == out2
     report = json.loads(out1)
     counts = report["scan"]["counts"]
@@ -282,6 +281,62 @@ def test_scan_reports_are_byte_identical(capsys):
     assert counts["anomalous_g"] > 0
     assert abs(fractions["anomalous_g"] - counts["anomalous_g"] / 300) < 1e-15
     assert "workers" not in json.dumps(report)
+
+
+def test_workers_flag_is_gone(capsys):
+    for argv in (["scan", "--n", "10", "--workers", "2"],
+                 ["search", "--budget", "10", "--workers", "2"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "--workers" in err
+
+
+@pytest.mark.parametrize("pointer", [
+    {"coupling": float("inf")},
+    {"width": float("inf")},
+    {"width": float("nan")},
+    {"couplings_series": [float("inf"), 1e-2, 5e-3]},
+])
+def test_non_finite_pointer_settings_are_input_errors(capsys, tmp_path, pointer):
+    path = _write_problem(tmp_path / "p.json", {
+        "dimension": 2,
+        "observable": [[1.0, 0.0], [0.0, 0.0]],
+        "pre_state": [0.5, HALF_SQRT3],
+        "post_state": [-0.5, HALF_SQRT3],
+        "pointer": pointer,
+    })
+    code, out, err = _run(capsys, ["pointer", "--input", path])
+    assert code == 1
+    assert out == ""
+    assert "problem.pointer" in err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_tolerances_are_input_errors(capsys, tmp_path, value):
+    path = _write_problem(tmp_path / "p.json", {
+        "dimension": 2,
+        "observable": [[1.0, 0.0], [0.0, 0.0]],
+        "pre_state": [0.5, HALF_SQRT3],
+        "post_state": [-0.5, HALF_SQRT3],
+        "tolerances": {"anom": value},
+    })
+    code, out, err = _run(capsys, ["compute", "--input", path])
+    assert code == 1
+    assert out == ""
+    assert "problem.tolerances" in err
+
+
+def test_non_finite_tol_anom_flag_is_an_input_error(capsys, great_circle_file):
+    for argv in (["compute", "--input", great_circle_file],
+                 ["scan", "--n", "10"],
+                 ["search", "--budget", "10"]):
+        code, out, _ = _run(capsys, argv + ["--tol-anom", "inf"])
+        assert code == 1
+        assert out == ""
+    # a large finite band stays legal
+    code, _, _ = _run(capsys, ["compute", "--input", great_circle_file, "--tol-anom", "1e300"])
+    assert code == 0
 
 
 def test_scan_diagonal_is_anomaly_free(capsys):

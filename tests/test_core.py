@@ -34,6 +34,14 @@ def test_tolerances_must_be_positive():
         Tolerances(anom=-1e-9)
 
 
+def test_tolerances_must_be_finite():
+    for name in ("norm", "herm", "psd", "eig", "orth", "degen", "anom"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValidationError):
+                Tolerances(**{name: value})
+    assert Tolerances(anom=1e300).anom == 1e300
+
+
 def test_state_vector_accepts_normalized():
     s = wv.state_vector([0.6, 0.8])
     assert s.dim == 2

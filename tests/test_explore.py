@@ -17,6 +17,8 @@ from weakvalues.explore import (
     scan_anomaly_rate,
     search_max_negativity,
 )
+from weakvalues.explore import _block_size, _density_block
+from scan_oracle import pairwise_counts
 
 
 def test_sampling_is_bit_reproducible():
@@ -145,23 +147,48 @@ def test_search_trace_is_monotone(proj_zero):
     assert res.trace[-1][1] == res.best_value
 
 
-def test_search_workers_do_not_change_the_answer(proj_zero):
-    lone = search_max_negativity(proj_zero, budget=3000, seed=5, workers=1)
-    pool = search_max_negativity(proj_zero, budget=3000, seed=5, workers=4)
-    assert lone.best_value == pool.best_value
-    assert np.array_equal(lone.best_states[0].amps, pool.best_states[0].amps)
-    assert np.array_equal(lone.best_states[1].amps, pool.best_states[1].amps)
-    assert lone.evaluations == pool.evaluations
+def test_search_is_repeatable(proj_zero):
+    first = search_max_negativity(proj_zero, budget=3000, seed=5)
+    again = search_max_negativity(proj_zero, budget=3000, seed=5)
+    assert first.best_value == again.best_value
+    assert np.array_equal(first.best_states[0].amps, again.best_states[0].amps)
+    assert np.array_equal(first.best_states[1].amps, again.best_states[1].amps)
+    assert first.evaluations == again.evaluations
 
 
-def test_scan_is_deterministic_across_workers(proj_zero):
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("dim", (2, 3, 5))
+def test_scan_matches_pairwise_oracle(kind, dim):
+    # n crosses the first block boundary, so two keyed blocks are drawn.
+    n = _block_size(dim) + 40
+    rank = 2 if kind == MIXED_FIXED_RANK else None
+    spec_phi = SamplerSpec(dim=dim, kind=kind, seed=21, rank=rank)
+    spec_psi = SamplerSpec(dim=dim, kind=kind, seed=22, rank=rank)
+    obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
+    summary = scan_anomaly_rate(spec_phi, spec_psi, obs, n)
+    counts = (summary.anomalous_g, summary.anomalous_aw,
+              summary.coherent_non_anomalous, summary.skipped)
+    assert counts == pairwise_counts(spec_phi, spec_psi, obs, n)
+    assert summary.n == n
+
+
+def test_scan_is_repeatable_and_keyed_by_block(proj_zero):
     spec_phi = SamplerSpec(dim=2, kind=HAAR_PURE, seed=21)
     spec_psi = SamplerSpec(dim=2, kind=HAAR_PURE, seed=22)
-    one = scan_anomaly_rate(spec_phi, spec_psi, proj_zero, 400, workers=1)
-    many = scan_anomaly_rate(spec_phi, spec_psi, proj_zero, 400, workers=4)
-    assert one == many
+    one = scan_anomaly_rate(spec_phi, spec_psi, proj_zero, 400)
+    assert one == scan_anomaly_rate(spec_phi, spec_psi, proj_zero, 400)
     assert one.anomalous_g > 0
-    assert one.n == 400
+    # A scan's first pairs do not depend on how many pairs follow them.
+    for kind in SAMPLER_KINDS:
+        spec = SamplerSpec(dim=3, kind=kind, seed=23, rank=2 if kind == MIXED_FIXED_RANK else None)
+        assert np.array_equal(_density_block(spec, 1, 40), _density_block(spec, 1, 1000)[:40])
+
+
+def test_scan_block_stack_stays_within_one_mebibyte():
+    for dim in (2, 3, 5, 8, 64, 300):
+        assert _block_size(dim) >= 1
+        if dim <= 256:
+            assert _block_size(dim) * dim * dim * 16 <= 2 ** 20
 
 
 def test_scan_diagonal_pairs_never_anomalous(proj_zero):

@@ -1,0 +1,88 @@
+"""Properties of the stacked quasi-probability kernel over generated inputs.
+
+Each example is a stack of n selection pairs of dimension d = 2..8, mixed
+states G G^dagger / Tr built from generated entries, and a non-degenerate
+observable with a generated spectrum in a generated eigenbasis.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import weakvalues as wv
+from weakvalues.quasiprob import anomalous_mask, quasi_prob_stack
+
+entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+def _states(raw: np.ndarray) -> np.ndarray:
+    """(n, d, d) density matrices from an (n, 2, d, d) array of real entries."""
+    g = raw[:, 0] + 1j * raw[:, 1]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    assume(np.all(trace > 1e-3))
+    return rho / trace[:, None, None]
+
+
+@st.composite
+def selection_stacks(draw):
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 4))
+    phi = _states(draw(hnp.arrays(np.float64, (n, 2, d, d), elements=entries)))
+    psi = _states(draw(hnp.arrays(np.float64, (n, 2, d, d), elements=entries)))
+    basis = draw(hnp.arrays(np.float64, (2, d, d), elements=entries))
+    q, r = np.linalg.qr(basis[0] + 1j * basis[1] + 3.0 * np.eye(d))
+    assume(np.min(np.abs(np.diag(r))) > 1e-3)
+    gaps = draw(hnp.arrays(np.float64, d, elements=st.floats(0.1, 2.0)))
+    spectrum = np.cumsum(gaps) - draw(st.floats(-3.0, 3.0))
+    obs = wv.eigensystem((q * spectrum) @ q.conj().T)
+    return phi, psi, obs
+
+
+def _selected(den: np.ndarray) -> np.ndarray:
+    # Well away from the 1e-12 selection threshold, where g carries 1/den rounding.
+    return den > 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(selection_stacks())
+def test_weights_sum_to_one(case):
+    phi, psi, obs = case
+    den, g = quasi_prob_stack(phi, psi, obs)
+    g = g[_selected(den)]
+    assert np.all(np.abs(g.sum(axis=1) - 1.0) <= 1e-12 * np.abs(g).sum(axis=1))
+
+
+@PROPERTY_SETTINGS
+@given(selection_stacks())
+def test_weighted_eigenvalues_give_the_trace_ratio(case):
+    phi, psi, obs = case
+    den, g = quasi_prob_stack(phi, psi, obs)
+    a = obs.eigenvalues
+    for k in np.flatnonzero(_selected(den)):
+        direct = np.trace(phi[k] @ obs.matrix @ psi[k]) / np.trace(phi[k] @ psi[k])
+        terms = np.abs(g[k] * a).sum()
+        assert abs((g[k] * a).sum() - direct) <= 1e-12 * terms
+
+
+@PROPERTY_SETTINGS
+@given(selection_stacks())
+def test_swapping_the_selection_conjugates_the_weights(case):
+    phi, psi, obs = case
+    den, g = quasi_prob_stack(phi, psi, obs)
+    _, swapped = quasi_prob_stack(psi, phi, obs)
+    keep = _selected(den)
+    g, swapped = g[keep], swapped[keep]
+    assert np.all(np.abs(g - swapped.conj()) <= 1e-12 * np.abs(g).max(axis=1, keepdims=True))
+
+
+@PROPERTY_SETTINGS
+@given(selection_stacks())
+def test_a_dephased_pre_selection_gives_no_anomalous_weight(case):
+    phi, psi, obs = case
+    dephased = np.stack([wv.dephase(wv.DensityOperator(m), obs).matrix for m in psi])
+    den, g = quasi_prob_stack(phi, dephased, obs)
+    assert not np.any(anomalous_mask(g[_selected(den)], 0.0, 1.0, wv.DEFAULT_TOL.anom))

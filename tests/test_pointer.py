@@ -24,6 +24,16 @@ def test_config_validation():
         PointerConfig(couplings_series=(1e-2, 5e-3, -1e-3))
 
 
+def test_config_rejects_non_finite_values():
+    for value in (np.inf, np.nan):
+        with pytest.raises(wv.ValidationError):
+            PointerConfig(coupling=value)
+        with pytest.raises(wv.ValidationError):
+            PointerConfig(width=value)
+        with pytest.raises(wv.ValidationError):
+            PointerConfig(couplings_series=(value, 1e-2, 5e-3))
+
+
 def test_eigenstate_readout_is_exact():
     obs = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
     for i in range(3):
