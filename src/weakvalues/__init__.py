@@ -18,21 +18,17 @@ from .core import (
     TraceNotOneError,
     ValidationError,
     ZeroPostselectionError,
-    antipodal,
     coherence_l1,
     commutator_norm,
     dephase,
     eigensystem,
     pure_to_density,
-    real_part_state,
     state_vector,
     validate_density,
 )
 from .invariants import (
     FrameGraph,
-    Invariant,
     bargmann,
-    bargmann_invariant,
     build_frame_graph,
     frame_graph_from_matrices,
     overlap,
@@ -55,22 +51,15 @@ from .quasiprob import (
 from .witness import (
     CONSISTENT,
     DEFAULT_COHERENCE_TOL,
-    NotIncoherentError,
     VIOLATED,
     WitnessReport,
     check_theorem_coherence,
-    corollary_projector_weak_value,
-    incoherent_quasi_prob,
 )
 from .contextuality import (
     CycleInequality,
-    Fragment,
     NotRealAmplitudeError,
     all_three_cycles,
     anomaly_implies_violation,
-    build_fragment,
-    fragment_frame_graph,
-    max_violation,
     qubit_fragment_graph,
 )
 from .pointer import (

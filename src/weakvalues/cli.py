@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .core import (
     StateVector,
     Tolerances,
     ValidationError,
+    _fix_phases,
     commutator_norm,
     eigensystem,
     pure_to_density,
@@ -37,20 +39,22 @@ from .core import (
 )
 from .explore import SamplerSpec, scan_anomaly_rate, search_max_negativity
 from .invariants import build_frame_graph
-from .pointer import DEFAULT_COUPLINGS, PointerConfig, extrapolate, simulate
+from .pointer import PointerConfig, extrapolate, simulate
 from .quasiprob import (
     ANOMALOUS_REAL,
     DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
+    QuasiProbDist,
+    WeakValueResult,
     anomalous_indices,
     classify,
     is_marginal,
     quasi_prob,
-    weak_value,
+    quasi_prob_and_weak_value,
     weak_value_hermitian,
     weak_value_pure,
 )
-from .witness import check_theorem_coherence
+from .witness import WitnessReport, check_theorem_coherence
 
 __all__ = ["main"]
 
@@ -59,8 +63,6 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_ANOMALY = 3
 EXIT_REPRODUCE = 4
-
-_TOLERANCE_KEYS = ("norm", "herm", "psd", "eig", "orth", "degen", "anom")
 
 _SEARCH_OBSERVABLES = {
     "proj0": np.diag([1.0, 0.0]),
@@ -205,7 +207,7 @@ def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator
 def _parse_tolerances(node, where: str) -> Tolerances:
     if not isinstance(node, dict):
         raise ProblemFileError(where, "expected an object of tolerance values")
-    unknown = set(node) - set(_TOLERANCE_KEYS)
+    unknown = set(node) - {f.name for f in fields(Tolerances)}
     if unknown:
         raise ProblemFileError(where, f"unknown tolerance keys {sorted(unknown)}")
     values = {key: _expect_number(val, f"{where}.{key}") for key, val in node.items()}
@@ -218,22 +220,21 @@ def _parse_tolerances(node, where: str) -> Tolerances:
 def _parse_pointer(node, where: str) -> PointerConfig:
     if not isinstance(node, dict):
         raise ProblemFileError(where, "expected an object with pointer settings")
-    unknown = set(node) - {"coupling", "width", "couplings_series"}
+    unknown = set(node) - {f.name for f in fields(PointerConfig)}
     if unknown:
         raise ProblemFileError(where, f"unknown pointer keys {sorted(unknown)}")
-    coupling = _expect_number(node["coupling"], f"{where}.coupling") if "coupling" in node else 1e-2
-    width = _expect_number(node["width"], f"{where}.width") if "width" in node else 1.0
+    # Only the keys present are passed, so PointerConfig keeps the defaults.
+    settings = {key: _expect_number(node[key], f"{where}.{key}")
+                for key in ("coupling", "width") if key in node}
     if "couplings_series" in node:
         series_node = node["couplings_series"]
         if not isinstance(series_node, list):
             raise ProblemFileError(f"{where}.couplings_series", "expected a list of couplings")
-        series = tuple(
+        settings["couplings_series"] = tuple(
             _expect_number(entry, f"{where}.couplings_series[{i}]") for i, entry in enumerate(series_node)
         )
-    else:
-        series = DEFAULT_COUPLINGS
     try:
-        return PointerConfig(coupling=coupling, width=width, couplings_series=series)
+        return PointerConfig(**settings)
     except ValidationError as exc:
         raise ProblemFileError(where, str(exc)) from exc
 
@@ -259,10 +260,7 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
 
     tol = _parse_tolerances(data["tolerances"], "problem.tolerances") if "tolerances" in data else DEFAULT_TOL
     if tol_anom_override is not None:
-        if not 0.0 < tol_anom_override < np.inf:
-            raise ProblemFileError("--tol-anom",
-                                   f"must be positive and finite, got {tol_anom_override}")
-        tol = Tolerances(**{**{k: getattr(tol, k) for k in _TOLERANCE_KEYS}, "anom": tol_anom_override})
+        tol = replace(tol, anom=tol_anom_override)
 
     matrix = _parse_matrix(data["observable"], "problem.observable")
     if matrix.shape != (dim, dim):
@@ -303,10 +301,7 @@ def _extract_pure(rho: DensityOperator, where: str, tol: Tolerances) -> StateVec
     if abs(float(eigenvalues[-1]) - 1.0) > 100.0 * tol.psd:
         raise ProblemFileError(where, f"state is mixed (largest eigenvalue {float(eigenvalues[-1]):.12g}), "
                                       "this command needs pure states")
-    top = eigenvectors[:, -1]
-    k = int(np.argmax(np.abs(top)))
-    top = top * (np.abs(top[k]) / top[k])
-    return StateVector(top)
+    return StateVector(_fix_phases(eigenvectors[:, -1:])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +309,12 @@ def _extract_pure(rho: DensityOperator, where: str, tol: Tolerances) -> StateVec
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    # math.isfinite, not np.isfinite: the numpy scalar call cost more than the formatting.
+    if not math.isfinite(x):
         return "null"
-    return f"{float(x):.17g}"
+    text = f"{float(x):.17g}"
+    # JSON readers load "-0" as the integer 0; "-0.0" keeps the sign when read back.
+    return "-0.0" if text == "-0" else text
 
 
 def _c(z: complex) -> list[float]:
@@ -409,7 +407,7 @@ def _canonical_inputs(problem: Problem) -> dict:
         "observable": _matrix_payload(problem.obs.matrix),
         "pre_state": _matrix_payload(problem.rho_psi.matrix),
         "post_state": _matrix_payload(problem.rho_phi.matrix),
-        "tolerances": {key: getattr(problem.tol, key) for key in _TOLERANCE_KEYS},
+        "tolerances": asdict(problem.tol),
     }
     if problem.pointer_cfg is not None:
         echo["pointer"] = {
@@ -433,49 +431,40 @@ def _report_head(command: str, problem: Problem | None = None, seed: int | None 
     return report
 
 
-def _weak_value_section(problem: Problem) -> dict:
-    result = weak_value(problem.obs, problem.rho_psi, problem.rho_phi,
-                        DEFAULT_SELECTION_THRESHOLD, problem.tol)
+def _weak_value_section(aw: WeakValueResult, tol: Tolerances) -> dict:
     return {
-        "re": result.value.real,
-        "im": result.value.imag,
-        "denominator": result.denominator,
-        "spectrum": [result.spectrum_lo, result.spectrum_hi],
-        "classification": result.classification,
-        "marginal": is_marginal(result.value, result.spectrum_lo, result.spectrum_hi,
-                                problem.tol.anom),
+        "re": aw.value.real,
+        "im": aw.value.imag,
+        "denominator": aw.denominator,
+        "spectrum": [aw.spectrum_lo, aw.spectrum_hi],
+        "classification": aw.classification,
+        "marginal": is_marginal(aw.value, aw.spectrum_lo, aw.spectrum_hi, tol.anom),
     }
 
 
-def _quasiprob_section(problem: Problem) -> dict:
-    dist = quasi_prob(problem.rho_phi, problem.rho_psi, problem.obs,
-                      DEFAULT_SELECTION_THRESHOLD, problem.tol)
-    bad = anomalous_indices(dist, problem.tol.anom)
-    reconstruction = complex(np.sum(dist.weights * dist.labels))
+def _quasiprob_section(dist: QuasiProbDist, aw: WeakValueResult, tol: Tolerances) -> dict:
     return {
         "eigenvalues": [float(a) for a in dist.labels],
         "weights": [_c(complex(w)) for w in dist.weights],
-        "anomalous_indices": list(bad),
-        "weak_value_from_weights": _c(reconstruction),
+        "anomalous_indices": list(anomalous_indices(dist, tol.anom)),
+        "weak_value_from_weights": _c(aw.value),
         "marginal_indices": [
             i for i, w in enumerate(dist.weights)
-            if is_marginal(complex(w), 0.0, 1.0, problem.tol.anom)
+            if is_marginal(complex(w), 0.0, 1.0, tol.anom)
         ],
     }
 
 
-def _witness_section(problem: Problem) -> dict:
-    report = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs,
-                                     DEFAULT_SELECTION_THRESHOLD, tol=problem.tol)
+def _witness_section(problem: Problem, witness: WitnessReport) -> dict:
     return {
-        "l1_pre": report.l1_pre,
-        "l1_post": report.l1_post,
-        "coherent_pre": report.coherent_pre,
-        "coherent_post": report.coherent_post,
+        "l1_pre": witness.l1_pre,
+        "l1_post": witness.l1_post,
+        "coherent_pre": witness.coherent_pre,
+        "coherent_post": witness.coherent_post,
         "commutator_norm": commutator_norm(problem.rho_phi, problem.rho_psi),
-        "anomalous_indices": list(report.g_anomalous),
-        "aw_classification": report.aw_classification,
-        "verdict": report.verdict,
+        "anomalous_indices": list(witness.g_anomalous),
+        "aw_classification": witness.aw_classification,
+        "verdict": witness.verdict,
     }
 
 
@@ -528,18 +517,16 @@ def _cycles_section(problem: Problem) -> dict:
 def _pointer_section(problem: Problem, psi: StateVector, phi: StateVector) -> dict:
     cfg = problem.pointer_cfg if problem.pointer_cfg is not None else PointerConfig()
     outcome = simulate(problem.obs, psi, phi, cfg)
-    series_rows = []
-    for g in cfg.couplings_series:
-        step = simulate(problem.obs, psi, phi,
-                        PointerConfig(coupling=g, width=cfg.width,
-                                      couplings_series=cfg.couplings_series))
-        series_rows.append({
+    result = extrapolate(problem.obs, psi, phi, cfg)
+    series_rows = [
+        {
             "coupling": g,
             "re_estimate": step.mean_position / g,
             "im_estimate": 2.0 * cfg.width ** 2 * step.mean_momentum / g,
             "postselect_prob": step.postselect_prob,
-        })
-    result = extrapolate(problem.obs, psi, phi, cfg)
+        }
+        for g, step in zip(cfg.couplings_series, result.outcomes)
+    ]
     lo = float(problem.obs.eigenvalues[0])
     hi = float(problem.obs.eigenvalues[-1])
     label = classify(result.value, lo, hi, problem.tol.anom)
@@ -570,10 +557,12 @@ def _anomaly_exit(*flags: bool) -> int:
 
 def cmd_compute(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
+    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs,
+                                      DEFAULT_SELECTION_THRESHOLD, tol=problem.tol)
     report = _report_head("compute", problem)
-    report["weak_value"] = _weak_value_section(problem)
-    report["quasiprob"] = _quasiprob_section(problem)
-    report["witness"] = _witness_section(problem)
+    report["weak_value"] = _weak_value_section(witness.aw, problem.tol)
+    report["quasiprob"] = _quasiprob_section(witness.dist, witness.aw, problem.tol)
+    report["witness"] = _witness_section(problem, witness)
     report["cycles"] = _cycles_section(problem)
     _print_report(report, args.format)
     return _anomaly_exit(report["weak_value"]["classification"] != NORMAL,
@@ -582,17 +571,21 @@ def cmd_compute(args) -> int:
 
 def cmd_gvals(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
+    dist, aw = quasi_prob_and_weak_value(problem.rho_phi, problem.rho_psi, problem.obs,
+                                         DEFAULT_SELECTION_THRESHOLD, problem.tol)
     report = _report_head("gvals", problem)
-    report["quasiprob"] = _quasiprob_section(problem)
+    report["quasiprob"] = _quasiprob_section(dist, aw, problem.tol)
     _print_report(report, args.format)
     return _anomaly_exit(bool(report["quasiprob"]["anomalous_indices"]))
 
 
 def cmd_witness(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
+    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs,
+                                      DEFAULT_SELECTION_THRESHOLD, tol=problem.tol)
     report = _report_head("witness", problem)
-    report["weak_value"] = _weak_value_section(problem)
-    report["witness"] = _witness_section(problem)
+    report["weak_value"] = _weak_value_section(witness.aw, problem.tol)
+    report["witness"] = _witness_section(problem, witness)
     _print_report(report, args.format)
     return _anomaly_exit(report["weak_value"]["classification"] != NORMAL,
                          bool(report["witness"]["anomalous_indices"]))
@@ -768,6 +761,14 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _tol_anom_type(text: str) -> float:
+    # Tolerances holds the only check, so a refused band never reaches a command.
+    try:
+        return Tolerances(anom=float(text)).anom
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weakvalues",
                      description="Weak values, quasi-probabilities, coherence witnesses, "
@@ -777,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
-        p.add_argument("--tol-anom", type=float, default=None, metavar="FLOAT",
+        p.add_argument("--tol-anom", type=_tol_anom_type, default=None, metavar="FLOAT",
                        help="override the anomaly decision tolerance")
 
     def with_input(name: str, help_text: str):

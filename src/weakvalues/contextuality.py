@@ -13,28 +13,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DensityOperator,
-    NotQubitError,
-    Observable,
-    StateVector,
-    Tolerances,
-    ValidationError,
-    antipodal,
-    pure_to_density,
-)
+from .core import DEFAULT_TOL, DensityOperator, NotQubitError, Observable, Tolerances, ValidationError
 from .invariants import FrameGraph, frame_graph_from_matrices
 from .quasiprob import DEFAULT_SELECTION_THRESHOLD, QuasiProbDist, quasi_prob
 
 __all__ = [
     "NotRealAmplitudeError",
     "CycleInequality",
-    "Fragment",
     "all_three_cycles",
-    "max_violation",
-    "build_fragment",
-    "fragment_frame_graph",
     "qubit_fragment_graph",
     "anomaly_implies_violation",
 ]
@@ -58,21 +44,6 @@ class CycleInequality:
     minus_edge: tuple[str, str]
     value: float
     violated: bool
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """Six-state qubit fragment generated by a selection pair and a basis.
-
-    States and effects coincide by construction. ``duplicate_pairs`` lists
-    label pairs that collapsed onto the same ray (allowed, but worth
-    surfacing before feeding the fragment to polytope tooling).
-    """
-
-    labels: tuple[str, ...]
-    states: tuple[StateVector, ...]
-    effects: tuple[StateVector, ...]
-    duplicate_pairs: tuple[tuple[str, str], ...]
 
 
 def all_three_cycles(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -> list[CycleInequality]:
@@ -99,49 +70,6 @@ def all_three_cycles(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -
                 violated=value > 1.0 + anomaly_tol,
             ))
     return out
-
-
-def max_violation(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -> float:
-    """Largest 3-cycle value minus 1; positive means the graph is contextual."""
-    cycles = all_three_cycles(graph, anomaly_tol)
-    if not cycles:
-        raise ValidationError("graph has fewer than 3 vertices, no 3-cycles to check")
-    return max(c.value for c in cycles) - 1.0
-
-
-def build_fragment(phi: StateVector, psi: StateVector, obs: Observable,
-                   tol: Tolerances = DEFAULT_TOL) -> Fragment:
-    """Qubit fragment {phi, psi, a1, a2, phi_perp, psi_perp}."""
-    if phi.dim != 2 or psi.dim != 2 or obs.dim != 2:
-        raise NotQubitError(
-            f"fragment construction needs qubits, got dims {phi.dim}/{psi.dim}/{obs.dim}"
-        )
-    states = (
-        phi,
-        psi,
-        obs.basis_state(0),
-        obs.basis_state(1),
-        antipodal(phi),
-        antipodal(psi),
-    )
-    duplicates = []
-    for a, b in combinations(range(len(states)), 2):
-        fidelity = abs(complex(states[a].amps.conj() @ states[b].amps)) ** 2
-        if fidelity > 1.0 - tol.orth:
-            duplicates.append((FRAGMENT_LABELS[a], FRAGMENT_LABELS[b]))
-    return Fragment(
-        labels=FRAGMENT_LABELS,
-        states=states,
-        effects=states,
-        duplicate_pairs=tuple(duplicates),
-    )
-
-
-def fragment_frame_graph(fragment: Fragment, tol: Tolerances = DEFAULT_TOL) -> FrameGraph:
-    """Complete overlap graph over the six fragment states."""
-    return frame_graph_from_matrices(
-        fragment.labels, [pure_to_density(s) for s in fragment.states], tol
-    )
 
 
 def _require_real(matrix: np.ndarray, what: str, real_tol: float) -> None:

@@ -37,8 +37,6 @@ __all__ = [
     "require_dims",
     "coherence_l1",
     "coherence_l1_stack",
-    "real_part_state",
-    "antipodal",
     "commutator_norm",
 ]
 
@@ -198,16 +196,11 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} contains NaN or Inf entries")
 
 
-def _require_same_dim(a: int, b: int) -> None:
-    if a != b:
-        raise DimensionMismatchError(f"dimension mismatch: {a} vs {b}")
-
-
 def require_dims(dim: int, *states) -> None:
-    """Raise DimensionMismatchError unless every state has the observable's dimension."""
+    """Raise DimensionMismatchError unless every state (anything with ``.dim``) has dimension ``dim``."""
     if any(state.dim != dim for state in states):
         dims = "/".join(str(state.dim) for state in states)
-        raise DimensionMismatchError(f"states of dim {dims} against observable of dim {dim}")
+        raise DimensionMismatchError(f"dimension mismatch: dim {dims} against dim {dim}")
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
@@ -288,7 +281,7 @@ def eigensystem(matrix, tol: Tolerances = DEFAULT_TOL) -> Observable:
 
 def dephase(rho: DensityOperator, basis: Observable) -> DensityOperator:
     """Remove all off-diagonal terms of rho in the eigenbasis of ``basis``."""
-    _require_same_dim(rho.dim, basis.dim)
+    require_dims(basis.dim, rho)
     v = basis.eigenvectors
     populations = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho.matrix, v))
     return DensityOperator((v * populations) @ v.conj().T)
@@ -308,26 +301,12 @@ def coherence_l1_stack(stack: np.ndarray, basis: Observable) -> np.ndarray:
 
 def coherence_l1(rho: DensityOperator, basis: Observable) -> float:
     """Sum of the moduli of the off-diagonal entries of rho in the eigenbasis."""
-    _require_same_dim(rho.dim, basis.dim)
+    require_dims(basis.dim, rho)
     return float(coherence_l1_stack(rho.matrix[None], basis)[0])
-
-
-def real_part_state(rho: DensityOperator) -> DensityOperator:
-    """Entrywise real part (rho + rho^T)/2, a valid state with real amplitudes."""
-    re = np.real(rho.matrix)
-    return DensityOperator(((re + re.T) / 2.0).astype(complex))
-
-
-def antipodal(psi: StateVector) -> StateVector:
-    """Orthogonal qubit state, phase-fixed by the largest-modulus convention."""
-    if psi.dim != 2:
-        raise NotQubitError(f"antipodal state is defined for dim 2, got dim {psi.dim}")
-    perp = np.array([np.conj(psi.amps[1]), -np.conj(psi.amps[0])])
-    return StateVector(_fix_phases(perp[:, None])[:, 0])
 
 
 def commutator_norm(rho1: DensityOperator, rho2: DensityOperator) -> float:
     """Frobenius norm of [rho1, rho2]; zero iff the states share an eigenbasis."""
-    _require_same_dim(rho1.dim, rho2.dim)
+    require_dims(rho1.dim, rho2)
     comm = rho1.matrix @ rho2.matrix - rho2.matrix @ rho1.matrix
     return float(np.linalg.norm(comm))

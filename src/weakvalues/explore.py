@@ -20,6 +20,7 @@ from .core import (
     Tolerances,
     ValidationError,
     coherence_l1_stack,
+    require_dims,
 )
 from .quasiprob import DEFAULT_SELECTION_THRESHOLD, anomalous_mask, quasi_prob_stack
 from .witness import DEFAULT_COHERENCE_TOL
@@ -145,7 +146,6 @@ class SearchResult:
     best_states: tuple[StateVector, StateVector]
     best_value: float
     evaluations: int
-    trace: tuple[tuple[int, float], ...] | None = None
 
 
 def _bloch(theta: float, azimuth: float) -> np.ndarray:
@@ -192,8 +192,8 @@ def _evaluator_factory(matrix: np.ndarray, min_overlap: float):
     return evaluate
 
 
-def _compass(evaluate, start: np.ndarray, share: int, step: float, min_step: float,
-             record: bool) -> tuple[np.ndarray, float, int, list[tuple[int, float]]]:
+def _compass(evaluate, start: np.ndarray, share: int, step: float,
+             min_step: float) -> tuple[np.ndarray, float, int]:
     """Coordinate pattern search; every evaluation counts against ``share``.
 
     ``evaluate`` may move a candidate (separation clamp), so the point it
@@ -201,7 +201,6 @@ def _compass(evaluate, start: np.ndarray, share: int, step: float, min_step: flo
     """
     best_x, best_val = evaluate(np.array(start, dtype=float))
     evals = 1
-    trace = [(0, best_val)] if record else []
     h = step
     while evals < share and h >= min_step:
         moved = False
@@ -216,19 +215,16 @@ def _compass(evaluate, start: np.ndarray, share: int, step: float, min_step: flo
                 if val > best_val:
                     best_x, best_val = cand, val
                     moved = True
-                    if record:
-                        trace.append((evals - 1, val))
         if not moved:
             h /= 2.0
-    return best_x, best_val, evals, trace
+    return best_x, best_val, evals
 
 
 def search_max_negativity(observable, budget: int, seed: int, *,
                           restarts: int = 20,
                           min_overlap: float = 0.25,
                           initial_step: float = 0.9,
-                          min_step: float = 1e-9,
-                          record_trace: bool = False) -> SearchResult:
+                          min_step: float = 1e-9) -> SearchResult:
     """Maximize -Re(A_w) over pure qubit selection pairs by pattern search.
 
     Pairs are parameterized by a polar and an azimuthal Bloch angle per
@@ -255,26 +251,23 @@ def search_max_negativity(observable, budget: int, seed: int, *,
 
     if budget <= 0:
         x, value = evaluate(random_start(_task_rng(seed, 0)))
-        outcomes = [(x, value, 1, [(0, value)])]
+        outcomes = [(x, value, 1)]
     else:
         n_restarts = max(1, min(restarts, budget))
         shares = [budget // n_restarts + (1 if r < budget % n_restarts else 0) for r in range(n_restarts)]
         outcomes = [_compass(evaluate, random_start(_task_rng(seed, r)), shares[r],
-                             initial_step, min_step, record_trace)
+                             initial_step, min_step)
                     for r in range(n_restarts)]
 
-    best_x, best_val, best_trace = None, -np.inf, []
-    evaluations = 0
-    for x, val, used, trace in outcomes:
-        evaluations += used
+    best_x, best_val = None, -np.inf
+    for x, val, _ in outcomes:
         if val > best_val:
-            best_x, best_val, best_trace = x, val, trace
+            best_x, best_val = x, val
     phi, psi = _pair_from_params(best_x)
     return SearchResult(
         best_states=(StateVector(phi), StateVector(psi)),
         best_value=best_val,
-        evaluations=evaluations,
-        trace=tuple(best_trace) if record_trace else None,
+        evaluations=sum(used for _, _, used in outcomes),
     )
 
 
@@ -315,10 +308,7 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
     """
     if n < 1:
         raise ValidationError(f"scan needs n >= 1, got {n}")
-    if spec_phi.dim != obs.dim or spec_psi.dim != obs.dim:
-        raise ValidationError(
-            f"sampler dims {spec_phi.dim}/{spec_psi.dim} against observable of dim {obs.dim}"
-        )
+    require_dims(obs.dim, spec_phi, spec_psi)
     a = obs.eigenvalues
     block = _block_size(obs.dim)
     g_count = aw_count = quiet_count = skipped = 0

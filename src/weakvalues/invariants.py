@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -10,7 +11,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     DensityOperator,
-    DimensionMismatchError,
     ImaginaryOverlapError,
     Observable,
     Tolerances,
@@ -19,49 +19,20 @@ from .core import (
 )
 
 __all__ = [
-    "Invariant",
     "FrameGraph",
     "bargmann",
-    "bargmann_invariant",
     "overlap",
     "frame_graph_from_matrices",
     "build_frame_graph",
 ]
 
 
-@dataclass(frozen=True)
-class Invariant:
-    """Record of one evaluated trace invariant.
-
-    ``operands`` are ordinal indices into the tuple the caller passed,
-    preserving the multiplication order.
-    """
-
-    order: int
-    value: complex
-    operands: tuple[int, ...]
-
-
-def _product(states: Sequence[DensityOperator]) -> np.ndarray:
-    if len(states) < 2:
-        raise ValidationError(f"need at least 2 states, got {len(states)}")
-    dim = states[0].dim
-    out = states[0].matrix
-    for state in states[1:]:
-        if state.dim != dim:
-            raise DimensionMismatchError(f"dimension mismatch: {state.dim} vs {dim}")
-        out = out @ state.matrix
-    return out
-
-
 def bargmann(states: Sequence[DensityOperator]) -> complex:
     """Trace of the ordered product of the given states (left to right)."""
-    return complex(np.trace(_product(states)))
-
-
-def bargmann_invariant(states: Sequence[DensityOperator]) -> Invariant:
-    """As :func:`bargmann`, packaged with order and operand bookkeeping."""
-    return Invariant(order=len(states), value=bargmann(states), operands=tuple(range(len(states))))
+    if len(states) < 2:
+        raise ValidationError(f"need at least 2 states, got {len(states)}")
+    require_dims(states[0].dim, *states[1:])
+    return complex(np.trace(reduce(np.matmul, [state.matrix for state in states])))
 
 
 def overlap(rho1: DensityOperator, rho2: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -87,12 +58,6 @@ class FrameGraph:
         if i == j:
             raise ValidationError("frame graph has no self-loops")
         return self.weights[(min(i, j), max(i, j))]
-
-    def edge_by_label(self, u: str, v: str) -> float:
-        for name in (u, v):
-            if name not in self.labels:
-                raise KeyError(f"no vertex labeled {name!r}; have {self.labels}")
-        return self.edge(self.labels.index(u), self.labels.index(v))
 
     @property
     def n_vertices(self) -> int:

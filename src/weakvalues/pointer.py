@@ -72,10 +72,14 @@ class PointerOutcome:
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    """Weak value recovered from the coupling series, with an error estimate."""
+    """Weak value recovered from the coupling series, with an error estimate.
+
+    ``outcomes[k]`` is the pointer readout at ``couplings_series[k]``.
+    """
 
     value: complex
     error: float
+    outcomes: tuple[PointerOutcome, ...]
 
 
 def _branch_amplitudes(obs: Observable, psi: StateVector, phi: StateVector) -> np.ndarray:
@@ -116,11 +120,11 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
     """
     series = cfg.couplings_series
     two_var = 2.0 * cfg.width ** 2
-    estimates = []
-    for g in series:
-        outcome = simulate(obs, psi, phi, PointerConfig(coupling=g, width=cfg.width,
-                                                        couplings_series=series))
-        estimates.append(outcome.mean_position / g + 1j * two_var * outcome.mean_momentum / g)
+    outcomes = tuple(simulate(obs, psi, phi, PointerConfig(coupling=g, width=cfg.width,
+                                                           couplings_series=series))
+                     for g in series)
+    estimates = [outcome.mean_position / g + 1j * two_var * outcome.mean_momentum / g
+                 for g, outcome in zip(series, outcomes)]
 
     nodes = np.asarray([g * g for g in series], dtype=float)
     table = list(estimates)
@@ -132,4 +136,4 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
     # the gap to it bounds the residual of the even-power error series.
     value = table[-1]
     error = abs(value - table[-2])
-    return ExtrapolationResult(value=complex(value), error=float(error))
+    return ExtrapolationResult(value=complex(value), error=float(error), outcomes=outcomes)

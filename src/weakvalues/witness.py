@@ -11,36 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (
-    DEFAULT_TOL,
-    DensityOperator,
-    Observable,
-    Tolerances,
-    ValidationError,
-    coherence_l1,
-    require_dims,
-)
+from .core import DEFAULT_TOL, DensityOperator, Observable, Tolerances, coherence_l1
 from .quasiprob import (
     DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
+    QuasiProbDist,
     WeakValueResult,
     anomalous_indices,
-    classify,
     quasi_prob_and_weak_value,
-    selection_overlap,
 )
 
 __all__ = [
     "CONSISTENT",
     "VIOLATED",
     "DEFAULT_COHERENCE_TOL",
-    "NotIncoherentError",
     "WitnessReport",
-    "incoherent_quasi_prob",
     "check_theorem_coherence",
-    "corollary_projector_weak_value",
 ]
 
 CONSISTENT = "ConsistentWithTheorem"
@@ -50,19 +36,20 @@ VIOLATED = "TheoremViolated"
 DEFAULT_COHERENCE_TOL = 1e-8
 
 
-class NotIncoherentError(ValidationError):
-    pass
-
-
 @dataclass(frozen=True)
 class WitnessReport:
-    """Joint coherence / anomaly diagnosis for one selection pair."""
+    """Joint coherence / anomaly diagnosis for one selection pair.
+
+    ``dist`` and ``aw`` are the quasi-probabilities and weak value behind
+    the verdict, from one kernel evaluation.
+    """
 
     l1_post: float
     l1_pre: float
     coherent_post: bool
     coherent_pre: bool
     g_anomalous: tuple[int, ...]
+    dist: QuasiProbDist
     aw: WeakValueResult
     verdict: str
 
@@ -73,30 +60,6 @@ class WitnessReport:
     @property
     def anomaly_present(self) -> bool:
         return bool(self.g_anomalous) or self.aw.classification != NORMAL
-
-
-def incoherent_quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                          threshold: float = DEFAULT_SELECTION_THRESHOLD,
-                          coherence_tol: float = DEFAULT_COHERENCE_TOL,
-                          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Factorized distribution for selections diagonal in the eigenbasis.
-
-    When both states are incoherent the quasi-probability collapses to
-    g_i = <a_i|rho_phi|a_i> <a_i|rho_psi|a_i> / Tr(rho_phi rho_psi),
-    a genuine probability distribution.
-    """
-    require_dims(obs.dim, rho_phi, rho_psi)
-    for name, rho in (("post-selection", rho_phi), ("pre-selection", rho_psi)):
-        l1 = coherence_l1(rho, obs)
-        if l1 >= coherence_tol:
-            raise NotIncoherentError(
-                f"{name} state has l1 coherence {l1:.3e} (threshold {coherence_tol:.1e})"
-            )
-    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
-    v = obs.eigenvectors
-    pops_phi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_phi.matrix, v))
-    pops_psi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_psi.matrix, v))
-    return pops_phi * pops_psi / den
 
 
 def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -123,26 +86,7 @@ def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, 
         coherent_post=coherent_post,
         coherent_pre=coherent_pre,
         g_anomalous=bad,
+        dist=dist,
         aw=aw,
         verdict=verdict,
     )
-
-
-def corollary_projector_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator,
-                                   obs: Observable, i: int,
-                                   threshold: float = DEFAULT_SELECTION_THRESHOLD,
-                                   tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
-    """Weak value of the i-th eigenprojector, classified against spectrum {0, 1}.
-
-    Evaluated by the direct three-operator trace ratio, so it provides an
-    independent route to g_i: an anomalous quasi-probability is itself the
-    anomalous weak value of the matching projector.
-    """
-    if not 0 <= i < obs.dim:
-        raise ValidationError(f"eigenvector index {i} out of range for dim {obs.dim}")
-    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
-    proj = obs.projector(i)
-    num = complex(np.trace(rho_phi.matrix @ proj.matrix @ rho_psi.matrix))
-    value = num / den
-    return WeakValueResult(value=value, denominator=den, spectrum_lo=0.0, spectrum_hi=1.0,
-                           classification=classify(value, 0.0, 1.0, tol.anom))

@@ -24,7 +24,8 @@ from weakvalues.explore import (
     search_max_negativity,
 )
 from weakvalues.pointer import extrapolate, simulate, PointerConfig
-from weakvalues.witness import check_theorem_coherence, corollary_projector_weak_value, incoherent_quasi_prob
+
+from oracles import antipodal, corollary_projector_weak_value, incoherent_quasi_prob
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
 
@@ -246,7 +247,7 @@ def test_criterion_7_real_anomalies_imply_violated_cycles(capsys):
     got = max(c.value for c in all_three_cycles(graph))
     amps = [phi.amps, psi.amps,
             obs.basis_state(0).amps, obs.basis_state(1).amps,
-            wv.antipodal(phi).amps, wv.antipodal(psi).amps]
+            antipodal(phi).amps, antipodal(psi).amps]
     oracle = 0.0
     for i, j, k in combinations(range(6), 3):
         r_ij = abs(np.vdot(amps[i], amps[j])) ** 2

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from weakvalues import cli
+from weakvalues import cli, pointer, quasiprob
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
 
@@ -18,14 +18,17 @@ def _write_problem(path, data):
     return str(path)
 
 
+GREAT_CIRCLE = {
+    "dimension": 2,
+    "observable": [[1.0, 0.0], [0.0, 0.0]],
+    "pre_state": [0.5, HALF_SQRT3],
+    "post_state": [-0.5, HALF_SQRT3],
+}
+
+
 @pytest.fixture()
 def great_circle_file(tmp_path):
-    return _write_problem(tmp_path / "great_circle.json", {
-        "dimension": 2,
-        "observable": [[1.0, 0.0], [0.0, 0.0]],
-        "pre_state": [0.5, HALF_SQRT3],
-        "post_state": [-0.5, HALF_SQRT3],
-    })
+    return _write_problem(tmp_path / "great_circle.json", GREAT_CIRCLE)
 
 
 @pytest.fixture()
@@ -237,14 +240,53 @@ def test_grid_of_bare_numbers_prefers_matrix_reading(capsys, tmp_path):
 
 
 def test_round_trip_echo(capsys, great_circle_file, tmp_path):
-    code, out, _ = _run(capsys, ["compute", "--input", great_circle_file])
-    first = json.loads(out)
-    echoed = _write_problem(tmp_path / "echoed.json", first["inputs"])
-    code, out, _ = _run(capsys, ["compute", "--input", echoed])
-    second = json.loads(out)
-    assert second["inputs"] == first["inputs"]
-    assert second["weak_value"] == first["weak_value"]
-    assert second["quasiprob"] == first["quasiprob"]
+    # a report's inputs block reproduces the whole report byte for byte, in
+    # both formats; the 120-degree post-selection state echoes a negative zero
+    for command in ("compute", "gvals", "witness", "contextuality", "pointer"):
+        code, out, _ = _run(capsys, [command, "--input", great_circle_file])
+        assert "-0.0" in out
+        echoed = _write_problem(tmp_path / f"{command}-echo.json", json.loads(out)["inputs"])
+        for fmt in ("json", "csv"):
+            first = _run(capsys, [command, "--input", great_circle_file, "--format", fmt])
+            again = _run(capsys, [command, "--input", echoed, "--format", fmt])
+            assert again == first, (command, fmt)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every weakvalues module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "weakvalues" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_command_evaluates_once(capsys, monkeypatch, great_circle_file, tmp_path):
+    kernel = _count_calls(monkeypatch, quasiprob, "quasi_prob_stack")
+    simulations = _count_calls(monkeypatch, pointer, "simulate")
+    for command in ("compute", "witness", "gvals"):
+        kernel.clear()
+        code, _, _ = _run(capsys, [command, "--input", great_circle_file])
+        assert code == 3
+        assert len(kernel) == 1, command
+
+    # one readout at the configured coupling, one per series entry
+    code, _, _ = _run(capsys, ["pointer", "--input", great_circle_file])
+    assert code == 3
+    assert len(simulations) == 1 + len(pointer.DEFAULT_COUPLINGS)
+    series = [2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4]
+    path = _write_problem(tmp_path / "series.json", {**GREAT_CIRCLE, "pointer": {"couplings_series": series}})
+    simulations.clear()
+    code, out, _ = _run(capsys, ["pointer", "--input", path])
+    assert code == 3
+    assert len(simulations) == 1 + len(series)
+    assert [row["coupling"] for row in json.loads(out)["pointer"]["series"]] == series
 
 
 def test_csv_format(capsys, great_circle_file):
@@ -337,6 +379,17 @@ def test_non_finite_tol_anom_flag_is_an_input_error(capsys, great_circle_file):
     # a large finite band stays legal
     code, _, _ = _run(capsys, ["compute", "--input", great_circle_file, "--tol-anom", "1e300"])
     assert code == 0
+
+
+def test_refused_tol_anom_never_reaches_the_search(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the search ran before --tol-anom was checked")
+
+    monkeypatch.setattr(cli, "search_max_negativity", unreachable)
+    for value in ("inf", "nan", "0", "-1"):
+        code, out, err = _run(capsys, ["search", "--budget", "10", "--tol-anom", value])
+        assert (code, out) == (1, "")
+        assert "--tol-anom" in err
 
 
 def test_scan_diagonal_is_anomaly_free(capsys):

@@ -10,18 +10,29 @@ from weakvalues.contextuality import (
     NotRealAmplitudeError,
     all_three_cycles,
     anomaly_implies_violation,
-    build_fragment,
-    fragment_frame_graph,
-    max_violation,
     qubit_fragment_graph,
 )
 from weakvalues.invariants import FrameGraph, build_frame_graph
 
 from conftest import random_pure
+from oracles import antipodal
 
 
 def _graph_from_edges(labels, edges):
     return FrameGraph(labels=tuple(labels), weights=dict(edges))
+
+
+def _max_violation(graph):
+    """Largest 3-cycle value minus 1; positive means the graph is contextual."""
+    return max(c.value for c in all_three_cycles(graph)) - 1.0
+
+
+def _pure_fragment(phi, psi, obs):
+    """The six-vertex graph of a pure selection pair, with its six rays for overlap arithmetic."""
+    graph = qubit_fragment_graph(wv.pure_to_density(phi), wv.pure_to_density(psi), obs)
+    rays = [phi.amps, psi.amps, obs.basis_state(0).amps, obs.basis_state(1).amps,
+            antipodal(phi).amps, antipodal(psi).amps]
+    return graph, rays
 
 
 def test_cycle_counts():
@@ -39,7 +50,7 @@ def test_crafted_violation():
     assert abs(values[("x", "z")] - 0.1) < 1e-14
     worst = max(cycles, key=lambda c: c.value)
     assert worst.violated and worst.minus_edge == ("y", "z")
-    assert abs(max_violation(g) - 0.7) < 1e-14
+    assert abs(_max_violation(g) - 0.7) < 1e-14
 
 
 def test_great_circle_basic_graph(great_circle_densities, proj_zero):
@@ -54,15 +65,13 @@ def test_great_circle_basic_graph(great_circle_densities, proj_zero):
     tame = cycles[(("phi", "psi", "a2"), ("phi", "psi"))]
     assert abs(tame.value - 0.25) < 1e-12
     assert not tame.violated
-    assert abs(max_violation(graph) - 0.25) < 1e-12
+    assert abs(_max_violation(graph) - 0.25) < 1e-12
 
 
 def test_fragment_great_circle_oracle(great_circle_pair, proj_zero):
     psi, phi = great_circle_pair
-    fragment = build_fragment(phi, psi, proj_zero)
-    graph = fragment_frame_graph(fragment)
+    graph, vecs = _pure_fragment(phi, psi, proj_zero)
     # independent oracle: raw Born overlaps of the six rays
-    vecs = [s.amps for s in fragment.states]
     best = 0.0
     for i in range(6):
         for j in range(i + 1, 6):
@@ -73,7 +82,7 @@ def test_fragment_great_circle_oracle(great_circle_pair, proj_zero):
                 best = max(best, r_ij + r_ik - r_jk, r_ij + r_jk - r_ik,
                            r_ik + r_jk - r_ij)
     assert abs(best - 1.25) < 1e-12
-    assert abs((max_violation(graph) + 1.0) - best) < 1e-12
+    assert abs((_max_violation(graph) + 1.0) - best) < 1e-12
     violated = [c for c in all_three_cycles(graph) if c.violated]
     assert len(violated) == 6
 
@@ -82,7 +91,7 @@ def test_orthogonal_triple_never_violates():
     basis = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
     rhos = [wv.pure_to_density(basis.basis_state(i)) for i in range(3)]
     g = wv.frame_graph_from_matrices(("u", "v", "w"), rhos)
-    assert max_violation(g) <= 0.0
+    assert _max_violation(g) <= 0.0
 
 
 def test_diagonal_states_never_violate(proj_zero):
@@ -92,7 +101,7 @@ def test_diagonal_states_never_violate(proj_zero):
         rho_phi = wv.validate_density(np.diag([p, 1.0 - p]))
         rho_psi = wv.validate_density(np.diag([q, 1.0 - q]))
         graph = qubit_fragment_graph(rho_phi, rho_psi, proj_zero)
-        assert max_violation(graph) <= 1e-12
+        assert _max_violation(graph) <= 1e-12
 
 
 def test_basis_anchored_triples_stay_classical():
@@ -109,35 +118,38 @@ def test_basis_anchored_triples_stay_classical():
 
 
 def test_build_fragment_shape(great_circle_pair, proj_zero):
+    # on pure states the complement vertices 1 - rho are the antipodal rays,
+    # so every edge is the Born overlap of two of the six rays
     psi, phi = great_circle_pair
-    fragment = build_fragment(phi, psi, proj_zero)
-    assert fragment.labels == ("phi", "psi", "a1", "a2", "phi_perp", "psi_perp")
-    assert len(fragment.states) == 6
-    assert fragment.effects is fragment.states
-    assert fragment.duplicate_pairs == ()
-    for s in fragment.states:
-        assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
+    graph, rays = _pure_fragment(phi, psi, proj_zero)
+    assert graph.labels == ("phi", "psi", "a1", "a2", "phi_perp", "psi_perp")
+    assert graph.n_vertices == 6
+    for i in range(6):
+        for j in range(i + 1, 6):
+            assert abs(graph.edge(i, j) - abs(np.vdot(rays[i], rays[j])) ** 2) < 1e-12
     # antipodal states really are orthogonal to their seeds
-    assert abs(np.vdot(fragment.states[0].amps, fragment.states[4].amps)) < 1e-12
-    assert abs(np.vdot(fragment.states[1].amps, fragment.states[5].amps)) < 1e-12
+    assert graph.edge(0, 4) < 1e-12
+    assert graph.edge(1, 5) < 1e-12
 
 
 def test_build_fragment_flags_duplicates(proj_zero):
+    # rays that collapse onto each other show up as unit-overlap edges
     phi = proj_zero.basis_state(0)
     psi = proj_zero.basis_state(1)
-    fragment = build_fragment(phi, psi, proj_zero)
-    pairs = set(fragment.duplicate_pairs)
-    assert ("phi", "a1") in pairs
-    assert ("psi", "a2") in pairs
+    graph, _ = _pure_fragment(phi, psi, proj_zero)
+    duplicates = {(graph.labels[i], graph.labels[j])
+                  for i in range(6) for j in range(i + 1, 6) if graph.edge(i, j) > 1.0 - 1e-9}
+    assert ("phi", "a1") in duplicates
+    assert ("psi", "a2") in duplicates
     # each perp collapses onto the opposite pole as well
-    assert ("a2", "phi_perp") in pairs or ("phi_perp", "psi") in pairs
+    assert ("a2", "phi_perp") in duplicates or ("psi", "phi_perp") in duplicates
 
 
 def test_build_fragment_rejects_qutrits():
     obs3 = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
-    v = obs3.basis_state(0)
+    rho = wv.pure_to_density(obs3.basis_state(0))
     with pytest.raises(wv.NotQubitError):
-        build_fragment(v, v, obs3)
+        qubit_fragment_graph(rho, rho, obs3)
 
 
 def test_mixed_fragment_uses_complement(proj_zero):
@@ -145,7 +157,7 @@ def test_mixed_fragment_uses_complement(proj_zero):
     graph = qubit_fragment_graph(rho, rho, proj_zero)
     # phi and phi_perp: Tr(rho (I - rho)) = Tr(rho) - Tr(rho^2)
     expected = 1.0 - float(np.trace(rho.matrix @ rho.matrix).real)
-    assert abs(graph.edge_by_label("phi", "phi_perp") - expected) < 1e-12
+    assert abs(graph.edge(0, 4) - expected) < 1e-12  # phi, phi_perp
 
 
 def test_anomaly_bridge_great_circle(great_circle_densities, proj_zero):

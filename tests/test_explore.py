@@ -137,14 +137,6 @@ def test_search_identity_is_flat():
 def test_search_budget_of_zero_evaluates_once(proj_zero):
     res = search_max_negativity(proj_zero, budget=0, seed=3)
     assert res.evaluations == 1
-    assert res.trace is None
-
-
-def test_search_trace_is_monotone(proj_zero):
-    res = search_max_negativity(proj_zero, budget=2000, seed=4, record_trace=True)
-    values = [v for _, v in res.trace]
-    assert values == sorted(values)
-    assert res.trace[-1][1] == res.best_value
 
 
 def test_search_is_repeatable(proj_zero):

@@ -37,14 +37,6 @@ def test_third_order_invariant_great_circle(great_circle_densities, proj_zero):
     assert abs(wv.overlap(rho_phi, rho_psi) - 0.25) < 1e-12
 
 
-def test_invariant_record_carries_order_and_operands(great_circle_densities):
-    rho_psi, rho_phi = great_circle_densities
-    inv = wv.bargmann_invariant((rho_phi, rho_psi))
-    assert inv.order == 2
-    assert inv.operands == (0, 1)
-    assert abs(inv.value - 0.25) < 1e-12
-
-
 def test_bargmann_cyclic_invariance():
     rng = np.random.default_rng(21)
     for _ in range(25):
@@ -131,24 +123,25 @@ def test_frame_graph_great_circle(great_circle_densities, proj_zero):
     assert graph.labels == ("phi", "psi", "a1", "a2")
     assert graph.n_vertices == 4
     # a2 is the eigenvalue-1 vector |0>; every 120-degree pair overlaps at 1/4
-    assert abs(graph.edge_by_label("phi", "psi") - 0.25) < 1e-12
-    assert abs(graph.edge_by_label("phi", "a2") - 0.25) < 1e-12
-    assert abs(graph.edge_by_label("psi", "a2") - 0.25) < 1e-12
-    assert abs(graph.edge_by_label("phi", "a1") - 0.75) < 1e-12
-    assert graph.edge_by_label("a1", "a2") < 1e-12
+    phi, psi, a1, a2 = range(4)
+    assert abs(graph.edge(phi, psi) - 0.25) < 1e-12
+    assert abs(graph.edge(phi, a2) - 0.25) < 1e-12
+    assert abs(graph.edge(psi, a2) - 0.25) < 1e-12
+    assert abs(graph.edge(phi, a1) - 0.75) < 1e-12
+    assert graph.edge(a1, a2) < 1e-12
 
 
 def test_frame_graph_collapsed_and_mixed_cases(proj_zero):
     a1 = wv.pure_to_density(proj_zero.basis_state(0))
     graph = wv.build_frame_graph(a1, a1, proj_zero)
-    assert abs(graph.edge_by_label("phi", "a1") - 1.0) < 1e-12
-    assert graph.edge_by_label("phi", "a2") < 1e-12
+    assert abs(graph.edge(0, 2) - 1.0) < 1e-12  # phi, a1
+    assert graph.edge(0, 3) < 1e-12  # phi, a2
 
     mm = wv.validate_density(np.eye(2) / 2)
     graph2 = wv.build_frame_graph(mm, mm, proj_zero)
-    for state_label in ("phi", "psi"):
-        for basis_label in ("a1", "a2"):
-            assert abs(graph2.edge_by_label(state_label, basis_label) - 0.5) < 1e-12
+    for state in (0, 1):  # phi, psi
+        for basis in (2, 3):  # a1, a2
+            assert abs(graph2.edge(state, basis) - 0.5) < 1e-12
 
 
 def test_frame_graph_edges_in_range():
@@ -172,9 +165,11 @@ def test_edge_lookup_is_symmetric_and_checked():
     states = [wv.validate_density(random_mixed(rng, 2)) for _ in range(3)]
     graph = frame_graph_from_matrices(("x", "y", "z"), states)
     assert graph.edge(0, 2) == graph.edge(2, 0)
-    assert graph.edge_by_label("y", "x") == graph.edge_by_label("x", "y")
+    assert graph.edge(1, 0) == graph.edge(0, 1)
     with pytest.raises(KeyError):
-        graph.edge_by_label("x", "nope")
+        graph.edge(0, 3)
+    with pytest.raises(wv.ValidationError):
+        graph.edge(1, 1)
 
 
 def test_adjacency_text_stable():

@@ -1,18 +1,13 @@
-"""Coherence witnessing: factorized distributions and the projector corollary."""
+"""Coherence witnessing, and the factorized and projector oracles it is checked against."""
 
 import numpy as np
 import pytest
 
 import weakvalues as wv
-from weakvalues.witness import (
-    CONSISTENT,
-    NotIncoherentError,
-    check_theorem_coherence,
-    corollary_projector_weak_value,
-    incoherent_quasi_prob,
-)
+from weakvalues.witness import CONSISTENT, check_theorem_coherence
 
 from conftest import random_mixed
+from oracles import NotIncoherentError, corollary_projector_weak_value, incoherent_quasi_prob
 
 
 def test_factorized_hand_case(proj_one):
