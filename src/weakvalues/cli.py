@@ -516,8 +516,13 @@ def _cycles_section(problem: Problem) -> dict:
 
 def _pointer_section(problem: Problem, psi: StateVector, phi: StateVector) -> dict:
     cfg = problem.pointer_cfg if problem.pointer_cfg is not None else PointerConfig()
-    outcome = simulate(problem.obs, psi, phi, cfg)
     result = extrapolate(problem.obs, psi, phi, cfg)
+    # simulate reads only the coupling and the width, so a series readout
+    # at the configured coupling is the outcome itself.
+    if cfg.coupling in cfg.couplings_series:
+        outcome = result.outcomes[cfg.couplings_series.index(cfg.coupling)]
+    else:
+        outcome = simulate(problem.obs, psi, phi, cfg)
     series_rows = [
         {
             "coupling": g,

@@ -148,76 +148,44 @@ class SearchResult:
     evaluations: int
 
 
-def _bloch(theta: float, azimuth: float) -> np.ndarray:
-    return np.array([np.cos(theta / 2.0), np.exp(1j * azimuth) * np.sin(theta / 2.0)])
-
-
-def _pair_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Selection pair from four angles: (phi polar, phi azimuth, psi polar, psi azimuth).
+def _pairs_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Selection pairs from (n, 4) angle rows: (phi polar, phi azimuth, psi polar, psi azimuth).
 
     The pre-selection angles are absolute; the post-selection angles live in
-    the frame whose north pole is the pre-selection state, so x[0] is the
+    the frame whose north pole is the pre-selection state, so x[:, 0] is the
     Bloch separation between the two states and the squared overlap is
-    cos(x[0]/2)**2 exactly.
+    cos(x[:, 0]/2)**2 exactly. Returns the (n, 2) stacks phi and psi.
     """
-    psi = _bloch(x[2], x[3])
-    perp = np.array([np.conj(psi[1]), -np.conj(psi[0])])
-    phi = np.cos(x[0] / 2.0) * psi + np.exp(1j * x[1]) * np.sin(x[0] / 2.0) * perp
+    half_sep = x[:, 0] / 2.0
+    half_polar = x[:, 2] / 2.0
+    psi = np.empty((len(x), 2), dtype=complex)
+    psi[:, 0] = np.cos(half_polar)
+    psi[:, 1] = np.exp(1j * x[:, 3]) * np.sin(half_polar)
+    perp = np.empty_like(psi)
+    perp[:, 0] = np.conj(psi[:, 1])
+    perp[:, 1] = -np.conj(psi[:, 0])
+    phi = np.cos(half_sep)[:, None] * psi + (np.exp(1j * x[:, 1]) * np.sin(half_sep))[:, None] * perp
     return phi, psi
 
 
-def _evaluator_factory(matrix: np.ndarray, min_overlap: float):
-    """Box-clamped objective: pin the separation angle, then score -Re(A_w).
+def _negativity(x: np.ndarray, matrix: np.ndarray, max_separation: float) -> np.ndarray:
+    """Box-clamped objective: pin each row's separation angle, then score -Re(A_w).
 
     -Re(A_w) grows without bound as the selection pair approaches
-    orthogonality, so the Bloch separation x[0] is clamped to the range
-    whose squared overlap stays at or above ``min_overlap``. Because the
+    orthogonality, so the Bloch separation x[:, 0] is clamped in place to
+    the range whose squared overlap stays at or above the floor. Because the
     separation is itself a search coordinate, the constraint surface is a
     box face: the other three coordinates keep moving freely along it and
-    the search cannot wedge against a curved boundary. The returned value
-    always equals the raw objective at the returned, possibly clamped,
-    angles.
+    the search cannot wedge against a curved boundary. Each returned value
+    equals the raw objective at its row's clamped angles. Both inner
+    products are stacked matmuls because those reproduce the one-pair
+    ``np.vdot`` route bit for bit; a conj-multiply-add or an einsum does not.
     """
-    max_separation = 2.0 * np.arccos(np.sqrt(min_overlap))
-
-    def evaluate(x: np.ndarray) -> tuple[np.ndarray, float]:
-        clamped = min(max(x[0], 0.0), max_separation)
-        if clamped != x[0]:
-            x = np.array([clamped, x[1], x[2], x[3]])
-        phi, psi = _pair_from_params(x)
-        inner = np.vdot(phi, psi)
-        value = -float((np.vdot(phi, matrix @ psi) / inner).real)
-        return x, value
-
-    return evaluate
-
-
-def _compass(evaluate, start: np.ndarray, share: int, step: float,
-             min_step: float) -> tuple[np.ndarray, float, int]:
-    """Coordinate pattern search; every evaluation counts against ``share``.
-
-    ``evaluate`` may move a candidate (separation clamp), so the point it
-    returns, not the proposed one, is what gets adopted on improvement.
-    """
-    best_x, best_val = evaluate(np.array(start, dtype=float))
-    evals = 1
-    h = step
-    while evals < share and h >= min_step:
-        moved = False
-        for k in range(best_x.size):
-            for sign in (1.0, -1.0):
-                if evals >= share:
-                    break
-                cand = np.array(best_x)
-                cand[k] += sign * h
-                cand, val = evaluate(cand)
-                evals += 1
-                if val > best_val:
-                    best_x, best_val = cand, val
-                    moved = True
-        if not moved:
-            h /= 2.0
-    return best_x, best_val, evals
+    x[:, 0] = np.minimum(np.maximum(x[:, 0], 0.0), max_separation)
+    phi, psi = _pairs_from_params(x)
+    bra = phi.conj()[:, None, :]
+    ket = psi[:, :, None]
+    return -((bra @ (matrix @ ket)) / (bra @ ket))[:, 0, 0].real
 
 
 def search_max_negativity(observable, budget: int, seed: int, *,
@@ -229,45 +197,62 @@ def search_max_negativity(observable, budget: int, seed: int, *,
 
     Pairs are parameterized by a polar and an azimuthal Bloch angle per
     state, the post-selection pair taken relative to the pre-selection state
-    (see ``_pair_from_params``); separations past the ``min_overlap`` floor
+    (see ``_pairs_from_params``); separations past the ``min_overlap`` floor
     are clamped before scoring. At the default 0.25 floor the constrained
     optimum for a rank-1 projector is 1/2, reached when the two states and
     the small eigenvector close a 120-degree great circle.
 
     Restarts draw independent starting points keyed by (seed, restart) and
-    split the evaluation budget evenly.
+    split the evaluation budget evenly; a budget of 0 or less evaluates one
+    start. Each restart is a coordinate pattern search: it polls +h and -h
+    along each angle in turn, adopts a strictly better point, and halves h
+    after a sweep without a move. It retires when its share is spent or h
+    falls below ``min_step``. All restarts poll the same (angle, sign)
+    position at each step, so one stacked evaluation serves them all.
     """
     matrix = observable.matrix if isinstance(observable, Observable) else np.asarray(observable, dtype=complex)
     if matrix.shape != (2, 2):
         raise ValidationError(f"search is defined for qubit observables, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("search needs a finite observable matrix")
     if not 0.0 < min_overlap <= 1.0:
         raise ValidationError(f"min_overlap must lie in (0, 1], got {min_overlap}")
-    evaluate = _evaluator_factory(matrix, min_overlap)
+    max_separation = 2.0 * np.arccos(np.sqrt(min_overlap))
 
-    def random_start(rng: np.random.Generator) -> np.ndarray:
+    n_restarts = max(1, min(restarts, budget))
+    shares = budget // n_restarts + (np.arange(n_restarts) < budget % n_restarts)
+    x = np.empty((n_restarts, 4))
+    for r in range(n_restarts):
+        rng = _task_rng(seed, r)
         theta = np.arccos(rng.uniform(-1.0, 1.0, size=2))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        return np.array([theta[0], azimuth[0], theta[1], azimuth[1]])
+        x[r] = theta[0], azimuth[0], theta[1], azimuth[1]
+    best = _negativity(x, matrix, max_separation)
+    evals = np.ones(n_restarts, dtype=np.int64)
+    h = np.full(n_restarts, float(initial_step))
+    active = (evals < shares) & (h >= min_step)
+    while active.any():
+        moved = np.zeros(n_restarts, dtype=bool)
+        for k in range(4):
+            for sign in (1.0, -1.0):
+                live = active & (evals < shares)
+                cand = x.copy()
+                cand[:, k] += sign * h
+                val = _negativity(cand, matrix, max_separation)
+                better = live & (val > best)
+                evals += live
+                x[better] = cand[better]
+                best[better] = val[better]
+                moved |= better
+        h[active & ~moved] /= 2.0
+        active &= (evals < shares) & (h >= min_step)
 
-    if budget <= 0:
-        x, value = evaluate(random_start(_task_rng(seed, 0)))
-        outcomes = [(x, value, 1)]
-    else:
-        n_restarts = max(1, min(restarts, budget))
-        shares = [budget // n_restarts + (1 if r < budget % n_restarts else 0) for r in range(n_restarts)]
-        outcomes = [_compass(evaluate, random_start(_task_rng(seed, r)), shares[r],
-                             initial_step, min_step)
-                    for r in range(n_restarts)]
-
-    best_x, best_val = None, -np.inf
-    for x, val, _ in outcomes:
-        if val > best_val:
-            best_x, best_val = x, val
-    phi, psi = _pair_from_params(best_x)
+    winner = int(np.argmax(best))
+    phi, psi = _pairs_from_params(x[winner:winner + 1])
     return SearchResult(
-        best_states=(StateVector(phi), StateVector(psi)),
-        best_value=best_val,
-        evaluations=sum(used for _, _, used in outcomes),
+        best_states=(StateVector(phi[0]), StateVector(psi[0])),
+        best_value=float(best[winner]),
+        evaluations=int(evals.sum()),
     )
 
 

@@ -117,8 +117,20 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
     in its error, so Neville extrapolation on the nodes g^2 knocks out one
     order per series entry. The error estimate is the last correction the
     table applied.
+
+    That gap bounds the error only in the weak regime, where every branch
+    shift g a_i stays within the pointer width: a series whose largest
+    coupling spreads the branches over more than one width,
+    max(g) (a_max - a_min) / width > 1, raises a ``ValidationError``.
     """
     series = cfg.couplings_series
+    a = obs.eigenvalues
+    spread = max(series) * (a[-1] - a[0]) / cfg.width
+    if spread > 1.0:
+        raise ValidationError(
+            f"couplings_series leaves the weak regime: max coupling x (a_max - a_min) / width"
+            f" = {spread:g}, must be at most 1"
+        )
     two_var = 2.0 * cfg.width ** 2
     outcomes = tuple(simulate(obs, psi, phi, PointerConfig(coupling=g, width=cfg.width,
                                                            couplings_series=series))

@@ -5,12 +5,15 @@ theorem predicts for incoherent selections (criterion 4),
 ``corollary_projector_weak_value`` is the three-operator trace ratio of an
 eigenprojector (criterion 6), and ``antipodal`` builds the orthogonal qubit
 ray for direct overlap arithmetic on the six-state fragment (criterion 7).
-None of them goes through the quasi-probability kernel.
+None of them goes through the quasi-probability kernel. ``scalar_search``
+is the negativity search walked one restart and one candidate at a time,
+the reference for the lockstep stacked search.
 """
 
 import numpy as np
 
 import weakvalues as wv
+from weakvalues.explore import SearchResult, _task_rng
 from weakvalues.quasiprob import selection_overlap
 from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
@@ -64,3 +67,91 @@ def antipodal(psi):
     perp = np.array([np.conj(psi.amps[1]), -np.conj(psi.amps[0])])
     pivot = perp[int(np.argmax(np.abs(perp)))]
     return wv.StateVector(perp * (np.abs(pivot) / pivot))
+
+
+def _bloch(theta, azimuth):
+    return np.array([np.cos(theta / 2.0), np.exp(1j * azimuth) * np.sin(theta / 2.0)])
+
+
+def _pair_from_params(x):
+    """Selection pair from four angles, the separation first (see ``_pairs_from_params``)."""
+    psi = _bloch(x[2], x[3])
+    perp = np.array([np.conj(psi[1]), -np.conj(psi[0])])
+    phi = np.cos(x[0] / 2.0) * psi + np.exp(1j * x[1]) * np.sin(x[0] / 2.0) * perp
+    return phi, psi
+
+
+def _evaluator_factory(matrix, min_overlap):
+    """Box-clamped objective for one candidate: pin the separation, score -Re(A_w)."""
+    max_separation = 2.0 * np.arccos(np.sqrt(min_overlap))
+
+    def evaluate(x):
+        clamped = min(max(x[0], 0.0), max_separation)
+        if clamped != x[0]:
+            x = np.array([clamped, x[1], x[2], x[3]])
+        phi, psi = _pair_from_params(x)
+        inner = np.vdot(phi, psi)
+        value = -float((np.vdot(phi, matrix @ psi) / inner).real)
+        return x, value
+
+    return evaluate
+
+
+def _compass(evaluate, start, share, step, min_step):
+    """Coordinate pattern search; every evaluation counts against ``share``."""
+    best_x, best_val = evaluate(np.array(start, dtype=float))
+    evals = 1
+    h = step
+    while evals < share and h >= min_step:
+        moved = False
+        for k in range(best_x.size):
+            for sign in (1.0, -1.0):
+                if evals >= share:
+                    break
+                cand = np.array(best_x)
+                cand[k] += sign * h
+                cand, val = evaluate(cand)
+                evals += 1
+                if val > best_val:
+                    best_x, best_val = cand, val
+                    moved = True
+        if not moved:
+            h /= 2.0
+    return best_x, best_val, evals
+
+
+def scalar_search(observable, budget, seed, *, restarts=20, min_overlap=0.25,
+                  initial_step=0.9, min_step=1e-9):
+    """``search_max_negativity`` with each restart run to completion in turn.
+
+    Same starts, shares, polls and strict-improvement rule as the stacked
+    search, but one ``np.vdot`` evaluation per candidate.
+    """
+    matrix = observable.matrix if isinstance(observable, wv.Observable) else np.asarray(observable, dtype=complex)
+    evaluate = _evaluator_factory(matrix, min_overlap)
+
+    def random_start(rng):
+        theta = np.arccos(rng.uniform(-1.0, 1.0, size=2))
+        azimuth = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        return np.array([theta[0], azimuth[0], theta[1], azimuth[1]])
+
+    if budget <= 0:
+        x, value = evaluate(random_start(_task_rng(seed, 0)))
+        outcomes = [(x, value, 1)]
+    else:
+        n_restarts = max(1, min(restarts, budget))
+        shares = [budget // n_restarts + (1 if r < budget % n_restarts else 0) for r in range(n_restarts)]
+        outcomes = [_compass(evaluate, random_start(_task_rng(seed, r)), shares[r],
+                             initial_step, min_step)
+                    for r in range(n_restarts)]
+
+    best_x, best_val = None, -np.inf
+    for x, val, _ in outcomes:
+        if val > best_val:
+            best_x, best_val = x, val
+    phi, psi = _pair_from_params(best_x)
+    return SearchResult(
+        best_states=(wv.StateVector(phi), wv.StateVector(psi)),
+        best_value=best_val,
+        evaluations=sum(used for _, _, used in outcomes),
+    )

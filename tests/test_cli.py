@@ -276,17 +276,47 @@ def test_each_command_evaluates_once(capsys, monkeypatch, great_circle_file, tmp
         assert code == 3
         assert len(kernel) == 1, command
 
-    # one readout at the configured coupling, one per series entry
+    # one readout per series entry; the configured coupling (1e-2 by
+    # default) reuses its series readout and costs one more only outside it
     code, _, _ = _run(capsys, ["pointer", "--input", great_circle_file])
     assert code == 3
-    assert len(simulations) == 1 + len(pointer.DEFAULT_COUPLINGS)
+    assert len(simulations) == len(pointer.DEFAULT_COUPLINGS)
     series = [2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4]
     path = _write_problem(tmp_path / "series.json", {**GREAT_CIRCLE, "pointer": {"couplings_series": series}})
     simulations.clear()
     code, out, _ = _run(capsys, ["pointer", "--input", path])
     assert code == 3
-    assert len(simulations) == 1 + len(series)
+    assert len(simulations) == len(series)
     assert [row["coupling"] for row in json.loads(out)["pointer"]["series"]] == series
+    path = _write_problem(tmp_path / "outside.json",
+                          {**GREAT_CIRCLE, "pointer": {"coupling": 3e-3, "couplings_series": series}})
+    simulations.clear()
+    code, out, _ = _run(capsys, ["pointer", "--input", path])
+    assert code == 3
+    assert len(simulations) == 1 + len(series)
+    assert json.loads(out)["pointer"]["coupling"] == 3e-3
+
+
+def test_pointer_outcome_is_the_series_readout_at_the_coupling(capsys, great_circle_file):
+    code, out, _ = _run(capsys, ["pointer", "--input", great_circle_file])
+    assert code == 3
+    section = json.loads(out)["pointer"]
+    row = section["series"][0]
+    assert row["coupling"] == section["coupling"]
+    assert section["outcome"]["postselect_prob"] == row["postselect_prob"]
+    assert section["outcome"]["mean_position"] / section["coupling"] == row["re_estimate"]
+
+
+def test_pointer_refuses_couplings_outside_the_weak_regime(capsys, tmp_path):
+    # At g = 10..1000 the branches separate and the readout (0.1) has
+    # nothing to do with the weak value (-0.5), yet the Neville gap is 9e-7.
+    path = _write_problem(tmp_path / "strong.json",
+                          {**GREAT_CIRCLE, "pointer": {"couplings_series": [1000, 100, 10]}})
+    code, out, err = _run(capsys, ["pointer", "--input", path])
+    assert code == 1
+    assert out == ""
+    assert "weak regime" in err
+    assert "= 1000," in err
 
 
 def test_csv_format(capsys, great_circle_file):

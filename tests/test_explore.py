@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import weakvalues as wv
+from weakvalues.cli import _SEARCH_OBSERVABLES
 from weakvalues.explore import (
     DIAGONAL,
     HAAR_PURE,
@@ -18,6 +21,7 @@ from weakvalues.explore import (
     search_max_negativity,
 )
 from weakvalues.explore import _block_size, _density_block
+from oracles import scalar_search
 from scan_oracle import pairwise_counts
 
 
@@ -134,6 +138,12 @@ def test_search_identity_is_flat():
     assert abs(res.best_value - (-1.0)) < 1e-12
 
 
+def test_search_rejects_non_finite_matrices():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(wv.ValidationError, match="finite"):
+            search_max_negativity(np.array([[bad, 0.0], [0.0, 1.0]]), budget=100, seed=0)
+
+
 def test_search_budget_of_zero_evaluates_once(proj_zero):
     res = search_max_negativity(proj_zero, budget=0, seed=3)
     assert res.evaluations == 1
@@ -146,6 +156,70 @@ def test_search_is_repeatable(proj_zero):
     assert np.array_equal(first.best_states[0].amps, again.best_states[0].amps)
     assert np.array_equal(first.best_states[1].amps, again.best_states[1].amps)
     assert first.evaluations == again.evaluations
+
+
+def _assert_same_search(got, want):
+    assert got.best_value == want.best_value
+    assert got.evaluations == want.evaluations
+    assert np.array_equal(got.best_states[0].amps, want.best_states[0].amps)
+    assert np.array_equal(got.best_states[1].amps, want.best_states[1].amps)
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_OBSERVABLES))
+def test_search_matches_scalar_oracle_on_cli_observables(name):
+    matrix = _SEARCH_OBSERVABLES[name]
+    for seed in (0, 1, 7):
+        _assert_same_search(search_max_negativity(matrix, 3000, seed), scalar_search(matrix, 3000, seed))
+
+
+@pytest.mark.parametrize("budget", (0, 1, 7, 19, 20, 21, 3000))
+def test_search_matches_scalar_oracle_across_budgets(budget):
+    # Fewer evaluations than restarts, uneven shares, and one long restart.
+    for name in ("proj0", "x", "identity"):
+        matrix = _SEARCH_OBSERVABLES[name]
+        for restarts in (20, 1):
+            _assert_same_search(search_max_negativity(matrix, budget, 4, restarts=restarts),
+                                scalar_search(matrix, budget, 4, restarts=restarts))
+
+
+def test_search_restarts_that_stop_on_min_step_match_the_oracle():
+    # The flat identity never moves, so its restarts halve h down to
+    # min_step and retire well before their shares are spent.
+    got = search_max_negativity(np.eye(2), 3000, 6, min_step=1e-3)
+    assert got.evaluations < 3000
+    _assert_same_search(got, scalar_search(np.eye(2), 3000, 6, min_step=1e-3))
+
+
+@pytest.mark.parametrize("min_overlap", (0.25, 0.9, 1.0))
+def test_search_matches_scalar_oracle_across_overlap_floors(min_overlap):
+    for name in ("proj1", "z"):
+        matrix = _SEARCH_OBSERVABLES[name]
+        _assert_same_search(search_max_negativity(matrix, 3000, 8, min_overlap=min_overlap),
+                            scalar_search(matrix, 3000, 8, min_overlap=min_overlap))
+
+
+def test_search_matches_scalar_oracle_on_random_hermitian_matrices():
+    rng = np.random.default_rng(2026)
+    for seed in range(10):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        matrix = g + g.conj().T
+        _assert_same_search(search_max_negativity(matrix, 3000, seed), scalar_search(matrix, 3000, seed))
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(diagonal=st.tuples(unit, unit), off=st.tuples(unit, unit), seed=st.integers(0, 2 ** 32),
+       budget=st.integers(0, 300), min_overlap=st.floats(0.05, 1.0))
+def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, budget, min_overlap):
+    b = complex(*off)
+    matrix = np.array([[diagonal[0], b], [b.conjugate(), diagonal[1]]])
+    res = search_max_negativity(matrix, budget, seed, min_overlap=min_overlap)
+    phi, psi = res.best_states
+    aw = wv.weak_value_hermitian(matrix, wv.pure_to_density(psi), wv.pure_to_density(phi))
+    assert abs(res.best_value + aw.value.real) <= 1e-12
+    assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= min_overlap - 1e-12
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)

@@ -2,7 +2,9 @@
 
 Each example is a stack of n selection pairs of dimension d = 2..8, mixed
 states G G^dagger / Tr built from generated entries, and a non-degenerate
-observable with a generated spectrum in a generated eigenbasis.
+observable with a generated spectrum in a generated eigenbasis. The last
+property draws real qubit pairs instead and checks the contextuality
+certificate that the paper attaches to every real-qubit anomaly.
 """
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
-from weakvalues.quasiprob import anomalous_mask, quasi_prob_stack
+from weakvalues.contextuality import anomaly_implies_violation
+from weakvalues.quasiprob import anomalous_indices, anomalous_mask, quasi_prob_stack
 
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -86,3 +89,35 @@ def test_a_dephased_pre_selection_gives_no_anomalous_weight(case):
     dephased = np.stack([wv.dephase(wv.DensityOperator(m), obs).matrix for m in psi])
     den, g = quasi_prob_stack(phi, dephased, obs)
     assert not np.any(anomalous_mask(g[_selected(den)], 0.0, 1.0, wv.DEFAULT_TOL.anom))
+
+
+@st.composite
+def real_qubit_density(draw):
+    """A real qubit state: v v^T / |v|^2 when pure, G G^T / Tr(G G^T) when mixed."""
+    if draw(st.booleans()):
+        v = draw(hnp.arrays(np.float64, 2, elements=entries))
+        m = np.outer(v, v)
+    else:
+        g = draw(hnp.arrays(np.float64, (2, 2), elements=entries))
+        m = g @ g.T
+    trace = np.trace(m)
+    assume(trace > 1e-3)
+    return wv.DensityOperator((m / trace).astype(complex))
+
+
+@st.composite
+def real_qubit_observables(draw):
+    angle = draw(st.floats(0.0, np.pi))
+    low = draw(st.floats(-3.0, 3.0))
+    spectrum = np.array([low, low + draw(st.floats(0.1, 3.0))])
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return wv.eigensystem((rotation * spectrum) @ rotation.T)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(real_qubit_density(), real_qubit_density(), real_qubit_observables())
+def test_a_real_qubit_anomaly_gives_a_violated_cycle(rho_phi, rho_psi, obs):
+    assume(np.trace(rho_phi.matrix @ rho_psi.matrix).real > 1e-6)
+    dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
+    if anomalous_indices(dist):
+        assert violated

@@ -92,6 +92,19 @@ def test_wide_pointer_still_extrapolates(great_circle_pair, proj_zero):
     assert abs(res.value - (-0.5)) < 1e-6
 
 
+def test_extrapolation_refuses_series_outside_the_weak_regime(great_circle_pair, proj_zero):
+    psi, phi = great_circle_pair
+    with pytest.raises(wv.ValidationError, match="weak regime"):
+        extrapolate(proj_zero, psi, phi, PointerConfig(couplings_series=(1000.0, 100.0, 10.0)))
+    # max(g) (a_max - a_min) / width = 1 exactly is the last accepted spread
+    edge = PointerConfig(width=2.0, couplings_series=(2.0, 1.0, 0.5))
+    assert np.isfinite(extrapolate(proj_zero, psi, phi, edge).value)
+    z = wv.eigensystem(np.diag([1.0, -1.0]))
+    extrapolate(z, psi, phi, PointerConfig(couplings_series=(0.5, 0.25, 0.125)))
+    with pytest.raises(wv.ValidationError, match="weak regime"):
+        extrapolate(proj_zero, psi, phi, PointerConfig(width=2.0, couplings_series=(np.nextafter(2.0, 3.0), 1.0, 0.5)))
+
+
 def test_momentum_channel_sign():
     # psi = (|0> + i|1>)/sqrt(2), phi = (|0> + |1>)/sqrt(2), A = |0><0|:
     # A_w = (1/2) / ((1 + i)/2) = (1 - i)/2
