@@ -30,7 +30,6 @@ from .invariants import (
     FrameGraph,
     bargmann,
     build_frame_graph,
-    frame_graph_from_matrices,
     overlap,
 )
 from .quasiprob import (

@@ -21,7 +21,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .contextuality import all_three_cycles, qubit_fragment_graph
+from .contextuality import (
+    CycleInequality,
+    all_three_cycles,
+    qubit_fragment_graph,
+    real_amplitude_failure,
+)
 from .core import (
     DEFAULT_TOL,
     ComputationError,
@@ -468,20 +473,16 @@ def _witness_section(problem: Problem, witness: WitnessReport) -> dict:
     }
 
 
+def _cycle_row(cycle: CycleInequality) -> dict:
+    return {"triple": list(cycle.triple), "minus_edge": list(cycle.minus_edge), "value": cycle.value}
+
+
 def _cycles_section(problem: Problem) -> dict:
     graph = build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     cycles = all_three_cycles(graph, problem.tol.anom)
     section = {
         "graph": graph.adjacency_text(),
-        "inequalities": [
-            {
-                "triple": list(c.triple),
-                "minus_edge": list(c.minus_edge),
-                "value": c.value,
-                "violated": c.violated,
-            }
-            for c in cycles
-        ],
+        "inequalities": [{**_cycle_row(c), "violated": c.violated} for c in cycles],
         "max_value": max(c.value for c in cycles),
         "violated_count": sum(1 for c in cycles if c.violated),
     }
@@ -493,23 +494,13 @@ def _cycles_section(problem: Problem) -> dict:
         fragment_graph = qubit_fragment_graph(problem.rho_phi, problem.rho_psi, problem.obs,
                                               problem.tol)
         fragment_cycles = all_three_cycles(fragment_graph, problem.tol.anom)
-        imag_parts = [
-            float(np.max(np.abs(m.imag)))
-            for m in (problem.rho_phi.matrix, problem.rho_psi.matrix, problem.obs.eigenvectors)
-        ]
         section["fragment"] = {
             # The anomaly-implies-violation link is proven for real amplitudes.
-            "claim_applies": max(imag_parts) <= problem.tol.eig,
+            "claim_applies": real_amplitude_failure(problem.rho_phi, problem.rho_psi, problem.obs,
+                                                    problem.tol.eig) is None,
             "graph": fragment_graph.adjacency_text(),
             "max_value": max(c.value for c in fragment_cycles),
-            "violated": [
-                {
-                    "triple": list(c.triple),
-                    "minus_edge": list(c.minus_edge),
-                    "value": c.value,
-                }
-                for c in fragment_cycles if c.violated
-            ],
+            "violated": [_cycle_row(c) for c in fragment_cycles if c.violated],
         }
     return section
 

@@ -9,21 +9,17 @@ nothing but Born-rule overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
 from .core import DEFAULT_TOL, DensityOperator, NotQubitError, Observable, Tolerances, ValidationError
-from .invariants import FrameGraph, frame_graph_from_matrices
+from .invariants import FrameGraph, _graph_from_vertices
 from .quasiprob import DEFAULT_SELECTION_THRESHOLD, QuasiProbDist, quasi_prob
 
-__all__ = [
-    "NotRealAmplitudeError",
-    "CycleInequality",
-    "all_three_cycles",
-    "qubit_fragment_graph",
-    "anomaly_implies_violation",
-]
+__all__ = ["NotRealAmplitudeError", "CycleInequality", "all_three_cycles", "qubit_fragment_graph",
+           "anomaly_implies_violation", "real_amplitude_failure"]
 
 FRAGMENT_LABELS = ("phi", "psi", "a1", "a2", "phi_perp", "psi_perp")
 
@@ -46,36 +42,45 @@ class CycleInequality:
     violated: bool
 
 
+@lru_cache(maxsize=16)
+def _triples(n: int) -> np.ndarray:
+    """(C(n, 3), 3) vertex triples in lexicographic order."""
+    return np.fromiter(chain.from_iterable(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+
+
 def all_three_cycles(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -> list[CycleInequality]:
     """Every 3-cycle inequality of the graph, three minus placements per triple.
 
     Output order is canonical: triples in lexicographic vertex order, the
     minus edge cycling through the third, second, first pair of each triple.
     """
-    out = []
-    for i, j, k in combinations(range(graph.n_vertices), 3):
-        e_ij = graph.edge(i, j)
-        e_ik = graph.edge(i, k)
-        e_jk = graph.edge(j, k)
-        triple = (graph.labels[i], graph.labels[j], graph.labels[k])
-        for minus_pair, value in (
-            ((graph.labels[j], graph.labels[k]), e_ij + e_ik - e_jk),
-            ((graph.labels[i], graph.labels[k]), e_ij + e_jk - e_ik),
-            ((graph.labels[i], graph.labels[j]), e_ik + e_jk - e_ij),
-        ):
-            out.append(CycleInequality(
-                triple=triple,
-                minus_edge=minus_pair,
-                value=value,
-                violated=value > 1.0 + anomaly_tol,
-            ))
-    return out
+    triples = _triples(graph.n_vertices)
+    i, j, k = triples.T
+    e_ij, e_ik, e_jk = graph.weights[i, j], graph.weights[i, k], graph.weights[j, k]
+    values = np.stack([e_ij + e_ik - e_jk, e_ij + e_jk - e_ik, e_ik + e_jk - e_ij], axis=1)
+    violated = values > 1.0 + anomaly_tol
+    names = np.array(graph.labels, dtype=object)
+    # one label tuple per triple, shared by its three placements
+    triple_labels = zip(names[i].tolist(), names[j].tolist(), names[k].tolist())
+    repeated = (triple for triple in triple_labels for _ in range(3))
+    # the minus edge of each placement: jk, then ik, then ij
+    minus_labels = zip(names[triples[:, [1, 0, 0]]].ravel().tolist(),
+                       names[triples[:, [2, 2, 1]]].ravel().tolist())
+    return [CycleInequality(triple, minus, value, bad)
+            for triple, minus, value, bad in zip(repeated, minus_labels, values.ravel().tolist(),
+                                                 violated.ravel().tolist())]
 
 
-def _require_real(matrix: np.ndarray, what: str, real_tol: float) -> None:
-    worst = float(np.max(np.abs(matrix.imag)))
-    if worst > real_tol:
-        raise NotRealAmplitudeError(f"{what} has imaginary entries up to {worst:.3e}")
+def real_amplitude_failure(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
+                           real_tol: float) -> str | None:
+    """Why the real-amplitude anomaly-to-violation claim misses these inputs; None if it applies."""
+    for matrix, what in ((rho_phi.matrix, "post-selection state"),
+                         (rho_psi.matrix, "pre-selection state"),
+                         (obs.eigenvectors, "observable eigenbasis")):
+        worst = float(np.max(np.abs(matrix.imag)))
+        if worst > real_tol:
+            return f"{what} has imaginary entries up to {worst:.3e}"
+    return None
 
 
 def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -89,16 +94,10 @@ def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs
         raise NotQubitError(
             f"fragment graph needs qubits, got dims {rho_phi.dim}/{rho_psi.dim}/{obs.dim}"
         )
-    eye = np.eye(2, dtype=complex)
-    vertices = [
-        rho_phi,
-        rho_psi,
-        obs.projector(0),
-        obs.projector(1),
-        DensityOperator(eye - rho_phi.matrix),
-        DensityOperator(eye - rho_psi.matrix),
-    ]
-    return frame_graph_from_matrices(FRAGMENT_LABELS, vertices, tol)
+    selection = np.stack([rho_phi.matrix, rho_psi.matrix])
+    vertices = np.concatenate([selection, [obs.projector(0).matrix, obs.projector(1).matrix],
+                               np.eye(2, dtype=complex) - selection])
+    return _graph_from_vertices(FRAGMENT_LABELS, vertices, tol)
 
 
 def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -111,9 +110,9 @@ def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator
     least one violated 3-cycle on the six-vertex fragment graph, so callers
     get both the anomaly and its contextuality certificate in one call.
     """
-    _require_real(rho_phi.matrix, "post-selection state", tol.eig)
-    _require_real(rho_psi.matrix, "pre-selection state", tol.eig)
-    _require_real(obs.eigenvectors, "observable eigenbasis", tol.eig)
+    failure = real_amplitude_failure(rho_phi, rho_psi, obs, tol.eig)
+    if failure is not None:
+        raise NotRealAmplitudeError(failure)
 
     dist = quasi_prob(rho_phi, rho_psi, obs, threshold, tol)
     graph = qubit_fragment_graph(rho_phi, rho_psi, obs, tol)

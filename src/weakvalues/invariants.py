@@ -8,23 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    DensityOperator,
-    ImaginaryOverlapError,
-    Observable,
-    Tolerances,
-    ValidationError,
-    require_dims,
-)
+from .core import (DEFAULT_TOL, DensityOperator, ImaginaryOverlapError, Observable, Tolerances,
+                   ValidationError, require_dims)
 
-__all__ = [
-    "FrameGraph",
-    "bargmann",
-    "overlap",
-    "frame_graph_from_matrices",
-    "build_frame_graph",
-]
+__all__ = ["FrameGraph", "bargmann", "overlap", "overlap_stack", "build_frame_graph"]
 
 
 def bargmann(states: Sequence[DensityOperator]) -> complex:
@@ -35,29 +22,42 @@ def bargmann(states: Sequence[DensityOperator]) -> complex:
     return complex(np.trace(reduce(np.matmul, [state.matrix for state in states])))
 
 
+def overlap_stack(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Real overlaps Tr(a[k] b[k]) of (n, d, d) stacks; a single (d, d) operand broadcasts.
+
+    Raises ImaginaryOverlapError when any imaginary part exceeds ``tol.eig``.
+    """
+    value = np.trace(a @ b, axis1=-2, axis2=-1)
+    imaginary = np.abs(value.imag) > tol.eig
+    if imaginary.any():
+        worst = value.imag[np.argmax(imaginary)]
+        raise ImaginaryOverlapError(f"two-state overlap has imaginary part {worst:.3e}")
+    return value.real
+
+
 def overlap(rho1: DensityOperator, rho2: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
     """Second-order invariant Tr(rho1 rho2), guaranteed real for valid states."""
-    value = bargmann((rho1, rho2))
-    if abs(value.imag) > tol.eig:
-        raise ImaginaryOverlapError(f"two-state overlap has imaginary part {value.imag:.3e}")
-    return value.real
+    require_dims(rho1.dim, rho2)
+    return float(overlap_stack(rho1.matrix[None], rho2.matrix[None], tol)[0])
 
 
 @dataclass(frozen=True)
 class FrameGraph:
     """Complete weighted graph of pairwise overlaps.
 
-    ``labels[i]`` names vertex i; ``weights[(i, j)]`` with i < j holds
-    Tr(rho_i rho_j).
+    ``labels[i]`` names vertex i; the symmetric ``weights[i, j]`` holds
+    Tr(rho_i rho_j) for i != j and NaN on the diagonal.
     """
 
     labels: tuple[str, ...]
-    weights: dict
+    weights: np.ndarray
 
     def edge(self, i: int, j: int) -> float:
         if i == j:
             raise ValidationError("frame graph has no self-loops")
-        return self.weights[(min(i, j), max(i, j))]
+        if not (0 <= i < self.n_vertices and 0 <= j < self.n_vertices):
+            raise KeyError((i, j))
+        return float(self.weights[i, j])
 
     @property
     def n_vertices(self) -> int:
@@ -65,21 +65,17 @@ class FrameGraph:
 
     def adjacency_text(self) -> list[str]:
         """Adjacency list lines ``u v weight`` with full-precision weights."""
-        lines = []
-        for (i, j), w in sorted(self.weights.items()):
-            lines.append(f"{self.labels[i]} {self.labels[j]} {w:.17g}")
-        return lines
+        i, j = np.triu_indices(self.n_vertices, 1)
+        return [f"{self.labels[a]} {self.labels[b]} {w:.17g}"
+                for a, b, w in zip(i.tolist(), j.tolist(), self.weights[i, j].tolist())]
 
 
-def frame_graph_from_matrices(labels: Sequence[str], states: Sequence[DensityOperator],
-                              tol: Tolerances = DEFAULT_TOL) -> FrameGraph:
-    """Complete overlap graph over an explicit list of labeled states."""
-    if len(labels) != len(states):
-        raise ValidationError(f"{len(labels)} labels for {len(states)} states")
-    weights = {}
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            weights[(i, j)] = overlap(states[i], states[j], tol)
+def _graph_from_vertices(labels: Sequence[str], vertices: np.ndarray, tol: Tolerances) -> FrameGraph:
+    """Overlap graph of a (V, d, d) vertex stack, one overlap row per vertex."""
+    n = len(vertices)
+    weights = np.full((n, n), np.nan)
+    for i in range(n - 1):
+        weights[i, i + 1:] = weights[i + 1:, i] = overlap_stack(vertices[i], vertices[i + 1:], tol)
     return FrameGraph(labels=tuple(labels), weights=weights)
 
 
@@ -92,5 +88,7 @@ def build_frame_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: O
     """
     require_dims(obs.dim, rho_phi, rho_psi)
     labels = ["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)]
-    states = [rho_phi, rho_psi] + [obs.projector(i) for i in range(obs.dim)]
-    return frame_graph_from_matrices(labels, states, tol)
+    v = obs.eigenvectors.T  # projectors[i] = outer(v_i, conj(v_i)), as Observable.projector builds it
+    projectors = v[:, :, None] * v.conj()[:, None, :]
+    vertices = np.concatenate([np.stack([rho_phi.matrix, rho_psi.matrix]), projectors])
+    return _graph_from_vertices(labels, vertices, tol)

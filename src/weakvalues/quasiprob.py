@@ -20,14 +20,13 @@ from .core import (
     DEFAULT_TOL,
     DensityOperator,
     DimensionMismatchError,
-    ImaginaryOverlapError,
     Observable,
     OrthogonalSelectionError,
     StateVector,
     Tolerances,
     require_dims,
 )
-from .invariants import overlap
+from .invariants import overlap, overlap_stack
 
 __all__ = [
     "NORMAL",
@@ -130,13 +129,7 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
     may be infinite or NaN). Raises ImaginaryOverlapError when any overlap
     has an imaginary part above ``tol.eig``.
     """
-    # overlap()'s operand order, so a stack of one reproduces its bits.
-    den = np.trace(rho_phi @ rho_psi, axis1=1, axis2=2)
-    imaginary = np.abs(den.imag) > tol.eig
-    if imaginary.any():
-        worst = den.imag[np.argmax(imaginary)]
-        raise ImaginaryOverlapError(f"two-state overlap has imaginary part {worst:.3e}")
-    den = den.real
+    den = overlap_stack(rho_phi, rho_psi, tol)
     # <a_i| rho_psi rho_phi |a_i> = sum_k (V^dagger rho_psi)_ik (rho_phi V)_ki, each
     # factor one (n d, d) x (d, d) product: (V^dagger rho_psi)^T = rho_psi^T conj(V).
     n, d, _ = rho_phi.shape

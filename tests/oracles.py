@@ -7,13 +7,20 @@ eigenprojector (criterion 6), and ``antipodal`` builds the orthogonal qubit
 ray for direct overlap arithmetic on the six-state fragment (criterion 7).
 None of them goes through the quasi-probability kernel. ``scalar_search``
 is the negativity search walked one restart and one candidate at a time,
-the reference for the lockstep stacked search.
+the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
+``looped_three_cycles`` fill the overlap graph one vertex pair at a time
+and evaluate its cycles one triple at a time, the reference for the
+stacked overlap rows and the cycle index table.
 """
+
+from itertools import combinations
 
 import numpy as np
 
 import weakvalues as wv
+from weakvalues.contextuality import FRAGMENT_LABELS, CycleInequality
 from weakvalues.explore import SearchResult, _task_rng
+from weakvalues.invariants import FrameGraph
 from weakvalues.quasiprob import selection_overlap
 from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
@@ -155,3 +162,59 @@ def scalar_search(observable, budget, seed, *, restarts=20, min_overlap=0.25,
         best_value=best_val,
         evaluations=sum(used for _, _, used in outcomes),
     )
+
+
+def pairwise_overlap(rho1, rho2, tol=wv.DEFAULT_TOL):
+    """Tr(rho1 rho2) as the two-state Bargmann product of one pair, imaginary parts refused."""
+    value = wv.bargmann((rho1, rho2))
+    if abs(value.imag) > tol.eig:
+        raise wv.ImaginaryOverlapError(f"two-state overlap has imaginary part {value.imag:.3e}")
+    return value.real
+
+
+def pairwise_frame_graph(labels, states, tol=wv.DEFAULT_TOL):
+    """Complete overlap graph over labeled states, filled one vertex pair at a time."""
+    if len(labels) != len(states):
+        raise wv.ValidationError(f"{len(labels)} labels for {len(states)} states")
+    weights = np.full((len(states), len(states)), np.nan)
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            weights[i, j] = weights[j, i] = pairwise_overlap(states[i], states[j], tol)
+    return FrameGraph(labels=tuple(labels), weights=weights)
+
+
+def pairwise_selection_graph(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
+    """``build_frame_graph`` over explicit projector states, one pair at a time."""
+    labels = ["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)]
+    states = [rho_phi, rho_psi] + [obs.projector(i) for i in range(obs.dim)]
+    return pairwise_frame_graph(labels, states, tol)
+
+
+def pairwise_fragment_graph(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
+    """``qubit_fragment_graph`` over explicit complement states, one pair at a time."""
+    eye = np.eye(2, dtype=complex)
+    states = [rho_phi, rho_psi, obs.projector(0), obs.projector(1),
+              wv.DensityOperator(eye - rho_phi.matrix), wv.DensityOperator(eye - rho_psi.matrix)]
+    return pairwise_frame_graph(FRAGMENT_LABELS, states, tol)
+
+
+def looped_three_cycles(graph, anomaly_tol=wv.DEFAULT_TOL.anom):
+    """``all_three_cycles`` evaluated one triple and one edge lookup at a time."""
+    out = []
+    for i, j, k in combinations(range(graph.n_vertices), 3):
+        e_ij = graph.edge(i, j)
+        e_ik = graph.edge(i, k)
+        e_jk = graph.edge(j, k)
+        triple = (graph.labels[i], graph.labels[j], graph.labels[k])
+        for minus_pair, value in (
+            ((graph.labels[j], graph.labels[k]), e_ij + e_ik - e_jk),
+            ((graph.labels[i], graph.labels[k]), e_ij + e_jk - e_ik),
+            ((graph.labels[i], graph.labels[j]), e_ik + e_jk - e_ij),
+        ):
+            out.append(CycleInequality(
+                triple=triple,
+                minus_edge=minus_pair,
+                value=value,
+                violated=value > 1.0 + anomaly_tol,
+            ))
+    return out

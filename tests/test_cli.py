@@ -7,6 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weakvalues import cli, pointer, quasiprob
 
@@ -249,6 +252,62 @@ def test_round_trip_echo(capsys, great_circle_file, tmp_path):
         for fmt in ("json", "csv"):
             first = _run(capsys, [command, "--input", great_circle_file, "--format", fmt])
             again = _run(capsys, [command, "--input", echoed, "--format", fmt])
+            assert again == first, (command, fmt)
+
+
+def _pairs(array):
+    """Complex entries as the [re, im] pairs a problem file accepts."""
+    return np.stack([array.real, array.imag], axis=-1).tolist()
+
+
+@st.composite
+def problems(draw):
+    """Problem files at d = 2..4: a non-degenerate observable in a generated basis,
+    pure or mixed selection states, real or complex amplitudes, optional band and seed."""
+    d = draw(st.integers(2, 4))
+    real = draw(st.booleans())
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+    def complex_array(shape):
+        raw = draw(hnp.arrays(np.float64, (2, *shape), elements=entries))
+        return raw[0] + (0.0 if real else 1j) * raw[1]
+
+    q, _ = np.linalg.qr(complex_array((d, d)) + 3.0 * np.eye(d))
+    spectrum = np.cumsum(draw(hnp.arrays(np.float64, d, elements=st.floats(0.1, 2.0))))
+    problem = {"dimension": d, "observable": _pairs((q * spectrum) @ q.conj().T)}
+    for key in ("pre_state", "post_state"):
+        if draw(st.booleans()):
+            amps = complex_array((d,)) + np.eye(d)[0]
+            problem[key] = _pairs(amps / np.linalg.norm(amps))
+        else:
+            g = complex_array((d, d)) + np.eye(d)
+            rho = g @ g.conj().T
+            problem[key] = _pairs(rho / np.trace(rho).real)
+    anom = draw(st.sampled_from([None, 1e-9, 1e-6, 1e-2]))
+    if anom is not None:
+        problem["tolerances"] = {"anom": anom}
+    if draw(st.booleans()):
+        problem["seed"] = draw(st.integers(0, 2 ** 64 - 1))
+    return problem
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(problem=problems())
+def test_inputs_block_reproduces_generated_reports(capsys, tmp_path, problem):
+    # over generated problems, the echoed inputs give the report's exact
+    # stdout and exit code in both formats, the cycle tables included
+    path = _write_problem(tmp_path / "generated.json", problem)
+    for command in ("compute", "contextuality"):
+        code, out, _ = _run(capsys, [command, "--input", path])
+        assert code in (0, 2, 3), (command, code)
+        if code == 2:  # a selection too close to orthogonal has no report to echo
+            assert out == ""
+            continue
+        echoed = _write_problem(tmp_path / f"{command}-echo.json", json.loads(out)["inputs"])
+        for fmt in ("json", "csv"):
+            first = _run(capsys, [command, "--input", path, "--format", fmt])[:2]
+            again = _run(capsys, [command, "--input", echoed, "--format", fmt])[:2]
             assert again == first, (command, fmt)
 
 

@@ -14,12 +14,21 @@ from weakvalues.contextuality import (
 )
 from weakvalues.invariants import FrameGraph, build_frame_graph
 
-from conftest import random_pure
-from oracles import antipodal
+from conftest import random_mixed, random_pure
+from oracles import (
+    antipodal,
+    looped_three_cycles,
+    pairwise_fragment_graph,
+    pairwise_frame_graph,
+    pairwise_selection_graph,
+)
 
 
 def _graph_from_edges(labels, edges):
-    return FrameGraph(labels=tuple(labels), weights=dict(edges))
+    weights = np.full((len(labels), len(labels)), np.nan)
+    for (i, j), w in edges.items():
+        weights[i, j] = weights[j, i] = w
+    return FrameGraph(labels=tuple(labels), weights=weights)
 
 
 def _max_violation(graph):
@@ -90,7 +99,7 @@ def test_fragment_great_circle_oracle(great_circle_pair, proj_zero):
 def test_orthogonal_triple_never_violates():
     basis = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
     rhos = [wv.pure_to_density(basis.basis_state(i)) for i in range(3)]
-    g = wv.frame_graph_from_matrices(("u", "v", "w"), rhos)
+    g = pairwise_frame_graph(("u", "v", "w"), rhos)
     assert _max_violation(g) <= 0.0
 
 
@@ -115,6 +124,51 @@ def test_basis_anchored_triples_stay_classical():
         for c in all_three_cycles(graph):
             if "a1" in c.triple and "a2" in c.triple:
                 assert c.value <= 1.0 + 1e-12
+
+
+def _random_hermitian(rng, d):
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return wv.eigensystem(h + h.conj().T)
+
+
+def _assert_same_graph_and_cycles(graph, oracle):
+    assert graph.labels == oracle.labels
+    for i in range(graph.n_vertices):
+        for j in range(graph.n_vertices):
+            if i != j:
+                assert graph.edge(i, j) == oracle.edge(i, j), (i, j)
+    assert graph.adjacency_text() == oracle.adjacency_text()
+    for tol in (wv.DEFAULT_TOL.anom, 0.0):
+        assert all_three_cycles(graph, tol) == looped_three_cycles(oracle, tol)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 16, 24, 64))
+def test_frame_graph_and_cycles_match_the_pairwise_oracle(d):
+    # the overlap rows and the cycle index table give every edge and every
+    # cycle value the bits of the pair-by-pair and triple-by-triple route
+    rng = np.random.default_rng(1000 + d)
+    rho_phi = wv.validate_density(random_mixed(rng, d))
+    rho_psi = wv.pure_to_density(wv.state_vector(random_pure(rng, d)))
+    obs = _random_hermitian(rng, d)
+    _assert_same_graph_and_cycles(wv.build_frame_graph(rho_phi, rho_psi, obs),
+                                  pairwise_selection_graph(rho_phi, rho_psi, obs))
+
+
+def test_fragment_matches_the_pairwise_oracle():
+    rng = np.random.default_rng(1064)
+    for _ in range(40):
+        pure_phi = wv.pure_to_density(wv.state_vector(random_pure(rng, 2)))
+        pure_psi = wv.pure_to_density(wv.state_vector(random_pure(rng, 2)))
+        t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        real_phi = wv.pure_to_density(wv.state_vector([np.cos(t1), np.sin(t1)]))
+        real_psi = wv.pure_to_density(wv.state_vector([np.cos(t2), np.sin(t2)]))
+        mixed_phi = wv.validate_density(random_mixed(rng, 2))
+        mixed_psi = wv.validate_density(random_mixed(rng, 2))
+        obs = _random_hermitian(rng, 2)
+        for rho_phi, rho_psi in ((pure_phi, pure_psi), (real_phi, real_psi),
+                                 (mixed_phi, mixed_psi), (pure_phi, mixed_psi)):
+            _assert_same_graph_and_cycles(qubit_fragment_graph(rho_phi, rho_psi, obs),
+                                          pairwise_fragment_graph(rho_phi, rho_psi, obs))
 
 
 def test_build_fragment_shape(great_circle_pair, proj_zero):

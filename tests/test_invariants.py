@@ -5,9 +5,12 @@ import pytest
 
 import weakvalues as wv
 from weakvalues.core import DensityOperator, DimensionMismatchError, ImaginaryOverlapError
-from weakvalues.invariants import frame_graph_from_matrices
+from weakvalues.contextuality import qubit_fragment_graph
+from weakvalues.invariants import overlap_stack
+from weakvalues.quasiprob import quasi_prob_stack
 
 from conftest import random_mixed, random_pure
+from oracles import pairwise_frame_graph, pairwise_overlap
 
 
 def _pure(rng, d):
@@ -163,11 +166,16 @@ def test_frame_graph_edges_in_range():
 def test_edge_lookup_is_symmetric_and_checked():
     rng = np.random.default_rng(29)
     states = [wv.validate_density(random_mixed(rng, 2)) for _ in range(3)]
-    graph = frame_graph_from_matrices(("x", "y", "z"), states)
+    graph = pairwise_frame_graph(("x", "y", "z"), states)
     assert graph.edge(0, 2) == graph.edge(2, 0)
     assert graph.edge(1, 0) == graph.edge(0, 1)
     with pytest.raises(KeyError):
         graph.edge(0, 3)
+    # an array index would wrap these round to the last vertex
+    with pytest.raises(KeyError):
+        graph.edge(-1, 0)
+    with pytest.raises(KeyError):
+        graph.edge(0, -1)
     with pytest.raises(wv.ValidationError):
         graph.edge(1, 1)
 
@@ -175,10 +183,43 @@ def test_edge_lookup_is_symmetric_and_checked():
 def test_adjacency_text_stable():
     rng = np.random.default_rng(30)
     states = [wv.validate_density(random_mixed(rng, 2)) for _ in range(3)]
-    graph = frame_graph_from_matrices(("u", "v", "w"), states)
+    graph = pairwise_frame_graph(("u", "v", "w"), states)
     lines = graph.adjacency_text()
     assert len(lines) == 3
     assert lines == graph.adjacency_text()  # deterministic
     first = lines[0].split()
     assert first[0] == "u" and first[1] == "v"
     float(first[2])  # numeric payload parses
+
+
+def test_overlap_is_the_one_pair_case_of_the_stack():
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 5, 8, 16, 33):
+        a = np.stack([random_mixed(rng, d) for _ in range(4)])
+        b = np.stack([random_mixed(rng, d) for _ in range(4)])
+        stacked = overlap_stack(a, b)
+        row = overlap_stack(a[0], b)
+        for k in range(4):
+            rho_a, rho_b = DensityOperator(a[k]), DensityOperator(b[k])
+            assert stacked[k] == wv.overlap(rho_a, rho_b) == pairwise_overlap(rho_a, rho_b)
+            assert row[k] == pairwise_overlap(DensityOperator(a[0]), rho_b)
+
+
+def test_imaginary_overlaps_are_refused_alike_on_every_route(proj_zero):
+    # a non-Hermitian matrix smuggled around validation: the overlap, both
+    # graphs and the quasi-probability kernel refuse it with one message
+    bad = DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+    other = DensityOperator(np.array([[0.7, 0.2j], [-0.1j, 0.3]]))
+    with pytest.raises(ImaginaryOverlapError) as expected:
+        pairwise_overlap(bad, other)
+    routes = (
+        lambda: wv.overlap(bad, other),
+        lambda: wv.build_frame_graph(bad, other, proj_zero),
+        lambda: qubit_fragment_graph(bad, other, proj_zero),
+        lambda: quasi_prob_stack(bad.matrix[None], other.matrix[None], proj_zero),
+        lambda: overlap_stack(np.stack([other.matrix, bad.matrix]), np.stack([other.matrix, other.matrix])),
+    )
+    for route in routes:
+        with pytest.raises(ImaginaryOverlapError) as got:
+            route()
+        assert str(got.value) == str(expected.value)
