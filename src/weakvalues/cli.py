@@ -3,7 +3,8 @@
 Problem files are JSON with complex entries written as two-element
 [re, im] arrays. Reports are deterministic: stable key order, floats with 17
 significant digits, and no timestamps, so fixed seeds give byte-identical
-output.
+output. A report holds only dict, list, str, float, int, bool and None;
+the renderers refuse any other value.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure (for example an
 orthogonal selection pair), 3 success with an anomaly or violation detected,
@@ -17,16 +18,13 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from . import __version__
-from .contextuality import (
-    CycleInequality,
-    all_three_cycles,
-    qubit_fragment_graph,
-    real_amplitude_failure,
-)
+from .contextuality import CycleInequality, all_three_cycles, fragment_cycles, real_amplitude_failure
 from .core import (
     DEFAULT_TOL,
     ComputationError,
@@ -126,11 +124,20 @@ def _expect_number(node, where: str) -> float:
 
 
 def _parse_complex(node, where: str) -> complex:
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
     if isinstance(node, list) and len(node) == 2:
         return complex(_expect_number(node[0], f"{where}[0]"), _expect_number(node[1], f"{where}[1]"))
-    raise ProblemFileError(where, "expected a [re, im] pair or a real number")
+    try:
+        return complex(_expect_number(node, where))
+    except ProblemFileError:
+        raise ProblemFileError(where, "expected a [re, im] pair or a real number") from None
+
+
+def _parses(parse, node) -> bool:
+    try:
+        parse(node, "")
+    except ProblemFileError:
+        return False
+    return True
 
 
 def _parse_matrix(node, where: str) -> np.ndarray:
@@ -148,10 +155,6 @@ def _parse_matrix(node, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _plain_number(node) -> bool:
-    return isinstance(node, (int, float)) and not isinstance(node, bool)
-
-
 def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator:
     """A state is either an amplitude vector or a density matrix.
 
@@ -165,14 +168,10 @@ def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator
         raise ProblemFileError(where, "expected an amplitude vector or a density matrix")
     grid_like = (
         len(node) == dim
-        and all(isinstance(row, list) and len(row) == dim and all(_plain_number(e) for e in row)
+        and all(isinstance(row, list) and len(row) == dim and all(_parses(_expect_number, e) for e in row)
                 for row in node)
     )
-    vector_like = all(
-        _plain_number(e)
-        or (isinstance(e, list) and len(e) == 2 and all(_plain_number(x) for x in e))
-        for e in node
-    )
+    vector_like = all(_parses(_parse_complex, e) for e in node)
 
     def as_vector() -> DensityOperator:
         amps = [_parse_complex(entry, f"{where}[{i}]") for i, entry in enumerate(node)]
@@ -209,39 +208,34 @@ def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator
         raise ProblemFileError(where, str(exc)) from exc
 
 
-def _parse_tolerances(node, where: str) -> Tolerances:
+def _parse_settings(node, where: str, cls, noun: str, shape: str, read):
+    """A ``cls`` from ``read(node, where)``, the keys present; the dataclass keeps the other defaults."""
     if not isinstance(node, dict):
-        raise ProblemFileError(where, "expected an object of tolerance values")
-    unknown = set(node) - {f.name for f in fields(Tolerances)}
+        raise ProblemFileError(where, f"expected an object {shape}")
+    unknown = set(node) - {f.name for f in fields(cls)}
     if unknown:
-        raise ProblemFileError(where, f"unknown tolerance keys {sorted(unknown)}")
-    values = {key: _expect_number(val, f"{where}.{key}") for key, val in node.items()}
+        raise ProblemFileError(where, f"unknown {noun} keys {sorted(unknown)}")
+    values = read(node, where)
     try:
-        return Tolerances(**values)
+        return cls(**values)
     except ValidationError as exc:
         raise ProblemFileError(where, str(exc)) from exc
 
 
-def _parse_pointer(node, where: str) -> PointerConfig:
-    if not isinstance(node, dict):
-        raise ProblemFileError(where, "expected an object with pointer settings")
-    unknown = set(node) - {f.name for f in fields(PointerConfig)}
-    if unknown:
-        raise ProblemFileError(where, f"unknown pointer keys {sorted(unknown)}")
-    # Only the keys present are passed, so PointerConfig keeps the defaults.
-    settings = {key: _expect_number(node[key], f"{where}.{key}")
-                for key in ("coupling", "width") if key in node}
+def _pointer_values(node: dict, where: str) -> dict:
+    values = {key: _expect_number(node[key], f"{where}.{key}") for key in ("coupling", "width") if key in node}
     if "couplings_series" in node:
-        series_node = node["couplings_series"]
-        if not isinstance(series_node, list):
+        series = node["couplings_series"]
+        if not isinstance(series, list):
             raise ProblemFileError(f"{where}.couplings_series", "expected a list of couplings")
-        settings["couplings_series"] = tuple(
-            _expect_number(entry, f"{where}.couplings_series[{i}]") for i, entry in enumerate(series_node)
+        values["couplings_series"] = tuple(
+            _expect_number(entry, f"{where}.couplings_series[{i}]") for i, entry in enumerate(series)
         )
-    try:
-        return PointerConfig(**settings)
-    except ValidationError as exc:
-        raise ProblemFileError(where, str(exc)) from exc
+    return values
+
+
+def _with_tol_anom(tol: Tolerances, tol_anom: float | None) -> Tolerances:
+    return tol if tol_anom is None else replace(tol, anom=tol_anom)
 
 
 def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
@@ -263,9 +257,13 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
     if not 2 <= dim <= 64:
         raise ProblemFileError("problem.dimension", f"dimension {dim} outside supported range [2, 64]")
 
-    tol = _parse_tolerances(data["tolerances"], "problem.tolerances") if "tolerances" in data else DEFAULT_TOL
-    if tol_anom_override is not None:
-        tol = replace(tol, anom=tol_anom_override)
+    tol = DEFAULT_TOL
+    if "tolerances" in data:
+        tol = _parse_settings(data["tolerances"], "problem.tolerances", Tolerances, "tolerance",
+                              "of tolerance values",
+                              lambda node, where: {key: _expect_number(value, f"{where}.{key}")
+                                                   for key, value in node.items()})
+    tol = _with_tol_anom(tol, tol_anom_override)
 
     matrix = _parse_matrix(data["observable"], "problem.observable")
     if matrix.shape != (dim, dim):
@@ -278,7 +276,10 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
     rho_psi = _parse_state(data["pre_state"], "problem.pre_state", dim, tol)
     rho_phi = _parse_state(data["post_state"], "problem.post_state", dim, tol)
 
-    pointer_cfg = _parse_pointer(data["pointer"], "problem.pointer") if "pointer" in data else None
+    pointer_cfg = None
+    if "pointer" in data:
+        pointer_cfg = _parse_settings(data["pointer"], "problem.pointer", PointerConfig, "pointer",
+                                      "with pointer settings", _pointer_values)
 
     seed = None
     if "seed" in data:
@@ -317,81 +318,58 @@ def _fmt_float(x: float) -> str:
     # math.isfinite, not np.isfinite: the numpy scalar call cost more than the formatting.
     if not math.isfinite(x):
         return "null"
-    text = f"{float(x):.17g}"
+    text = f"{x:.17g}"
     # JSON readers load "-0" as the integer 0; "-0.0" keeps the sign when read back.
     return "-0.0" if text == "-0" else text
 
 
-def _c(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _number_text(node) -> str | None:
-    """Report text of a bool, integer or float; None for any other node."""
-    if isinstance(node, (bool, np.bool_)):
+def _leaf(node) -> str:
+    """Report text of a float, bool or int leaf, the same in both formats; other types are refused."""
+    kind = type(node)
+    if kind is float:
+        return _fmt_float(node)
+    if kind is bool:
         return "true" if node else "false"
-    if isinstance(node, (int, np.integer)):
-        return str(int(node))
-    if isinstance(node, (float, np.floating)):
-        return _fmt_float(float(node))
-    return None
+    if kind is int:
+        return str(node)
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def _emit_json(node, out: list[str]) -> None:
-    if isinstance(node, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(node.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit_json(value, out)
-        out.append("}")
-    elif isinstance(node, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(node):
-            if i:
-                out.append(",")
-            _emit_json(value, out)
-        out.append("]")
-    elif node is None:
-        out.append("null")
-    elif isinstance(node, str):
-        out.append(json.dumps(node))
-    else:
-        text = _number_text(node)
-        if text is None:
-            raise TypeError(f"cannot serialize {type(node).__name__}")
-        out.append(text)
+def _json_text(node) -> str:
+    kind = type(node)
+    if kind is dict:
+        return "{" + ",".join(f"{_quote(key)}:{_json_text(value)}" for key, value in node.items()) + "}"
+    if kind is list:
+        return "[" + ",".join(map(_json_text, node)) + "]"
+    if kind is str:
+        return _quote(node)
+    return "null" if node is None else _leaf(node)
 
 
 def render_json(report: dict) -> str:
-    out: list[str] = []
-    _emit_json(report, out)
-    return "".join(out)
+    return _json_text(report)
 
 
-def _flatten(node, path: str, rows: list[tuple[str, str]]) -> None:
-    if isinstance(node, dict):
+def _csv_rows(node, path: str, rows: list[str]) -> None:
+    kind = type(node)
+    if kind is dict:
         for key, value in node.items():
-            _flatten(value, f"{path}.{key}" if path else str(key), rows)
-    elif isinstance(node, (list, tuple)):
+            _csv_rows(value, f"{path}.{key}" if path else key, rows)
+    elif kind is list:
         for i, value in enumerate(node):
-            _flatten(value, f"{path}.{i}", rows)
+            _csv_rows(value, f"{path}.{i}", rows)
+    elif kind is str:
+        if "," in node or '"' in node:
+            node = '"' + node.replace('"', '""') + '"'
+        rows.append(f"{path},{node}")
     else:
-        text = _number_text(node)
-        rows.append((path, text if text is not None else "" if node is None else str(node)))
+        rows.append(f"{path}," if node is None else f"{path},{_leaf(node)}")
 
 
 def render_csv(report: dict) -> str:
-    rows: list[tuple[str, str]] = []
-    _flatten(report, "", rows)
-    lines = ["key,value"]
-    for key, value in rows:
-        if "," in value or '"' in value:
-            value = '"' + value.replace('"', '""') + '"'
-        lines.append(f"{key},{value}")
-    return "\n".join(lines)
+    rows = ["key,value"]
+    _csv_rows(report, "", rows)
+    return "\n".join(rows)
 
 
 def _print_report(report: dict, fmt: str) -> None:
@@ -402,24 +380,23 @@ def _print_report(report: dict, fmt: str) -> None:
 # Report sections
 
 
-def _matrix_payload(matrix: np.ndarray) -> list:
-    return [[_c(complex(entry)) for entry in row] for row in matrix]
+def _pairs(z) -> list:
+    """[re, im] pairs of a complex scalar or array, as nested lists of floats."""
+    z = np.asarray(z)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def _canonical_inputs(problem: Problem) -> dict:
     echo = {
         "dimension": problem.dim,
-        "observable": _matrix_payload(problem.obs.matrix),
-        "pre_state": _matrix_payload(problem.rho_psi.matrix),
-        "post_state": _matrix_payload(problem.rho_phi.matrix),
+        "observable": _pairs(problem.obs.matrix),
+        "pre_state": _pairs(problem.rho_psi.matrix),
+        "post_state": _pairs(problem.rho_phi.matrix),
         "tolerances": asdict(problem.tol),
     }
     if problem.pointer_cfg is not None:
-        echo["pointer"] = {
-            "coupling": problem.pointer_cfg.coupling,
-            "width": problem.pointer_cfg.width,
-            "couplings_series": list(problem.pointer_cfg.couplings_series),
-        }
+        echo["pointer"] = {**asdict(problem.pointer_cfg),
+                           "couplings_series": list(problem.pointer_cfg.couplings_series)}
     if problem.seed is not None:
         echo["seed"] = problem.seed
     return echo
@@ -449,10 +426,10 @@ def _weak_value_section(aw: WeakValueResult, tol: Tolerances) -> dict:
 
 def _quasiprob_section(dist: QuasiProbDist, aw: WeakValueResult, tol: Tolerances) -> dict:
     return {
-        "eigenvalues": [float(a) for a in dist.labels],
-        "weights": [_c(complex(w)) for w in dist.weights],
+        "eigenvalues": dist.labels.tolist(),
+        "weights": _pairs(dist.weights),
         "anomalous_indices": list(anomalous_indices(dist, tol.anom)),
-        "weak_value_from_weights": _c(aw.value),
+        "weak_value_from_weights": _pairs(aw.value),
         "marginal_indices": [
             i for i, w in enumerate(dist.weights)
             if is_marginal(complex(w), 0.0, 1.0, tol.anom)
@@ -491,16 +468,15 @@ def _cycles_section(problem: Problem) -> dict:
             f"six-state fragment analysis is qubit-only; omitted for dimension {problem.dim}"
         )
     else:
-        fragment_graph = qubit_fragment_graph(problem.rho_phi, problem.rho_psi, problem.obs,
-                                              problem.tol)
-        fragment_cycles = all_three_cycles(fragment_graph, problem.tol.anom)
+        fragment_graph, fragment_table = fragment_cycles(problem.rho_phi, problem.rho_psi, problem.obs,
+                                                         problem.tol)
         section["fragment"] = {
             # The anomaly-implies-violation link is proven for real amplitudes.
             "claim_applies": real_amplitude_failure(problem.rho_phi, problem.rho_psi, problem.obs,
                                                     problem.tol.eig) is None,
             "graph": fragment_graph.adjacency_text(),
-            "max_value": max(c.value for c in fragment_cycles),
-            "violated": [_cycle_row(c) for c in fragment_cycles if c.violated],
+            "max_value": max(c.value for c in fragment_table),
+            "violated": [_cycle_row(c) for c in fragment_table if c.violated],
         }
     return section
 
@@ -536,7 +512,7 @@ def _pointer_section(problem: Problem, psi: StateVector, phi: StateVector) -> di
         },
         "series": series_rows,
         "extrapolation": {
-            "value": _c(result.value),
+            "value": _pairs(result.value),
             "error": result.error,
             "classification": label,
         },
@@ -613,7 +589,7 @@ def cmd_search(args) -> int:
     matrix = _SEARCH_OBSERVABLES[args.observable]
     result = search_max_negativity(matrix, args.budget, args.seed)
     phi, psi = result.best_states
-    tol = Tolerances(anom=DEFAULT_TOL.anom if args.tol_anom is None else args.tol_anom)
+    tol = _with_tol_anom(DEFAULT_TOL, args.tol_anom)
     check = weak_value_hermitian(matrix, pure_to_density(psi), pure_to_density(phi), tol=tol)
     report = _report_head("search", seed=args.seed)
     report["search"] = {
@@ -622,8 +598,8 @@ def cmd_search(args) -> int:
         "best_value": result.best_value,
         "evaluations": result.evaluations,
         "best_states": {
-            "post_state": [_c(complex(a)) for a in phi.amps],
-            "pre_state": [_c(complex(a)) for a in psi.amps],
+            "post_state": _pairs(phi.amps),
+            "pre_state": _pairs(psi.amps),
         },
         "weak_value_at_best": {
             "re": check.value.real,
@@ -638,7 +614,7 @@ def cmd_search(args) -> int:
 def cmd_scan(args) -> int:
     kind = _SCAN_KINDS[args.kind]
     obs = eigensystem(np.diag(np.arange(args.dim, dtype=float)))
-    tol = Tolerances(anom=DEFAULT_TOL.anom if args.tol_anom is None else args.tol_anom)
+    tol = _with_tol_anom(DEFAULT_TOL, args.tol_anom)
     spec_psi = SamplerSpec(dim=args.dim, kind=kind, seed=args.seed)
     spec_phi = SamplerSpec(dim=args.dim, kind=kind, seed=(args.seed + 1) % 2 ** 64)
     summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=tol)
@@ -712,8 +688,8 @@ def _reference_computations() -> dict:
     values["coherent_pair_g0"] = dist.weights[0].real
     values["coherent_pair_g1"] = dist.weights[1].real
 
-    graph = qubit_fragment_graph(rho_phi, rho_psi, proj_low)
-    values["fragment_max_cycle"] = max(c.value for c in all_three_cycles(graph))
+    _, fragment_table = fragment_cycles(rho_phi, rho_psi, proj_low, DEFAULT_TOL)
+    values["fragment_max_cycle"] = max(c.value for c in fragment_table)
 
     pointer_result = extrapolate(proj_low, psi, phi)
     values["pointer_extrapolation_re"] = pointer_result.value.real
@@ -729,21 +705,17 @@ def _reference_computations() -> dict:
 
 def cmd_reproduce(args) -> int:
     computed = _reference_computations()
-    failures = 0
-    for name, (expected, tolerance) in REFERENCE_VALUES.items():
-        got = computed["values"][name]
-        ok = abs(got - expected) <= tolerance
-        failures += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name} expected={_fmt_float(expected)} "
-              f"computed={_fmt_float(got)} tol={tolerance:.1e}")
-    for name, ok in computed["checks"].items():
-        failures += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name} expected=true computed={'true' if ok else 'false'}")
-    total = len(REFERENCE_VALUES) + len(computed["checks"])
-    print(f"{total - failures}/{total} reference checks passed")
-    return EXIT_OK if failures == 0 else EXIT_REPRODUCE
+    values = computed["values"]
+    results = [(name, abs(values[name] - expected) <= tolerance,
+                f"expected={_fmt_float(expected)} computed={_fmt_float(values[name])} tol={tolerance:.1e}")
+               for name, (expected, tolerance) in REFERENCE_VALUES.items()]
+    results += [(name, ok, f"expected=true computed={'true' if ok else 'false'}")
+                for name, ok in computed["checks"].items()]
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} reference checks passed")
+    return EXIT_OK if passed == len(results) else EXIT_REPRODUCE
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +737,7 @@ def _tol_anom_type(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@cache  # parsing leaves the parser as it was, so one process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weakvalues",
                      description="Weak values, quasi-probabilities, coherence witnesses, "

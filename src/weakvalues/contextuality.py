@@ -8,7 +8,7 @@ nothing but Born-rule overlaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -19,9 +19,14 @@ from .invariants import FrameGraph, _graph_from_vertices
 from .quasiprob import DEFAULT_SELECTION_THRESHOLD, QuasiProbDist, quasi_prob
 
 __all__ = ["NotRealAmplitudeError", "CycleInequality", "all_three_cycles", "qubit_fragment_graph",
-           "anomaly_implies_violation", "real_amplitude_failure"]
+           "fragment_cycles", "anomaly_implies_violation", "real_amplitude_failure"]
 
 FRAGMENT_LABELS = ("phi", "psi", "a1", "a2", "phi_perp", "psi_perp")
+_PERPENDICULAR = frozenset(FRAGMENT_LABELS[4:])
+
+# Rounding in a fragment cycle value, a sum of three overlaps of order one: a few eps
+# (up to 3.3 eps against the exact excess of anomalous pairs, 3 eps at orthogonal ones).
+_CYCLE_ROUNDING = 1e-15
 
 
 class NotRealAmplitudeError(ValidationError):
@@ -100,6 +105,28 @@ def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs
     return _graph_from_vertices(FRAGMENT_LABELS, vertices, tol)
 
 
+def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
+                    tol: Tolerances) -> tuple[FrameGraph, list[CycleInequality]]:
+    """The qubit fragment graph and its 3-cycles, judged on the scale of the anomaly band.
+
+    For real qubits the largest cycle exceeds 1 by exactly 2 Tr(rho_phi rho_psi) m, m the
+    margin by which the g_i leave [0, 1], and cycles through a perpendicular vertex take
+    every value of the others. Those cycles are judged against 2 Tr(rho_phi rho_psi)
+    ``tol.anom`` less the rounding, but never below what an anomaly-free input reaches:
+    the rounding plus four times each state's defect |Tr rho - 1| + 2 max(-lambda_min, 0)
+    (a cycle moves by at most three), when that defect is more than rounding. Cycles among
+    phi, psi, a1, a2 keep ``tol.anom``, as in ``build_frame_graph`` at d = 2.
+    """
+    graph = qubit_fragment_graph(rho_phi, rho_psi, obs, tol)
+    selection = np.stack([rho_phi.matrix, rho_psi.matrix])
+    defects = (np.abs(np.trace(selection, axis1=1, axis2=2).real - 1.0)
+               + 2.0 * np.maximum(-np.linalg.eigvalsh(selection)[:, 0], 0.0))
+    floor = _CYCLE_ROUNDING + 4.0 * float(defects[defects > _CYCLE_ROUNDING].sum())
+    band = max(2.0 * graph.edge(0, 1) * tol.anom - _CYCLE_ROUNDING, floor)
+    return graph, [replace(c, violated=c.value > 1.0 + band) if _PERPENDICULAR & set(c.triple) else c
+                   for c in all_three_cycles(graph, tol.anom)]
+
+
 def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
                               threshold: float = DEFAULT_SELECTION_THRESHOLD,
                               tol: Tolerances = DEFAULT_TOL,
@@ -115,6 +142,4 @@ def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator
         raise NotRealAmplitudeError(failure)
 
     dist = quasi_prob(rho_phi, rho_psi, obs, threshold, tol)
-    graph = qubit_fragment_graph(rho_phi, rho_psi, obs, tol)
-    violated = [c for c in all_three_cycles(graph, tol.anom) if c.violated]
-    return dist, violated
+    return dist, [c for c in fragment_cycles(rho_phi, rho_psi, obs, tol)[1] if c.violated]

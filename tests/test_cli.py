@@ -389,6 +389,85 @@ def test_csv_format(capsys, great_circle_file):
     assert "cycles.max_value" in keys
 
 
+def _tilted_number_problem(angle, pre_state):
+    """diag(0, 1) rotated by ``angle``, post-selection |1><1|: g_0 = angle * psi_0 / psi_1 to first order."""
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return {
+        "dimension": 2,
+        "observable": ((rotation * np.array([0.0, 1.0])) @ rotation.T).tolist(),
+        "pre_state": pre_state,
+        "post_state": [[0.0, 0.0], [0.0, 1.0]],
+    }
+
+
+# g_0 = -2e-9 at Tr(rho_phi rho_psi) = 0.2: the largest fragment cycle is 1 + 2 * 0.2 * 2e-9.
+SMALL_ANOMALY_LOW_OVERLAP = _tilted_number_problem(1e-9, [[0.8, -0.4], [-0.4, 0.2]])
+# g_0 = -8e-10, inside the band, at Tr = 0.9: the same cycles reach 1 + 1.44e-9.
+NO_ANOMALY_HIGH_OVERLAP = _tilted_number_problem(2.4e-9, [[0.1, -0.3], [-0.3, 0.9]])
+
+
+def test_contextuality_certifies_a_small_anomaly_at_low_overlap(capsys, tmp_path):
+    path = _write_problem(tmp_path / "p.json", SMALL_ANOMALY_LOW_OVERLAP)
+    code, out, _ = _run(capsys, ["contextuality", "--input", path])
+    fragment = json.loads(out)["cycles"]["fragment"]
+    assert code == 3
+    assert fragment["claim_applies"]
+    assert fragment["violated"]
+    assert abs(fragment["max_value"] - (1.0 + 8e-10)) < 1e-15
+
+
+def test_contextuality_flags_no_cycle_for_an_accepted_input_defect(capsys, tmp_path):
+    # The pre-selection norm is 2e-11 above 1, which validation accepts; g = (1, 0).
+    path = _write_problem(tmp_path / "p.json", {
+        "dimension": 2,
+        "observable": [[0.0, 0.0], [0.0, 1.0]],
+        "pre_state": [1.00000000001, 0.0],
+        "post_state": [0.001, 0.9999995],
+    })
+    code, out, _ = _run(capsys, ["contextuality", "--input", path])
+    cycles = json.loads(out)["cycles"]
+    assert code == 0
+    assert cycles["fragment"]["claim_applies"]
+    assert cycles["fragment"]["max_value"] > 1.0 + 1e-11
+    assert cycles["fragment"]["violated"] == []
+    assert cycles["violated_count"] == 0
+
+
+@pytest.mark.parametrize("problem", [SMALL_ANOMALY_LOW_OVERLAP, NO_ANOMALY_HIGH_OVERLAP, GREAT_CIRCLE],
+                         ids=["small-anomaly-low-overlap", "no-anomaly-high-overlap", "great-circle"])
+def test_a_cycle_in_both_tables_gets_one_verdict(capsys, tmp_path, problem):
+    # At d = 2 every cycle of the full table (phi, psi, a1, a2) is also a fragment cycle.
+    path = _write_problem(tmp_path / "p.json", problem)
+    _, out, _ = _run(capsys, ["contextuality", "--input", path])
+    cycles = json.loads(out)["cycles"]
+    full = {(tuple(c["triple"]), tuple(c["minus_edge"])): c["violated"] for c in cycles["inequalities"]}
+    fragment_violated = {(tuple(c["triple"]), tuple(c["minus_edge"])) for c in cycles["fragment"]["violated"]}
+    assert {key for key, violated in full.items() if violated} == fragment_violated & set(full)
+    assert len(full) == 12
+
+
+@pytest.mark.parametrize("render", [cli.render_json, cli.render_csv])
+@pytest.mark.parametrize("leaf", [np.float64(0.5), np.int64(3), np.bool_(True), (0.5, 1.0), 0.5 + 1j],
+                         ids=["numpy-float", "numpy-int", "numpy-bool", "tuple", "complex"])
+def test_renderers_refuse_leaves_outside_the_report_types(render, leaf):
+    with pytest.raises(TypeError):
+        render({"section": {"value": leaf}})
+
+
+def test_one_process_answers_as_separate_runs_do(capsys, great_circle_file):
+    requests = [["compute", "--input", great_circle_file],
+                ["compute", "--input", great_circle_file, "--format", "yaml"],
+                ["scan", "--n", "50", "--seed", "4", "--format", "csv"]]
+    in_process = [_run(capsys, argv) for argv in requests]
+    separate = []
+    for argv in requests:
+        proc = subprocess.run([sys.executable, "-m", "weakvalues", *argv], capture_output=True, text=True)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [3, 1, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_search_reports_are_byte_identical(capsys):
     argv = ["search", "--observable", "proj0", "--budget", "1500", "--seed", "3"]
     _, out1, _ = _run(capsys, argv)
@@ -441,6 +520,19 @@ def test_non_finite_pointer_settings_are_input_errors(capsys, tmp_path, pointer)
     assert code == 1
     assert out == ""
     assert "problem.pointer" in err
+
+
+@pytest.mark.parametrize("settings, message", [
+    # pointer entries are read coupling, width, then the series, whatever the file order
+    ({"pointer": {"width": "x", "coupling": "y"}}, "problem.pointer.coupling: expected a number, got str"),
+    ({"pointer": {"couplings_series": [1, "a"], "width": "x"}}, "problem.pointer.width: expected a number, got str"),
+    # tolerances are read in file order
+    ({"tolerances": {"norm": "x", "anom": "y"}}, "problem.tolerances.norm: expected a number, got str"),
+])
+def test_a_settings_object_with_two_bad_entries_names_one(capsys, tmp_path, settings, message):
+    path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, **settings})
+    code, out, err = _run(capsys, ["pointer", "--input", path])
+    assert (code, out, err) == (1, "", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])

@@ -10,6 +10,7 @@ from weakvalues.contextuality import (
     NotRealAmplitudeError,
     all_three_cycles,
     anomaly_implies_violation,
+    fragment_cycles,
     qubit_fragment_graph,
 )
 from weakvalues.invariants import FrameGraph, build_frame_graph
@@ -256,3 +257,54 @@ def test_every_real_anomaly_certifies(proj_zero):
         found += 1
         assert len(violated) >= 1
     assert found == 200
+
+
+def test_a_small_anomaly_at_low_overlap_still_certifies():
+    """g_0 = -2e-9 at Tr(rho_phi rho_psi) = 0.2 lifts the largest cycle by only 2 * 0.2 * 2e-9."""
+    angle = 1e-9
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    obs = wv.eigensystem((rotation * np.array([0.0, 1.0])) @ rotation.T)
+    rho_phi = wv.validate_density([[0.0, 0.0], [0.0, 1.0]])
+    rho_psi = wv.validate_density([[0.8, -0.4], [-0.4, 0.2]])
+    dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
+    assert abs(dist.weights[0] + 2e-9) < 1e-15
+    assert wv.anomalous_indices(dist) == (0, 1)
+    assert violated
+    assert abs(max(c.value for c in violated) - (1.0 + 8e-10)) < 1e-15
+
+
+def test_an_anomaly_at_the_edge_of_the_band_still_certifies(proj_one):
+    """g_1 = -1e-9 - 1e-18 passes the band by less than the rounding of a cycle value."""
+    rho_phi = wv.validate_density([[0.5, 0.5], [0.5, 0.5]])
+    rho_psi = wv.DensityOperator(np.outer([1.0, -1e-9], [1.0, -1e-9]).astype(complex))
+    dist, violated = anomaly_implies_violation(rho_phi, rho_psi, proj_one)
+    assert wv.anomalous_indices(dist) == (1,)
+    assert violated
+
+
+def test_orthogonal_real_pairs_show_no_rounding_violation():
+    # Tr(rho_phi rho_psi) = 0 makes 2 Tr anom vanish, while the cycle values carry rounding.
+    rng = np.random.default_rng(3)
+    for t, a in rng.uniform(0.0, np.pi, size=(50, 2)):
+        rotation = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        obs = wv.eigensystem((rotation * np.array([0.0, 1.0])) @ rotation.T)
+        rho_phi = wv.pure_to_density(wv.state_vector([np.cos(t), np.sin(t)]))
+        rho_psi = wv.pure_to_density(wv.state_vector([-np.sin(t), np.cos(t)]))
+        _, cycles = fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)
+        assert not any(c.violated for c in cycles)
+
+
+@pytest.mark.parametrize("pre_state, post_state, observable", [
+    # a pre-selection norm 2e-11 above 1
+    ([1.00000000001, 0.0], [0.001, 0.9999995], [[0.0, 0.0], [0.0, 1.0]]),
+    # amplitudes written to ten digits, an overlap of 1%
+    ([0.7071067812, 0.7071067812], [0.7741670785, -0.6329813067], [[0.5, 0.5], [0.5, 0.5]]),
+], ids=["norm", "ten-digits"])
+def test_an_accepted_input_defect_violates_no_fragment_cycle(pre_state, post_state, observable):
+    """Validation accepts these defects; g sits on [0, 1] and no cycle may be flagged."""
+    rho_phi, rho_psi = (wv.pure_to_density(wv.state_vector(amps)) for amps in (post_state, pre_state))
+    obs = wv.eigensystem(observable)
+    dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
+    assert not wv.anomalous_indices(dist)
+    assert max(c.value for c in fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)[1]) > 1.0 + 1e-11
+    assert violated == []

@@ -2,9 +2,10 @@
 
 Each example is a stack of n selection pairs of dimension d = 2..8, mixed
 states G G^dagger / Tr built from generated entries, and a non-degenerate
-observable with a generated spectrum in a generated eigenbasis. The last
-property draws real qubit pairs instead and checks the contextuality
-certificate that the paper attaches to every real-qubit anomaly.
+observable with a generated spectrum in a generated eigenbasis. The phase
+property draws pure pairs in the same way. The last two properties draw real
+qubit pairs instead and check the contextuality certificate that the paper
+attaches to every real-qubit anomaly.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
-from weakvalues.contextuality import anomaly_implies_violation
+from weakvalues.contextuality import anomaly_implies_violation, fragment_cycles
 from weakvalues.quasiprob import anomalous_indices, anomalous_mask, quasi_prob_stack
 
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -30,19 +31,37 @@ def _states(raw: np.ndarray) -> np.ndarray:
     return rho / trace[:, None, None]
 
 
+def _observable(draw, d: int) -> wv.Observable:
+    basis = draw(hnp.arrays(np.float64, (2, d, d), elements=entries))
+    q, r = np.linalg.qr(basis[0] + 1j * basis[1] + 3.0 * np.eye(d))
+    assume(np.min(np.abs(np.diag(r))) > 1e-3)
+    gaps = draw(hnp.arrays(np.float64, d, elements=st.floats(0.1, 2.0)))
+    spectrum = np.cumsum(gaps) - draw(st.floats(-3.0, 3.0))
+    return wv.eigensystem((q * spectrum) @ q.conj().T)
+
+
 @st.composite
 def selection_stacks(draw):
     d = draw(st.integers(2, 8))
     n = draw(st.integers(1, 4))
     phi = _states(draw(hnp.arrays(np.float64, (n, 2, d, d), elements=entries)))
     psi = _states(draw(hnp.arrays(np.float64, (n, 2, d, d), elements=entries)))
-    basis = draw(hnp.arrays(np.float64, (2, d, d), elements=entries))
-    q, r = np.linalg.qr(basis[0] + 1j * basis[1] + 3.0 * np.eye(d))
-    assume(np.min(np.abs(np.diag(r))) > 1e-3)
-    gaps = draw(hnp.arrays(np.float64, d, elements=st.floats(0.1, 2.0)))
-    spectrum = np.cumsum(gaps) - draw(st.floats(-3.0, 3.0))
-    obs = wv.eigensystem((q * spectrum) @ q.conj().T)
-    return phi, psi, obs
+    return phi, psi, _observable(draw, d)
+
+
+@st.composite
+def pure_selections(draw):
+    """Unit vectors psi, phi with |<phi|psi>|^2 > 1e-2, an observable, and two phases."""
+    d = draw(st.integers(2, 8))
+    raw = draw(hnp.arrays(np.float64, (2, 2, d), elements=entries))
+    vectors = raw[:, 0] + 1j * raw[:, 1]
+    norms = np.linalg.norm(vectors, axis=1)
+    assume(np.all(norms > 1e-3))
+    psi, phi = vectors / norms[:, None]
+    # g carries rounding of order eps / |<phi|psi>|^2 on either side of the comparison
+    assume(abs(np.vdot(phi, psi)) ** 2 > 1e-2)
+    phases = np.exp(1j * np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=2, max_size=2))))
+    return psi, phi, _observable(draw, d), phases
 
 
 def _selected(den: np.ndarray) -> np.ndarray:
@@ -91,6 +110,22 @@ def test_a_dephased_pre_selection_gives_no_anomalous_weight(case):
     assert not np.any(anomalous_mask(g[_selected(den)], 0.0, 1.0, wv.DEFAULT_TOL.anom))
 
 
+@PROPERTY_SETTINGS
+@given(pure_selections())
+def test_selection_phases_change_neither_g_nor_the_weak_value(case):
+    psi, phi, obs, (pre_phase, post_phase) = case
+
+    def g_and_weak_value(psi, phi):
+        pre, post = wv.StateVector(psi), wv.StateVector(phi)
+        dist = wv.quasi_prob(wv.pure_to_density(post), wv.pure_to_density(pre), obs)
+        return dist.weights, wv.weak_value_pure(obs, pre, post).value
+
+    g, aw = g_and_weak_value(psi, phi)
+    g_phased, aw_phased = g_and_weak_value(pre_phase * psi, post_phase * phi)
+    assert np.all(np.abs(g_phased - g) <= 1e-12 * np.abs(g).sum())
+    assert abs(aw_phased - aw) <= 1e-12 * np.abs(g * obs.eigenvalues).sum()
+
+
 @st.composite
 def real_qubit_density(draw):
     """A real qubit state: v v^T / |v|^2 when pure, G G^T / Tr(G G^T) when mixed."""
@@ -121,3 +156,16 @@ def test_a_real_qubit_anomaly_gives_a_violated_cycle(rho_phi, rho_psi, obs):
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
     if anomalous_indices(dist):
         assert violated
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(real_qubit_density(), real_qubit_density(), real_qubit_observables())
+def test_the_fragment_excess_is_twice_the_overlap_times_the_anomaly_margin(rho_phi, rho_psi, obs):
+    assume(np.trace(rho_phi.matrix @ rho_psi.matrix).real > 1e-6)
+    dist = wv.quasi_prob(rho_phi, rho_psi, obs)
+    if anomalous_indices(dist):
+        g = dist.weights.real
+        margin = max(-g.min(), g.max() - 1.0)
+        graph, cycles = fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)
+        excess = max(c.value for c in cycles) - 1.0
+        assert abs(excess - 2.0 * graph.edge(0, 1) * margin) <= 1e-12
