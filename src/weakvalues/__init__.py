@@ -71,7 +71,6 @@ from .pointer import (
 from .explore import (
     DIAGONAL,
     HAAR_PURE,
-    MIXED_FIXED_RANK,
     MIXED_FULL_RANK,
     REAL_MIXED,
     REAL_PURE,

@@ -117,27 +117,43 @@ class Problem:
     seed: int | None
 
 
+_FLOAT_BOUND = 2 ** 1024 - 2 ** 970  # the least integer that float() refuses
+
+
+def _is_number(node) -> bool:
+    return isinstance(node, float) or (isinstance(node, int) and not isinstance(node, bool)
+                                       and -_FLOAT_BOUND < node < _FLOAT_BOUND)
+
+
 def _expect_number(node, where: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ProblemFileError(where, f"expected a number, got {type(node).__name__}")
+    if not _is_number(node):
+        raise ProblemFileError(where, "integer outside the float range" if type(node) is int
+                               else f"expected a number, got {type(node).__name__}")
     return float(node)
 
 
-def _parse_complex(node, where: str) -> complex:
+def _entry(node, where: str, *index: int):
+    """(re, im) of a real number or an [re, im] pair; any other entry raises, naming its JSON path."""
+    if isinstance(node, list):
+        if len(node) == 2 and _is_number(node[0]) and _is_number(node[1]):
+            return node
+    elif _is_number(node):
+        return node, 0.0
+    where += "".join(f"[{k}]" for k in index)  # formatted for a refused entry only
     if isinstance(node, list) and len(node) == 2:
-        return complex(_expect_number(node[0], f"{where}[0]"), _expect_number(node[1], f"{where}[1]"))
-    try:
-        return complex(_expect_number(node, where))
-    except ProblemFileError:
-        raise ProblemFileError(where, "expected a [re, im] pair or a real number") from None
+        for k, part in enumerate(node):
+            _expect_number(part, f"{where}[{k}]")
+    elif type(node) is int:
+        _expect_number(node, where)
+    raise ProblemFileError(where, "expected a [re, im] pair or a real number")
 
 
-def _parses(parse, node) -> bool:
-    try:
-        parse(node, "")
-    except ProblemFileError:
-        return False
-    return True
+def _complex_array(readings: list) -> np.ndarray:
+    # Setting the parts keeps their bits, where re + 1j * im turns an imaginary -0.0 into 0.0.
+    parts = np.array(readings, dtype=float)
+    z = np.empty(parts.shape[:-1], dtype=complex)
+    z.real, z.imag = parts[..., 0], parts[..., 1]
+    return z
 
 
 def _parse_matrix(node, where: str) -> np.ndarray:
@@ -147,65 +163,44 @@ def _parse_matrix(node, where: str) -> np.ndarray:
     for i, row in enumerate(node):
         if not isinstance(row, list) or not row:
             raise ProblemFileError(f"{where}[{i}]", "expected a non-empty row list")
-        rows.append([_parse_complex(entry, f"{where}[{i}][{j}]") for j, entry in enumerate(row)])
+        rows.append([_entry(entry, where, i, j) for j, entry in enumerate(row)])
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ProblemFileError(f"{where}[{i}]", f"ragged matrix: row has {len(row)} entries, expected {width}")
-    return np.array(rows, dtype=complex)
+    return _complex_array(rows)
 
 
 def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator:
-    """A state is either an amplitude vector or a density matrix.
+    """Amplitudes when every entry is a real number or an [re, im] pair, else a density matrix.
 
-    A dim x dim grid of bare numbers reads as a matrix. At dim 2 that shape
-    coincides with a two-amplitude vector of [re, im] pairs, so the vector
-    reading is tried as a fallback when the matrix reading fails validation.
-    The order is safe: when both readings validate, the matrix is forced to
-    be rank-1 and its vector reading is the same ray up to a global phase.
+    At dim 2 two pairs are also a 2 x 2 grid of numbers, read as a matrix first and as amplitudes
+    second. The order is safe: when both readings validate, the matrix is rank-1 and the same ray.
     """
     if not isinstance(node, list) or not node:
         raise ProblemFileError(where, "expected an amplitude vector or a density matrix")
-    grid_like = (
-        len(node) == dim
-        and all(isinstance(row, list) and len(row) == dim and all(_parses(_expect_number, e) for e in row)
-                for row in node)
-    )
-    vector_like = all(_parses(_parse_complex, e) for e in node)
-
-    def as_vector() -> DensityOperator:
-        amps = [_parse_complex(entry, f"{where}[{i}]") for i, entry in enumerate(node)]
-        if len(amps) != dim:
-            raise ProblemFileError(where, f"state has {len(amps)} amplitudes, expected {dim}")
-        return pure_to_density(state_vector(amps, tol))
-
-    if grid_like:
-        matrix = _parse_matrix(node, where)
-        try:
-            return validate_density(matrix, tol)
-        except ValidationError as exc:
-            if not vector_like:
-                raise ProblemFileError(where, str(exc)) from exc
-            matrix_error = exc
-        try:
-            return as_vector()
-        except (ValidationError, ProblemFileError):
-            raise ProblemFileError(
-                where, f"not a valid density matrix ({matrix_error}) and the "
-                       "amplitude-vector reading fails as well"
-            ) from matrix_error
-    if vector_like:
-        try:
-            return as_vector()
-        except ValidationError as exc:
-            raise ProblemFileError(where, str(exc)) from exc
-    matrix = _parse_matrix(node, where)
-    if matrix.shape != (dim, dim):
-        raise ProblemFileError(where, f"state has shape {matrix.shape}, expected ({dim}, {dim})")
     try:
-        return validate_density(matrix, tol)
-    except ValidationError as exc:
-        raise ProblemFileError(where, str(exc)) from exc
+        amplitudes = _complex_array([_entry(entry, where, i) for i, entry in enumerate(node)])
+    except ProblemFileError:
+        amplitudes = None
+    readings = []
+    if amplitudes is None or (dim == len(node) == 2 and all(isinstance(entry, list) for entry in node)):
+        matrix = _parse_matrix(node, where)
+        if matrix.shape != (dim, dim):
+            raise ProblemFileError(where, f"state has shape {matrix.shape}, expected ({dim}, {dim})")
+        readings.append(lambda: validate_density(matrix, tol))
+    if amplitudes is not None:
+        if len(amplitudes) != dim:
+            raise ProblemFileError(where, f"state has {len(amplitudes)} amplitudes, expected {dim}")
+        readings.append(lambda: pure_to_density(state_vector(amplitudes, tol)))
+    errors = []
+    for read in readings:
+        try:
+            return read()
+        except ValidationError as exc:
+            errors.append(str(exc))
+    raise ProblemFileError(where, errors[0] if len(errors) == 1 else
+                           f"not a valid density matrix ({errors[0]}) and the amplitude-vector reading fails as well")
 
 
 def _parse_settings(node, where: str, cls, noun: str, shape: str, read):
@@ -296,7 +291,11 @@ def load_problem(path: str, tol_anom_override: float | None = None) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory, or a file without read permission
+        raise ProblemFileError(path, f"cannot read the file: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFileError(path, f"invalid JSON: {exc}") from exc
     return parse_problem(data, tol_anom_override)
 

@@ -213,7 +213,8 @@ def state_vector(values, tol: Tolerances = DEFAULT_TOL) -> StateVector:
     if amps.ndim != 1:
         raise ValidationError(f"state vector must be 1-D, got shape {amps.shape}")
     _require_finite(amps, "state vector")
-    defect = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+    with np.errstate(over="ignore"):  # an overflowing norm is an infinite defect, refused below
+        defect = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     if defect > tol.norm:
         raise NotNormalizedError(f"squared norm deviates from 1 by {defect:.3e} (tolerance {tol.norm:.1e})")
     return StateVector(amps)
@@ -231,8 +232,8 @@ def validate_density(matrix, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     violated invariant and its magnitude.
     """
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"density operator must be square, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValidationError(f"density operator must be square and non-empty, got shape {mat.shape}")
     _require_finite(mat, "density operator")
     defect = _hermiticity_defect(mat)
     if defect > tol.herm:
@@ -263,8 +264,8 @@ def eigensystem(matrix, tol: Tolerances = DEFAULT_TOL) -> Observable:
     largest-modulus-component convention so repeated calls agree bitwise.
     """
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"observable must be square, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValidationError(f"observable must be square and non-empty, got shape {mat.shape}")
     _require_finite(mat, "observable")
     defect = _hermiticity_defect(mat)
     if defect > tol.herm:

@@ -28,7 +28,6 @@ from .witness import DEFAULT_COHERENCE_TOL
 __all__ = [
     "HAAR_PURE",
     "MIXED_FULL_RANK",
-    "MIXED_FIXED_RANK",
     "REAL_PURE",
     "REAL_MIXED",
     "DIAGONAL",
@@ -43,22 +42,20 @@ __all__ = [
 
 HAAR_PURE = "haar-pure"
 MIXED_FULL_RANK = "mixed-full-rank"
-MIXED_FIXED_RANK = "mixed-fixed-rank"
 REAL_PURE = "real-pure"
 REAL_MIXED = "real-mixed"
 DIAGONAL = "diagonal"
 
-SAMPLER_KINDS = (HAAR_PURE, MIXED_FULL_RANK, MIXED_FIXED_RANK, REAL_PURE, REAL_MIXED, DIAGONAL)
+SAMPLER_KINDS = (HAAR_PURE, MIXED_FULL_RANK, REAL_PURE, REAL_MIXED, DIAGONAL)
 
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """What to sample: dimension, ensemble kind, master seed, optional rank."""
+    """What to sample: dimension, ensemble kind, master seed."""
 
     dim: int
     kind: str
     seed: int
-    rank: int | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -67,13 +64,6 @@ class SamplerSpec:
             raise ValidationError(f"unknown sampler kind {self.kind!r}, expected one of {SAMPLER_KINDS}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if self.kind == MIXED_FIXED_RANK:
-            if self.rank is None or not 1 <= self.rank <= self.dim:
-                raise ValidationError(
-                    f"kind {MIXED_FIXED_RANK!r} needs 1 <= rank <= dim, got rank={self.rank}"
-                )
-        elif self.rank is not None:
-            raise ValidationError(f"rank is only meaningful for kind {MIXED_FIXED_RANK!r}")
 
 
 def _task_rng(seed: int, key: int) -> np.random.Generator:
@@ -81,7 +71,7 @@ def _task_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
 
 
-def _draw(kind: str, dim: int, rank: int | None, rng: np.random.Generator, size: int) -> np.ndarray:
+def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
 
     State k consumes the generator's k-th run of variates, so the first
@@ -94,9 +84,8 @@ def _draw(kind: str, dim: int, rank: int | None, rng: np.random.Generator, size:
         x = rng.normal(size=(size, 2, dim))
         z = x[:, 0] + 1j * x[:, 1]
         return z / np.linalg.norm(z, axis=1, keepdims=True)
-    if kind in (MIXED_FULL_RANK, MIXED_FIXED_RANK, REAL_MIXED):
-        r = rank if kind == MIXED_FIXED_RANK else dim
-        x = rng.normal(size=(size, 2, dim, r))
+    if kind in (MIXED_FULL_RANK, REAL_MIXED):
+        x = rng.normal(size=(size, 2, dim, dim))
         g = x[:, 0] + 1j * x[:, 1]
         rho = g @ g.conj().transpose(0, 2, 1)
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
@@ -117,7 +106,7 @@ def sample(spec: SamplerSpec, index: int = 0):
 
     The same (spec, index) always reproduces the same state bit for bit.
     """
-    state = _draw(spec.kind, spec.dim, spec.rank, _task_rng(spec.seed, index), 1)[0]
+    state = _draw(spec.kind, spec.dim, _task_rng(spec.seed, index), 1)[0]
     return StateVector(state) if state.ndim == 1 else DensityOperator(state)
 
 
@@ -128,7 +117,7 @@ def _block_size(dim: int) -> int:
 
 def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
     """Block ``block`` of a scan as a (size, d, d) stack of density matrices."""
-    states = _draw(spec.kind, spec.dim, spec.rank, _task_rng(spec.seed, block), size)
+    states = _draw(spec.kind, spec.dim, _task_rng(spec.seed, block), size)
     if states.ndim == 2:
         states = states[:, :, None] * states[:, None, :].conj()
     return states

@@ -10,7 +10,10 @@ is the negativity search walked one restart and one candidate at a time,
 the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
 ``looped_three_cycles`` fill the overlap graph one vertex pair at a time
 and evaluate its cycles one triple at a time, the reference for the
-stacked overlap rows and the cycle index table.
+stacked overlap rows and the cycle index table. ``nodewise_matrix`` and
+``nodewise_state`` read a problem file's matrices and states one node at a
+time, probing each state as a grid and as a vector, the reference for the
+reader that classifies each entry once.
 """
 
 from itertools import combinations
@@ -18,6 +21,7 @@ from itertools import combinations
 import numpy as np
 
 import weakvalues as wv
+from weakvalues.cli import ProblemFileError
 from weakvalues.contextuality import FRAGMENT_LABELS, CycleInequality
 from weakvalues.explore import SearchResult, _task_rng
 from weakvalues.invariants import FrameGraph
@@ -218,3 +222,93 @@ def looped_three_cycles(graph, anomaly_tol=wv.DEFAULT_TOL.anom):
                 violated=value > 1.0 + anomaly_tol,
             ))
     return out
+
+
+def _expect_number(node, where):
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ProblemFileError(where, f"expected a number, got {type(node).__name__}")
+    return float(node)
+
+
+def _nodewise_complex(node, where):
+    if isinstance(node, list) and len(node) == 2:
+        return complex(_expect_number(node[0], f"{where}[0]"), _expect_number(node[1], f"{where}[1]"))
+    try:
+        return complex(_expect_number(node, where))
+    except ProblemFileError:
+        raise ProblemFileError(where, "expected a [re, im] pair or a real number") from None
+
+
+def _parses(parse, node):
+    try:
+        parse(node, "")
+    except ProblemFileError:
+        return False
+    return True
+
+
+def nodewise_matrix(node, where):
+    """A problem-file matrix parsed entry by entry into Python complex numbers."""
+    if not isinstance(node, list) or not node:
+        raise ProblemFileError(where, "expected a non-empty list of rows")
+    rows = []
+    for i, row in enumerate(node):
+        if not isinstance(row, list) or not row:
+            raise ProblemFileError(f"{where}[{i}]", "expected a non-empty row list")
+        rows.append([_nodewise_complex(entry, f"{where}[{i}][{j}]") for j, entry in enumerate(row)])
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ProblemFileError(f"{where}[{i}]", f"ragged matrix: row has {len(row)} entries, expected {width}")
+    return np.array(rows, dtype=complex)
+
+
+def nodewise_state(node, where, dim, tol=wv.DEFAULT_TOL):
+    """A problem-file state, probed as a grid of numbers and as a vector before it is read.
+
+    A dim x dim grid of bare numbers reads as a matrix, with the vector of
+    [re, im] pairs as the fallback at dim 2; a vector of numbers and pairs
+    reads as amplitudes; anything else reads as a matrix.
+    """
+    if not isinstance(node, list) or not node:
+        raise ProblemFileError(where, "expected an amplitude vector or a density matrix")
+    grid_like = (
+        len(node) == dim
+        and all(isinstance(row, list) and len(row) == dim and all(_parses(_expect_number, e) for e in row)
+                for row in node)
+    )
+    vector_like = all(_parses(_nodewise_complex, e) for e in node)
+
+    def as_vector():
+        amps = [_nodewise_complex(entry, f"{where}[{i}]") for i, entry in enumerate(node)]
+        if len(amps) != dim:
+            raise ProblemFileError(where, f"state has {len(amps)} amplitudes, expected {dim}")
+        return wv.pure_to_density(wv.state_vector(amps, tol))
+
+    if grid_like:
+        matrix = nodewise_matrix(node, where)
+        try:
+            return wv.validate_density(matrix, tol)
+        except wv.ValidationError as exc:
+            if not vector_like:
+                raise ProblemFileError(where, str(exc)) from exc
+            matrix_error = exc
+        try:
+            return as_vector()
+        except (wv.ValidationError, ProblemFileError):
+            raise ProblemFileError(
+                where, f"not a valid density matrix ({matrix_error}) and the "
+                       "amplitude-vector reading fails as well"
+            ) from matrix_error
+    if vector_like:
+        try:
+            return as_vector()
+        except wv.ValidationError as exc:
+            raise ProblemFileError(where, str(exc)) from exc
+    matrix = nodewise_matrix(node, where)
+    if matrix.shape != (dim, dim):
+        raise ProblemFileError(where, f"state has shape {matrix.shape}, expected ({dim}, {dim})")
+    try:
+        return wv.validate_density(matrix, tol)
+    except wv.ValidationError as exc:
+        raise ProblemFileError(where, str(exc)) from exc

@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from weakvalues import cli, pointer, quasiprob
+from oracles import nodewise_matrix, nodewise_state
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
 
@@ -146,8 +147,9 @@ def test_exit_two_on_orthogonal_selection(capsys, tmp_path):
 
 
 def test_input_error_paths(capsys, tmp_path):
-    code, _, err = _run(capsys, ["compute", "--input", str(tmp_path / "missing.json")])
-    assert code == 1
+    missing = tmp_path / "missing.json"
+    code, _, err = _run(capsys, ["compute", "--input", str(missing)])
+    assert (code, err) == (1, f"input error: [Errno 2] No such file or directory: '{missing}'\n")
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -240,6 +242,115 @@ def test_grid_of_bare_numbers_prefers_matrix_reading(capsys, tmp_path):
     code, _, err = _run(capsys, ["gvals", "--input", neither])
     assert code == 1
     assert "amplitude-vector reading fails as well" in err
+
+
+_ODD_ENTRIES = st.sampled_from(["x", None, True, False, [], [0.5, 0.5, 0.5], [[0.5]], [0.5, "y"], [True, 0.0]])
+_NUMBERS = (st.floats() | st.integers(-2 ** 70, 2 ** 70)
+            | st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]))
+
+
+@st.composite
+def reader_cases(draw):
+    """(node, dim): a state or matrix node as a problem file writes it, often mutated."""
+    dim = draw(st.integers(2, 4))
+    real = draw(st.booleans())
+    raw = draw(hnp.arrays(np.float64, (2, dim, dim), elements=st.floats(-0.5, 0.5, allow_subnormal=False)))
+    g = raw[0] + (0.0 if real else 1j) * raw[1] + np.eye(dim)
+    if draw(st.booleans()):
+        values = g[0] / np.linalg.norm(g[0])
+    else:
+        rho = g @ g.conj().T
+        values = rho / np.trace(rho).real
+    bare = draw(st.booleans())
+    zero = draw(st.sampled_from([0.0, -0.0]))  # the imaginary part written for a real entry
+    node = [value.real if bare and value.imag == 0.0 else [value.real, value.imag or zero]
+            for value in values.ravel().tolist()]
+    if values.ndim == 2:
+        node = [node[i * dim:(i + 1) * dim] for i in range(dim)]
+    if dim == 2 and draw(st.booleans()):
+        # two pairs of bare numbers: a grid that validates, or amplitudes behind a grid that does not
+        node = (values.real.tolist() if values.ndim == 2 and real
+                else [[value.real, value.imag] for value in (g[0] / np.linalg.norm(g[0])).tolist()])
+    for _ in range(draw(st.integers(0, 3))):
+        rows = [entry for entry in node if isinstance(entry, list) and entry]
+        lists = [node] + rows + [entry for row in rows for entry in row if isinstance(entry, list) and entry]
+        target = draw(st.sampled_from(lists))
+        i = draw(st.integers(0, len(target) - 1))
+        op = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if op == "replace":
+            target[i] = draw(_NUMBERS | _ODD_ENTRIES | st.lists(_NUMBERS, min_size=2, max_size=2))
+        elif op == "delete" and len(target) > 1:
+            del target[i]
+        elif op == "duplicate":
+            target.insert(i, json.loads(json.dumps(target[i])))
+    return node, dim
+
+
+def _reader_outcome(read, *args):
+    try:
+        value = read(*args)
+    except cli.ProblemFileError as exc:
+        return str(exc)
+    array = value if isinstance(value, np.ndarray) else value.matrix
+    return array.shape, array.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=reader_cases())
+@example(case=([[1.0, 0.0], [0.0], [0.0, "x"]], 3))  # a refused entry is named before a ragged row
+@example(case=([[[1.0, -0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -0.0]]], 2))
+def test_reader_matches_the_nodewise_oracle(case):
+    # the same arrays to the bit, signed zeros included, or the same error text
+    node, dim = case
+    assert (_reader_outcome(cli._parse_state, node, "problem.pre_state", dim, cli.DEFAULT_TOL)
+            == _reader_outcome(nodewise_state, node, "problem.pre_state", dim))
+    assert (_reader_outcome(cli._parse_matrix, node, "problem.observable")
+            == _reader_outcome(nodewise_matrix, node, "problem.observable"))
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: path.mkdir(), "cannot read the file: Is a directory"),
+    (lambda path: path.write_bytes(b'{"dimension": 2, "seed": "\xff"}'),
+     "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"),
+    (lambda path: path.write_text("[" * 100_000), "invalid JSON: maximum recursion depth exceeded"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "observable": [[_HUGE, "x"], [0, 0]]})),
+     "problem.observable[0][0]: integer outside the float range"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "observable": [[1, "x"], [0, _HUGE]]})),
+     "problem.observable[0][1]: expected a [re, im] pair or a real number"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pre_state": [[0.5, -_HUGE], [0.5, 0]]})),
+     "problem.pre_state[0][1]: integer outside the float range"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "tolerances": {"anom": _HUGE}})),
+     "problem.tolerances.anom: integer outside the float range"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pointer": {"couplings_series": [0.1, _HUGE]}})),
+     "problem.pointer.couplings_series[1]: integer outside the float range"),
+], ids=["directory", "not-utf8", "deep-nesting", "huge-matrix-entry", "refusal-in-file-order",
+        "huge-amplitude", "huge-tolerance", "huge-pointer-setting"])
+def test_unreadable_problem_files_are_input_errors(capsys, tmp_path, write, message):
+    path = tmp_path / "p.json"
+    write(path)
+    code, out, err = _run(capsys, ["compute", "--input", str(path)])
+    located = message if message.startswith("problem.") else f"{path}: {message}"
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"input error: {located}")
+
+
+def test_an_overflowing_norm_prints_only_its_input_error(tmp_path):
+    path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, "pre_state": [1e300, 1e300]})
+    proc = subprocess.run([sys.executable, "-m", "weakvalues", "compute", "--input", path],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("input error: problem.pre_state: squared norm deviates from 1 by inf "
+                           "(tolerance 1.0e-10)\n")
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_scan_refuses_an_empty_dimension(capsys, dim):
+    code, out, err = _run(capsys, ["scan", "--dim", dim, "--n", "10"])
+    assert (code, out) == (1, "")
+    assert err == "input error: observable must be square and non-empty, got shape (0, 0)\n"
 
 
 def test_round_trip_echo(capsys, great_circle_file, tmp_path):

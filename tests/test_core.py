@@ -158,6 +158,12 @@ def test_eigensystem_rejects_degenerate_and_nonhermitian():
         wv.eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("gate", [wv.eigensystem, wv.validate_density])
+def test_gates_refuse_empty_matrices(gate):
+    with pytest.raises(ValidationError, match=r"non-empty, got shape \(0, 0\)"):
+        gate(np.zeros((0, 0)))
+
+
 def test_observable_projector_matches_basis_state():
     obs = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
     for i in range(3):

@@ -10,7 +10,6 @@ from weakvalues.cli import _SEARCH_OBSERVABLES
 from weakvalues.explore import (
     DIAGONAL,
     HAAR_PURE,
-    MIXED_FIXED_RANK,
     MIXED_FULL_RANK,
     REAL_MIXED,
     REAL_PURE,
@@ -27,8 +26,7 @@ from scan_oracle import pairwise_counts
 
 def test_sampling_is_bit_reproducible():
     for kind in SAMPLER_KINDS:
-        spec = SamplerSpec(dim=3, kind=kind, seed=123,
-                           rank=2 if kind == MIXED_FIXED_RANK else None)
+        spec = SamplerSpec(dim=3, kind=kind, seed=123)
         a = sample(spec, index=7)
         b = sample(spec, index=7)
         mat_a = a.amps if hasattr(a, "amps") else a.matrix
@@ -42,8 +40,7 @@ def test_sampling_is_bit_reproducible():
 def test_all_kinds_yield_valid_states():
     for kind in SAMPLER_KINDS:
         for d in (2, 3, 5):
-            spec = SamplerSpec(dim=d, kind=kind, seed=9,
-                               rank=2 if kind == MIXED_FIXED_RANK else None)
+            spec = SamplerSpec(dim=d, kind=kind, seed=9)
             for i in range(20):
                 state = sample(spec, i)
                 if hasattr(state, "amps"):
@@ -56,10 +53,6 @@ def test_purity_by_kind():
     pure = sample(SamplerSpec(dim=4, kind=HAAR_PURE, seed=1), 0)
     rho = wv.pure_to_density(pure)
     assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-12
-
-    fixed = sample(SamplerSpec(dim=4, kind=MIXED_FIXED_RANK, seed=1, rank=2), 0)
-    ev = np.linalg.eigvalsh(fixed.matrix)
-    assert np.sum(ev > 1e-10) == 2
 
     full = sample(SamplerSpec(dim=4, kind=MIXED_FULL_RANK, seed=1), 0)
     assert np.all(np.linalg.eigvalsh(full.matrix) > 1e-6)
@@ -90,12 +83,6 @@ def test_spec_validation():
         SamplerSpec(dim=2, kind="bogus", seed=0)
     with pytest.raises(wv.ValidationError):
         SamplerSpec(dim=2, kind=HAAR_PURE, seed=-1)
-    with pytest.raises(wv.ValidationError):
-        SamplerSpec(dim=2, kind=MIXED_FIXED_RANK, seed=0, rank=5)
-    with pytest.raises(wv.ValidationError):
-        SamplerSpec(dim=2, kind=MIXED_FIXED_RANK, seed=0)
-    with pytest.raises(wv.ValidationError):
-        SamplerSpec(dim=2, kind=HAAR_PURE, seed=0, rank=1)
 
 
 def test_haar_overlap_distribution():
@@ -227,9 +214,8 @@ def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, 
 def test_scan_matches_pairwise_oracle(kind, dim):
     # n crosses the first block boundary, so two keyed blocks are drawn.
     n = _block_size(dim) + 40
-    rank = 2 if kind == MIXED_FIXED_RANK else None
-    spec_phi = SamplerSpec(dim=dim, kind=kind, seed=21, rank=rank)
-    spec_psi = SamplerSpec(dim=dim, kind=kind, seed=22, rank=rank)
+    spec_phi = SamplerSpec(dim=dim, kind=kind, seed=21)
+    spec_psi = SamplerSpec(dim=dim, kind=kind, seed=22)
     obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
     summary = scan_anomaly_rate(spec_phi, spec_psi, obs, n)
     counts = (summary.anomalous_g, summary.anomalous_aw,
@@ -246,7 +232,7 @@ def test_scan_is_repeatable_and_keyed_by_block(proj_zero):
     assert one.anomalous_g > 0
     # A scan's first pairs do not depend on how many pairs follow them.
     for kind in SAMPLER_KINDS:
-        spec = SamplerSpec(dim=3, kind=kind, seed=23, rank=2 if kind == MIXED_FIXED_RANK else None)
+        spec = SamplerSpec(dim=3, kind=kind, seed=23)
         assert np.array_equal(_density_block(spec, 1, 40), _density_block(spec, 1, 1000)[:40])
 
 
