@@ -42,10 +42,9 @@ from .core import (
 )
 from .explore import SamplerSpec, scan_anomaly_rate, search_max_negativity
 from .invariants import build_frame_graph
-from .pointer import PointerConfig, extrapolate, simulate
+from .pointer import PointerConfig, extrapolate
 from .quasiprob import (
     ANOMALOUS_REAL,
-    DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
     QuasiProbDist,
     WeakValueResult,
@@ -182,6 +181,8 @@ def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator
     try:
         amplitudes = _complex_array([_entry(entry, where, i) for i, entry in enumerate(node)])
     except ProblemFileError:
+        if not any(isinstance(entry, list) for entry in node):
+            raise  # a state with no list entry has no matrix reading: name the refused amplitude
         amplitudes = None
     readings = []
     if amplitudes is None or (dim == len(node) == 2 and all(isinstance(entry, list) for entry in node)):
@@ -483,12 +484,6 @@ def _cycles_section(problem: Problem) -> dict:
 def _pointer_section(problem: Problem, psi: StateVector, phi: StateVector) -> dict:
     cfg = problem.pointer_cfg if problem.pointer_cfg is not None else PointerConfig()
     result = extrapolate(problem.obs, psi, phi, cfg)
-    # simulate reads only the coupling and the width, so a series readout
-    # at the configured coupling is the outcome itself.
-    if cfg.coupling in cfg.couplings_series:
-        outcome = result.outcomes[cfg.couplings_series.index(cfg.coupling)]
-    else:
-        outcome = simulate(problem.obs, psi, phi, cfg)
     series_rows = [
         {
             "coupling": g,
@@ -504,11 +499,7 @@ def _pointer_section(problem: Problem, psi: StateVector, phi: StateVector) -> di
     return {
         "coupling": cfg.coupling,
         "width": cfg.width,
-        "outcome": {
-            "mean_position": outcome.mean_position,
-            "mean_momentum": outcome.mean_momentum,
-            "postselect_prob": outcome.postselect_prob,
-        },
+        "outcome": asdict(result.outcome),
         "series": series_rows,
         "extrapolation": {
             "value": _pairs(result.value),
@@ -528,8 +519,7 @@ def _anomaly_exit(*flags: bool) -> int:
 
 def cmd_compute(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
-    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs,
-                                      DEFAULT_SELECTION_THRESHOLD, tol=problem.tol)
+    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("compute", problem)
     report["weak_value"] = _weak_value_section(witness.aw, problem.tol)
     report["quasiprob"] = _quasiprob_section(witness.dist, witness.aw, problem.tol)
@@ -542,8 +532,7 @@ def cmd_compute(args) -> int:
 
 def cmd_gvals(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
-    dist, aw = quasi_prob_and_weak_value(problem.rho_phi, problem.rho_psi, problem.obs,
-                                         DEFAULT_SELECTION_THRESHOLD, problem.tol)
+    dist, aw = quasi_prob_and_weak_value(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("gvals", problem)
     report["quasiprob"] = _quasiprob_section(dist, aw, problem.tol)
     _print_report(report, args.format)
@@ -552,8 +541,7 @@ def cmd_gvals(args) -> int:
 
 def cmd_witness(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
-    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs,
-                                      DEFAULT_SELECTION_THRESHOLD, tol=problem.tol)
+    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("witness", problem)
     report["weak_value"] = _weak_value_section(witness.aw, problem.tol)
     report["witness"] = _witness_section(problem, witness)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, DensityOperator, NotQubitError, Observable, Tolerances, ValidationError
 from .invariants import FrameGraph, _graph_from_vertices
-from .quasiprob import DEFAULT_SELECTION_THRESHOLD, QuasiProbDist, quasi_prob
+from .quasiprob import QuasiProbDist, quasi_prob
 
 __all__ = ["NotRealAmplitudeError", "CycleInequality", "all_three_cycles", "qubit_fragment_graph",
            "fragment_cycles", "anomaly_implies_violation", "real_amplitude_failure"]
@@ -128,9 +128,7 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
 
 
 def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                              threshold: float = DEFAULT_SELECTION_THRESHOLD,
-                              tol: Tolerances = DEFAULT_TOL,
-                              ) -> tuple[QuasiProbDist, list[CycleInequality]]:
+                              tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, list[CycleInequality]]:
     """Quasi-probabilities and violated fragment cycles for real qubit inputs.
 
     For qubits with real amplitudes, any quasi-probability above 1 forces at
@@ -141,5 +139,5 @@ def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator
     if failure is not None:
         raise NotRealAmplitudeError(failure)
 
-    dist = quasi_prob(rho_phi, rho_psi, obs, threshold, tol)
+    dist = quasi_prob(rho_phi, rho_psi, obs, tol)
     return dist, [c for c in fragment_cycles(rho_phi, rho_psi, obs, tol)[1] if c.violated]

@@ -204,7 +204,8 @@ def require_dims(dim: int, *states) -> None:
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T)))
+    with np.errstate(over="ignore"):  # an overflowing difference is an infinite defect, refused by the gate
+        return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 def state_vector(values, tol: Tolerances = DEFAULT_TOL) -> StateVector:
@@ -241,7 +242,8 @@ def validate_density(matrix, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     lowest = float(np.linalg.eigvalsh(mat)[0])
     if lowest < -tol.psd:
         raise NotPSDError(f"lowest eigenvalue {lowest:.3e} below -{tol.psd:.1e}")
-    trace_defect = abs(complex(np.trace(mat)) - 1.0)
+    with np.errstate(over="ignore"):  # an overflowing trace is an infinite defect, refused below
+        trace_defect = abs(complex(np.trace(mat)) - 1.0)
     if trace_defect > tol.norm:
         raise TraceNotOneError(f"trace deviates from 1 by {trace_defect:.3e} (tolerance {tol.norm:.1e})")
     return DensityOperator(mat)
@@ -271,6 +273,10 @@ def eigensystem(matrix, tol: Tolerances = DEFAULT_TOL) -> Observable:
     if defect > tol.herm:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {tol.herm:.1e}")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = float(eigenvalues[-1] - eigenvalues[0])
+    if not np.isfinite(width):  # every gap is at most the width, so no gap overflows past this
+        raise ValidationError(f"spectrum width a_max - a_min = {width:.3e} is not a finite float")
     gaps = np.diff(eigenvalues)
     if gaps.size and float(np.min(gaps)) < tol.degen:
         raise DegenerateError(

@@ -137,6 +137,15 @@ class SearchResult:
     evaluations: int
 
 
+# The search's settings: restarts, the floor on |<phi|psi>|^2, a restart's first and last poll step.
+SEARCH_RESTARTS = 20
+SEARCH_MIN_OVERLAP = 0.25
+SEARCH_INITIAL_STEP = 0.9
+SEARCH_MIN_STEP = 1e-9
+# The Bloch separation x[:, 0] whose squared overlap cos(x[:, 0] / 2)**2 is the floor.
+_MAX_SEPARATION = 2.0 * np.arccos(np.sqrt(SEARCH_MIN_OVERLAP))
+
+
 def _pairs_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Selection pairs from (n, 4) angle rows: (phi polar, phi azimuth, psi polar, psi azimuth).
 
@@ -157,7 +166,7 @@ def _pairs_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, psi
 
 
-def _negativity(x: np.ndarray, matrix: np.ndarray, max_separation: float) -> np.ndarray:
+def _negativity(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Box-clamped objective: pin each row's separation angle, then score -Re(A_w).
 
     -Re(A_w) grows without bound as the selection pair approaches
@@ -170,45 +179,39 @@ def _negativity(x: np.ndarray, matrix: np.ndarray, max_separation: float) -> np.
     products are stacked matmuls because those reproduce the one-pair
     ``np.vdot`` route bit for bit; a conj-multiply-add or an einsum does not.
     """
-    x[:, 0] = np.minimum(np.maximum(x[:, 0], 0.0), max_separation)
+    x[:, 0] = np.minimum(np.maximum(x[:, 0], 0.0), _MAX_SEPARATION)
     phi, psi = _pairs_from_params(x)
     bra = phi.conj()[:, None, :]
     ket = psi[:, :, None]
     return -((bra @ (matrix @ ket)) / (bra @ ket))[:, 0, 0].real
 
 
-def search_max_negativity(observable, budget: int, seed: int, *,
-                          restarts: int = 20,
-                          min_overlap: float = 0.25,
-                          initial_step: float = 0.9,
-                          min_step: float = 1e-9) -> SearchResult:
+def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
     """Maximize -Re(A_w) over pure qubit selection pairs by pattern search.
 
     Pairs are parameterized by a polar and an azimuthal Bloch angle per
     state, the post-selection pair taken relative to the pre-selection state
-    (see ``_pairs_from_params``); separations past the ``min_overlap`` floor
-    are clamped before scoring. At the default 0.25 floor the constrained
-    optimum for a rank-1 projector is 1/2, reached when the two states and
-    the small eigenvector close a 120-degree great circle.
+    (see ``_pairs_from_params``); separations past the ``SEARCH_MIN_OVERLAP``
+    floor of 1/4 are clamped before scoring. There the constrained optimum
+    for a rank-1 projector is 1/2, reached when the two states and the small
+    eigenvector close a 120-degree great circle.
 
-    Restarts draw independent starting points keyed by (seed, restart) and
-    split the evaluation budget evenly; a budget of 0 or less evaluates one
-    start. Each restart is a coordinate pattern search: it polls +h and -h
-    along each angle in turn, adopts a strictly better point, and halves h
-    after a sweep without a move. It retires when its share is spent or h
-    falls below ``min_step``. All restarts poll the same (angle, sign)
-    position at each step, so one stacked evaluation serves them all.
+    ``SEARCH_RESTARTS`` restarts draw independent starting points keyed by
+    (seed, restart) and split the evaluation budget evenly; a budget of 0 or
+    less evaluates one start. Each restart is a coordinate pattern search: it
+    polls +h and -h along each angle in turn, from h = ``SEARCH_INITIAL_STEP``,
+    adopts a strictly better point, and halves h after a sweep without a
+    move. It retires when its share is spent or h falls below
+    ``SEARCH_MIN_STEP``. All restarts poll the same (angle, sign) position at
+    each step, so one stacked evaluation serves them all.
     """
     matrix = observable.matrix if isinstance(observable, Observable) else np.asarray(observable, dtype=complex)
     if matrix.shape != (2, 2):
         raise ValidationError(f"search is defined for qubit observables, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("search needs a finite observable matrix")
-    if not 0.0 < min_overlap <= 1.0:
-        raise ValidationError(f"min_overlap must lie in (0, 1], got {min_overlap}")
-    max_separation = 2.0 * np.arccos(np.sqrt(min_overlap))
 
-    n_restarts = max(1, min(restarts, budget))
+    n_restarts = max(1, min(SEARCH_RESTARTS, budget))
     shares = budget // n_restarts + (np.arange(n_restarts) < budget % n_restarts)
     x = np.empty((n_restarts, 4))
     for r in range(n_restarts):
@@ -216,10 +219,10 @@ def search_max_negativity(observable, budget: int, seed: int, *,
         theta = np.arccos(rng.uniform(-1.0, 1.0, size=2))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, size=2)
         x[r] = theta[0], azimuth[0], theta[1], azimuth[1]
-    best = _negativity(x, matrix, max_separation)
+    best = _negativity(x, matrix)
     evals = np.ones(n_restarts, dtype=np.int64)
-    h = np.full(n_restarts, float(initial_step))
-    active = (evals < shares) & (h >= min_step)
+    h = np.full(n_restarts, SEARCH_INITIAL_STEP)
+    active = (evals < shares) & (h >= SEARCH_MIN_STEP)
     while active.any():
         moved = np.zeros(n_restarts, dtype=bool)
         for k in range(4):
@@ -227,14 +230,14 @@ def search_max_negativity(observable, budget: int, seed: int, *,
                 live = active & (evals < shares)
                 cand = x.copy()
                 cand[:, k] += sign * h
-                val = _negativity(cand, matrix, max_separation)
+                val = _negativity(cand, matrix)
                 better = live & (val > best)
                 evals += live
                 x[better] = cand[better]
                 best[better] = val[better]
                 moved |= better
         h[active & ~moved] /= 2.0
-        active &= (evals < shares) & (h >= min_step)
+        active &= (evals < shares) & (h >= SEARCH_MIN_STEP)
 
     winner = int(np.argmax(best))
     phi, psi = _pairs_from_params(x[winner:winner + 1])
@@ -269,8 +272,6 @@ class ScanSummary:
 
 
 def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observable, n: int,
-                      threshold: float = DEFAULT_SELECTION_THRESHOLD,
-                      coherence_tol: float = DEFAULT_COHERENCE_TOL,
                       tol: Tolerances = DEFAULT_TOL) -> ScanSummary:
     """Anomaly statistics over ``n`` independent selection pairs.
 
@@ -291,12 +292,12 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
         rho_phi = _density_block(spec_phi, b, size)
         rho_psi = _density_block(spec_psi, b, size)
         den, g = quasi_prob_stack(rho_phi, rho_psi, obs, tol)
-        kept = den > threshold
+        kept = den > DEFAULT_SELECTION_THRESHOLD
         g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
         aw_bad = anomalous_mask((g * a).sum(axis=-1), a[0], a[-1], tol.anom) & kept
         quiet = kept & ~g_bad & ~aw_bad
-        quiet[quiet] = ((coherence_l1_stack(rho_phi[quiet], obs) >= coherence_tol)
-                        & (coherence_l1_stack(rho_psi[quiet], obs) >= coherence_tol))
+        quiet[quiet] = ((coherence_l1_stack(rho_phi[quiet], obs) >= DEFAULT_COHERENCE_TOL)
+                        & (coherence_l1_stack(rho_psi[quiet], obs) >= DEFAULT_COHERENCE_TOL))
         g_count += int(g_bad.sum())
         aw_count += int(aw_bad.sum())
         quiet_count += int(quiet.sum())

@@ -74,12 +74,14 @@ class PointerOutcome:
 class ExtrapolationResult:
     """Weak value recovered from the coupling series, with an error estimate.
 
-    ``outcomes[k]`` is the pointer readout at ``couplings_series[k]``.
+    ``outcomes[k]`` is the pointer readout at ``couplings_series[k]`` and
+    ``outcome`` the readout at the configured ``coupling``.
     """
 
     value: complex
     error: float
     outcomes: tuple[PointerOutcome, ...]
+    outcome: PointerOutcome
 
 
 def _branch_amplitudes(obs: Observable, psi: StateVector, phi: StateVector) -> np.ndarray:
@@ -88,35 +90,47 @@ def _branch_amplitudes(obs: Observable, psi: StateVector, phi: StateVector) -> n
     return (v.conj().T @ phi.amps).conj() * (v.conj().T @ psi.amps)
 
 
-def simulate(obs: Observable, psi: StateVector, phi: StateVector,
-             cfg: PointerConfig = PointerConfig()) -> PointerOutcome:
-    """Exact pointer moments at the configured coupling."""
+def _readouts(obs: Observable, psi: StateVector, phi: StateVector, couplings: tuple[float, ...],
+              width: float) -> list[PointerOutcome]:
+    """Exact pointer moments at each coupling from one stacked (k, d, d) evaluation.
+
+    The first coupling, in order, left without a post-selected pointer raises ZeroPostselectionError.
+    """
     c = _branch_amplitudes(obs, psi, phi)
     a = obs.eigenvalues
-    g = cfg.coupling
-    var4 = 4.0 * cfg.width ** 2
+    g = np.asarray(couplings, dtype=float)[:, None, None]
+    var4 = 4.0 * width ** 2
 
     diff = a[:, None] - a[None, :]
     pair_weight = np.outer(c.conj(), c) * np.exp(-(g * diff) ** 2 / (2.0 * var4))
-    prob = float(np.sum(pair_weight).real)
-    if prob < ZERO_POSTSELECTION_FLOOR:
-        raise ZeroPostselectionError(
-            f"post-selection probability {prob:.3e} below {ZERO_POSTSELECTION_FLOOR:.0e}"
-        )
-    mean_sum = a[:, None] + a[None, :]
-    mean_x = float(np.sum(pair_weight * (g * mean_sum / 2.0)).real) / prob
-    mean_p = float(np.sum(pair_weight * (1j * g * diff / var4)).real) / prob
-    return PointerOutcome(mean_position=mean_x, mean_momentum=mean_p, postselect_prob=prob)
+    terms = np.stack([pair_weight, pair_weight * (g * (a[:, None] + a[None, :]) / 2.0),
+                      pair_weight * (1j * g * diff / var4)])
+    # One flat sum per coupling sums in the same order as np.sum over a (d, d) array.
+    probs, xs, ps = terms.reshape(3, len(couplings), -1).sum(axis=2).real.tolist()
+    for prob in probs:
+        if prob < ZERO_POSTSELECTION_FLOOR:
+            raise ZeroPostselectionError(
+                f"post-selection probability {prob:.3e} below {ZERO_POSTSELECTION_FLOOR:.0e}"
+            )
+    return [PointerOutcome(mean_position=x / prob, mean_momentum=p / prob, postselect_prob=prob)
+            for x, p, prob in zip(xs, ps, probs)]
+
+
+def simulate(obs: Observable, psi: StateVector, phi: StateVector,
+             cfg: PointerConfig = PointerConfig()) -> PointerOutcome:
+    """Exact pointer moments at the configured coupling."""
+    return _readouts(obs, psi, phi, (cfg.coupling,), cfg.width)[0]
 
 
 def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
                 cfg: PointerConfig = PointerConfig()) -> ExtrapolationResult:
     """Recover the weak value by polynomial extrapolation of the readouts to g = 0.
 
-    The per-coupling estimate x/g + i 2 sigma^2 p/g has only even powers of g
-    in its error, so Neville extrapolation on the nodes g^2 knocks out one
-    order per series entry. The error estimate is the last correction the
-    table applied.
+    The series, then the configured coupling, are read out in one stacked
+    evaluation. The per-coupling estimate x/g + i 2 sigma^2 p/g has only even
+    powers of g in its error, so Neville extrapolation on the nodes g^2 knocks
+    out one order per series entry. The error estimate is the last correction
+    the table applied.
 
     That gap bounds the error only in the weak regime, where every branch
     shift g a_i stays within the pointer width: a series whose largest
@@ -132,11 +146,9 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
             f" = {spread:g}, must be at most 1"
         )
     two_var = 2.0 * cfg.width ** 2
-    outcomes = tuple(simulate(obs, psi, phi, PointerConfig(coupling=g, width=cfg.width,
-                                                           couplings_series=series))
-                     for g in series)
-    estimates = [outcome.mean_position / g + 1j * two_var * outcome.mean_momentum / g
-                 for g, outcome in zip(series, outcomes)]
+    *outcomes, outcome = _readouts(obs, psi, phi, series + (cfg.coupling,), cfg.width)
+    estimates = [step.mean_position / g + 1j * two_var * step.mean_momentum / g
+                 for g, step in zip(series, outcomes)]
 
     nodes = np.asarray([g * g for g in series], dtype=float)
     table = list(estimates)
@@ -148,4 +160,5 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
     # the gap to it bounds the residual of the even-power error series.
     value = table[-1]
     error = abs(value - table[-2])
-    return ExtrapolationResult(value=complex(value), error=float(error), outcomes=outcomes)
+    return ExtrapolationResult(value=complex(value), error=float(error), outcomes=tuple(outcomes),
+                               outcome=outcome)

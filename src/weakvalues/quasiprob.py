@@ -52,7 +52,7 @@ NORMAL = "Normal"
 ANOMALOUS_REAL = "AnomalousReal"
 ANOMALOUS_IMAGINARY = "AnomalousImaginary"
 
-# Post-selection overlaps at or below this are treated as orthogonal.
+# Post-selection overlaps at or below this are treated as orthogonal, by every gate and the scan.
 DEFAULT_SELECTION_THRESHOLD = 1e-12
 
 
@@ -125,9 +125,9 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
     Returns ``den[k] = Tr(rho_phi[k] rho_psi[k])`` and ``g[k, i] =
     <a_i| rho_psi[k] rho_phi[k] |a_i> / den[k]`` over the ascending
     eigenvectors a_i of ``obs``; the weak value is ``sum_i g[k, i] a_i``.
-    Rows at or below a selection threshold are the caller's to drop (their g
-    may be infinite or NaN). Raises ImaginaryOverlapError when any overlap
-    has an imaginary part above ``tol.eig``.
+    Rows at or below ``DEFAULT_SELECTION_THRESHOLD`` are the caller's to drop
+    (their g may be infinite or NaN). Raises ImaginaryOverlapError when any
+    overlap has an imaginary part above ``tol.eig``.
     """
     den = overlap_stack(rho_phi, rho_psi, tol)
     # <a_i| rho_psi rho_phi |a_i> = sum_k (V^dagger rho_psi)_ik (rho_phi V)_ki, each
@@ -141,19 +141,18 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
         return den, num / den[:, None]
 
 
-def _check_selection(den: float, threshold: float) -> None:
-    if den <= threshold:
+def _check_selection(den: float) -> None:
+    if den <= DEFAULT_SELECTION_THRESHOLD:
         raise OrthogonalSelectionError(
-            f"post-selection overlap {den:.3e} at or below threshold {threshold:.1e}"
+            f"post-selection overlap {den:.3e} at or below threshold {DEFAULT_SELECTION_THRESHOLD:.1e}"
         )
 
 
 def selection_overlap(rho_phi: DensityOperator, rho_psi: DensityOperator,
-                      threshold: float = DEFAULT_SELECTION_THRESHOLD,
                       tol: Tolerances = DEFAULT_TOL) -> float:
-    """Tr(rho_phi rho_psi), raising OrthogonalSelectionError at or below ``threshold``."""
+    """Tr(rho_phi rho_psi), raising OrthogonalSelectionError at or below ``DEFAULT_SELECTION_THRESHOLD``."""
     den = overlap(rho_phi, rho_psi, tol)
-    _check_selection(den, threshold)
+    _check_selection(den)
     return den
 
 
@@ -163,7 +162,6 @@ def _classified(value: complex, den: float, lo: float, hi: float, anomaly_tol: f
 
 
 def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                              threshold: float = DEFAULT_SELECTION_THRESHOLD,
                               tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, WeakValueResult]:
     """Quasi-probabilities and the weak value sum_i a_i g_i of one selection pair.
 
@@ -172,7 +170,7 @@ def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator
     require_dims(obs.dim, rho_phi, rho_psi)
     den, g = quasi_prob_stack(rho_phi.matrix[None], rho_psi.matrix[None], obs, tol)
     den = float(den[0])
-    _check_selection(den, threshold)
+    _check_selection(den)
     a = obs.eigenvalues
     # An elementwise product and a row sum give each weak value the same bits
     # in a stack of one as in a scan block; a matrix-vector product does not.
@@ -182,21 +180,18 @@ def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator
 
 
 def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-               threshold: float = DEFAULT_SELECTION_THRESHOLD,
                tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
     """Quasi-probability of each eigenvector of ``obs`` for the given selection."""
-    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, threshold, tol)[0]
+    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, tol)[0]
 
 
 def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator,
-               threshold: float = DEFAULT_SELECTION_THRESHOLD,
                tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
     """Weak value of a validated observable as sum_i a_i g_i."""
-    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, threshold, tol)[1]
+    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, tol)[1]
 
 
 def weak_value_hermitian(matrix, rho_psi: DensityOperator, rho_phi: DensityOperator,
-                         threshold: float = DEFAULT_SELECTION_THRESHOLD,
                          tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
     """Weak value of a raw Hermitian matrix by the trace ratio, degenerate spectra included.
 
@@ -208,19 +203,18 @@ def weak_value_hermitian(matrix, rho_psi: DensityOperator, rho_phi: DensityOpera
         raise DimensionMismatchError(f"observable must be square, got shape {mat.shape}")
     require_dims(mat.shape[0], rho_phi, rho_psi)
     spectrum = np.linalg.eigvalsh(mat)
-    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
+    den = selection_overlap(rho_phi, rho_psi, tol)
     value = complex(np.trace(rho_phi.matrix @ mat @ rho_psi.matrix)) / den
     return _classified(value, den, float(spectrum[0]), float(spectrum[-1]), tol.anom)
 
 
 def weak_value_pure(obs: Observable, psi: StateVector, phi: StateVector,
-                    threshold: float = DEFAULT_SELECTION_THRESHOLD,
                     tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
     """Weak value <phi|A|psi> / <phi|psi> for pure pre- and post-selection."""
     require_dims(obs.dim, phi, psi)
     inner = complex(phi.amps.conj() @ psi.amps)
     den = abs(inner) ** 2
-    _check_selection(den, threshold)
+    _check_selection(den)
     value = complex(phi.amps.conj() @ obs.matrix @ psi.amps) / inner
     return _classified(value, den, float(obs.eigenvalues[0]), float(obs.eigenvalues[-1]), tol.anom)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_TOL, DensityOperator, Observable, Tolerances, coherence_l1
 from .quasiprob import (
-    DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
     QuasiProbDist,
     WeakValueResult,
@@ -32,7 +31,7 @@ __all__ = [
 CONSISTENT = "ConsistentWithTheorem"
 VIOLATED = "TheoremViolated"
 
-# l1 coherence at or above this counts as genuinely coherent.
+# l1 coherence at or above this counts as genuinely coherent, here and in the scan.
 DEFAULT_COHERENCE_TOL = 1e-8
 
 
@@ -63,8 +62,6 @@ class WitnessReport:
 
 
 def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                            threshold: float = DEFAULT_SELECTION_THRESHOLD,
-                            coherence_tol: float = DEFAULT_COHERENCE_TOL,
                             tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
     """Diagnose one selection pair: coherence, anomalies, and their consistency.
 
@@ -74,10 +71,10 @@ def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, 
     """
     l1_post = coherence_l1(rho_phi, obs)
     l1_pre = coherence_l1(rho_psi, obs)
-    dist, aw = quasi_prob_and_weak_value(rho_phi, rho_psi, obs, threshold, tol)
+    dist, aw = quasi_prob_and_weak_value(rho_phi, rho_psi, obs, tol)
     bad = anomalous_indices(dist, tol.anom)
-    coherent_post = l1_post >= coherence_tol
-    coherent_pre = l1_pre >= coherence_tol
+    coherent_post = l1_post >= DEFAULT_COHERENCE_TOL
+    coherent_pre = l1_pre >= DEFAULT_COHERENCE_TOL
     anomaly = bool(bad) or aw.classification != NORMAL
     verdict = VIOLATED if anomaly and not (coherent_post and coherent_pre) else CONSISTENT
     return WitnessReport(

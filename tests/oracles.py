@@ -23,7 +23,8 @@ import numpy as np
 import weakvalues as wv
 from weakvalues.cli import ProblemFileError
 from weakvalues.contextuality import FRAGMENT_LABELS, CycleInequality
-from weakvalues.explore import SearchResult, _task_rng
+from weakvalues.explore import (SEARCH_INITIAL_STEP, SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS,
+                                SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
 from weakvalues.quasiprob import selection_overlap
 from weakvalues.witness import DEFAULT_COHERENCE_TOL
@@ -33,8 +34,7 @@ class NotIncoherentError(wv.ValidationError):
     pass
 
 
-def incoherent_quasi_prob(rho_phi, rho_psi, obs, threshold=wv.DEFAULT_SELECTION_THRESHOLD,
-                          coherence_tol=DEFAULT_COHERENCE_TOL, tol=wv.DEFAULT_TOL):
+def incoherent_quasi_prob(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
     """Factorized distribution for selections diagonal in the eigenbasis.
 
     When both states are incoherent the quasi-probability collapses to
@@ -43,19 +43,18 @@ def incoherent_quasi_prob(rho_phi, rho_psi, obs, threshold=wv.DEFAULT_SELECTION_
     """
     for name, rho in (("post-selection", rho_phi), ("pre-selection", rho_psi)):
         l1 = wv.coherence_l1(rho, obs)
-        if l1 >= coherence_tol:
+        if l1 >= DEFAULT_COHERENCE_TOL:
             raise NotIncoherentError(
-                f"{name} state has l1 coherence {l1:.3e} (threshold {coherence_tol:.1e})"
+                f"{name} state has l1 coherence {l1:.3e} (threshold {DEFAULT_COHERENCE_TOL:.1e})"
             )
-    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
+    den = selection_overlap(rho_phi, rho_psi, tol)
     v = obs.eigenvectors
     pops_phi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_phi.matrix, v))
     pops_psi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_psi.matrix, v))
     return pops_phi * pops_psi / den
 
 
-def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, threshold=wv.DEFAULT_SELECTION_THRESHOLD,
-                                   tol=wv.DEFAULT_TOL):
+def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, tol=wv.DEFAULT_TOL):
     """Weak value of the i-th eigenprojector, classified against spectrum {0, 1}.
 
     Evaluated by the direct three-operator trace ratio, so it provides an
@@ -64,7 +63,7 @@ def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, threshold=wv.DEFAUL
     """
     if not 0 <= i < obs.dim:
         raise wv.ValidationError(f"eigenvector index {i} out of range for dim {obs.dim}")
-    den = selection_overlap(rho_phi, rho_psi, threshold, tol)
+    den = selection_overlap(rho_phi, rho_psi, tol)
     proj = obs.projector(i)
     value = complex(np.trace(rho_phi.matrix @ proj.matrix @ rho_psi.matrix)) / den
     return wv.WeakValueResult(value=value, denominator=den, spectrum_lo=0.0, spectrum_hi=1.0,
@@ -92,9 +91,9 @@ def _pair_from_params(x):
     return phi, psi
 
 
-def _evaluator_factory(matrix, min_overlap):
+def _evaluator_factory(matrix):
     """Box-clamped objective for one candidate: pin the separation, score -Re(A_w)."""
-    max_separation = 2.0 * np.arccos(np.sqrt(min_overlap))
+    max_separation = 2.0 * np.arccos(np.sqrt(SEARCH_MIN_OVERLAP))
 
     def evaluate(x):
         clamped = min(max(x[0], 0.0), max_separation)
@@ -108,12 +107,12 @@ def _evaluator_factory(matrix, min_overlap):
     return evaluate
 
 
-def _compass(evaluate, start, share, step, min_step):
+def _compass(evaluate, start, share):
     """Coordinate pattern search; every evaluation counts against ``share``."""
     best_x, best_val = evaluate(np.array(start, dtype=float))
     evals = 1
-    h = step
-    while evals < share and h >= min_step:
+    h = SEARCH_INITIAL_STEP
+    while evals < share and h >= SEARCH_MIN_STEP:
         moved = False
         for k in range(best_x.size):
             for sign in (1.0, -1.0):
@@ -131,15 +130,14 @@ def _compass(evaluate, start, share, step, min_step):
     return best_x, best_val, evals
 
 
-def scalar_search(observable, budget, seed, *, restarts=20, min_overlap=0.25,
-                  initial_step=0.9, min_step=1e-9):
+def scalar_search(observable, budget, seed):
     """``search_max_negativity`` with each restart run to completion in turn.
 
     Same starts, shares, polls and strict-improvement rule as the stacked
     search, but one ``np.vdot`` evaluation per candidate.
     """
     matrix = observable.matrix if isinstance(observable, wv.Observable) else np.asarray(observable, dtype=complex)
-    evaluate = _evaluator_factory(matrix, min_overlap)
+    evaluate = _evaluator_factory(matrix)
 
     def random_start(rng):
         theta = np.arccos(rng.uniform(-1.0, 1.0, size=2))
@@ -150,11 +148,9 @@ def scalar_search(observable, budget, seed, *, restarts=20, min_overlap=0.25,
         x, value = evaluate(random_start(_task_rng(seed, 0)))
         outcomes = [(x, value, 1)]
     else:
-        n_restarts = max(1, min(restarts, budget))
+        n_restarts = max(1, min(SEARCH_RESTARTS, budget))
         shares = [budget // n_restarts + (1 if r < budget % n_restarts else 0) for r in range(n_restarts)]
-        outcomes = [_compass(evaluate, random_start(_task_rng(seed, r)), shares[r],
-                             initial_step, min_step)
-                    for r in range(n_restarts)]
+        outcomes = [_compass(evaluate, random_start(_task_rng(seed, r)), shares[r]) for r in range(n_restarts)]
 
     best_x, best_val = None, -np.inf
     for x, val, _ in outcomes:
@@ -268,7 +264,8 @@ def nodewise_state(node, where, dim, tol=wv.DEFAULT_TOL):
 
     A dim x dim grid of bare numbers reads as a matrix, with the vector of
     [re, im] pairs as the fallback at dim 2; a vector of numbers and pairs
-    reads as amplitudes; anything else reads as a matrix.
+    reads as amplitudes, and so does a state with no list entry; anything
+    else reads as a matrix.
     """
     if not isinstance(node, list) or not node:
         raise ProblemFileError(where, "expected an amplitude vector or a density matrix")
@@ -305,6 +302,8 @@ def nodewise_state(node, where, dim, tol=wv.DEFAULT_TOL):
             return as_vector()
         except wv.ValidationError as exc:
             raise ProblemFileError(where, str(exc)) from exc
+    if not any(isinstance(entry, list) for entry in node):
+        as_vector()  # raises, naming the refused amplitude: without a list entry there is no matrix
     matrix = nodewise_matrix(node, where)
     if matrix.shape != (dim, dim):
         raise ProblemFileError(where, f"state has shape {matrix.shape}, expected ({dim}, {dim})")

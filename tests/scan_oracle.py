@@ -11,8 +11,7 @@ from weakvalues.explore import _block_size, _density_block
 from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
 
-def pairwise_counts(spec_phi, spec_psi, obs, n, threshold=wv.DEFAULT_SELECTION_THRESHOLD,
-                    coherence_tol=DEFAULT_COHERENCE_TOL, tol=wv.DEFAULT_TOL):
+def pairwise_counts(spec_phi, spec_psi, obs, n, tol=wv.DEFAULT_TOL):
     """(anomalous_g, anomalous_aw, coherent_non_anomalous, skipped) over n pairs."""
     counts = [0, 0, 0, 0]
     block = _block_size(obs.dim)
@@ -24,8 +23,8 @@ def pairwise_counts(spec_phi, spec_psi, obs, n, threshold=wv.DEFAULT_SELECTION_T
             rho_phi = wv.DensityOperator(stack_phi[k])
             rho_psi = wv.DensityOperator(stack_psi[k])
             try:
-                dist = wv.quasi_prob(rho_phi, rho_psi, obs, threshold, tol)
-                aw = wv.weak_value(obs, rho_psi, rho_phi, threshold, tol)
+                dist = wv.quasi_prob(rho_phi, rho_psi, obs, tol)
+                aw = wv.weak_value(obs, rho_psi, rho_phi, tol)
             except wv.OrthogonalSelectionError:
                 counts[3] += 1
                 continue
@@ -34,6 +33,6 @@ def pairwise_counts(spec_phi, spec_psi, obs, n, threshold=wv.DEFAULT_SELECTION_T
             counts[0] += g_bad
             counts[1] += aw_bad
             counts[2] += (not g_bad and not aw_bad
-                          and wv.coherence_l1(rho_phi, obs) >= coherence_tol
-                          and wv.coherence_l1(rho_psi, obs) >= coherence_tol)
+                          and wv.coherence_l1(rho_phi, obs) >= DEFAULT_COHERENCE_TOL
+                          and wv.coherence_l1(rho_psi, obs) >= DEFAULT_COHERENCE_TOL)
     return tuple(counts)

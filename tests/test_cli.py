@@ -326,8 +326,18 @@ _HUGE = 10 ** 400
      "problem.tolerances.anom: integer outside the float range"),
     (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pointer": {"couplings_series": [0.1, _HUGE]}})),
      "problem.pointer.couplings_series[1]: integer outside the float range"),
+    # a state without a list entry can only be amplitudes, so the refused amplitude is named
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pre_state": ["x", 0.0]})),
+     "problem.pre_state[0]: expected a [re, im] pair or a real number"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pre_state": [_HUGE, 0.0]})),
+     "problem.pre_state[0]: integer outside the float range"),
+    (lambda path: path.write_text(json.dumps({
+        "dimension": 3, "observable": np.diag([0.0, 1.0, 2.0]).tolist(),
+        "pre_state": [0.6, None, 0.8], "post_state": [1.0, 0.0, 0.0]})),
+     "problem.pre_state[1]: expected a [re, im] pair or a real number"),
 ], ids=["directory", "not-utf8", "deep-nesting", "huge-matrix-entry", "refusal-in-file-order",
-        "huge-amplitude", "huge-tolerance", "huge-pointer-setting"])
+        "huge-amplitude", "huge-tolerance", "huge-pointer-setting", "bare-string-amplitude",
+        "bare-huge-amplitude", "null-amplitude"])
 def test_unreadable_problem_files_are_input_errors(capsys, tmp_path, write, message):
     path = tmp_path / "p.json"
     write(path)
@@ -344,6 +354,27 @@ def test_an_overflowing_norm_prints_only_its_input_error(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("input error: problem.pre_state: squared norm deviates from 1 by inf "
                            "(tolerance 1.0e-10)\n")
+
+
+_HERMITICITY_INF = "Hermiticity defect inf exceeds tolerance 1.0e-10"
+_WIDTH_INF = "problem.observable: spectrum width a_max - a_min = inf is not a finite float"
+_NEITHER = "problem.pre_state: not a valid density matrix ({}) and the amplitude-vector reading fails as well"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("observable", [[1e308, 1e308], [1e308, 1e308]], _WIDTH_INF),
+    ("observable", [[1e308, 0.0], [0.0, -1e308]], _WIDTH_INF),
+    ("observable", [[0.0, 1e308], [-1e308, 0.0]], f"problem.observable: {_HERMITICITY_INF}"),
+    ("pre_state", [[0.5, 1e308], [-1e308, 0.5]], _NEITHER.format(_HERMITICITY_INF)),
+    ("pre_state", [[1e308, 1e308], [1e308, 1e308]],
+     _NEITHER.format("trace deviates from 1 by inf (tolerance 1.0e-10)")),
+], ids=["observable-infinite-eigenvalue", "observable-infinite-width", "observable-overflowing-defect",
+        "state-overflowing-defect", "state-overflowing-trace"])
+def test_overflowing_inputs_print_only_their_input_error(tmp_path, key, value, message):
+    path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, key: value})
+    proc = subprocess.run([sys.executable, "-m", "weakvalues", "compute", "--input", path],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])
@@ -439,31 +470,31 @@ def _count_calls(monkeypatch, module, name):
 
 def test_each_command_evaluates_once(capsys, monkeypatch, great_circle_file, tmp_path):
     kernel = _count_calls(monkeypatch, quasiprob, "quasi_prob_stack")
-    simulations = _count_calls(monkeypatch, pointer, "simulate")
+    readouts = _count_calls(monkeypatch, pointer, "_readouts")
     for command in ("compute", "witness", "gvals"):
         kernel.clear()
         code, _, _ = _run(capsys, [command, "--input", great_circle_file])
         assert code == 3
         assert len(kernel) == 1, command
 
-    # one readout per series entry; the configured coupling (1e-2 by
-    # default) reuses its series readout and costs one more only outside it
+    # one stacked readout per request: the series and the configured coupling
+    # (1e-2 by default), inside the series or outside it
     code, _, _ = _run(capsys, ["pointer", "--input", great_circle_file])
     assert code == 3
-    assert len(simulations) == len(pointer.DEFAULT_COUPLINGS)
+    assert len(readouts) == 1
     series = [2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4]
     path = _write_problem(tmp_path / "series.json", {**GREAT_CIRCLE, "pointer": {"couplings_series": series}})
-    simulations.clear()
+    readouts.clear()
     code, out, _ = _run(capsys, ["pointer", "--input", path])
     assert code == 3
-    assert len(simulations) == len(series)
+    assert len(readouts) == 1
     assert [row["coupling"] for row in json.loads(out)["pointer"]["series"]] == series
     path = _write_problem(tmp_path / "outside.json",
                           {**GREAT_CIRCLE, "pointer": {"coupling": 3e-3, "couplings_series": series}})
-    simulations.clear()
+    readouts.clear()
     code, out, _ = _run(capsys, ["pointer", "--input", path])
     assert code == 3
-    assert len(simulations) == 1 + len(series)
+    assert len(readouts) == 1
     assert json.loads(out)["pointer"]["coupling"] == 3e-3
 
 

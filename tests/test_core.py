@@ -164,6 +164,15 @@ def test_gates_refuse_empty_matrices(gate):
         gate(np.zeros((0, 0)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", ([[1e308, 1e308], [1e308, 1e308]], np.diag([1e308, -1e308])))
+def test_eigensystem_refuses_a_spectrum_wider_than_a_float(matrix):
+    # eigh returns (0, inf) for the first; the second's width overflows
+    with pytest.raises(ValidationError, match="spectrum width a_max - a_min = inf is not a finite float"):
+        wv.eigensystem(matrix)
+    assert wv.eigensystem(np.diag([0.5e308, -0.5e308])).eigenvalues[-1] == 0.5e308
+
+
 def test_observable_projector_matches_basis_state():
     obs = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
     for i in range(3):

@@ -14,6 +14,7 @@ from weakvalues.explore import (
     REAL_MIXED,
     REAL_PURE,
     SAMPLER_KINDS,
+    SEARCH_MIN_OVERLAP,
     SamplerSpec,
     sample,
     scan_anomaly_rate,
@@ -155,7 +156,7 @@ def _assert_same_search(got, want):
 @pytest.mark.parametrize("name", sorted(_SEARCH_OBSERVABLES))
 def test_search_matches_scalar_oracle_on_cli_observables(name):
     matrix = _SEARCH_OBSERVABLES[name]
-    for seed in (0, 1, 7):
+    for seed in (0, 1, 7, 8):
         _assert_same_search(search_max_negativity(matrix, 3000, seed), scalar_search(matrix, 3000, seed))
 
 
@@ -164,25 +165,15 @@ def test_search_matches_scalar_oracle_across_budgets(budget):
     # Fewer evaluations than restarts, uneven shares, and one long restart.
     for name in ("proj0", "x", "identity"):
         matrix = _SEARCH_OBSERVABLES[name]
-        for restarts in (20, 1):
-            _assert_same_search(search_max_negativity(matrix, budget, 4, restarts=restarts),
-                                scalar_search(matrix, budget, 4, restarts=restarts))
+        _assert_same_search(search_max_negativity(matrix, budget, 4), scalar_search(matrix, budget, 4))
 
 
 def test_search_restarts_that_stop_on_min_step_match_the_oracle():
     # The flat identity never moves, so its restarts halve h down to
-    # min_step and retire well before their shares are spent.
-    got = search_max_negativity(np.eye(2), 3000, 6, min_step=1e-3)
-    assert got.evaluations < 3000
-    _assert_same_search(got, scalar_search(np.eye(2), 3000, 6, min_step=1e-3))
-
-
-@pytest.mark.parametrize("min_overlap", (0.25, 0.9, 1.0))
-def test_search_matches_scalar_oracle_across_overlap_floors(min_overlap):
-    for name in ("proj1", "z"):
-        matrix = _SEARCH_OBSERVABLES[name]
-        _assert_same_search(search_max_negativity(matrix, 3000, 8, min_overlap=min_overlap),
-                            scalar_search(matrix, 3000, 8, min_overlap=min_overlap))
+    # SEARCH_MIN_STEP and retire well before their shares are spent.
+    got = search_max_negativity(np.eye(2), 10000, 6)
+    assert got.evaluations < 10000
+    _assert_same_search(got, scalar_search(np.eye(2), 10000, 6))
 
 
 def test_search_matches_scalar_oracle_on_random_hermitian_matrices():
@@ -198,15 +189,15 @@ unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(diagonal=st.tuples(unit, unit), off=st.tuples(unit, unit), seed=st.integers(0, 2 ** 32),
-       budget=st.integers(0, 300), min_overlap=st.floats(0.05, 1.0))
-def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, budget, min_overlap):
+       budget=st.integers(0, 300))
+def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, budget):
     b = complex(*off)
     matrix = np.array([[diagonal[0], b], [b.conjugate(), diagonal[1]]])
-    res = search_max_negativity(matrix, budget, seed, min_overlap=min_overlap)
+    res = search_max_negativity(matrix, budget, seed)
     phi, psi = res.best_states
     aw = wv.weak_value_hermitian(matrix, wv.pure_to_density(psi), wv.pure_to_density(phi))
     assert abs(res.best_value + aw.value.real) <= 1e-12
-    assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= min_overlap - 1e-12
+    assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= SEARCH_MIN_OVERLAP - 1e-12
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)

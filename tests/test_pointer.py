@@ -126,6 +126,20 @@ def test_orthogonal_postselection_raises():
         simulate(obs, psi, phi)
 
 
+def test_extrapolate_reads_out_the_configured_coupling_too(great_circle_pair, proj_zero):
+    psi, phi = great_circle_pair
+    for coupling in (1e-2, 3e-3):  # inside the series and outside it
+        cfg = PointerConfig(coupling=coupling)
+        assert extrapolate(proj_zero, psi, phi, cfg).outcome == simulate(proj_zero, psi, phi, cfg)
+    # An orthogonal pair reads out with probability ~ g^2 / 16: about 1e-7 and more
+    # over the series, exactly 0 at g = 1e-170.
+    plus = wv.state_vector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    minus = wv.state_vector(np.array([1.0, -1.0]) / np.sqrt(2.0))
+    assert extrapolate(proj_zero, plus, minus).outcome.postselect_prob > 0.0
+    with pytest.raises(wv.ZeroPostselectionError, match="probability 0.000e"):
+        extrapolate(proj_zero, plus, minus, PointerConfig(coupling=1e-170))
+
+
 def test_dimension_mismatch():
     obs = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
     psi = wv.state_vector([1.0, 0.0])
