@@ -25,14 +25,14 @@ for name, obs in (("P0 = |0><0|", proj_low), ("P1 = |1><1|", proj_high)):
     print(f"{name}: weak value = {res.value.real:+.6f}, spectrum "
           f"[{res.spectrum_lo:g}, {res.spectrum_hi:g}], {res.classification}")
 
-identity = wv.weak_value_hermitian(np.eye(2), wv.pure_to_density(psi),
-                                   wv.pure_to_density(phi))
-print(f"identity : weak value = {identity.value.real:+.6f} ({identity.classification})")
+# The identity is P0 + P1, so its weak value is the sum of P0's quasi-probabilities.
+dist = wv.quasi_prob(wv.pure_to_density(phi), wv.pure_to_density(psi), proj_low)
+identity = complex(np.sum(dist.weights))
+print(f"identity : weak value = {identity.real:+.6f} ({wv.classify(identity, 1.0, 1.0)})")
 print()
 
 # The quasi-probability decomposition shows where the excursion comes from:
 # the weights are real, sum to one, and one of them is negative.
-dist = wv.quasi_prob(wv.pure_to_density(phi), wv.pure_to_density(psi), proj_low)
 print("quasi-probability weights over the eigenvalues of P0:")
 for a, g in zip(dist.labels, dist.weights):
     print(f"  eigenvalue {a:g}: g = {g.real:+.6f}")

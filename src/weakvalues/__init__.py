@@ -44,7 +44,6 @@ from .quasiprob import (
     is_marginal,
     quasi_prob,
     weak_value,
-    weak_value_hermitian,
     weak_value_pure,
 )
 from .witness import (

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "DEFAULT_SELECTION_THRESHOLD",
     "StateVector",
     "DensityOperator",
     "Observable",
@@ -89,6 +90,10 @@ class ZeroPostselectionError(ComputationError):
     pass
 
 
+# Post-selection overlaps at or below this are treated as orthogonal, by every gate and the scan.
+DEFAULT_SELECTION_THRESHOLD = 1e-12
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared by the validation gates and classifiers.
@@ -97,16 +102,14 @@ class Tolerances:
     herm   : max entrywise Hermiticity defect
     psd    : most negative admissible eigenvalue
     eig    : eigen-equation residual, also the reality threshold
-    orth   : pairwise eigenvector overlap
     degen  : minimal admissible eigenvalue gap
-    anom   : half-width of the anomaly decision band
+    anom   : half-width of the anomaly decision band, below 1/DEFAULT_SELECTION_THRESHOLD
     """
 
     norm: float = 1e-10
     herm: float = 1e-10
     psd: float = 1e-10
     eig: float = 1e-9
-    orth: float = 1e-9
     degen: float = 1e-8
     anom: float = 1e-9
 
@@ -114,6 +117,12 @@ class Tolerances:
         for name, value in vars(self).items():
             if not 0.0 < value < np.inf:
                 raise ValidationError(f"tolerance {name} must be positive and finite, got {value!r}")
+        # |g_i| <= 1 / Tr(rho_phi rho_psi), and every gated pair has Tr above the threshold.
+        if self.anom >= 1.0 / DEFAULT_SELECTION_THRESHOLD:
+            raise ValidationError(
+                f"tolerance anom {self.anom!r} is at or above 1/{DEFAULT_SELECTION_THRESHOLD:.0e}, the bound on "
+                "|g_i| past the selection gate, so no quasi-probability could leave the band"
+            )
 
 
 DEFAULT_TOL = Tolerances()

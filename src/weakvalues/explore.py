@@ -127,13 +127,15 @@ def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
 class SearchResult:
     """Outcome of the negativity search.
 
-    ``best_value`` is exactly -Re(A_w) at ``best_states`` (post- then
-    pre-selection): candidates are projected onto the feasible overlap
-    region before evaluation, so no penalty term ever enters the objective.
+    ``weak_value`` is A_w at ``best_states`` (post- then pre-selection) and
+    ``best_value`` is exactly its -Re: candidates are projected onto the
+    feasible overlap region before evaluation, so no penalty term ever
+    enters the objective.
     """
 
     best_states: tuple[StateVector, StateVector]
     best_value: float
+    weak_value: complex
     evaluations: int
 
 
@@ -166,8 +168,8 @@ def _pairs_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, psi
 
 
-def _negativity(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Box-clamped objective: pin each row's separation angle, then score -Re(A_w).
+def _weak_values(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Box-clamped weak values: pin each row's separation angle, then evaluate A_w.
 
     -Re(A_w) grows without bound as the selection pair approaches
     orthogonality, so the Bloch separation x[:, 0] is clamped in place to
@@ -175,7 +177,7 @@ def _negativity(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     separation is itself a search coordinate, the constraint surface is a
     box face: the other three coordinates keep moving freely along it and
     the search cannot wedge against a curved boundary. Each returned value
-    equals the raw objective at its row's clamped angles. Both inner
+    is A_w at its row's clamped angles; the objective is -Re(A_w). Both inner
     products are stacked matmuls because those reproduce the one-pair
     ``np.vdot`` route bit for bit; a conj-multiply-add or an einsum does not.
     """
@@ -183,7 +185,7 @@ def _negativity(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     phi, psi = _pairs_from_params(x)
     bra = phi.conj()[:, None, :]
     ket = psi[:, :, None]
-    return -((bra @ (matrix @ ket)) / (bra @ ket))[:, 0, 0].real
+    return ((bra @ (matrix @ ket)) / (bra @ ket))[:, 0, 0]
 
 
 def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
@@ -219,7 +221,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
         theta = np.arccos(rng.uniform(-1.0, 1.0, size=2))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, size=2)
         x[r] = theta[0], azimuth[0], theta[1], azimuth[1]
-    best = _negativity(x, matrix)
+    best = -_weak_values(x, matrix).real
     evals = np.ones(n_restarts, dtype=np.int64)
     h = np.full(n_restarts, SEARCH_INITIAL_STEP)
     active = (evals < shares) & (h >= SEARCH_MIN_STEP)
@@ -230,7 +232,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
                 live = active & (evals < shares)
                 cand = x.copy()
                 cand[:, k] += sign * h
-                val = _negativity(cand, matrix)
+                val = -_weak_values(cand, matrix).real
                 better = live & (val > best)
                 evals += live
                 x[better] = cand[better]
@@ -244,6 +246,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
     return SearchResult(
         best_states=(StateVector(phi[0]), StateVector(psi[0])),
         best_value=float(best[winner]),
+        weak_value=complex(_weak_values(x[winner:winner + 1], matrix)[0]),
         evaluations=int(evals.sum()),
     )
 

@@ -17,16 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_SELECTION_THRESHOLD,
     DEFAULT_TOL,
     DensityOperator,
-    DimensionMismatchError,
     Observable,
     OrthogonalSelectionError,
     StateVector,
     Tolerances,
+    pure_to_density,
     require_dims,
 )
-from .invariants import overlap, overlap_stack
+from .invariants import overlap_stack
 
 __all__ = [
     "NORMAL",
@@ -41,9 +42,7 @@ __all__ = [
     "quasi_prob",
     "quasi_prob_and_weak_value",
     "quasi_prob_stack",
-    "selection_overlap",
     "weak_value",
-    "weak_value_hermitian",
     "weak_value_pure",
     "anomalous_indices",
 ]
@@ -51,9 +50,6 @@ __all__ = [
 NORMAL = "Normal"
 ANOMALOUS_REAL = "AnomalousReal"
 ANOMALOUS_IMAGINARY = "AnomalousImaginary"
-
-# Post-selection overlaps at or below this are treated as orthogonal, by every gate and the scan.
-DEFAULT_SELECTION_THRESHOLD = 1e-12
 
 
 def classify(value: complex, lo: float, hi: float, anomaly_tol: float = DEFAULT_TOL.anom) -> str:
@@ -141,26 +137,6 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
         return den, num / den[:, None]
 
 
-def _check_selection(den: float) -> None:
-    if den <= DEFAULT_SELECTION_THRESHOLD:
-        raise OrthogonalSelectionError(
-            f"post-selection overlap {den:.3e} at or below threshold {DEFAULT_SELECTION_THRESHOLD:.1e}"
-        )
-
-
-def selection_overlap(rho_phi: DensityOperator, rho_psi: DensityOperator,
-                      tol: Tolerances = DEFAULT_TOL) -> float:
-    """Tr(rho_phi rho_psi), raising OrthogonalSelectionError at or below ``DEFAULT_SELECTION_THRESHOLD``."""
-    den = overlap(rho_phi, rho_psi, tol)
-    _check_selection(den)
-    return den
-
-
-def _classified(value: complex, den: float, lo: float, hi: float, anomaly_tol: float) -> WeakValueResult:
-    return WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
-                           classification=classify(value, lo, hi, anomaly_tol))
-
-
 def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
                               tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, WeakValueResult]:
     """Quasi-probabilities and the weak value sum_i a_i g_i of one selection pair.
@@ -170,12 +146,17 @@ def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator
     require_dims(obs.dim, rho_phi, rho_psi)
     den, g = quasi_prob_stack(rho_phi.matrix[None], rho_psi.matrix[None], obs, tol)
     den = float(den[0])
-    _check_selection(den)
+    if den <= DEFAULT_SELECTION_THRESHOLD:
+        raise OrthogonalSelectionError(
+            f"post-selection overlap {den:.3e} at or below threshold {DEFAULT_SELECTION_THRESHOLD:.1e}"
+        )
     a = obs.eigenvalues
     # An elementwise product and a row sum give each weak value the same bits
     # in a stack of one as in a scan block; a matrix-vector product does not.
     value = complex((g[0] * a).sum(axis=-1))
-    aw = _classified(value, den, float(a[0]), float(a[-1]), tol.anom)
+    lo, hi = float(a[0]), float(a[-1])
+    aw = WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
+                         classification=classify(value, lo, hi, tol.anom))
     return QuasiProbDist(weights=g[0], labels=a), aw
 
 
@@ -191,32 +172,10 @@ def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperat
     return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, tol)[1]
 
 
-def weak_value_hermitian(matrix, rho_psi: DensityOperator, rho_phi: DensityOperator,
-                         tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
-    """Weak value of a raw Hermitian matrix by the trace ratio, degenerate spectra included.
-
-    The classification needs only the spectrum edges, so projectors and the
-    identity work here even though they carry no canonical eigenbasis.
-    """
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"observable must be square, got shape {mat.shape}")
-    require_dims(mat.shape[0], rho_phi, rho_psi)
-    spectrum = np.linalg.eigvalsh(mat)
-    den = selection_overlap(rho_phi, rho_psi, tol)
-    value = complex(np.trace(rho_phi.matrix @ mat @ rho_psi.matrix)) / den
-    return _classified(value, den, float(spectrum[0]), float(spectrum[-1]), tol.anom)
-
-
 def weak_value_pure(obs: Observable, psi: StateVector, phi: StateVector,
                     tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
-    """Weak value <phi|A|psi> / <phi|psi> for pure pre- and post-selection."""
-    require_dims(obs.dim, phi, psi)
-    inner = complex(phi.amps.conj() @ psi.amps)
-    den = abs(inner) ** 2
-    _check_selection(den)
-    value = complex(phi.amps.conj() @ obs.matrix @ psi.amps) / inner
-    return _classified(value, den, float(obs.eigenvalues[0]), float(obs.eigenvalues[-1]), tol.anom)
+    """Weak value <phi|A|psi> / <phi|psi> for pure selections: the n = 1 kernel on their projectors."""
+    return quasi_prob_and_weak_value(pure_to_density(phi), pure_to_density(psi), obs, tol)[1]
 
 
 def anomalous_indices(dist: QuasiProbDist, anomaly_tol: float = DEFAULT_TOL.anom) -> tuple[int, ...]:

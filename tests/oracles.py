@@ -1,11 +1,16 @@
 """Second routes to quantities the package computes one way, kept as test oracles.
 
-``incoherent_quasi_prob`` is the factorized distribution the coherence
-theorem predicts for incoherent selections (criterion 4),
+``trace_ratio_weak_value`` is A_w as Tr(rho_phi A rho_psi) / Tr(rho_phi rho_psi)
+for any Hermitian matrix, degenerate ones included, and
+``amplitude_ratio_weak_value`` is <phi|A|psi> / <phi|psi> for pure
+selections: the two routes the package's one kernel sum_i a_i g_i is
+checked against. ``incoherent_quasi_prob`` is the factorized distribution
+the coherence theorem predicts for incoherent selections (criterion 4),
 ``corollary_projector_weak_value`` is the three-operator trace ratio of an
 eigenprojector (criterion 6), and ``antipodal`` builds the orthogonal qubit
 ray for direct overlap arithmetic on the six-state fragment (criterion 7).
-None of them goes through the quasi-probability kernel. ``scalar_search``
+None of them goes through the quasi-probability kernel; each applies its
+own selection gate. ``scalar_search``
 is the negativity search walked one restart and one candidate at a time,
 the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
 ``looped_three_cycles`` fill the overlap graph one vertex pair at a time
@@ -23,15 +28,46 @@ import numpy as np
 import weakvalues as wv
 from weakvalues.cli import ProblemFileError
 from weakvalues.contextuality import FRAGMENT_LABELS, CycleInequality
+from weakvalues.core import require_dims
 from weakvalues.explore import (SEARCH_INITIAL_STEP, SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS,
                                 SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
-from weakvalues.quasiprob import selection_overlap
 from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
 
 class NotIncoherentError(wv.ValidationError):
     pass
+
+
+def _gated(den):
+    """A post-selection overlap, refused at or below the selection threshold."""
+    if den <= wv.DEFAULT_SELECTION_THRESHOLD:
+        raise wv.OrthogonalSelectionError(f"post-selection overlap {den:.3e} at or below the threshold")
+    return den
+
+
+def _result(value, den, lo, hi, tol):
+    return wv.WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
+                              classification=wv.classify(value, lo, hi, tol.anom))
+
+
+def trace_ratio_weak_value(matrix, rho_psi, rho_phi, tol=wv.DEFAULT_TOL):
+    """Weak value of a raw Hermitian matrix by the trace ratio, classified against its spectrum edges."""
+    mat = np.asarray(matrix, dtype=complex)
+    require_dims(mat.shape[0], rho_phi, rho_psi)
+    spectrum = np.linalg.eigvalsh(mat)
+    den = _gated(wv.overlap(rho_phi, rho_psi, tol))
+    value = complex(np.trace(rho_phi.matrix @ mat @ rho_psi.matrix)) / den
+    return _result(value, den, float(spectrum[0]), float(spectrum[-1]), tol)
+
+
+def amplitude_ratio_weak_value(obs, psi, phi, tol=wv.DEFAULT_TOL):
+    """Weak value <phi|A|psi> / <phi|psi> of pure selections, with |<phi|psi>|^2 as the denominator."""
+    require_dims(obs.dim, phi, psi)
+    inner = complex(np.vdot(phi.amps, psi.amps))
+    den = _gated(abs(inner) ** 2)
+    value = complex(np.vdot(phi.amps, obs.matrix @ psi.amps)) / inner
+    return _result(value, den, float(obs.eigenvalues[0]), float(obs.eigenvalues[-1]), tol)
 
 
 def incoherent_quasi_prob(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
@@ -47,7 +83,7 @@ def incoherent_quasi_prob(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
             raise NotIncoherentError(
                 f"{name} state has l1 coherence {l1:.3e} (threshold {DEFAULT_COHERENCE_TOL:.1e})"
             )
-    den = selection_overlap(rho_phi, rho_psi, tol)
+    den = _gated(wv.overlap(rho_phi, rho_psi, tol))
     v = obs.eigenvectors
     pops_phi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_phi.matrix, v))
     pops_psi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_psi.matrix, v))
@@ -63,11 +99,10 @@ def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, tol=wv.DEFAULT_TOL)
     """
     if not 0 <= i < obs.dim:
         raise wv.ValidationError(f"eigenvector index {i} out of range for dim {obs.dim}")
-    den = selection_overlap(rho_phi, rho_psi, tol)
+    den = _gated(wv.overlap(rho_phi, rho_psi, tol))
     proj = obs.projector(i)
     value = complex(np.trace(rho_phi.matrix @ proj.matrix @ rho_psi.matrix)) / den
-    return wv.WeakValueResult(value=value, denominator=den, spectrum_lo=0.0, spectrum_hi=1.0,
-                              classification=wv.classify(value, 0.0, 1.0, tol.anom))
+    return _result(value, den, 0.0, 1.0, tol)
 
 
 def antipodal(psi):
@@ -91,6 +126,12 @@ def _pair_from_params(x):
     return phi, psi
 
 
+def _pair_weak_value(matrix, x):
+    """A_w of the pair at angles ``x`` by two ``np.vdot`` inner products."""
+    phi, psi = _pair_from_params(x)
+    return complex(np.vdot(phi, matrix @ psi) / np.vdot(phi, psi))
+
+
 def _evaluator_factory(matrix):
     """Box-clamped objective for one candidate: pin the separation, score -Re(A_w)."""
     max_separation = 2.0 * np.arccos(np.sqrt(SEARCH_MIN_OVERLAP))
@@ -99,10 +140,7 @@ def _evaluator_factory(matrix):
         clamped = min(max(x[0], 0.0), max_separation)
         if clamped != x[0]:
             x = np.array([clamped, x[1], x[2], x[3]])
-        phi, psi = _pair_from_params(x)
-        inner = np.vdot(phi, psi)
-        value = -float((np.vdot(phi, matrix @ psi) / inner).real)
-        return x, value
+        return x, -_pair_weak_value(matrix, x).real
 
     return evaluate
 
@@ -160,6 +198,7 @@ def scalar_search(observable, budget, seed):
     return SearchResult(
         best_states=(wv.StateVector(phi), wv.StateVector(psi)),
         best_value=best_val,
+        weak_value=_pair_weak_value(matrix, best_x),
         evaluations=sum(used for _, _, used in outcomes),
     )
 

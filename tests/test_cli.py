@@ -184,6 +184,10 @@ def test_unknown_problem_keys_rejected(capsys, tmp_path):
     code, _, err = _run(capsys, ["compute", "--input", path])
     assert code == 1
     assert "surprise" in err
+    # orth was settable but read by nothing, and is gone
+    path = _write_problem(tmp_path / "orth.json", {**GREAT_CIRCLE, "tolerances": {"orth": 1e-9}})
+    assert _run(capsys, ["compute", "--input", path]) == (
+        1, "", "input error: problem.tolerances: unknown tolerance keys ['orth']\n")
 
 
 def test_complex_entries_and_seed(capsys, tmp_path):
@@ -618,8 +622,20 @@ def test_search_reports_are_byte_identical(capsys):
     report = json.loads(out1)
     assert report["search"]["best_value"] >= 0.4
     check = report["search"]["weak_value_at_best"]
-    assert abs(check["re"] + report["search"]["best_value"]) < 1e-12
+    assert check["re"] == -report["search"]["best_value"]
     assert check["classification"] != "Normal"
+
+
+@pytest.mark.parametrize("observable", sorted(cli._SEARCH_OBSERVABLES))
+def test_search_reports_the_weak_value_it_scored(capsys, observable):
+    for seed in (0, 3):
+        code, out, _ = _run(capsys, ["search", "--observable", observable, "--budget", "300",
+                                     "--seed", str(seed)])
+        assert code == 0
+        section = json.loads(out)["search"]
+        assert section["weak_value_at_best"]["re"] == -section["best_value"]
+        if observable == "identity":  # degenerate: classified against its spectrum edges alone
+            assert section["weak_value_at_best"]["classification"] == "Normal"
 
 
 def test_scan_reports_are_byte_identical(capsys):
@@ -699,9 +715,23 @@ def test_non_finite_tol_anom_flag_is_an_input_error(capsys, great_circle_file):
         code, out, _ = _run(capsys, argv + ["--tol-anom", "inf"])
         assert code == 1
         assert out == ""
-    # a large finite band stays legal
-    code, _, _ = _run(capsys, ["compute", "--input", great_circle_file, "--tol-anom", "1e300"])
+    # a wide finite band below 1/DEFAULT_SELECTION_THRESHOLD stays legal
+    code, _, _ = _run(capsys, ["compute", "--input", great_circle_file, "--tol-anom", "1e11"])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["1e12", "1e300"])
+def test_an_anomaly_band_no_quasi_probability_can_leave_is_an_input_error(capsys, tmp_path, great_circle_file,
+                                                                          value):
+    # |g_i| <= 1 / Tr(rho_phi rho_psi) < 1e12 past the selection gate, so such a band decides nothing
+    path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, "tolerances": {"anom": float(value)}})
+    for argv in (["compute", "--input", path],
+                 ["compute", "--input", great_circle_file, "--tol-anom", value],
+                 ["scan", "--n", "10", "--tol-anom", value],
+                 ["search", "--budget", "10", "--tol-anom", value]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "no quasi-probability could leave the band" in err
 
 
 def test_refused_tol_anom_never_reaches_the_search(capsys, monkeypatch):

@@ -23,7 +23,6 @@ def test_tolerances_defaults():
     assert t.herm == 1e-10
     assert t.psd == 1e-10
     assert t.eig == 1e-9
-    assert t.orth == 1e-9
     assert t.degen == 1e-8
     assert t.anom == 1e-9
 
@@ -36,11 +35,15 @@ def test_tolerances_must_be_positive():
 
 
 def test_tolerances_must_be_finite():
-    for name in ("norm", "herm", "psd", "eig", "orth", "degen", "anom"):
+    for name in ("norm", "herm", "psd", "eig", "degen", "anom"):
         for value in (np.inf, np.nan):
             with pytest.raises(ValidationError):
                 Tolerances(**{name: value})
-    assert Tolerances(anom=1e300).anom == 1e300
+    # no quasi-probability past the selection gate reaches 1/DEFAULT_SELECTION_THRESHOLD
+    for value in (1e12, 1e300):
+        with pytest.raises(ValidationError, match="no quasi-probability could leave the band"):
+            Tolerances(anom=value)
+    assert Tolerances(anom=9.9e11).anom == 9.9e11
 
 
 def test_state_vector_accepts_normalized():
@@ -132,7 +135,6 @@ def test_eigensystem_pauli_cases():
 
 def test_eigensystem_random_hermitian_properties():
     rng = np.random.default_rng(20240817)
-    tol = wv.DEFAULT_TOL
     for _ in range(50):
         d = int(rng.integers(2, 7))
         h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -142,7 +144,7 @@ def test_eigensystem_random_hermitian_properties():
         assert np.all(np.diff(lam) > 0)
         assert np.max(np.abs(h @ v - v * lam)) < 1e-9
         gram = v.conj().T @ v
-        assert np.max(np.abs(gram - np.eye(d))) < tol.orth
+        assert np.max(np.abs(gram - np.eye(d))) < 1e-9
         for i in range(d):
             col = v[:, i]
             pivot = col[np.argmax(np.abs(col))]

@@ -21,7 +21,7 @@ from weakvalues.explore import (
     search_max_negativity,
 )
 from weakvalues.explore import _block_size, _density_block
-from oracles import scalar_search
+from oracles import scalar_search, trace_ratio_weak_value
 from scan_oracle import pairwise_counts
 
 
@@ -148,6 +148,7 @@ def test_search_is_repeatable(proj_zero):
 
 def _assert_same_search(got, want):
     assert got.best_value == want.best_value
+    assert got.weak_value == want.weak_value
     assert got.evaluations == want.evaluations
     assert np.array_equal(got.best_states[0].amps, want.best_states[0].amps)
     assert np.array_equal(got.best_states[1].amps, want.best_states[1].amps)
@@ -195,8 +196,9 @@ def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, 
     matrix = np.array([[diagonal[0], b], [b.conjugate(), diagonal[1]]])
     res = search_max_negativity(matrix, budget, seed)
     phi, psi = res.best_states
-    aw = wv.weak_value_hermitian(matrix, wv.pure_to_density(psi), wv.pure_to_density(phi))
-    assert abs(res.best_value + aw.value.real) <= 1e-12
+    assert res.weak_value.real == -res.best_value
+    aw = trace_ratio_weak_value(matrix, wv.pure_to_density(psi), wv.pure_to_density(phi))
+    assert abs(res.weak_value - aw.value) <= 1e-12
     assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= SEARCH_MIN_OVERLAP - 1e-12
 
 

@@ -6,6 +6,7 @@ from weakvalues.core import DimensionMismatchError, OrthogonalSelectionError
 from weakvalues.quasiprob import classify, is_marginal
 
 from conftest import random_mixed, random_pure
+from oracles import amplitude_ratio_weak_value
 
 
 def _config(rng, d, pure_prob=0.5):
@@ -156,9 +157,8 @@ def test_weak_value_great_circle(great_circle_densities, proj_zero, proj_one):
     assert abs(bw.value - 1.5) < 1e-12
     assert bw.classification == wv.ANOMALOUS_REAL
 
-    iw = wv.weak_value_hermitian(np.eye(2), rho_psi, rho_phi)
-    assert iw.value == 1.0
-    assert iw.classification == wv.NORMAL
+    # the identity is the sum of the eigenprojectors, so its weak value is sum_i g_i
+    assert wv.quasi_prob(rho_phi, rho_psi, proj_zero).weights.sum() == 1.0
 
 
 def test_weak_value_on_own_eigenstate():
@@ -178,9 +178,10 @@ def test_weak_value_pure_routes_agree():
         u = wv.state_vector(random_pure(rng, d))
         w = wv.state_vector(random_pure(rng, d))
         pure = wv.weak_value_pure(obs, u, w)
-        mixed = wv.weak_value(obs, wv.pure_to_density(u), wv.pure_to_density(w))
-        assert abs(pure.value - mixed.value) < 1e-12
-        assert abs(pure.denominator - abs(np.vdot(w.amps, u.amps)) ** 2) < 1e-13
+        ratio = amplitude_ratio_weak_value(obs, u, w)
+        assert abs(pure.value - ratio.value) < 1e-12
+        assert abs(pure.denominator - ratio.denominator) < 1e-13
+        assert pure.classification == ratio.classification
 
 
 def test_weak_value_pure_hand_cases(great_circle_pair, proj_zero):
@@ -219,7 +220,7 @@ def test_dimension_mismatch(proj_zero):
     with pytest.raises(DimensionMismatchError):
         wv.weak_value(proj_zero, r3, r3)
     with pytest.raises(DimensionMismatchError):
-        wv.weak_value_hermitian(np.eye(3), wv.validate_density(np.eye(2) / 2), r3)
+        wv.weak_value_pure(proj_zero, wv.state_vector([1.0, 0.0, 0.0]), wv.state_vector([1.0, 0.0]))
 
 
 def test_anomalous_indices_on_handmade_distribution():
