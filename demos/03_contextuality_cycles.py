@@ -31,11 +31,12 @@ for line in graph.adjacency_text():
 print()
 
 print("the six violated inequalities:")
-for c in sorted(violated, key=lambda c: -c.value):
-    a, b, d = c.triple
-    m1, m2 = c.minus_edge
-    print(f"  r({a},{b},{d}) with minus edge {m1}-{m2}: value = {c.value:.4f} > 1")
+names = np.array(violated.labels, dtype=object)
+for row in np.argsort(-violated.values, kind="stable"):
+    a, b, d = names[violated.triples[row]]
+    m1, m2 = names[violated.minus_edges[row]]
+    print(f"  r({a},{b},{d}) with minus edge {m1}-{m2}: value = {violated.values[row]:.4f} > 1")
 
-worst = max(c.value for c in all_three_cycles(graph))
+worst = all_three_cycles(graph).values.max()
 print()
 print(f"largest cycle value = {worst:.12f}  (the 120-degree geometry pins it at 5/4)")

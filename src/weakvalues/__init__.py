@@ -54,7 +54,7 @@ from .witness import (
     check_theorem_coherence,
 )
 from .contextuality import (
-    CycleInequality,
+    CycleTable,
     NotRealAmplitudeError,
     all_three_cycles,
     anomaly_implies_violation,

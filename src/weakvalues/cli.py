@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .contextuality import CycleInequality, all_three_cycles, fragment_cycles, real_amplitude_failure
+from .contextuality import CycleTable, all_three_cycles, fragment_cycles, real_amplitude_failure
 from .core import (
     DEFAULT_TOL,
     ComputationError,
@@ -71,6 +71,8 @@ _SEARCH_OBSERVABLES = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
     "identity": np.eye(2),
 }
+
+_DIMENSIONS = range(2, 65)
 
 _SCAN_KINDS = {
     "haar": "haar-pure",
@@ -244,11 +246,10 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
     if unknown:
         raise ProblemFileError("problem", f"unknown keys {sorted(unknown)}")
 
-    dim_node = data["dimension"]
-    if isinstance(dim_node, bool) or not isinstance(dim_node, int):
+    dim = data["dimension"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise ProblemFileError("problem.dimension", "expected an integer")
-    dim = dim_node
-    if not 2 <= dim <= 64:
+    if dim not in _DIMENSIONS:
         raise ProblemFileError("problem.dimension", f"dimension {dim} outside supported range [2, 64]")
 
     tol = DEFAULT_TOL
@@ -448,8 +449,9 @@ def _witness_section(problem: Problem, witness: WitnessReport) -> dict:
     }
 
 
-def _cycle_row(cycle: CycleInequality) -> dict:
-    return {"triple": list(cycle.triple), "minus_edge": list(cycle.minus_edge), "value": cycle.value}
+def _cycle_columns(table: CycleTable) -> tuple[list, list, list]:
+    names = np.array(table.labels, dtype=object)
+    return names[table.triples].tolist(), names[table.minus_edges].tolist(), table.values.tolist()
 
 
 def _cycles_section(problem: Problem) -> dict:
@@ -457,9 +459,11 @@ def _cycles_section(problem: Problem) -> dict:
     cycles = all_three_cycles(graph, problem.tol.anom)
     section = {
         "graph": graph.adjacency_text(),
-        "inequalities": [{**_cycle_row(c), "violated": c.violated} for c in cycles],
-        "max_value": max(c.value for c in cycles),
-        "violated_count": sum(1 for c in cycles if c.violated),
+        "inequalities": [{"triple": triple, "minus_edge": minus, "value": value, "violated": bad}
+                         for triple, minus, value, bad in zip(*_cycle_columns(cycles),
+                                                              cycles.violated.tolist())],
+        "max_value": float(cycles.values.max()),
+        "violated_count": int(np.count_nonzero(cycles.violated)),
     }
     if problem.dim != 2:
         section["fragment_note"] = (
@@ -473,8 +477,10 @@ def _cycles_section(problem: Problem) -> dict:
             "claim_applies": real_amplitude_failure(problem.rho_phi, problem.rho_psi, problem.obs,
                                                     problem.tol.eig) is None,
             "graph": fragment_graph.adjacency_text(),
-            "max_value": max(c.value for c in fragment_table),
-            "violated": [_cycle_row(c) for c in fragment_table if c.violated],
+            "max_value": float(fragment_table.values.max()),
+            "violated": [{"triple": triple, "minus_edge": minus, "value": value}
+                         for triple, minus, value in zip(*_cycle_columns(
+                             fragment_table[fragment_table.violated]))],
         }
     return section
 
@@ -553,11 +559,8 @@ def cmd_contextuality(args) -> int:
     report = _report_head("contextuality", problem)
     report["cycles"] = _cycles_section(problem)
     _print_report(report, args.format)
-    violated = report["cycles"]["violated_count"] > 0
-    fragment = report["cycles"].get("fragment")
-    if fragment is not None:
-        violated = violated or bool(fragment["violated"])
-    return _anomaly_exit(violated)
+    cycles = report["cycles"]
+    return _anomaly_exit(cycles["violated_count"] > 0, bool(cycles.get("fragment", {}).get("violated")))
 
 
 def cmd_pointer(args) -> int:
@@ -674,8 +677,7 @@ def _reference_computations() -> dict:
     values["coherent_pair_g0"] = dist.weights[0].real
     values["coherent_pair_g1"] = dist.weights[1].real
 
-    _, fragment_table = fragment_cycles(rho_phi, rho_psi, proj_low, DEFAULT_TOL)
-    values["fragment_max_cycle"] = max(c.value for c in fragment_table)
+    values["fragment_max_cycle"] = float(fragment_cycles(rho_phi, rho_psi, proj_low, DEFAULT_TOL)[1].values.max())
 
     pointer_result = extrapolate(proj_low, psi, phi)
     values["pointer_extrapolation_re"] = pointer_result.value.real
@@ -712,6 +714,16 @@ def _seed_type(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError(f"seed must fit in an unsigned 64-bit integer, got {text}")
+    return value
+
+
+def _dim_type(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value not in _DIMENSIONS:
+        raise argparse.ArgumentTypeError(f"dimension {value} outside supported range [2, 64]")
     return value
 
 
@@ -766,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="state ensemble for both selections (default haar)")
     p_scan.add_argument("--n", type=int, default=1000, metavar="N",
                         help="number of sampled pairs (default 1000)")
-    p_scan.add_argument("--dim", type=int, default=2, metavar="D",
+    p_scan.add_argument("--dim", type=_dim_type, default=2, metavar="D",
                         help="Hilbert space dimension (default 2)")
     p_scan.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                         help="master seed (default 0)")

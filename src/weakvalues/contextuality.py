@@ -8,21 +8,20 @@ nothing but Born-rule overlaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityOperator, NotQubitError, Observable, Tolerances, ValidationError
+from .core import DEFAULT_TOL, DensityOperator, NotQubitError, Observable, Tolerances, ValidationError, _frozen
 from .invariants import FrameGraph, _graph_from_vertices
 from .quasiprob import QuasiProbDist, quasi_prob
 
-__all__ = ["NotRealAmplitudeError", "CycleInequality", "all_three_cycles", "qubit_fragment_graph",
+__all__ = ["NotRealAmplitudeError", "CycleTable", "all_three_cycles", "qubit_fragment_graph",
            "fragment_cycles", "anomaly_implies_violation", "real_amplitude_failure"]
 
 FRAGMENT_LABELS = ("phi", "psi", "a1", "a2", "phi_perp", "psi_perp")
-_PERPENDICULAR = frozenset(FRAGMENT_LABELS[4:])
 
 # Rounding in a fragment cycle value, a sum of three overlaps of order one: a few eps
 # (up to 3.3 eps against the exact excess of anomalous pairs, 3 eps at orthogonal ones).
@@ -33,47 +32,46 @@ class NotRealAmplitudeError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class CycleInequality:
-    """One evaluated 3-cycle inequality.
+@dataclass(frozen=True, eq=False)
+class CycleTable:
+    """3-cycle inequalities as arrays: ``values[r]`` adds the plus edges of ``triples[r]`` less its
+    ``minus_edges[r]`` weight, ``violated[r]`` judges it, ``labels`` names the vertices."""
 
-    ``value`` is the sum of the two plus-edges minus the ``minus_edge``
-    weight; the inequality is violated when value > 1.
-    """
+    labels: tuple[str, ...]
+    triples: np.ndarray
+    minus_edges: np.ndarray
+    values: np.ndarray
+    violated: np.ndarray
 
-    triple: tuple[str, str, str]
-    minus_edge: tuple[str, str]
-    value: float
-    violated: bool
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: np.ndarray) -> CycleTable:
+        return CycleTable(self.labels, self.triples[rows], self.minus_edges[rows], self.values[rows],
+                          self.violated[rows])
 
 
 @lru_cache(maxsize=16)
-def _triples(n: int) -> np.ndarray:
-    """(C(n, 3), 3) vertex triples in lexicographic order."""
-    return np.fromiter(chain.from_iterable(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+def _cycle_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triples, minus edges (jk, ik, ij in turn) and the flat weight indices of the plus edges
+    at the vertex off the minus edge and of the minus edge; read-only, as every table shares them."""
+    triples = np.fromiter(chain.from_iterable(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    minus_edges = triples[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
+    apex, (low, high) = triples.ravel(), minus_edges.T
+    return (_frozen(np.repeat(triples, 3, axis=0)), _frozen(minus_edges),
+            _frozen(np.stack([apex * n + low, apex * n + high, low * n + high])))
 
 
-def all_three_cycles(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -> list[CycleInequality]:
+def all_three_cycles(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -> CycleTable:
     """Every 3-cycle inequality of the graph, three minus placements per triple.
 
-    Output order is canonical: triples in lexicographic vertex order, the
-    minus edge cycling through the third, second, first pair of each triple.
+    Row order is canonical: triples in lexicographic vertex order, the minus
+    edge cycling through the third, second, first pair of each triple.
     """
-    triples = _triples(graph.n_vertices)
-    i, j, k = triples.T
-    e_ij, e_ik, e_jk = graph.weights[i, j], graph.weights[i, k], graph.weights[j, k]
-    values = np.stack([e_ij + e_ik - e_jk, e_ij + e_jk - e_ik, e_ik + e_jk - e_ij], axis=1)
-    violated = values > 1.0 + anomaly_tol
-    names = np.array(graph.labels, dtype=object)
-    # one label tuple per triple, shared by its three placements
-    triple_labels = zip(names[i].tolist(), names[j].tolist(), names[k].tolist())
-    repeated = (triple for triple in triple_labels for _ in range(3))
-    # the minus edge of each placement: jk, then ik, then ij
-    minus_labels = zip(names[triples[:, [1, 0, 0]]].ravel().tolist(),
-                       names[triples[:, [2, 2, 1]]].ravel().tolist())
-    return [CycleInequality(triple, minus, value, bad)
-            for triple, minus, value, bad in zip(repeated, minus_labels, values.ravel().tolist(),
-                                                 violated.ravel().tolist())]
+    triples, minus_edges, (first, second, minus) = _cycle_index(graph.n_vertices)
+    weights = graph.weights.ravel()
+    values = weights[first] + weights[second] - weights[minus]
+    return CycleTable(graph.labels, triples, minus_edges, values, values > 1.0 + anomaly_tol)
 
 
 def real_amplitude_failure(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -106,7 +104,7 @@ def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs
 
 
 def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                    tol: Tolerances) -> tuple[FrameGraph, list[CycleInequality]]:
+                    tol: Tolerances) -> tuple[FrameGraph, CycleTable]:
     """The qubit fragment graph and its 3-cycles, judged on the scale of the anomaly band.
 
     For real qubits the largest cycle exceeds 1 by exactly 2 Tr(rho_phi rho_psi) m, m the
@@ -123,12 +121,14 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
                + 2.0 * np.maximum(-np.linalg.eigvalsh(selection)[:, 0], 0.0))
     floor = _CYCLE_ROUNDING + 4.0 * float(defects[defects > _CYCLE_ROUNDING].sum())
     band = max(2.0 * graph.edge(0, 1) * tol.anom - _CYCLE_ROUNDING, floor)
-    return graph, [replace(c, violated=c.value > 1.0 + band) if _PERPENDICULAR & set(c.triple) else c
-                   for c in all_three_cycles(graph, tol.anom)]
+    table = all_three_cycles(graph, tol.anom)
+    through_perpendicular = table.triples[:, 2] >= 4  # a triple lists its largest vertex last
+    violated = np.where(through_perpendicular, table.values > 1.0 + band, table.violated)
+    return graph, CycleTable(table.labels, table.triples, table.minus_edges, table.values, violated)
 
 
 def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                              tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, list[CycleInequality]]:
+                              tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, CycleTable]:
     """Quasi-probabilities and violated fragment cycles for real qubit inputs.
 
     For qubits with real amplitudes, any quasi-probability above 1 forces at
@@ -140,4 +140,5 @@ def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator
         raise NotRealAmplitudeError(failure)
 
     dist = quasi_prob(rho_phi, rho_psi, obs, tol)
-    return dist, [c for c in fragment_cycles(rho_phi, rho_psi, obs, tol)[1] if c.violated]
+    cycles = fragment_cycles(rho_phi, rho_psi, obs, tol)[1]
+    return dist, cycles[cycles.violated]

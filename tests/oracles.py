@@ -14,11 +14,12 @@ own selection gate. ``scalar_search``
 is the negativity search walked one restart and one candidate at a time,
 the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
 ``looped_three_cycles`` fill the overlap graph one vertex pair at a time
-and evaluate its cycles one triple at a time, the reference for the
-stacked overlap rows and the cycle index table. ``nodewise_matrix`` and
-``nodewise_state`` read a problem file's matrices and states one node at a
-time, probing each state as a grid and as a vector, the reference for the
-reader that classifies each entry once.
+and evaluate its cycles one triple at a time, as plain tuples, the
+reference for the stacked overlap rows and the cycle table;
+``looped_fragment_cycles`` judges the fragment's rows one at a time.
+``nodewise_matrix`` and ``nodewise_state`` read a problem file's matrices
+and states one node at a time, probing each state as a grid and as a
+vector, the reference for the reader that classifies each entry once.
 """
 
 from itertools import combinations
@@ -27,7 +28,7 @@ import numpy as np
 
 import weakvalues as wv
 from weakvalues.cli import ProblemFileError
-from weakvalues.contextuality import FRAGMENT_LABELS, CycleInequality
+from weakvalues.contextuality import _CYCLE_ROUNDING, FRAGMENT_LABELS
 from weakvalues.core import require_dims
 from weakvalues.explore import (SEARCH_INITIAL_STEP, SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS,
                                 SearchResult, _task_rng)
@@ -238,7 +239,11 @@ def pairwise_fragment_graph(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
 
 
 def looped_three_cycles(graph, anomaly_tol=wv.DEFAULT_TOL.anom):
-    """``all_three_cycles`` evaluated one triple and one edge lookup at a time."""
+    """``all_three_cycles`` evaluated one triple and one edge lookup at a time.
+
+    Returns one ``(triple, minus_edge, value, violated)`` tuple per inequality,
+    with the vertices named by their labels.
+    """
     out = []
     for i, j, k in combinations(range(graph.n_vertices), 3):
         e_ij = graph.edge(i, j)
@@ -250,13 +255,23 @@ def looped_three_cycles(graph, anomaly_tol=wv.DEFAULT_TOL.anom):
             ((graph.labels[i], graph.labels[k]), e_ij + e_jk - e_ik),
             ((graph.labels[i], graph.labels[j]), e_ik + e_jk - e_ij),
         ):
-            out.append(CycleInequality(
-                triple=triple,
-                minus_edge=minus_pair,
-                value=value,
-                violated=value > 1.0 + anomaly_tol,
-            ))
+            out.append((triple, minus_pair, value, value > 1.0 + anomaly_tol))
     return out
+
+
+def looped_fragment_cycles(graph, rho_phi, rho_psi, tol=wv.DEFAULT_TOL):
+    """``fragment_cycles`` on a given fragment graph, one cycle at a time.
+
+    The rows of ``looped_three_cycles``; those through a perpendicular vertex
+    are judged again against the fragment band, computed state by state.
+    """
+    defects = [abs(np.trace(rho.matrix).real - 1.0) + 2.0 * max(-np.linalg.eigvalsh(rho.matrix)[0], 0.0)
+               for rho in (rho_phi, rho_psi)]
+    floor = _CYCLE_ROUNDING + 4.0 * sum(defect for defect in defects if defect > _CYCLE_ROUNDING)
+    band = max(2.0 * graph.edge(0, 1) * tol.anom - _CYCLE_ROUNDING, floor)
+    perpendicular = set(FRAGMENT_LABELS[4:])
+    return [(triple, minus, value, value > 1.0 + band if perpendicular & set(triple) else bad)
+            for triple, minus, value, bad in looped_three_cycles(graph, tol.anom)]
 
 
 def _expect_number(node, where):

@@ -11,8 +11,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import weakvalues as wv
 from weakvalues import cli, pointer, quasiprob
-from oracles import nodewise_matrix, nodewise_state
+from conftest import random_mixed, random_pure
+from oracles import looped_fragment_cycles, looped_three_cycles, nodewise_matrix, nodewise_state
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
 
@@ -381,11 +383,13 @@ def test_overflowing_inputs_print_only_their_input_error(tmp_path, key, value, m
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"input error: {message}\n")
 
 
-@pytest.mark.parametrize("dim", ["0", "-3"])
-def test_scan_refuses_an_empty_dimension(capsys, dim):
+@pytest.mark.parametrize("dim, message", [
+    (dim, f"dimension {dim} outside supported range [2, 64]") for dim in ("0", "-3", "1", "65")
+] + [("two", "invalid int value: 'two'")], ids=["0", "-3", "1", "65", "two"])
+def test_scan_refuses_an_empty_dimension(capsys, dim, message):
+    # the flag refuses every dimension outside [2, 64], as a problem file's "dimension" does
     code, out, err = _run(capsys, ["scan", "--dim", dim, "--n", "10"])
-    assert (code, out) == (1, "")
-    assert err == "input error: observable must be square and non-empty, got shape (0, 0)\n"
+    assert (code, out, err) == (1, "", f"error: argument --dim: {message}\n")
 
 
 def test_round_trip_echo(capsys, great_circle_file, tmp_path):
@@ -590,6 +594,45 @@ def test_a_cycle_in_both_tables_gets_one_verdict(capsys, tmp_path, problem):
     fragment_violated = {(tuple(c["triple"]), tuple(c["minus_edge"])) for c in cycles["fragment"]["violated"]}
     assert {key for key, violated in full.items() if violated} == fragment_violated & set(full)
     assert len(full) == 12
+
+
+def _random_problem(d):
+    rng = np.random.default_rng(2000 + d)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return cli.Problem(dim=d, obs=wv.eigensystem(h + h.conj().T),
+                       rho_psi=wv.pure_to_density(wv.state_vector(random_pure(rng, d))),
+                       rho_phi=wv.validate_density(random_mixed(rng, d)),
+                       tol=wv.DEFAULT_TOL, pointer_cfg=None, seed=None)
+
+
+def _looped_rows(rows, with_verdict):
+    return [{"triple": list(triple), "minus_edge": list(minus), "value": value,
+             **({"violated": bad} if with_verdict else {})} for triple, minus, value, bad in rows]
+
+
+@pytest.mark.parametrize("make", [lambda: cli.parse_problem(GREAT_CIRCLE),
+                                  lambda: cli.parse_problem(SMALL_ANOMALY_LOW_OVERLAP),
+                                  lambda: _random_problem(2), lambda: _random_problem(3),
+                                  lambda: _random_problem(24)],
+                         ids=["great-circle", "small-anomaly-low-overlap", "d2", "d3", "d24"])
+def test_cycles_section_renders_as_the_looped_oracle(make):
+    # the rows built from the cycle table render to the same text as rows built
+    # one cycle at a time, on whatever numpy and BLAS run the suite
+    problem = make()
+    section = cli._cycles_section(problem)
+    rows = looped_three_cycles(wv.build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs,
+                                                    problem.tol), problem.tol.anom)
+    expected = {**section, "inequalities": _looped_rows(rows, True),
+                "max_value": max(value for _, _, value, _ in rows),
+                "violated_count": sum(bad for *_, bad in rows)}
+    if problem.dim == 2:
+        graph = wv.qubit_fragment_graph(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
+        fragment_rows = looped_fragment_cycles(graph, problem.rho_phi, problem.rho_psi, problem.tol)
+        expected["fragment"] = {**section["fragment"],
+                                "max_value": max(value for _, _, value, _ in fragment_rows),
+                                "violated": _looped_rows([row for row in fragment_rows if row[3]], False)}
+    for render in (cli.render_json, cli.render_csv):
+        assert render({"cycles": section}) == render({"cycles": expected})
 
 
 @pytest.mark.parametrize("render", [cli.render_json, cli.render_csv])

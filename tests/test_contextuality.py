@@ -1,13 +1,16 @@
 """3-cycle overlap inequalities, the six-state qubit fragment, and the
 anomaly-to-violation bridge."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import weakvalues as wv
 from weakvalues.contextuality import (
-    CycleInequality,
+    CycleTable,
     NotRealAmplitudeError,
+    _cycle_index,
     all_three_cycles,
     anomaly_implies_violation,
     fragment_cycles,
@@ -18,6 +21,7 @@ from weakvalues.invariants import FrameGraph, build_frame_graph
 from conftest import random_mixed, random_pure
 from oracles import (
     antipodal,
+    looped_fragment_cycles,
     looped_three_cycles,
     pairwise_fragment_graph,
     pairwise_frame_graph,
@@ -32,9 +36,18 @@ def _graph_from_edges(labels, edges):
     return FrameGraph(labels=tuple(labels), weights=weights)
 
 
+def _rows(table):
+    """The table as ``(triple, minus_edge, value, violated)`` tuples of labels and plain values."""
+    names = np.array(table.labels, dtype=object)
+    return [(tuple(triple), tuple(minus), value, bad)
+            for triple, minus, value, bad in zip(names[table.triples].tolist(),
+                                                 names[table.minus_edges].tolist(),
+                                                 table.values.tolist(), table.violated.tolist())]
+
+
 def _max_violation(graph):
     """Largest 3-cycle value minus 1; positive means the graph is contextual."""
-    return max(c.value for c in all_three_cycles(graph)) - 1.0
+    return float(all_three_cycles(graph).values.max()) - 1.0
 
 
 def _pure_fragment(phi, psi, obs):
@@ -54,27 +67,40 @@ def test_cycle_counts():
 
 def test_crafted_violation():
     g = _graph_from_edges("xyz", {(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.1})
-    cycles = all_three_cycles(g)
-    values = {c.minus_edge: c.value for c in cycles}
+    rows = _rows(all_three_cycles(g))
+    values = {minus: value for _, minus, value, _ in rows}
     assert abs(values[("y", "z")] - 1.7) < 1e-14
     assert abs(values[("x", "z")] - 0.1) < 1e-14
-    worst = max(cycles, key=lambda c: c.value)
-    assert worst.violated and worst.minus_edge == ("y", "z")
+    _, worst_minus, _, worst_violated = max(rows, key=lambda row: row[2])
+    assert worst_violated and worst_minus == ("y", "z")
     assert abs(_max_violation(g) - 0.7) < 1e-14
+
+
+def test_cycle_index_tables_are_read_only():
+    # every table of a size shares the cached index arrays, so a write must not reach them
+    rng = np.random.default_rng(63)
+    edges = {(i, j): w for (i, j), w in zip(combinations(range(5), 2), rng.uniform(0.0, 1.0, size=10))}
+    table = all_three_cycles(_graph_from_edges("abcde", edges))
+    for column in (table.triples, table.minus_edges):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0, 0] = 4
+    assert not any(index.flags.writeable for index in _cycle_index(5))
+    fresh = _graph_from_edges("vwxyz", edges)
+    assert _rows(all_three_cycles(fresh)) == looped_three_cycles(fresh)
 
 
 def test_great_circle_basic_graph(great_circle_densities, proj_zero):
     rho_psi, rho_phi = great_circle_densities
     graph = build_frame_graph(rho_phi, rho_psi, proj_zero)
-    cycles = {(c.triple, c.minus_edge): c for c in all_three_cycles(graph)}
+    cycles = {(triple, minus): (value, bad) for triple, minus, value, bad in _rows(all_three_cycles(graph))}
     # phi and a1 nearly coincide while psi sits 120 degrees from phi:
     # r(phi,a1) + r(psi,a1) - r(phi,psi) = 3/4 + 3/4 - 1/4
-    hot = cycles[(("phi", "psi", "a1"), ("phi", "psi"))]
-    assert abs(hot.value - 1.25) < 1e-12
-    assert hot.violated
-    tame = cycles[(("phi", "psi", "a2"), ("phi", "psi"))]
-    assert abs(tame.value - 0.25) < 1e-12
-    assert not tame.violated
+    hot_value, hot_violated = cycles[(("phi", "psi", "a1"), ("phi", "psi"))]
+    assert abs(hot_value - 1.25) < 1e-12
+    assert hot_violated
+    tame_value, tame_violated = cycles[(("phi", "psi", "a2"), ("phi", "psi"))]
+    assert abs(tame_value - 0.25) < 1e-12
+    assert not tame_violated
     assert abs(_max_violation(graph) - 0.25) < 1e-12
 
 
@@ -93,8 +119,7 @@ def test_fragment_great_circle_oracle(great_circle_pair, proj_zero):
                            r_ik + r_jk - r_ij)
     assert abs(best - 1.25) < 1e-12
     assert abs((_max_violation(graph) + 1.0) - best) < 1e-12
-    violated = [c for c in all_three_cycles(graph) if c.violated]
-    assert len(violated) == 6
+    assert np.count_nonzero(all_three_cycles(graph).violated) == 6
 
 
 def test_orthogonal_triple_never_violates():
@@ -122,9 +147,9 @@ def test_basis_anchored_triples_stay_classical():
         phi = wv.state_vector(random_pure(rng, 2))
         psi = wv.state_vector(random_pure(rng, 2))
         graph = build_frame_graph(wv.pure_to_density(phi), wv.pure_to_density(psi), obs)
-        for c in all_three_cycles(graph):
-            if "a1" in c.triple and "a2" in c.triple:
-                assert c.value <= 1.0 + 1e-12
+        for triple, _, value, _ in _rows(all_three_cycles(graph)):
+            if "a1" in triple and "a2" in triple:
+                assert value <= 1.0 + 1e-12
 
 
 def _random_hermitian(rng, d):
@@ -140,7 +165,7 @@ def _assert_same_graph_and_cycles(graph, oracle):
                 assert graph.edge(i, j) == oracle.edge(i, j), (i, j)
     assert graph.adjacency_text() == oracle.adjacency_text()
     for tol in (wv.DEFAULT_TOL.anom, 0.0):
-        assert all_three_cycles(graph, tol) == looped_three_cycles(oracle, tol)
+        assert _rows(all_three_cycles(graph, tol)) == looped_three_cycles(oracle, tol)
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 16, 24, 64))
@@ -168,8 +193,10 @@ def test_fragment_matches_the_pairwise_oracle():
         obs = _random_hermitian(rng, 2)
         for rho_phi, rho_psi in ((pure_phi, pure_psi), (real_phi, real_psi),
                                  (mixed_phi, mixed_psi), (pure_phi, mixed_psi)):
-            _assert_same_graph_and_cycles(qubit_fragment_graph(rho_phi, rho_psi, obs),
-                                          pairwise_fragment_graph(rho_phi, rho_psi, obs))
+            oracle = pairwise_fragment_graph(rho_phi, rho_psi, obs)
+            _assert_same_graph_and_cycles(qubit_fragment_graph(rho_phi, rho_psi, obs), oracle)
+            assert (_rows(fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)[1])
+                    == looped_fragment_cycles(oracle, rho_phi, rho_psi))
 
 
 def test_build_fragment_shape(great_circle_pair, proj_zero):
@@ -220,16 +247,15 @@ def test_anomaly_bridge_great_circle(great_circle_densities, proj_zero):
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, proj_zero)
     assert wv.anomalous_indices(dist) != ()
     assert len(violated) == 6
-    assert all(isinstance(c, CycleInequality) and c.violated for c in violated)
-    worst = max(c.value for c in violated)
-    assert abs(worst - 1.25) < 1e-12
+    assert isinstance(violated, CycleTable) and violated.violated.all()
+    assert abs(violated.values.max() - 1.25) < 1e-12
 
 
 def test_anomaly_bridge_identical_selections(proj_zero):
     rho = wv.pure_to_density(wv.state_vector([np.sqrt(0.3), np.sqrt(0.7)]))
     dist, violated = anomaly_implies_violation(rho, rho, proj_zero)
     assert wv.anomalous_indices(dist) == ()
-    assert violated == []
+    assert len(violated) == 0
 
 
 def test_anomaly_bridge_rejects_complex_amplitudes(proj_zero):
@@ -270,7 +296,7 @@ def test_a_small_anomaly_at_low_overlap_still_certifies():
     assert abs(dist.weights[0] + 2e-9) < 1e-15
     assert wv.anomalous_indices(dist) == (0, 1)
     assert violated
-    assert abs(max(c.value for c in violated) - (1.0 + 8e-10)) < 1e-15
+    assert abs(violated.values.max() - (1.0 + 8e-10)) < 1e-15
 
 
 def test_an_anomaly_at_the_edge_of_the_band_still_certifies(proj_one):
@@ -291,7 +317,7 @@ def test_orthogonal_real_pairs_show_no_rounding_violation():
         rho_phi = wv.pure_to_density(wv.state_vector([np.cos(t), np.sin(t)]))
         rho_psi = wv.pure_to_density(wv.state_vector([-np.sin(t), np.cos(t)]))
         _, cycles = fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)
-        assert not any(c.violated for c in cycles)
+        assert not cycles.violated.any()
 
 
 @pytest.mark.parametrize("pre_state, post_state, observable", [
@@ -306,5 +332,5 @@ def test_an_accepted_input_defect_violates_no_fragment_cycle(pre_state, post_sta
     obs = wv.eigensystem(observable)
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
     assert not wv.anomalous_indices(dist)
-    assert max(c.value for c in fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)[1]) > 1.0 + 1e-11
-    assert violated == []
+    assert fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)[1].values.max() > 1.0 + 1e-11
+    assert len(violated) == 0

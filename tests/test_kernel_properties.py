@@ -175,5 +175,5 @@ def test_the_fragment_excess_is_twice_the_overlap_times_the_anomaly_margin(rho_p
         g = dist.weights.real
         margin = max(-g.min(), g.max() - 1.0)
         graph, cycles = fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)
-        excess = max(c.value for c in cycles) - 1.0
+        excess = cycles.values.max() - 1.0
         assert abs(excess - 2.0 * graph.edge(0, 1) * margin) <= 1e-12
