@@ -25,7 +25,8 @@ for name, obs in (("P0 = |0><0|", proj_low), ("P1 = |1><1|", proj_high)):
     print(f"{name}: weak value = {res.value.real:+.6f}, spectrum "
           f"[{res.spectrum_lo:g}, {res.spectrum_hi:g}], {res.classification}")
 
-# The identity is P0 + P1, so its weak value is the sum of P0's quasi-probabilities.
+# One record holds P0's quasi-probabilities and its weak value. The identity is
+# P0 + P1, so its weak value is the sum of those quasi-probabilities.
 dist = wv.quasi_prob(wv.pure_to_density(phi), wv.pure_to_density(psi), proj_low)
 identity = complex(np.sum(dist.weights))
 print(f"identity : weak value = {identity.real:+.6f} ({wv.classify(identity, 1.0, 1.0)})")
@@ -38,4 +39,4 @@ for a, g in zip(dist.labels, dist.weights):
     print(f"  eigenvalue {a:g}: g = {g.real:+.6f}")
 print(f"  sum = {np.sum(dist.weights).real:+.6f}")
 print(f"  sum of a_i g_i = {np.sum(dist.labels * dist.weights).real:+.6f}"
-      "  (recovers the weak value)")
+      f"  (the weak value the same record carries: {dist.value.real:+.6f})")

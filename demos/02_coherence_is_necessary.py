@@ -27,7 +27,7 @@ for label, pair in (
     print(f"{label}:")
     print(f"  l1 coherence (post, pre) = ({report.l1_post:.4f}, {report.l1_pre:.4f})")
     print(f"  anomalous weight indices = {report.g_anomalous}")
-    print(f"  weak value classification = {report.aw_classification}")
+    print(f"  weak value classification = {report.dist.classification}")
     print(f"  verdict = {report.verdict}")
 
 print()

@@ -38,7 +38,6 @@ from .quasiprob import (
     DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
     QuasiProbDist,
-    WeakValueResult,
     anomalous_indices,
     classify,
     is_marginal,

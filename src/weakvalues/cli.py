@@ -47,12 +47,10 @@ from .quasiprob import (
     ANOMALOUS_REAL,
     NORMAL,
     QuasiProbDist,
-    WeakValueResult,
     anomalous_indices,
     classify,
     is_marginal,
     quasi_prob,
-    quasi_prob_and_weak_value,
 )
 from .witness import WitnessReport, check_theorem_coherence
 
@@ -412,23 +410,23 @@ def _report_head(command: str, problem: Problem | None = None, seed: int | None 
     return report
 
 
-def _weak_value_section(aw: WeakValueResult, tol: Tolerances) -> dict:
+def _weak_value_section(dist: QuasiProbDist, tol: Tolerances) -> dict:
     return {
-        "re": aw.value.real,
-        "im": aw.value.imag,
-        "denominator": aw.denominator,
-        "spectrum": [aw.spectrum_lo, aw.spectrum_hi],
-        "classification": aw.classification,
-        "marginal": is_marginal(aw.value, aw.spectrum_lo, aw.spectrum_hi, tol.anom),
+        "re": dist.value.real,
+        "im": dist.value.imag,
+        "denominator": dist.denominator,
+        "spectrum": [dist.spectrum_lo, dist.spectrum_hi],
+        "classification": dist.classification,
+        "marginal": is_marginal(dist.value, dist.spectrum_lo, dist.spectrum_hi, tol.anom),
     }
 
 
-def _quasiprob_section(dist: QuasiProbDist, aw: WeakValueResult, tol: Tolerances) -> dict:
+def _quasiprob_section(dist: QuasiProbDist, tol: Tolerances) -> dict:
     return {
         "eigenvalues": dist.labels.tolist(),
         "weights": _pairs(dist.weights),
         "anomalous_indices": list(anomalous_indices(dist, tol.anom)),
-        "weak_value_from_weights": _pairs(aw.value),
+        "weak_value_from_weights": _pairs(dist.value),
         "marginal_indices": [
             i for i, w in enumerate(dist.weights)
             if is_marginal(complex(w), 0.0, 1.0, tol.anom)
@@ -444,7 +442,7 @@ def _witness_section(problem: Problem, witness: WitnessReport) -> dict:
         "coherent_post": witness.coherent_post,
         "commutator_norm": commutator_norm(problem.rho_phi, problem.rho_psi),
         "anomalous_indices": list(witness.g_anomalous),
-        "aw_classification": witness.aw_classification,
+        "aw_classification": witness.dist.classification,
         "verdict": witness.verdict,
     }
 
@@ -525,8 +523,8 @@ def cmd_compute(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
     witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("compute", problem)
-    report["weak_value"] = _weak_value_section(witness.aw, problem.tol)
-    report["quasiprob"] = _quasiprob_section(witness.dist, witness.aw, problem.tol)
+    report["weak_value"] = _weak_value_section(witness.dist, problem.tol)
+    report["quasiprob"] = _quasiprob_section(witness.dist, problem.tol)
     report["witness"] = _witness_section(problem, witness)
     report["cycles"] = _cycles_section(problem)
     _print_report(report, args.format)
@@ -536,9 +534,9 @@ def cmd_compute(args) -> int:
 
 def cmd_gvals(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
-    dist, aw = quasi_prob_and_weak_value(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
+    dist = quasi_prob(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("gvals", problem)
-    report["quasiprob"] = _quasiprob_section(dist, aw, problem.tol)
+    report["quasiprob"] = _quasiprob_section(dist, problem.tol)
     _print_report(report, args.format)
     return _anomaly_exit(bool(report["quasiprob"]["anomalous_indices"]))
 
@@ -547,7 +545,7 @@ def cmd_witness(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
     witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("witness", problem)
-    report["weak_value"] = _weak_value_section(witness.aw, problem.tol)
+    report["weak_value"] = _weak_value_section(witness.dist, problem.tol)
     report["witness"] = _witness_section(problem, witness)
     _print_report(report, args.format)
     return _anomaly_exit(report["weak_value"]["classification"] != NORMAL,
@@ -658,13 +656,13 @@ def _reference_computations() -> dict:
     rho_phi = pure_to_density(phi)
     proj_low = eigensystem(np.diag([1.0, 0.0]))
 
-    dist_low, aw_low = quasi_prob_and_weak_value(rho_phi, rho_psi, proj_low)
-    aw_high = quasi_prob_and_weak_value(rho_phi, rho_psi, eigensystem(np.diag([0.0, 1.0])))[1]
+    dist_low = quasi_prob(rho_phi, rho_psi, proj_low)
+    dist_high = quasi_prob(rho_phi, rho_psi, eigensystem(np.diag([0.0, 1.0])))
 
     basis_low = pure_to_density(proj_low.basis_state(1))  # eigenvalue 1 sits last
     values = {
-        "proj_low_weak_value": aw_low.value.real,
-        "proj_high_weak_value": aw_high.value.real,
+        "proj_low_weak_value": dist_low.value.real,
+        "proj_high_weak_value": dist_high.value.real,
         "identity_weak_value": dist_low.weights.sum().real,  # the identity is sum_i P_i
         "pair_overlap": overlap(rho_phi, rho_psi),
         "third_order_invariant": bargmann((rho_phi, basis_low, rho_psi)).real,
@@ -686,7 +684,7 @@ def _reference_computations() -> dict:
     checks = {
         "coherent_pair_commutator_positive": commutator_norm(coherent_phi, coherent_psi) > 0.0,
         "coherent_pair_non_anomalous": not anomalous_indices(dist),
-        "proj_low_classified_anomalous": aw_low.classification == ANOMALOUS_REAL,
+        "proj_low_classified_anomalous": dist_low.classification == ANOMALOUS_REAL,
     }
     return {"values": values, "checks": checks}
 
@@ -710,20 +708,32 @@ def cmd_reproduce(args) -> int:
 # Entry point
 
 
+def _int_value(text: str) -> int:
+    # A ValueError would make argparse name the type function; the message names int instead.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _seed_type(text: str) -> int:
-    value = int(text)
+    value = _int_value(text)
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError(f"seed must fit in an unsigned 64-bit integer, got {text}")
     return value
 
 
 def _dim_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int_value(text)
     if value not in _DIMENSIONS:
         raise argparse.ArgumentTypeError(f"dimension {value} outside supported range [2, 64]")
+    return value
+
+
+def _budget_type(text: str) -> int:
+    value = _int_value(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
     return value
 
 
@@ -766,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="search for maximally negative weak values")
     p_search.add_argument("--observable", choices=sorted(_SEARCH_OBSERVABLES), default="proj0",
                           help="built-in qubit observable (default proj0)")
-    p_search.add_argument("--budget", type=int, default=10000, metavar="N",
+    p_search.add_argument("--budget", type=_budget_type, default=10000, metavar="N",
                           help="objective evaluation budget (default 10000)")
     p_search.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                           help="master seed (default 0)")

@@ -129,7 +129,7 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
 
 def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
                               tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, CycleTable]:
-    """Quasi-probabilities and violated fragment cycles for real qubit inputs.
+    """Quasi-probabilities (with their weak value) and violated fragment cycles for real qubit inputs.
 
     For qubits with real amplitudes, any quasi-probability above 1 forces at
     least one violated 3-cycle on the six-vertex fragment graph, so callers

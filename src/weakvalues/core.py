@@ -101,7 +101,7 @@ class Tolerances:
     norm   : unit-norm / unit-trace defect
     herm   : max entrywise Hermiticity defect
     psd    : most negative admissible eigenvalue
-    eig    : eigen-equation residual, also the reality threshold
+    eig    : reality threshold for the imaginary parts of overlaps and real-amplitude inputs
     degen  : minimal admissible eigenvalue gap
     anom   : half-width of the anomaly decision band, below 1/DEFAULT_SELECTION_THRESHOLD
     """

@@ -35,12 +35,10 @@ __all__ = [
     "ANOMALOUS_IMAGINARY",
     "DEFAULT_SELECTION_THRESHOLD",
     "QuasiProbDist",
-    "WeakValueResult",
     "classify",
     "anomalous_mask",
     "is_marginal",
     "quasi_prob",
-    "quasi_prob_and_weak_value",
     "quasi_prob_stack",
     "weak_value",
     "weak_value_pure",
@@ -89,29 +87,31 @@ def is_marginal(value: complex, lo: float, hi: float, anomaly_tol: float = DEFAU
 
 @dataclass(frozen=True)
 class QuasiProbDist:
-    """Quasi-probability weights over the ascending eigenvalues of an observable."""
+    """Quasi-probabilities of one selection pair and the weak value they average to.
+
+    ``weights`` are the g_i over the ascending eigenvalues ``labels``, and
+    ``value`` is A_w = sum_i a_i g_i, classified against the spectrum edges.
+    ``denominator`` is the post-selection overlap Tr(rho_phi rho_psi); small
+    values flag an ill-conditioned (nearly orthogonal) selection.
+    """
 
     weights: np.ndarray
     labels: np.ndarray
+    value: complex
+    denominator: float
+    classification: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
 
+    @property
+    def spectrum_lo(self) -> float:
+        return float(self.labels[0])
 
-@dataclass(frozen=True)
-class WeakValueResult:
-    """Weak value with its conditioning and classification context.
-
-    ``denominator`` is the post-selection overlap Tr(rho_phi rho_psi); small
-    values flag an ill-conditioned (nearly orthogonal) selection.
-    """
-
-    value: complex
-    denominator: float
-    spectrum_lo: float
-    spectrum_hi: float
-    classification: str
+    @property
+    def spectrum_hi(self) -> float:
+        return float(self.labels[-1])
 
 
 def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
@@ -137,8 +137,8 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
         return den, num / den[:, None]
 
 
-def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                              tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, WeakValueResult]:
+def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
+               tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
     """Quasi-probabilities and the weak value sum_i a_i g_i of one selection pair.
 
     This is the n = 1 case of :func:`quasi_prob_stack` behind the selection gate.
@@ -154,28 +154,20 @@ def quasi_prob_and_weak_value(rho_phi: DensityOperator, rho_psi: DensityOperator
     # An elementwise product and a row sum give each weak value the same bits
     # in a stack of one as in a scan block; a matrix-vector product does not.
     value = complex((g[0] * a).sum(axis=-1))
-    lo, hi = float(a[0]), float(a[-1])
-    aw = WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
-                         classification=classify(value, lo, hi, tol.anom))
-    return QuasiProbDist(weights=g[0], labels=a), aw
-
-
-def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-               tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
-    """Quasi-probability of each eigenvector of ``obs`` for the given selection."""
-    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, tol)[0]
+    return QuasiProbDist(weights=g[0], labels=a, value=value, denominator=den,
+                         classification=classify(value, float(a[0]), float(a[-1]), tol.anom))
 
 
 def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator,
-               tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
+               tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
     """Weak value of a validated observable as sum_i a_i g_i."""
-    return quasi_prob_and_weak_value(rho_phi, rho_psi, obs, tol)[1]
+    return quasi_prob(rho_phi, rho_psi, obs, tol)
 
 
 def weak_value_pure(obs: Observable, psi: StateVector, phi: StateVector,
-                    tol: Tolerances = DEFAULT_TOL) -> WeakValueResult:
+                    tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
     """Weak value <phi|A|psi> / <phi|psi> for pure selections: the n = 1 kernel on their projectors."""
-    return quasi_prob_and_weak_value(pure_to_density(phi), pure_to_density(psi), obs, tol)[1]
+    return quasi_prob(pure_to_density(phi), pure_to_density(psi), obs, tol)
 
 
 def anomalous_indices(dist: QuasiProbDist, anomaly_tol: float = DEFAULT_TOL.anom) -> tuple[int, ...]:

@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DEFAULT_TOL, DensityOperator, Observable, Tolerances, coherence_l1
-from .quasiprob import (
-    NORMAL,
-    QuasiProbDist,
-    WeakValueResult,
-    anomalous_indices,
-    quasi_prob_and_weak_value,
-)
+from .quasiprob import NORMAL, QuasiProbDist, anomalous_indices, quasi_prob
 
 __all__ = [
     "CONSISTENT",
@@ -39,8 +33,7 @@ DEFAULT_COHERENCE_TOL = 1e-8
 class WitnessReport:
     """Joint coherence / anomaly diagnosis for one selection pair.
 
-    ``dist`` and ``aw`` are the quasi-probabilities and weak value behind
-    the verdict, from one kernel evaluation.
+    ``dist`` holds the quasi-probabilities and weak value behind the verdict.
     """
 
     l1_post: float
@@ -49,16 +42,7 @@ class WitnessReport:
     coherent_pre: bool
     g_anomalous: tuple[int, ...]
     dist: QuasiProbDist
-    aw: WeakValueResult
     verdict: str
-
-    @property
-    def aw_classification(self) -> str:
-        return self.aw.classification
-
-    @property
-    def anomaly_present(self) -> bool:
-        return bool(self.g_anomalous) or self.aw.classification != NORMAL
 
 
 def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -71,11 +55,11 @@ def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, 
     """
     l1_post = coherence_l1(rho_phi, obs)
     l1_pre = coherence_l1(rho_psi, obs)
-    dist, aw = quasi_prob_and_weak_value(rho_phi, rho_psi, obs, tol)
+    dist = quasi_prob(rho_phi, rho_psi, obs, tol)
     bad = anomalous_indices(dist, tol.anom)
     coherent_post = l1_post >= DEFAULT_COHERENCE_TOL
     coherent_pre = l1_pre >= DEFAULT_COHERENCE_TOL
-    anomaly = bool(bad) or aw.classification != NORMAL
+    anomaly = bool(bad) or dist.classification != NORMAL
     verdict = VIOLATED if anomaly and not (coherent_post and coherent_pre) else CONSISTENT
     return WitnessReport(
         l1_post=l1_post,
@@ -84,6 +68,5 @@ def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, 
         coherent_pre=coherent_pre,
         g_anomalous=bad,
         dist=dist,
-        aw=aw,
         verdict=verdict,
     )

@@ -22,6 +22,7 @@ and states one node at a time, probing each state as a grid and as a
 vector, the reference for the reader that classifies each entry once.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -47,9 +48,20 @@ def _gated(den):
     return den
 
 
+@dataclass(frozen=True)
+class OracleWeakValue:
+    """A weak value by a second route, under the attribute names of ``QuasiProbDist``."""
+
+    value: complex
+    denominator: float
+    spectrum_lo: float
+    spectrum_hi: float
+    classification: str
+
+
 def _result(value, den, lo, hi, tol):
-    return wv.WeakValueResult(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
-                              classification=wv.classify(value, lo, hi, tol.anom))
+    return OracleWeakValue(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
+                           classification=wv.classify(value, lo, hi, tol.anom))
 
 
 def trace_ratio_weak_value(matrix, rho_psi, rho_phi, tol=wv.DEFAULT_TOL):

@@ -392,6 +392,33 @@ def test_scan_refuses_an_empty_dimension(capsys, dim, message):
     assert (code, out, err) == (1, "", f"error: argument --dim: {message}\n")
 
 
+@pytest.mark.parametrize("budget, message", [
+    ("-3", "budget must be at least 1, got -3"),
+    ("0", "budget must be at least 1, got 0"),
+], ids=["-3", "0"])
+def test_search_refuses_a_budget_below_one(capsys, budget, message):
+    code, out, err = _run(capsys, ["search", "--budget", budget])
+    assert (code, out, err) == (1, "", f"error: argument --budget: {message}\n")
+
+
+def test_search_accepts_a_budget_of_one(capsys):
+    code, out, err = _run(capsys, ["search", "--budget", "1", "--seed", "5"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["search"]["evaluations"] == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["search", "--seed", "abc"], "--seed"),
+    (["scan", "--seed", "abc"], "--seed"),
+    (["scan", "--dim", "abc"], "--dim"),
+    (["search", "--budget", "abc"], "--budget"),
+], ids=["search-seed", "scan-seed", "dim", "budget"])
+def test_integer_flags_refuse_a_non_integer_by_name(capsys, argv, flag):
+    # one reader for every integer flag: the message names the flag, never a function
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: argument {flag}: invalid int value: 'abc'\n")
+
+
 def test_round_trip_echo(capsys, great_circle_file, tmp_path):
     # a report's inputs block reproduces the whole report byte for byte, in
     # both formats; the 120-degree post-selection state echoes a negative zero

@@ -178,6 +178,13 @@ def test_weak_value_pure_routes_agree():
         u = wv.state_vector(random_pure(rng, d))
         w = wv.state_vector(random_pure(rng, d))
         pure = wv.weak_value_pure(obs, u, w)
+        rho_u, rho_w = wv.pure_to_density(u), wv.pure_to_density(w)
+        # the three entry points are one kernel: the same record, to the bit
+        for other in (wv.quasi_prob(rho_w, rho_u, obs), wv.weak_value(obs, rho_u, rho_w)):
+            assert type(other) is type(pure) is wv.QuasiProbDist
+            assert np.array_equal(other.weights, pure.weights)
+            assert (other.value, other.denominator, other.classification) == \
+                (pure.value, pure.denominator, pure.classification)
         ratio = amplitude_ratio_weak_value(obs, u, w)
         assert abs(pure.value - ratio.value) < 1e-12
         assert abs(pure.denominator - ratio.denominator) < 1e-13
@@ -225,8 +232,11 @@ def test_dimension_mismatch(proj_zero):
 
 def test_anomalous_indices_on_handmade_distribution():
     dist = wv.QuasiProbDist(weights=np.array([1.0, 0.0, 0.0], dtype=complex),
-                            labels=np.array([0.0, 1.0, 2.0]))
+                            labels=np.array([0.0, 1.0, 2.0]),
+                            value=0j, denominator=1.0, classification=wv.NORMAL)
     assert wv.anomalous_indices(dist) == ()
+    assert (dist.spectrum_lo, dist.spectrum_hi) == (0.0, 2.0)
     dist2 = wv.QuasiProbDist(weights=np.array([0.5, 0.5 + 2e-9j, 0.0 - 0.0j], dtype=complex),
-                             labels=np.array([0.0, 1.0, 2.0]))
+                             labels=np.array([0.0, 1.0, 2.0]),
+                             value=0.5 + 2e-9j, denominator=1.0, classification=wv.ANOMALOUS_IMAGINARY)
     assert wv.anomalous_indices(dist2) == (1,)

@@ -64,8 +64,7 @@ def test_witness_great_circle(great_circle_densities, proj_zero):
     report = check_theorem_coherence(rho_phi, rho_psi, proj_zero)
     assert report.g_anomalous == (0, 1)
     assert report.coherent_pre and report.coherent_post
-    assert report.aw_classification == wv.ANOMALOUS_REAL
-    assert report.anomaly_present
+    assert report.dist.classification == wv.ANOMALOUS_REAL
     assert report.verdict == CONSISTENT
     assert abs(report.l1_pre - np.sqrt(3) / 2) < 1e-12
     assert abs(report.l1_post - np.sqrt(3) / 2) < 1e-12
@@ -76,8 +75,7 @@ def test_witness_coherent_but_tame(coherent_pair, proj_zero):
     report = check_theorem_coherence(rho_phi, rho_psi, proj_zero)
     assert report.coherent_pre and report.coherent_post
     assert report.g_anomalous == ()
-    assert report.aw_classification == wv.NORMAL
-    assert not report.anomaly_present
+    assert report.dist.classification == wv.NORMAL
     assert report.verdict == CONSISTENT
     assert abs(report.l1_post - np.sqrt(3) / 4) < 1e-12
 
@@ -88,7 +86,7 @@ def test_witness_after_dephasing(great_circle_densities, proj_zero):
                                      wv.dephase(rho_psi, proj_zero), proj_zero)
     assert not report.coherent_pre and not report.coherent_post
     assert report.g_anomalous == ()
-    assert report.aw_classification == wv.NORMAL
+    assert report.dist.classification == wv.NORMAL
     assert report.verdict == CONSISTENT
 
 
@@ -103,7 +101,7 @@ def test_one_diagonal_state_never_anomalous():
         rho_psi = wv.validate_density(random_mixed(rng, d))
         report = check_theorem_coherence(rho_phi, rho_psi, obs)
         assert report.g_anomalous == ()
-        assert report.aw_classification == wv.NORMAL
+        assert report.dist.classification == wv.NORMAL
         assert report.verdict == CONSISTENT
 
 
