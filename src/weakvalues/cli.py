@@ -27,6 +27,7 @@ from . import __version__
 from .contextuality import CycleTable, all_three_cycles, fragment_cycles, real_amplitude_failure
 from .core import (
     DEFAULT_TOL,
+    PSD_TOL,
     ComputationError,
     DensityOperator,
     Observable,
@@ -168,7 +169,7 @@ def _parse_matrix(node, where: str) -> np.ndarray:
     return _complex_array(rows)
 
 
-def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator:
+def _parse_state(node, where: str, dim: int) -> DensityOperator:
     """Amplitudes when every entry is a real number or an [re, im] pair, else a density matrix.
 
     At dim 2 two pairs are also a 2 x 2 grid of numbers, read as a matrix first and as amplitudes
@@ -187,11 +188,11 @@ def _parse_state(node, where: str, dim: int, tol: Tolerances) -> DensityOperator
         matrix = _parse_matrix(node, where)
         if matrix.shape != (dim, dim):
             raise ProblemFileError(where, f"state has shape {matrix.shape}, expected ({dim}, {dim})")
-        readings.append(lambda: validate_density(matrix, tol))
+        readings.append(lambda: validate_density(matrix))
     if amplitudes is not None:
         if len(amplitudes) != dim:
             raise ProblemFileError(where, f"state has {len(amplitudes)} amplitudes, expected {dim}")
-        readings.append(lambda: pure_to_density(state_vector(amplitudes, tol)))
+        readings.append(lambda: pure_to_density(state_vector(amplitudes)))
     errors = []
     for read in readings:
         try:
@@ -262,12 +263,12 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
     if matrix.shape != (dim, dim):
         raise ProblemFileError("problem.observable", f"shape {matrix.shape}, expected ({dim}, {dim})")
     try:
-        obs = eigensystem(matrix, tol)
+        obs = eigensystem(matrix)
     except ValidationError as exc:
         raise ProblemFileError("problem.observable", str(exc)) from exc
 
-    rho_psi = _parse_state(data["pre_state"], "problem.pre_state", dim, tol)
-    rho_phi = _parse_state(data["post_state"], "problem.post_state", dim, tol)
+    rho_psi = _parse_state(data["pre_state"], "problem.pre_state", dim)
+    rho_phi = _parse_state(data["post_state"], "problem.post_state", dim)
 
     pointer_cfg = None
     if "pointer" in data:
@@ -298,10 +299,10 @@ def load_problem(path: str, tol_anom_override: float | None = None) -> Problem:
     return parse_problem(data, tol_anom_override)
 
 
-def _extract_pure(rho: DensityOperator, where: str, tol: Tolerances) -> StateVector:
+def _extract_pure(rho: DensityOperator, where: str) -> StateVector:
     """Principal eigenvector of a rank-1 state, for commands that need amplitudes."""
     eigenvalues, eigenvectors = np.linalg.eigh(rho.matrix)
-    if abs(float(eigenvalues[-1]) - 1.0) > 100.0 * tol.psd:
+    if abs(float(eigenvalues[-1]) - 1.0) > 100.0 * PSD_TOL:
         raise ProblemFileError(where, f"state is mixed (largest eigenvalue {float(eigenvalues[-1]):.12g}), "
                                       "this command needs pure states")
     return StateVector(_fix_phases(eigenvectors[:, -1:])[:, 0])
@@ -453,7 +454,7 @@ def _cycle_columns(table: CycleTable) -> tuple[list, list, list]:
 
 
 def _cycles_section(problem: Problem) -> dict:
-    graph = build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
+    graph = build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs)
     cycles = all_three_cycles(graph, problem.tol.anom)
     section = {
         "graph": graph.adjacency_text(),
@@ -472,8 +473,7 @@ def _cycles_section(problem: Problem) -> dict:
                                                          problem.tol)
         section["fragment"] = {
             # The anomaly-implies-violation link is proven for real amplitudes.
-            "claim_applies": real_amplitude_failure(problem.rho_phi, problem.rho_psi, problem.obs,
-                                                    problem.tol.eig) is None,
+            "claim_applies": real_amplitude_failure(problem.rho_phi, problem.rho_psi, problem.obs) is None,
             "graph": fragment_graph.adjacency_text(),
             "max_value": float(fragment_table.values.max()),
             "violated": [{"triple": triple, "minus_edge": minus, "value": value}
@@ -563,8 +563,8 @@ def cmd_contextuality(args) -> int:
 
 def cmd_pointer(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
-    psi = _extract_pure(problem.rho_psi, "problem.pre_state", problem.tol)
-    phi = _extract_pure(problem.rho_phi, "problem.post_state", problem.tol)
+    psi = _extract_pure(problem.rho_psi, "problem.pre_state")
+    phi = _extract_pure(problem.rho_phi, "problem.post_state")
     report = _report_head("pointer", problem)
     report["pointer"] = _pointer_section(problem, psi, phi)
     _print_report(report, args.format)

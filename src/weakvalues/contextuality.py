@@ -14,7 +14,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityOperator, NotQubitError, Observable, Tolerances, ValidationError, _frozen
+from .core import (DEFAULT_TOL, REALITY_TOL, DensityOperator, NotQubitError, Observable, Tolerances,
+                   ValidationError, _frozen)
 from .invariants import FrameGraph, _graph_from_vertices
 from .quasiprob import QuasiProbDist, quasi_prob
 
@@ -74,20 +75,18 @@ def all_three_cycles(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -
     return CycleTable(graph.labels, triples, minus_edges, values, values > 1.0 + anomaly_tol)
 
 
-def real_amplitude_failure(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                           real_tol: float) -> str | None:
+def real_amplitude_failure(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> str | None:
     """Why the real-amplitude anomaly-to-violation claim misses these inputs; None if it applies."""
     for matrix, what in ((rho_phi.matrix, "post-selection state"),
                          (rho_psi.matrix, "pre-selection state"),
                          (obs.eigenvectors, "observable eigenbasis")):
         worst = float(np.max(np.abs(matrix.imag)))
-        if worst > real_tol:
+        if worst > REALITY_TOL:
             return f"{what} has imaginary entries up to {worst:.3e}"
     return None
 
 
-def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                         tol: Tolerances = DEFAULT_TOL) -> FrameGraph:
+def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> FrameGraph:
     """Six-vertex overlap graph for a qubit selection pair, mixed states allowed.
 
     The perpendicular vertices generalize to 1 - rho, which reduces to the
@@ -100,7 +99,7 @@ def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs
     selection = np.stack([rho_phi.matrix, rho_psi.matrix])
     vertices = np.concatenate([selection, [obs.projector(0).matrix, obs.projector(1).matrix],
                                np.eye(2, dtype=complex) - selection])
-    return _graph_from_vertices(FRAGMENT_LABELS, vertices, tol)
+    return _graph_from_vertices(FRAGMENT_LABELS, vertices)
 
 
 def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -115,7 +114,7 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
     (a cycle moves by at most three), when that defect is more than rounding. Cycles among
     phi, psi, a1, a2 keep ``tol.anom``, as in ``build_frame_graph`` at d = 2.
     """
-    graph = qubit_fragment_graph(rho_phi, rho_psi, obs, tol)
+    graph = qubit_fragment_graph(rho_phi, rho_psi, obs)
     selection = np.stack([rho_phi.matrix, rho_psi.matrix])
     defects = (np.abs(np.trace(selection, axis1=1, axis2=2).real - 1.0)
                + 2.0 * np.maximum(-np.linalg.eigvalsh(selection)[:, 0], 0.0))
@@ -135,7 +134,7 @@ def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator
     least one violated 3-cycle on the six-vertex fragment graph, so callers
     get both the anomaly and its contextuality certificate in one call.
     """
-    failure = real_amplitude_failure(rho_phi, rho_psi, obs, tol.eig)
+    failure = real_amplitude_failure(rho_phi, rho_psi, obs)
     if failure is not None:
         raise NotRealAmplitudeError(failure)
 

@@ -15,6 +15,11 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "DEFAULT_SELECTION_THRESHOLD",
+    "NORM_TOL",
+    "HERMITICITY_TOL",
+    "PSD_TOL",
+    "REALITY_TOL",
+    "DEGENERACY_TOL",
     "StateVector",
     "DensityOperator",
     "Observable",
@@ -92,31 +97,27 @@ class ZeroPostselectionError(ComputationError):
 
 # Post-selection overlaps at or below this are treated as orthogonal, by every gate and the scan.
 DEFAULT_SELECTION_THRESHOLD = 1e-12
+# The validation gates' thresholds.
+NORM_TOL = 1e-10  # unit-norm / unit-trace defect
+HERMITICITY_TOL = 1e-10  # largest entrywise Hermiticity defect
+PSD_TOL = 1e-10  # how far below zero the lowest eigenvalue of a density operator may sit
+REALITY_TOL = 1e-9  # imaginary part refused in an overlap or a real-amplitude input
+DEGENERACY_TOL = 1e-8  # least admissible eigenvalue gap
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by the validation gates and classifiers.
+    """The anomaly decision band: half-width ``anom``, below 1/DEFAULT_SELECTION_THRESHOLD.
 
-    norm   : unit-norm / unit-trace defect
-    herm   : max entrywise Hermiticity defect
-    psd    : most negative admissible eigenvalue
-    eig    : reality threshold for the imaginary parts of overlaps and real-amplitude inputs
-    degen  : minimal admissible eigenvalue gap
-    anom   : half-width of the anomaly decision band, below 1/DEFAULT_SELECTION_THRESHOLD
+    A g_i or an A_w is anomalous when it leaves the real spectrum interval by more than
+    ``anom``; the validation gates use the module's fixed thresholds instead.
     """
 
-    norm: float = 1e-10
-    herm: float = 1e-10
-    psd: float = 1e-10
-    eig: float = 1e-9
-    degen: float = 1e-8
     anom: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not 0.0 < value < np.inf:
-                raise ValidationError(f"tolerance {name} must be positive and finite, got {value!r}")
+        if not 0.0 < self.anom < np.inf:
+            raise ValidationError(f"tolerance anom must be positive and finite, got {self.anom!r}")
         # |g_i| <= 1 / Tr(rho_phi rho_psi), and every gated pair has Tr above the threshold.
         if self.anom >= 1.0 / DEFAULT_SELECTION_THRESHOLD:
             raise ValidationError(
@@ -217,7 +218,7 @@ def _hermiticity_defect(mat: np.ndarray) -> float:
         return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def state_vector(values, tol: Tolerances = DEFAULT_TOL) -> StateVector:
+def state_vector(values) -> StateVector:
     """Validate amplitudes as a unit-norm pure state."""
     amps = np.asarray(values, dtype=complex)
     if amps.ndim != 1:
@@ -225,8 +226,8 @@ def state_vector(values, tol: Tolerances = DEFAULT_TOL) -> StateVector:
     _require_finite(amps, "state vector")
     with np.errstate(over="ignore"):  # an overflowing norm is an infinite defect, refused below
         defect = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-    if defect > tol.norm:
-        raise NotNormalizedError(f"squared norm deviates from 1 by {defect:.3e} (tolerance {tol.norm:.1e})")
+    if defect > NORM_TOL:
+        raise NotNormalizedError(f"squared norm deviates from 1 by {defect:.3e} (tolerance {NORM_TOL:.1e})")
     return StateVector(amps)
 
 
@@ -235,7 +236,7 @@ def pure_to_density(psi: StateVector) -> DensityOperator:
     return DensityOperator(np.outer(psi.amps, psi.amps.conj()))
 
 
-def validate_density(matrix, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
+def validate_density(matrix) -> DensityOperator:
     """Validate a raw matrix as a density operator.
 
     Raises NotHermitianError, NotPSDError or TraceNotOneError naming the
@@ -246,15 +247,15 @@ def validate_density(matrix, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
         raise ValidationError(f"density operator must be square and non-empty, got shape {mat.shape}")
     _require_finite(mat, "density operator")
     defect = _hermiticity_defect(mat)
-    if defect > tol.herm:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {tol.herm:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
     lowest = float(np.linalg.eigvalsh(mat)[0])
-    if lowest < -tol.psd:
-        raise NotPSDError(f"lowest eigenvalue {lowest:.3e} below -{tol.psd:.1e}")
+    if lowest < -PSD_TOL:
+        raise NotPSDError(f"lowest eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
     with np.errstate(over="ignore"):  # an overflowing trace is an infinite defect, refused below
         trace_defect = abs(complex(np.trace(mat)) - 1.0)
-    if trace_defect > tol.norm:
-        raise TraceNotOneError(f"trace deviates from 1 by {trace_defect:.3e} (tolerance {tol.norm:.1e})")
+    if trace_defect > NORM_TOL:
+        raise TraceNotOneError(f"trace deviates from 1 by {trace_defect:.3e} (tolerance {NORM_TOL:.1e})")
     return DensityOperator(mat)
 
 
@@ -268,7 +269,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigensystem(matrix, tol: Tolerances = DEFAULT_TOL) -> Observable:
+def eigensystem(matrix) -> Observable:
     """Validate a raw Hermitian matrix as a non-degenerate observable.
 
     Eigenvalues come out ascending; eigenvector phases follow the
@@ -279,17 +280,17 @@ def eigensystem(matrix, tol: Tolerances = DEFAULT_TOL) -> Observable:
         raise ValidationError(f"observable must be square and non-empty, got shape {mat.shape}")
     _require_finite(mat, "observable")
     defect = _hermiticity_defect(mat)
-    if defect > tol.herm:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {tol.herm:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     with np.errstate(over="ignore", invalid="ignore"):
         width = float(eigenvalues[-1] - eigenvalues[0])
     if not np.isfinite(width):  # every gap is at most the width, so no gap overflows past this
         raise ValidationError(f"spectrum width a_max - a_min = {width:.3e} is not a finite float")
     gaps = np.diff(eigenvalues)
-    if gaps.size and float(np.min(gaps)) < tol.degen:
+    if gaps.size and float(np.min(gaps)) < DEGENERACY_TOL:
         raise DegenerateError(
-            f"eigenvalue gap {float(np.min(gaps)):.3e} below tolerance {tol.degen:.1e}; "
+            f"eigenvalue gap {float(np.min(gaps)):.3e} below tolerance {DEGENERACY_TOL:.1e}; "
             "degenerate observables have no canonical eigenbasis"
         )
     return Observable(mat, eigenvalues, _fix_phases(eigenvectors))

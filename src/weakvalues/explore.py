@@ -294,7 +294,7 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
         size = min(block, n - start)
         rho_phi = _density_block(spec_phi, b, size)
         rho_psi = _density_block(spec_psi, b, size)
-        den, g = quasi_prob_stack(rho_phi, rho_psi, obs, tol)
+        den, g = quasi_prob_stack(rho_phi, rho_psi, obs)
         kept = den > DEFAULT_SELECTION_THRESHOLD
         g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
         aw_bad = anomalous_mask((g * a).sum(axis=-1), a[0], a[-1], tol.anom) & kept

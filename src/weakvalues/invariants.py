@@ -8,8 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, DensityOperator, ImaginaryOverlapError, Observable, Tolerances,
-                   ValidationError, require_dims)
+from .core import REALITY_TOL, DensityOperator, ImaginaryOverlapError, Observable, ValidationError, require_dims
 
 __all__ = ["FrameGraph", "bargmann", "overlap", "overlap_stack", "build_frame_graph"]
 
@@ -22,23 +21,23 @@ def bargmann(states: Sequence[DensityOperator]) -> complex:
     return complex(np.trace(reduce(np.matmul, [state.matrix for state in states])))
 
 
-def overlap_stack(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real overlaps Tr(a[k] b[k]) of (n, d, d) stacks; a single (d, d) operand broadcasts.
 
-    Raises ImaginaryOverlapError when any imaginary part exceeds ``tol.eig``.
+    Raises ImaginaryOverlapError when any imaginary part exceeds ``REALITY_TOL``.
     """
     value = np.trace(a @ b, axis1=-2, axis2=-1)
-    imaginary = np.abs(value.imag) > tol.eig
+    imaginary = np.abs(value.imag) > REALITY_TOL
     if imaginary.any():
         worst = value.imag[np.argmax(imaginary)]
         raise ImaginaryOverlapError(f"two-state overlap has imaginary part {worst:.3e}")
     return value.real
 
 
-def overlap(rho1: DensityOperator, rho2: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+def overlap(rho1: DensityOperator, rho2: DensityOperator) -> float:
     """Second-order invariant Tr(rho1 rho2), guaranteed real for valid states."""
     require_dims(rho1.dim, rho2)
-    return float(overlap_stack(rho1.matrix[None], rho2.matrix[None], tol)[0])
+    return float(overlap_stack(rho1.matrix[None], rho2.matrix[None])[0])
 
 
 @dataclass(frozen=True)
@@ -70,17 +69,16 @@ class FrameGraph:
                 for a, b, w in zip(i.tolist(), j.tolist(), self.weights[i, j].tolist())]
 
 
-def _graph_from_vertices(labels: Sequence[str], vertices: np.ndarray, tol: Tolerances) -> FrameGraph:
+def _graph_from_vertices(labels: Sequence[str], vertices: np.ndarray) -> FrameGraph:
     """Overlap graph of a (V, d, d) vertex stack, one overlap row per vertex."""
     n = len(vertices)
     weights = np.full((n, n), np.nan)
     for i in range(n - 1):
-        weights[i, i + 1:] = weights[i + 1:, i] = overlap_stack(vertices[i], vertices[i + 1:], tol)
+        weights[i, i + 1:] = weights[i + 1:, i] = overlap_stack(vertices[i], vertices[i + 1:])
     return FrameGraph(labels=tuple(labels), weights=weights)
 
 
-def build_frame_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                      tol: Tolerances = DEFAULT_TOL) -> FrameGraph:
+def build_frame_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> FrameGraph:
     """Overlap graph over both states and every eigenprojector of ``obs``.
 
     Vertices are labeled ``phi``, ``psi``, ``a1`` ... ``ad`` following the
@@ -91,4 +89,4 @@ def build_frame_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: O
     v = obs.eigenvectors.T  # projectors[i] = outer(v_i, conj(v_i)), as Observable.projector builds it
     projectors = v[:, :, None] * v.conj()[:, None, :]
     vertices = np.concatenate([np.stack([rho_phi.matrix, rho_psi.matrix]), projectors])
-    return _graph_from_vertices(labels, vertices, tol)
+    return _graph_from_vertices(labels, vertices)

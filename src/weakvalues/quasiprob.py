@@ -114,8 +114,7 @@ class QuasiProbDist:
         return float(self.labels[-1])
 
 
-def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
-                     tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
     """Overlaps and quasi-probabilities of (n, d, d) stacks of selection pairs.
 
     Returns ``den[k] = Tr(rho_phi[k] rho_psi[k])`` and ``g[k, i] =
@@ -123,9 +122,9 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable,
     eigenvectors a_i of ``obs``; the weak value is ``sum_i g[k, i] a_i``.
     Rows at or below ``DEFAULT_SELECTION_THRESHOLD`` are the caller's to drop
     (their g may be infinite or NaN). Raises ImaginaryOverlapError when any
-    overlap has an imaginary part above ``tol.eig``.
+    overlap has an imaginary part above ``REALITY_TOL``.
     """
-    den = overlap_stack(rho_phi, rho_psi, tol)
+    den = overlap_stack(rho_phi, rho_psi)
     # <a_i| rho_psi rho_phi |a_i> = sum_k (V^dagger rho_psi)_ik (rho_phi V)_ki, each
     # factor one (n d, d) x (d, d) product: (V^dagger rho_psi)^T = rho_psi^T conj(V).
     n, d, _ = rho_phi.shape
@@ -144,7 +143,7 @@ def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observab
     This is the n = 1 case of :func:`quasi_prob_stack` behind the selection gate.
     """
     require_dims(obs.dim, rho_phi, rho_psi)
-    den, g = quasi_prob_stack(rho_phi.matrix[None], rho_psi.matrix[None], obs, tol)
+    den, g = quasi_prob_stack(rho_phi.matrix[None], rho_psi.matrix[None], obs)
     den = float(den[0])
     if den <= DEFAULT_SELECTION_THRESHOLD:
         raise OrthogonalSelectionError(

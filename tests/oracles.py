@@ -30,7 +30,7 @@ import numpy as np
 import weakvalues as wv
 from weakvalues.cli import ProblemFileError
 from weakvalues.contextuality import _CYCLE_ROUNDING, FRAGMENT_LABELS
-from weakvalues.core import require_dims
+from weakvalues.core import REALITY_TOL, require_dims
 from weakvalues.explore import (SEARCH_INITIAL_STEP, SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS,
                                 SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
@@ -69,7 +69,7 @@ def trace_ratio_weak_value(matrix, rho_psi, rho_phi, tol=wv.DEFAULT_TOL):
     mat = np.asarray(matrix, dtype=complex)
     require_dims(mat.shape[0], rho_phi, rho_psi)
     spectrum = np.linalg.eigvalsh(mat)
-    den = _gated(wv.overlap(rho_phi, rho_psi, tol))
+    den = _gated(wv.overlap(rho_phi, rho_psi))
     value = complex(np.trace(rho_phi.matrix @ mat @ rho_psi.matrix)) / den
     return _result(value, den, float(spectrum[0]), float(spectrum[-1]), tol)
 
@@ -83,7 +83,7 @@ def amplitude_ratio_weak_value(obs, psi, phi, tol=wv.DEFAULT_TOL):
     return _result(value, den, float(obs.eigenvalues[0]), float(obs.eigenvalues[-1]), tol)
 
 
-def incoherent_quasi_prob(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
+def incoherent_quasi_prob(rho_phi, rho_psi, obs):
     """Factorized distribution for selections diagonal in the eigenbasis.
 
     When both states are incoherent the quasi-probability collapses to
@@ -96,7 +96,7 @@ def incoherent_quasi_prob(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
             raise NotIncoherentError(
                 f"{name} state has l1 coherence {l1:.3e} (threshold {DEFAULT_COHERENCE_TOL:.1e})"
             )
-    den = _gated(wv.overlap(rho_phi, rho_psi, tol))
+    den = _gated(wv.overlap(rho_phi, rho_psi))
     v = obs.eigenvectors
     pops_phi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_phi.matrix, v))
     pops_psi = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho_psi.matrix, v))
@@ -112,7 +112,7 @@ def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, tol=wv.DEFAULT_TOL)
     """
     if not 0 <= i < obs.dim:
         raise wv.ValidationError(f"eigenvector index {i} out of range for dim {obs.dim}")
-    den = _gated(wv.overlap(rho_phi, rho_psi, tol))
+    den = _gated(wv.overlap(rho_phi, rho_psi))
     proj = obs.projector(i)
     value = complex(np.trace(rho_phi.matrix @ proj.matrix @ rho_psi.matrix)) / den
     return _result(value, den, 0.0, 1.0, tol)
@@ -216,38 +216,38 @@ def scalar_search(observable, budget, seed):
     )
 
 
-def pairwise_overlap(rho1, rho2, tol=wv.DEFAULT_TOL):
+def pairwise_overlap(rho1, rho2):
     """Tr(rho1 rho2) as the two-state Bargmann product of one pair, imaginary parts refused."""
     value = wv.bargmann((rho1, rho2))
-    if abs(value.imag) > tol.eig:
+    if abs(value.imag) > REALITY_TOL:
         raise wv.ImaginaryOverlapError(f"two-state overlap has imaginary part {value.imag:.3e}")
     return value.real
 
 
-def pairwise_frame_graph(labels, states, tol=wv.DEFAULT_TOL):
+def pairwise_frame_graph(labels, states):
     """Complete overlap graph over labeled states, filled one vertex pair at a time."""
     if len(labels) != len(states):
         raise wv.ValidationError(f"{len(labels)} labels for {len(states)} states")
     weights = np.full((len(states), len(states)), np.nan)
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            weights[i, j] = weights[j, i] = pairwise_overlap(states[i], states[j], tol)
+            weights[i, j] = weights[j, i] = pairwise_overlap(states[i], states[j])
     return FrameGraph(labels=tuple(labels), weights=weights)
 
 
-def pairwise_selection_graph(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
+def pairwise_selection_graph(rho_phi, rho_psi, obs):
     """``build_frame_graph`` over explicit projector states, one pair at a time."""
     labels = ["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)]
     states = [rho_phi, rho_psi] + [obs.projector(i) for i in range(obs.dim)]
-    return pairwise_frame_graph(labels, states, tol)
+    return pairwise_frame_graph(labels, states)
 
 
-def pairwise_fragment_graph(rho_phi, rho_psi, obs, tol=wv.DEFAULT_TOL):
+def pairwise_fragment_graph(rho_phi, rho_psi, obs):
     """``qubit_fragment_graph`` over explicit complement states, one pair at a time."""
     eye = np.eye(2, dtype=complex)
     states = [rho_phi, rho_psi, obs.projector(0), obs.projector(1),
               wv.DensityOperator(eye - rho_phi.matrix), wv.DensityOperator(eye - rho_psi.matrix)]
-    return pairwise_frame_graph(FRAGMENT_LABELS, states, tol)
+    return pairwise_frame_graph(FRAGMENT_LABELS, states)
 
 
 def looped_three_cycles(graph, anomaly_tol=wv.DEFAULT_TOL.anom):
@@ -325,7 +325,7 @@ def nodewise_matrix(node, where):
     return np.array(rows, dtype=complex)
 
 
-def nodewise_state(node, where, dim, tol=wv.DEFAULT_TOL):
+def nodewise_state(node, where, dim):
     """A problem-file state, probed as a grid of numbers and as a vector before it is read.
 
     A dim x dim grid of bare numbers reads as a matrix, with the vector of
@@ -346,12 +346,12 @@ def nodewise_state(node, where, dim, tol=wv.DEFAULT_TOL):
         amps = [_nodewise_complex(entry, f"{where}[{i}]") for i, entry in enumerate(node)]
         if len(amps) != dim:
             raise ProblemFileError(where, f"state has {len(amps)} amplitudes, expected {dim}")
-        return wv.pure_to_density(wv.state_vector(amps, tol))
+        return wv.pure_to_density(wv.state_vector(amps))
 
     if grid_like:
         matrix = nodewise_matrix(node, where)
         try:
-            return wv.validate_density(matrix, tol)
+            return wv.validate_density(matrix)
         except wv.ValidationError as exc:
             if not vector_like:
                 raise ProblemFileError(where, str(exc)) from exc
@@ -374,6 +374,6 @@ def nodewise_state(node, where, dim, tol=wv.DEFAULT_TOL):
     if matrix.shape != (dim, dim):
         raise ProblemFileError(where, f"state has shape {matrix.shape}, expected ({dim}, {dim})")
     try:
-        return wv.validate_density(matrix, tol)
+        return wv.validate_density(matrix)
     except wv.ValidationError as exc:
         raise ProblemFileError(where, str(exc)) from exc

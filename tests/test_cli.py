@@ -2,8 +2,10 @@
 exit codes, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,13 @@ from conftest import random_mixed, random_pure
 from oracles import looped_fragment_cycles, looped_three_cycles, nodewise_matrix, nodewise_state
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(argv):
+    """``python -m weakvalues`` in a child process that imports the package from src/, installed or not."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "weakvalues", *argv], env=env, capture_output=True, text=True)
 
 
 def _write_problem(path, data):
@@ -186,10 +195,11 @@ def test_unknown_problem_keys_rejected(capsys, tmp_path):
     code, _, err = _run(capsys, ["compute", "--input", path])
     assert code == 1
     assert "surprise" in err
-    # orth was settable but read by nothing, and is gone
-    path = _write_problem(tmp_path / "orth.json", {**GREAT_CIRCLE, "tolerances": {"orth": 1e-9}})
-    assert _run(capsys, ["compute", "--input", path]) == (
-        1, "", "input error: problem.tolerances: unknown tolerance keys ['orth']\n")
+    # orth was read by nothing; the gate thresholds are module constants, not problem settings
+    for key in ("orth", "norm", "herm", "psd", "eig", "degen"):
+        path = _write_problem(tmp_path / f"{key}.json", {**GREAT_CIRCLE, "tolerances": {key: 1e-9}})
+        assert _run(capsys, ["compute", "--input", path]) == (
+            1, "", f"input error: problem.tolerances: unknown tolerance keys ['{key}']\n")
 
 
 def test_complex_entries_and_seed(capsys, tmp_path):
@@ -308,7 +318,7 @@ def _reader_outcome(read, *args):
 def test_reader_matches_the_nodewise_oracle(case):
     # the same arrays to the bit, signed zeros included, or the same error text
     node, dim = case
-    assert (_reader_outcome(cli._parse_state, node, "problem.pre_state", dim, cli.DEFAULT_TOL)
+    assert (_reader_outcome(cli._parse_state, node, "problem.pre_state", dim)
             == _reader_outcome(nodewise_state, node, "problem.pre_state", dim))
     assert (_reader_outcome(cli._parse_matrix, node, "problem.observable")
             == _reader_outcome(nodewise_matrix, node, "problem.observable"))
@@ -355,8 +365,7 @@ def test_unreadable_problem_files_are_input_errors(capsys, tmp_path, write, mess
 
 def test_an_overflowing_norm_prints_only_its_input_error(tmp_path):
     path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, "pre_state": [1e300, 1e300]})
-    proc = subprocess.run([sys.executable, "-m", "weakvalues", "compute", "--input", path],
-                          capture_output=True, text=True)
+    proc = _run_module(["compute", "--input", path])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("input error: problem.pre_state: squared norm deviates from 1 by inf "
                            "(tolerance 1.0e-10)\n")
@@ -378,8 +387,7 @@ _NEITHER = "problem.pre_state: not a valid density matrix ({}) and the amplitude
         "state-overflowing-defect", "state-overflowing-trace"])
 def test_overflowing_inputs_print_only_their_input_error(tmp_path, key, value, message):
     path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, key: value})
-    proc = subprocess.run([sys.executable, "-m", "weakvalues", "compute", "--input", path],
-                          capture_output=True, text=True)
+    proc = _run_module(["compute", "--input", path])
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"input error: {message}\n")
 
 
@@ -647,13 +655,13 @@ def test_cycles_section_renders_as_the_looped_oracle(make):
     # one cycle at a time, on whatever numpy and BLAS run the suite
     problem = make()
     section = cli._cycles_section(problem)
-    rows = looped_three_cycles(wv.build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs,
-                                                    problem.tol), problem.tol.anom)
+    rows = looped_three_cycles(wv.build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs),
+                               problem.tol.anom)
     expected = {**section, "inequalities": _looped_rows(rows, True),
                 "max_value": max(value for _, _, value, _ in rows),
                 "violated_count": sum(bad for *_, bad in rows)}
     if problem.dim == 2:
-        graph = wv.qubit_fragment_graph(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
+        graph = wv.qubit_fragment_graph(problem.rho_phi, problem.rho_psi, problem.obs)
         fragment_rows = looped_fragment_cycles(graph, problem.rho_phi, problem.rho_psi, problem.tol)
         expected["fragment"] = {**section["fragment"],
                                 "max_value": max(value for _, _, value, _ in fragment_rows),
@@ -677,7 +685,7 @@ def test_one_process_answers_as_separate_runs_do(capsys, great_circle_file):
     in_process = [_run(capsys, argv) for argv in requests]
     separate = []
     for argv in requests:
-        proc = subprocess.run([sys.executable, "-m", "weakvalues", *argv], capture_output=True, text=True)
+        proc = _run_module(argv)
         separate.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == separate
     assert [code for code, _, _ in in_process] == [3, 1, 0]
@@ -754,8 +762,9 @@ def test_non_finite_pointer_settings_are_input_errors(capsys, tmp_path, pointer)
     # pointer entries are read coupling, width, then the series, whatever the file order
     ({"pointer": {"width": "x", "coupling": "y"}}, "problem.pointer.coupling: expected a number, got str"),
     ({"pointer": {"couplings_series": [1, "a"], "width": "x"}}, "problem.pointer.width: expected a number, got str"),
-    # tolerances are read in file order
-    ({"tolerances": {"norm": "x", "anom": "y"}}, "problem.tolerances.norm: expected a number, got str"),
+    # unknown keys are refused before any value is read
+    pytest.param({"tolerances": {"norm": "x", "anom": "y"}}, "problem.tolerances: unknown tolerance keys ['norm']",
+                 id="tolerances-unknown-key"),
 ])
 def test_a_settings_object_with_two_bad_entries_names_one(capsys, tmp_path, settings, message):
     path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, **settings})
@@ -849,13 +858,10 @@ def test_module_entry_point(tmp_path):
         "pre_state": [0.5, HALF_SQRT3],
         "post_state": [-0.5, HALF_SQRT3],
     }))
-    proc = subprocess.run([sys.executable, "-m", "weakvalues", "compute",
-                           "--input", str(problem)],
-                          capture_output=True, text=True)
+    proc = _run_module(["compute", "--input", str(problem)])
     assert proc.returncode == 3
     assert abs(json.loads(proc.stdout)["weak_value"]["re"] - (-0.5)) < 1e-12
 
-    proc = subprocess.run([sys.executable, "-m", "weakvalues", "reproduce-paper"],
-                          capture_output=True, text=True)
+    proc = _run_module(["reproduce-paper"])
     assert proc.returncode == 0
     assert "13/13" in proc.stdout

@@ -1,9 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import weakvalues as wv
 from weakvalues.core import (
+    DEGENERACY_TOL,
+    HERMITICITY_TOL,
+    NORM_TOL,
+    PSD_TOL,
+    REALITY_TOL,
     DegenerateError,
+    ImaginaryOverlapError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
@@ -18,32 +26,53 @@ from oracles import antipodal
 
 
 def test_tolerances_defaults():
-    t = wv.DEFAULT_TOL
-    assert t.norm == 1e-10
-    assert t.herm == 1e-10
-    assert t.psd == 1e-10
-    assert t.eig == 1e-9
-    assert t.degen == 1e-8
-    assert t.anom == 1e-9
+    assert [field.name for field in fields(Tolerances)] == ["anom"]
+    assert wv.DEFAULT_TOL.anom == 1e-9
+    assert (NORM_TOL, HERMITICITY_TOL, PSD_TOL, REALITY_TOL, DEGENERACY_TOL) == (1e-10, 1e-10, 1e-10, 1e-9, 1e-8)
 
 
 def test_tolerances_must_be_positive():
-    with pytest.raises(ValidationError):
-        Tolerances(norm=0.0)
-    with pytest.raises(ValidationError):
-        Tolerances(anom=-1e-9)
+    for value in (0.0, -1e-9):
+        with pytest.raises(ValidationError, match=f"tolerance anom must be positive and finite, got {value!r}"):
+            Tolerances(anom=value)
 
 
 def test_tolerances_must_be_finite():
-    for name in ("norm", "herm", "psd", "eig", "degen", "anom"):
-        for value in (np.inf, np.nan):
-            with pytest.raises(ValidationError):
-                Tolerances(**{name: value})
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match=f"tolerance anom must be positive and finite, got {value!r}"):
+            Tolerances(anom=value)
     # no quasi-probability past the selection gate reaches 1/DEFAULT_SELECTION_THRESHOLD
     for value in (1e12, 1e300):
         with pytest.raises(ValidationError, match="no quasi-probability could leave the band"):
             Tolerances(anom=value)
     assert Tolerances(anom=9.9e11).anom == 9.9e11
+
+
+_PROJ_ZERO = wv.DensityOperator(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("gate, inside, outside, error, message", [
+    (lambda x: wv.state_vector([np.sqrt(1.0 + x), 0.0]), 0.9 * NORM_TOL, 1.1 * NORM_TOL, NotNormalizedError,
+     "squared norm deviates from 1 by 1.100e-10 (tolerance 1.0e-10)"),
+    (lambda x: wv.validate_density(np.diag([0.5, 0.5 + x])), 0.9 * NORM_TOL, 1.1 * NORM_TOL, TraceNotOneError,
+     "trace deviates from 1 by 1.100e-10 (tolerance 1.0e-10)"),
+    (lambda x: wv.validate_density(np.array([[0.5, x], [0.0, 0.5]])), 0.9 * HERMITICITY_TOL,
+     1.1 * HERMITICITY_TOL, NotHermitianError, "Hermiticity defect 1.100e-10 exceeds tolerance 1.0e-10"),
+    (lambda x: wv.eigensystem(np.array([[0.0, x], [0.0, 1.0]])), 0.9 * HERMITICITY_TOL,
+     1.1 * HERMITICITY_TOL, NotHermitianError, "Hermiticity defect 1.100e-10 exceeds tolerance 1.0e-10"),
+    (lambda x: wv.validate_density(np.diag([1.0 + x, -x])), 0.9 * PSD_TOL, 1.1 * PSD_TOL, NotPSDError,
+     "lowest eigenvalue -1.100e-10 below -1.0e-10"),
+    (lambda x: wv.overlap(_PROJ_ZERO, wv.DensityOperator(np.diag([0.5 + 1j * x, 0.5]))), 0.9 * REALITY_TOL,
+     1.1 * REALITY_TOL, ImaginaryOverlapError, "two-state overlap has imaginary part 1.100e-09"),
+    # the gap is a floor: a wider gap passes
+    (lambda x: wv.eigensystem(np.diag([0.0, x])), 1.1 * DEGENERACY_TOL, 0.9 * DEGENERACY_TOL, DegenerateError,
+     "eigenvalue gap 9.000e-09 below tolerance 1.0e-08; degenerate observables have no canonical eigenbasis"),
+], ids=["norm", "trace", "density-hermiticity", "observable-hermiticity", "psd", "imaginary-overlap", "gap"])
+def test_gates_enforce_their_constants(gate, inside, outside, error, message):
+    gate(inside)
+    with pytest.raises(error) as refused:
+        gate(outside)
+    assert str(refused.value) == message
 
 
 def test_state_vector_accepts_normalized():
@@ -155,7 +184,7 @@ def test_eigensystem_rejects_degenerate_and_nonhermitian():
     with pytest.raises(DegenerateError):
         wv.eigensystem(np.eye(2))
     with pytest.raises(DegenerateError):
-        wv.eigensystem(np.diag([0.0, 1.0, 1.0 + 1e-9]))  # gap below tol.degen
+        wv.eigensystem(np.diag([0.0, 1.0, 1.0 + 1e-9]))  # gap below DEGENERACY_TOL
     with pytest.raises(NotHermitianError):
         wv.eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
