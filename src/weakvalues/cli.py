@@ -3,8 +3,12 @@
 Problem files are JSON with complex entries written as two-element
 [re, im] arrays. Reports are deterministic: stable key order, floats with 17
 significant digits, and no timestamps, so fixed seeds give byte-identical
-output. A report holds only dict, list, str, float, int, bool and None;
-the renderers refuse any other value.
+output. A report holds dict, list, str, float, int, bool and None, plus two
+leaves that keep arrays whole: an ``np.ndarray`` of dtype float64, bool or
+str, written as nested lists, and a row table (``_Rows``: field -> array,
+first axis = row), written as a list of row dicts. Each array becomes text in
+one format call. The renderers refuse any other value, arrays of any other
+dtype (complex, integer, float32, object) included.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure (for example an
 orthogonal selection pair), 3 success with an anomaly or violation detected,
@@ -19,6 +23,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -333,6 +338,64 @@ def _leaf(node) -> str:
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
+_BOOL_TEXTS = ("false", "true")
+
+
+def _csv_quote(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
+class _Rows(dict):
+    """A row table: columns of one length (field -> array, first axis = row) that render as a list of
+    row dicts, one ``{field: row of the column}`` per row."""
+
+    @property
+    def n_rows(self) -> int:
+        return len(next(iter(self.values())))
+
+
+def _cell_texts(array: np.ndarray, quote) -> list[str]:
+    """Report text of each cell in C order: one %-format call for float64, ``quote`` for str.
+
+    Negative zero and non-finite floats are re-set by index, as ``_fmt_float`` writes them.
+    Other dtypes are refused.
+    """
+    flat = array.ravel()
+    kind = flat.dtype.char
+    if kind == "d":  # float64
+        text = "%.17g\n" * flat.size % tuple(flat.tolist())
+        texts = text.split("\n")[:-1]
+        if "n" in text or "-0\n" in text:  # only the text of nan, inf and -0.0 cells holds these
+            for i in np.flatnonzero(~np.isfinite(flat) | ((flat == 0.0) & np.signbit(flat))).tolist():
+                texts[i] = _fmt_float(float(flat[i]))
+        return texts
+    if kind == "?":
+        return list(map(_BOOL_TEXTS.__getitem__, flat.tolist()))
+    if kind == "U":
+        cells = flat.tolist()
+        texts = {text: quote(text) for text in set(cells)}  # a column of labels repeats a few texts
+        return list(map(texts.__getitem__, cells))
+    raise TypeError(f"cannot serialize an array of {flat.dtype}")
+
+
+def _row_streams(rows: _Rows, quote) -> list[list[str]]:
+    """The cell texts of a row table as one list per cell of a row, in row order: zipped, they give
+    each row's cells in turn."""
+    streams = []
+    for column in rows.values():
+        cells, width = _cell_texts(column, quote), math.prod(column.shape[1:])
+        streams += [cells[i::width] for i in range(width)]
+    return streams
+
+
+def _json_template(shape: tuple[int, ...]) -> str:
+    """Nested JSON lists of the given shape with one ``%s`` per cell."""
+    text = "%s"
+    for size in reversed(shape):
+        text = "[" + ",".join([text] * size) + "]"
+    return text
+
+
 def _json_text(node) -> str:
     kind = type(node)
     if kind is dict:
@@ -341,11 +404,26 @@ def _json_text(node) -> str:
         return "[" + ",".join(map(_json_text, node)) + "]"
     if kind is str:
         return _quote(node)
+    if kind is np.ndarray:
+        return _json_template(node.shape) % tuple(_cell_texts(node, _quote))
+    if kind is _Rows:
+        row = "{" + ",".join(_quote(key).replace("%", "%%") + ":" + _json_template(column.shape[1:])
+                             for key, column in node.items()) + "}"
+        cells = chain.from_iterable(zip(*_row_streams(node, _quote)))
+        return ("[" + ",".join([row] * node.n_rows) + "]") % tuple(cells)
     return "null" if node is None else _leaf(node)
 
 
 def render_json(report: dict) -> str:
     return _json_text(report)
+
+
+def _csv_keys(path: str, shape: tuple[int, ...]) -> list[str]:
+    """The ``path.i.j`` key of each cell of an array of the given shape, in C order."""
+    keys = [path]
+    for size in shape:
+        keys = [f"{key}.{i}" for key in keys for i in range(size)]
+    return keys
 
 
 def _csv_rows(node, path: str, rows: list[str]) -> None:
@@ -357,9 +435,17 @@ def _csv_rows(node, path: str, rows: list[str]) -> None:
         for i, value in enumerate(node):
             _csv_rows(value, f"{path}.{i}", rows)
     elif kind is str:
-        if "," in node or '"' in node:
-            node = '"' + node.replace('"', '""') + '"'
-        rows.append(f"{path},{node}")
+        rows.append(f"{path},{_csv_quote(node)}")
+    elif kind is np.ndarray:
+        rows.extend(map(",".join, zip(_csv_keys(path, node.shape), _cell_texts(node, _csv_quote))))
+    elif kind is _Rows:
+        # one template line per cell of a row, the row's own key prefix passed in with each cell
+        fields = [key for name, column in node.items() for key in _csv_keys(name, column.shape[1:])]
+        prefixes = _csv_keys(path, (node.n_rows,))
+        if fields and prefixes:
+            row = "\n".join(["%s." + key.replace("%", "%%") + ",%s" for key in fields])
+            streams = [stream for cells in _row_streams(node, _csv_quote) for stream in (prefixes, cells)]
+            rows.append("\n".join([row] * len(prefixes)) % tuple(chain.from_iterable(zip(*streams))))
     else:
         rows.append(f"{path}," if node is None else f"{path},{_leaf(node)}")
 
@@ -378,10 +464,10 @@ def _print_report(report: dict, fmt: str) -> None:
 # Report sections
 
 
-def _pairs(z) -> list:
-    """[re, im] pairs of a complex scalar or array, as nested lists of floats."""
+def _pairs(z) -> np.ndarray:
+    """[re, im] pairs of a complex scalar or array, as a float array with a last axis of two."""
     z = np.asarray(z)
-    return np.stack((z.real, z.imag), axis=-1).tolist()
+    return np.stack((z.real, z.imag), axis=-1)
 
 
 def _canonical_inputs(problem: Problem) -> dict:
@@ -424,7 +510,7 @@ def _weak_value_section(dist: QuasiProbDist, tol: Tolerances) -> dict:
 
 def _quasiprob_section(dist: QuasiProbDist, tol: Tolerances) -> dict:
     return {
-        "eigenvalues": dist.labels.tolist(),
+        "eigenvalues": dist.labels,
         "weights": _pairs(dist.weights),
         "anomalous_indices": list(anomalous_indices(dist, tol.anom)),
         "weak_value_from_weights": _pairs(dist.value),
@@ -448,9 +534,9 @@ def _witness_section(problem: Problem, witness: WitnessReport) -> dict:
     }
 
 
-def _cycle_columns(table: CycleTable) -> tuple[list, list, list]:
-    names = np.array(table.labels, dtype=object)
-    return names[table.triples].tolist(), names[table.minus_edges].tolist(), table.values.tolist()
+def _cycle_rows(table: CycleTable, **columns: np.ndarray) -> _Rows:
+    names = np.array(table.labels)
+    return _Rows(triple=names[table.triples], minus_edge=names[table.minus_edges], value=table.values, **columns)
 
 
 def _cycles_section(problem: Problem) -> dict:
@@ -458,9 +544,7 @@ def _cycles_section(problem: Problem) -> dict:
     cycles = all_three_cycles(graph, problem.tol.anom)
     section = {
         "graph": graph.adjacency_text(),
-        "inequalities": [{"triple": triple, "minus_edge": minus, "value": value, "violated": bad}
-                         for triple, minus, value, bad in zip(*_cycle_columns(cycles),
-                                                              cycles.violated.tolist())],
+        "inequalities": _cycle_rows(cycles, violated=cycles.violated),
         "max_value": float(cycles.values.max()),
         "violated_count": int(np.count_nonzero(cycles.violated)),
     }
@@ -476,9 +560,7 @@ def _cycles_section(problem: Problem) -> dict:
             "claim_applies": real_amplitude_failure(problem.rho_phi, problem.rho_psi, problem.obs) is None,
             "graph": fragment_graph.adjacency_text(),
             "max_value": float(fragment_table.values.max()),
-            "violated": [{"triple": triple, "minus_edge": minus, "value": value}
-                         for triple, minus, value in zip(*_cycle_columns(
-                             fragment_table[fragment_table.violated]))],
+            "violated": _cycle_rows(fragment_table[fragment_table.violated]),
         }
     return section
 
@@ -558,7 +640,8 @@ def cmd_contextuality(args) -> int:
     report["cycles"] = _cycles_section(problem)
     _print_report(report, args.format)
     cycles = report["cycles"]
-    return _anomaly_exit(cycles["violated_count"] > 0, bool(cycles.get("fragment", {}).get("violated")))
+    fragment_violated = cycles["fragment"]["violated"].n_rows if "fragment" in cycles else 0
+    return _anomaly_exit(cycles["violated_count"] > 0, fragment_violated > 0)
 
 
 def cmd_pointer(args) -> int:

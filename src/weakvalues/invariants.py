@@ -29,7 +29,7 @@ def overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     value = np.trace(a @ b, axis1=-2, axis2=-1)
     imaginary = np.abs(value.imag) > REALITY_TOL
     if imaginary.any():
-        worst = value.imag[np.argmax(imaginary)]
+        worst = value.imag.ravel()[np.argmax(imaginary)]  # argmax is a flat index, and 0-d has no axis
         raise ImaginaryOverlapError(f"two-state overlap has imaginary part {worst:.3e}")
     return value.real
 

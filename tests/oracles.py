@@ -20,15 +20,21 @@ reference for the stacked overlap rows and the cycle table;
 ``nodewise_matrix`` and ``nodewise_state`` read a problem file's matrices
 and states one node at a time, probing each state as a grid and as a
 vector, the reference for the reader that classifies each entry once.
+``looped_render_json`` and ``looped_render_csv`` render a report one leaf at
+a time, the reference for the renderers that turn each array and row table
+into text in one format call; ``as_lists`` turns a report's arrays and row
+tables into the plain lists and row dicts they stand for.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 import weakvalues as wv
-from weakvalues.cli import ProblemFileError
+from weakvalues.cli import ProblemFileError, _Rows
 from weakvalues.contextuality import _CYCLE_ROUNDING, FRAGMENT_LABELS
 from weakvalues.core import REALITY_TOL, require_dims
 from weakvalues.explore import (SEARCH_INITIAL_STEP, SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS,
@@ -377,3 +383,67 @@ def nodewise_state(node, where, dim):
         return wv.validate_density(matrix)
     except wv.ValidationError as exc:
         raise ProblemFileError(where, str(exc)) from exc
+
+
+def as_lists(node):
+    """A report with every array as nested lists and every row table as a list of row dicts."""
+    kind = type(node)
+    if kind is dict:
+        return {key: as_lists(value) for key, value in node.items()}
+    if kind is list:
+        return [as_lists(value) for value in node]
+    if kind is np.ndarray:
+        return node.tolist()
+    if kind is _Rows:
+        columns = {key: column.tolist() for key, column in node.items()}
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return node
+
+
+def _leaf(node):
+    kind = type(node)
+    if kind is float:
+        if not math.isfinite(node):
+            return "null"
+        text = f"{node:.17g}"
+        return "-0.0" if text == "-0" else text
+    if kind is bool:
+        return "true" if node else "false"
+    if kind is int:
+        return str(node)
+    raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+def looped_render_json(node):
+    """JSON text of a report of plain values, one leaf at a time."""
+    kind = type(node)
+    if kind is dict:
+        return "{" + ",".join(f"{_quote(key)}:{looped_render_json(value)}" for key, value in node.items()) + "}"
+    if kind is list:
+        return "[" + ",".join(map(looped_render_json, node)) + "]"
+    if kind is str:
+        return _quote(node)
+    return "null" if node is None else _leaf(node)
+
+
+def _looped_csv_rows(node, path, rows):
+    kind = type(node)
+    if kind is dict:
+        for key, value in node.items():
+            _looped_csv_rows(value, f"{path}.{key}" if path else key, rows)
+    elif kind is list:
+        for i, value in enumerate(node):
+            _looped_csv_rows(value, f"{path}.{i}", rows)
+    elif kind is str:
+        if "," in node or '"' in node:
+            node = '"' + node.replace('"', '""') + '"'
+        rows.append(f"{path},{node}")
+    else:
+        rows.append(f"{path}," if node is None else f"{path},{_leaf(node)}")
+
+
+def looped_render_csv(node):
+    """CSV text (``key,value`` rows) of a report of plain values, one leaf at a time."""
+    rows = ["key,value"]
+    _looped_csv_rows(node, "", rows)
+    return "\n".join(rows)

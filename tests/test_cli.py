@@ -16,7 +16,8 @@ from hypothesis.extra import numpy as hnp
 import weakvalues as wv
 from weakvalues import cli, pointer, quasiprob
 from conftest import random_mixed, random_pure
-from oracles import looped_fragment_cycles, looped_three_cycles, nodewise_matrix, nodewise_state
+from oracles import (as_lists, looped_fragment_cycles, looped_render_csv, looped_render_json, looped_three_cycles,
+                     nodewise_matrix, nodewise_state)
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -671,11 +672,62 @@ def test_cycles_section_renders_as_the_looped_oracle(make):
 
 
 @pytest.mark.parametrize("render", [cli.render_json, cli.render_csv])
-@pytest.mark.parametrize("leaf", [np.float64(0.5), np.int64(3), np.bool_(True), (0.5, 1.0), 0.5 + 1j],
-                         ids=["numpy-float", "numpy-int", "numpy-bool", "tuple", "complex"])
+@pytest.mark.parametrize("leaf", [np.float64(0.5), np.int64(3), np.bool_(True), (0.5, 1.0), 0.5 + 1j,
+                                  np.array([0.5 + 1j]), np.arange(3), np.zeros(2, dtype=np.float32),
+                                  np.array([1, "a"], dtype=object), cli._Rows(value=np.array([1j, 2j]))],
+                         ids=["numpy-float", "numpy-int", "numpy-bool", "tuple", "complex", "complex128-array",
+                              "int64-array", "float32-array", "object-array", "complex128-column"])
 def test_renderers_refuse_leaves_outside_the_report_types(render, leaf):
     with pytest.raises(TypeError):
         render({"section": {"value": leaf}})
+
+
+_EDGE_FLOATS = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1.7976931348623157e308, 1e16, 0.1]
+_CELLS = {
+    np.float64: st.sampled_from(_EDGE_FLOATS) | st.floats(),
+    np.bool_: st.booleans(),
+    np.dtype("U3"): st.text(alphabet=',"%a\\\u00e9', max_size=3),  # CSV quoting, JSON escapes, template marks
+}
+_KEYS = st.text(alphabet="ab%,.", min_size=1, max_size=3)
+
+
+def _cell_arrays(dtype, shapes):
+    return shapes.flatmap(lambda shape: hnp.arrays(dtype, shape, elements=_CELLS[dtype]))
+
+
+_FLOAT_SHAPES = (st.sampled_from([(0,), (1,)]) | st.integers(0, 5).map(lambda n: (n, 2))
+                 | st.integers(1, 4).map(lambda d: (d, d, 2)))
+_ANY_SHAPE = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+
+
+@st.composite
+def _row_tables(draw):
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 6))
+    names = draw(st.lists(_KEYS, min_size=1, max_size=3, unique=True))
+    return cli._Rows({name: draw(_cell_arrays(draw(st.sampled_from(list(_CELLS))),
+                                              st.sampled_from([(), (2,), (0,)]).map(lambda rest: (count, *rest))))
+                      for name in names})
+
+
+_REPORT_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(alphabet=',"a', max_size=3)
+                  | _cell_arrays(np.float64, _FLOAT_SHAPES) | _cell_arrays(np.bool_, _ANY_SHAPE)
+                  | _cell_arrays(np.dtype("U3"), _ANY_SHAPE) | _row_tables())
+_REPORTS = st.dictionaries(_KEYS, st.recursive(_REPORT_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                                               | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=8),
+                           max_size=4)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(report=_REPORTS)
+@example(report={"line": np.array(_EDGE_FLOATS), "grid": np.array(_EDGE_FLOATS).reshape(2, 2, 2),
+                 "flags": np.array([True, False]), "labels": np.array(["a,b", 'say "x"']),
+                 "rows": cli._Rows(label=np.array(["p,q", '"r"']), value=np.array([-0.0, float("nan")]),
+                                   ok=np.array([True, False]))})
+def test_renderers_match_the_looped_oracle(report):
+    # arrays and row tables render as the plain lists and row dicts they stand for, leaf by leaf
+    plain = as_lists(report)
+    assert cli.render_json(report) == looped_render_json(plain)
+    assert cli.render_csv(report) == looped_render_csv(plain)
 
 
 def test_one_process_answers_as_separate_runs_do(capsys, great_circle_file):

@@ -218,6 +218,7 @@ def test_imaginary_overlaps_are_refused_alike_on_every_route(proj_zero):
         lambda: qubit_fragment_graph(bad, other, proj_zero),
         lambda: quasi_prob_stack(bad.matrix[None], other.matrix[None], proj_zero),
         lambda: overlap_stack(np.stack([other.matrix, bad.matrix]), np.stack([other.matrix, other.matrix])),
+        lambda: overlap_stack(bad.matrix, other.matrix),  # two single (d, d) operands: a 0-d trace
     )
     for route in routes:
         with pytest.raises(ImaginaryOverlapError) as got:

@@ -1,0 +1,118 @@
+"""Compare what two checkouts of weakvalues print for one fixed set of requests.
+
+    python3 tools/same_output.py OTHER_TREE
+
+OTHER_TREE is the root of another checkout (for example a ``git archive`` of
+the parent commit unpacked into a directory). Every request calls
+``weakvalues.cli.main(argv)`` in one Python process per tree, importing
+``weakvalues`` from that tree's ``src/``. The request set is fixed:
+
+- the problem files of the benchmark's ``report`` deck (``bench/workloads.py``)
+  at seeds 1, 2 and 3, each through ``compute``, ``gvals``, ``witness``,
+  ``contextuality`` and ``pointer`` in JSON and in CSV;
+- ``reproduce-paper``;
+- ``scan`` over every ensemble at d = 2, 3, 5 and 8, and ``search`` on every
+  built-in observable, at fixed seeds in both formats.
+
+The script prints how many requests gave the same stdout, stderr and exit code
+in both trees, then one line per request that differs. It exits 1 when any
+request differs. The deck files are written to a temporary directory; nothing
+under ``bench/`` is written.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no bytecode cache under bench/
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+DECK_SEEDS = (1, 2, 3)
+PROBLEM_COMMANDS = ("compute", "gvals", "witness", "contextuality", "pointer")
+FORMATS = ("json", "csv")
+
+# Runs in a fresh interpreter with the tree's src/ as argv[1]: reads a JSON list of
+# argv lists on stdin and writes one JSON line per request: exit code and the sha256
+# and size of stdout and stderr (a wide contextuality report runs to megabytes).
+_WORKER = r"""
+import contextlib, hashlib, io, json, sys, traceback
+sys.path.insert(0, sys.argv[1])
+from weakvalues import cli
+
+def digest(text):
+    data = text.encode("utf-8", "surrogateescape")
+    return [hashlib.sha256(data).hexdigest(), len(data)]
+
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except Exception:
+            rc = "raised"
+            traceback.print_exc(limit=1, file=err)
+    print(json.dumps({"rc": rc, "out": digest(out.getvalue()), "err": digest(err.getvalue())}), flush=True)
+"""
+
+
+def requests(workdir: Path) -> list[list[str]]:
+    """The fixed request set, as argv lists for ``cli.main``."""
+    inputs = []
+    for seed in DECK_SEEDS:
+        deck = workloads.ReportWorkload(seed, workdir)
+        for request in deck.requests:
+            path = request.argv[request.argv.index("--input") + 1] if "--input" in request.argv else None
+            if path is not None and path not in inputs:
+                inputs.append(path)
+    argvs = [[command, "--input", path, "--format", fmt]
+             for path in inputs for command in PROBLEM_COMMANDS for fmt in FORMATS]
+    argvs.append(["reproduce-paper"])
+    for fmt in FORMATS:
+        argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", "300", "--seed", str(11 + dim),
+                   "--format", fmt]
+                  for kind in ("haar", "mixed", "real-pure", "real-mixed", "diagonal") for dim in (2, 3, 5, 8)]
+        argvs += [["search", "--observable", observable, "--budget", "1500", "--seed", str(seed), "--format", fmt]
+                  for observable in workloads.SEARCH_OBSERVABLES for seed in (0, 7)]
+    return argvs
+
+
+def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
+    proc = subprocess.run([sys.executable, "-c", _WORKER, str(tree / "src")], input=json.dumps(argvs),
+                          capture_output=True, text=True, check=False)
+    answers = [json.loads(line) for line in proc.stdout.splitlines()]
+    if proc.returncode != 0 or len(answers) != len(argvs):
+        raise SystemExit(f"{tree}: the worker stopped after {len(answers)} of {len(argvs)} requests "
+                         f"(exit {proc.returncode}):\n{proc.stderr}")
+    return answers
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    if not (other / "src" / "weakvalues" / "cli.py").is_file():
+        print(f"{other} holds no src/weakvalues/cli.py", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as workdir:
+        argvs = requests(Path(workdir))
+        here, there = run_tree(ROOT, argvs), run_tree(other, argvs)
+        differing = [(request, a, b) for request, a, b in zip(argvs, here, there) if a != b]
+        print(f"{len(argvs) - len(differing)} of {len(argvs)} requests gave the same stdout, stderr "
+              f"and exit code in {ROOT} and {other}")
+        for request, a, b in differing:
+            parts = [f"{name} {a[name]} vs {b[name]}" for name in ("rc", "out", "err") if a[name] != b[name]]
+            shown = " ".join(word.removeprefix(workdir + "/") for word in request)
+            print(f"differs: {shown}: {'; '.join(parts)}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
