@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
@@ -67,6 +68,7 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_ANOMALY = 3
 EXIT_REPRODUCE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 _SEARCH_OBSERVABLES = {
     "proj0": np.diag([1.0, 0.0]),
@@ -893,7 +895,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows up here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head``). Point stdout at the null
+        # device so that the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ProblemFileError, FileNotFoundError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

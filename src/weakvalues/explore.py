@@ -148,44 +148,60 @@ SEARCH_MIN_STEP = 1e-9
 _MAX_SEPARATION = 2.0 * np.arccos(np.sqrt(SEARCH_MIN_OVERLAP))
 
 
-def _pairs_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Selection pairs from (n, 4) angle rows: (phi polar, phi azimuth, psi polar, psi azimuth).
+def _angle_factor(k: int, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angle k's column as scored, and the factor it contributes to a selection pair.
 
-    The pre-selection angles are absolute; the post-selection angles live in
-    the frame whose north pole is the pre-selection state, so x[:, 0] is the
+    The four angles are (phi polar, phi azimuth, psi polar, psi azimuth). The
+    pre-selection angles are absolute; the post-selection angles live in the
+    frame whose north pole is the pre-selection state, so angle 0 is the
     Bloch separation between the two states and the squared overlap is
-    cos(x[:, 0]/2)**2 exactly. Returns the (n, 2) stacks phi and psi.
+    cos(x[:, 0]/2)**2 exactly. -Re(A_w) grows without bound as the pair
+    approaches orthogonality, so the separation is clamped here, and only
+    here, to the range whose squared overlap stays at or above the floor.
+    Because the separation is itself a coordinate, the constraint surface is
+    a box face: the other three coordinates keep moving freely along it and
+    the search cannot wedge against a curved boundary.
+
+    A polar angle (k = 0, 2) contributes the (2, n) rows cos and sin of half
+    the angle, an azimuth (k = 1, 3) the phases exp(1j * angle).
     """
-    half_sep = x[:, 0] / 2.0
-    half_polar = x[:, 2] / 2.0
-    psi = np.empty((len(x), 2), dtype=complex)
-    psi[:, 0] = np.cos(half_polar)
-    psi[:, 1] = np.exp(1j * x[:, 3]) * np.sin(half_polar)
+    if k == 0:
+        column = np.minimum(np.maximum(column, 0.0), _MAX_SEPARATION)
+    if k % 2:
+        return column, np.exp(1j * column)
+    half = column / 2.0
+    return column, np.array((np.cos(half), np.sin(half)))
+
+
+def _pre_selection(polar: np.ndarray, phase: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pre-selection side from angles 2 and 3: the (n, 2) stacks psi, perp and matrix @ psi.
+
+    perp is the state orthogonal to psi, the south pole of the frame in which
+    the post-selection angles live.
+    """
+    cos_polar, sin_polar = polar
+    psi = np.empty((len(phase), 2), dtype=complex)
+    psi[:, 0] = cos_polar
+    psi[:, 1] = phase * sin_polar
     perp = np.empty_like(psi)
     perp[:, 0] = np.conj(psi[:, 1])
     perp[:, 1] = -np.conj(psi[:, 0])
-    phi = np.cos(half_sep)[:, None] * psi + (np.exp(1j * x[:, 1]) * np.sin(half_sep))[:, None] * perp
-    return phi, psi
+    return psi, perp, (matrix @ psi[:, :, None])[:, :, 0]
 
 
-def _weak_values(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Box-clamped weak values: pin each row's separation angle, then evaluate A_w.
+def _weak_values(separation: np.ndarray, phase: np.ndarray,
+                 pre: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) stack phi from angles 0 and 1 and the pre-selection side, and the n weak values A_w.
 
-    -Re(A_w) grows without bound as the selection pair approaches
-    orthogonality, so the Bloch separation x[:, 0] is clamped in place to
-    the range whose squared overlap stays at or above the floor. Because the
-    separation is itself a search coordinate, the constraint surface is a
-    box face: the other three coordinates keep moving freely along it and
-    the search cannot wedge against a curved boundary. Each returned value
-    is A_w at its row's clamped angles; the objective is -Re(A_w). Both inner
-    products are stacked matmuls because those reproduce the one-pair
-    ``np.vdot`` route bit for bit; a conj-multiply-add or an einsum does not.
+    Both inner products are stacked matmuls because those reproduce the
+    one-pair ``np.vdot`` route bit for bit; a conj-multiply-add or an einsum
+    does not.
     """
-    x[:, 0] = np.minimum(np.maximum(x[:, 0], 0.0), _MAX_SEPARATION)
-    phi, psi = _pairs_from_params(x)
+    cos_sep, sin_sep = separation
+    psi, perp, matrix_psi = pre
+    phi = cos_sep[:, None] * psi + (phase * sin_sep)[:, None] * perp
     bra = phi.conj()[:, None, :]
-    ket = psi[:, :, None]
-    return ((bra @ (matrix @ ket)) / (bra @ ket))[:, 0, 0]
+    return phi, ((bra @ matrix_psi[:, :, None]) / (bra @ psi[:, :, None]))[:, 0, 0]
 
 
 def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
@@ -193,7 +209,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
 
     Pairs are parameterized by a polar and an azimuthal Bloch angle per
     state, the post-selection pair taken relative to the pre-selection state
-    (see ``_pairs_from_params``); separations past the ``SEARCH_MIN_OVERLAP``
+    (see ``_angle_factor``); separations past the ``SEARCH_MIN_OVERLAP``
     floor of 1/4 are clamped before scoring. There the constrained optimum
     for a rank-1 projector is 1/2, reached when the two states and the small
     eigenvector close a 120-degree great circle.
@@ -205,7 +221,15 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
     adopts a strictly better point, and halves h after a sweep without a
     move. It retires when its share is spent or h falls below
     ``SEARCH_MIN_STEP``. All restarts poll the same (angle, sign) position at
-    each step, so one stacked evaluation serves them all.
+    each step, so one stacked evaluation serves them all, retired rows
+    included.
+
+    Each restart's current point is kept as the factor each angle
+    contributes (see ``_angle_factor``) and its pre-selection side (psi, perp
+    and matrix @ psi). A poll on angle k computes the moved column and that
+    angle's factor alone, rebuilds the pre-selection side only when k is a
+    pre-selection angle (2 or 3), and forms phi and A_w from the cached rest.
+    Adopting rows copies only the moved column, factor and side.
     """
     matrix = observable.matrix if isinstance(observable, Observable) else np.asarray(observable, dtype=complex)
     if matrix.shape != (2, 2):
@@ -221,32 +245,43 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
         theta = np.arccos(rng.uniform(-1.0, 1.0, size=2))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, size=2)
         x[r] = theta[0], azimuth[0], theta[1], azimuth[1]
-    best = -_weak_values(x, matrix).real
+    factors = []
+    for k in range(4):
+        x[:, k], factor = _angle_factor(k, x[:, k])
+        factors.append(factor)
+    pre = _pre_selection(factors[2], factors[3], matrix)
+    best = -_weak_values(factors[0], factors[1], pre)[1].real
     evals = np.ones(n_restarts, dtype=np.int64)
     h = np.full(n_restarts, SEARCH_INITIAL_STEP)
     active = (evals < shares) & (h >= SEARCH_MIN_STEP)
     while active.any():
         moved = np.zeros(n_restarts, dtype=bool)
         for k in range(4):
-            for sign in (1.0, -1.0):
+            for step in (h, -h):
                 live = active & (evals < shares)
-                cand = x.copy()
-                cand[:, k] += sign * h
-                val = -_weak_values(cand, matrix).real
+                column, factor = _angle_factor(k, x[:, k] + step)
+                trial = factors[:k] + [factor] + factors[k + 1:]
+                trial_pre = _pre_selection(trial[2], trial[3], matrix) if k >= 2 else pre
+                val = -_weak_values(trial[0], trial[1], trial_pre)[1].real
                 better = live & (val > best)
                 evals += live
-                x[better] = cand[better]
-                best[better] = val[better]
+                np.copyto(x[:, k], column, where=better)
+                np.copyto(best, val, where=better)
+                np.copyto(factors[k], factor, where=better)
+                if k >= 2:
+                    for kept, polled in zip(pre, trial_pre):
+                        np.copyto(kept, polled, where=better[:, None])
                 moved |= better
         h[active & ~moved] /= 2.0
         active &= (evals < shares) & (h >= SEARCH_MIN_STEP)
 
     winner = int(np.argmax(best))
-    phi, psi = _pairs_from_params(x[winner:winner + 1])
+    rows = slice(winner, winner + 1)
+    phi, weak_value = _weak_values(factors[0][..., rows], factors[1][..., rows], [side[rows] for side in pre])
     return SearchResult(
-        best_states=(StateVector(phi[0]), StateVector(psi[0])),
+        best_states=(StateVector(phi[0]), StateVector(pre[0][winner])),
         best_value=float(best[winner]),
-        weak_value=complex(_weak_values(x[winner:winner + 1], matrix)[0]),
+        weak_value=complex(weak_value[0]),
         evaluations=int(evals.sum()),
     )
 

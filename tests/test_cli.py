@@ -917,3 +917,26 @@ def test_module_entry_point(tmp_path):
     proc = _run_module(["reproduce-paper"])
     assert proc.returncode == 0
     assert "13/13" in proc.stdout
+
+
+def test_a_reader_that_leaves_early_ends_the_run_quietly(tmp_path):
+    # A d = 24 contextuality report runs to about 0.9 MB, well past a 64 KiB
+    # pipe buffer, so the writer is still writing when the reader closes.
+    rng = np.random.default_rng(24)
+    g = rng.normal(size=(24, 24))
+    problem = _write_problem(tmp_path / "d24.json", {
+        "dimension": 24,
+        "observable": ((g + g.T) / 2.0).tolist(),
+        "pre_state": [[z.real, z.imag] for z in random_pure(rng, 24)],
+        "post_state": [[z.real, z.imag] for z in random_pure(rng, 24)],
+    })
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "weakvalues", "contextuality", "--input", problem],
+                                env=env, stdout=subprocess.PIPE, stderr=err)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        status = proc.wait(timeout=120)
+    assert head == b'{"tool":{"'
+    assert status == cli.EXIT_BROKEN_PIPE == 141
+    assert (tmp_path / "stderr").read_bytes() == b""

@@ -202,6 +202,23 @@ def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, 
     assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= SEARCH_MIN_OVERLAP - 1e-12
 
 
+flat = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False).map(lambda c: c * np.eye(2))
+
+
+@st.composite
+def hermitian(draw):
+    diagonal, off = draw(st.tuples(unit, unit)), draw(st.tuples(unit, unit))
+    b = complex(*off)
+    return np.array([[diagonal[0], b], [b.conjugate(), diagonal[1]]])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrix=st.one_of(flat, hermitian()), seed=st.integers(0, 2 ** 32), budget=st.integers(0, 400))
+def test_search_matches_scalar_oracle_on_drawn_observables(matrix, seed, budget):
+    # Flat multiples of the identity never move, so their restarts halve h each sweep.
+    _assert_same_search(search_max_negativity(matrix, budget, seed), scalar_search(matrix, budget, seed))
+
+
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 @pytest.mark.parametrize("dim", (2, 3, 5))
 def test_scan_matches_pairwise_oracle(kind, dim):

@@ -12,7 +12,8 @@ the parent commit unpacked into a directory). Every request calls
   ``contextuality`` and ``pointer`` in JSON and in CSV;
 - ``reproduce-paper``;
 - ``scan`` over every ensemble at d = 2, 3, 5 and 8, and ``search`` on every
-  built-in observable, at fixed seeds in both formats.
+  built-in observable at the budgets in ``SEARCH_BUDGETS``, at fixed seeds in
+  both formats.
 
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, then one line per request that differs. It exits 1 when any
@@ -37,6 +38,9 @@ import workloads  # noqa: E402
 DECK_SEEDS = (1, 2, 3)
 PROBLEM_COMMANDS = ("compute", "gvals", "witness", "contextuality", "pointer")
 FORMATS = ("json", "csv")
+# Fewer evaluations than restarts (1, 7, 19), uneven shares (7, 19, 21), and the
+# benchmark's budget, at which the flat identity's restarts retire on the minimum step.
+SEARCH_BUDGETS = (1, 7, 19, 21, 1500, workloads.SEARCH_BUDGET)
 
 # Runs in a fresh interpreter with the tree's src/ as argv[1]: reads a JSON list of
 # argv lists on stdin and writes one JSON line per request: exit code and the sha256
@@ -78,8 +82,9 @@ def requests(workdir: Path) -> list[list[str]]:
         argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", "300", "--seed", str(11 + dim),
                    "--format", fmt]
                   for kind in ("haar", "mixed", "real-pure", "real-mixed", "diagonal") for dim in (2, 3, 5, 8)]
-        argvs += [["search", "--observable", observable, "--budget", "1500", "--seed", str(seed), "--format", fmt]
-                  for observable in workloads.SEARCH_OBSERVABLES for seed in (0, 7)]
+        argvs += [["search", "--observable", observable, "--budget", str(budget), "--seed", str(seed),
+                   "--format", fmt]
+                  for budget in SEARCH_BUDGETS for observable in workloads.SEARCH_OBSERVABLES for seed in (0, 7)]
     return argvs
 
 
