@@ -26,7 +26,7 @@ for label, pair in (
     report = check_theorem_coherence(pair[0], pair[1], obs)
     print(f"{label}:")
     print(f"  l1 coherence (post, pre) = ({report.l1_post:.4f}, {report.l1_pre:.4f})")
-    print(f"  anomalous weight indices = {report.g_anomalous}")
+    print(f"  anomalous weight indices = {report.dist.anomalous_indices}")
     print(f"  weak value classification = {report.dist.classification}")
     print(f"  verdict = {report.verdict}")
 
@@ -45,4 +45,4 @@ print(f"commutator norm ||[rho_phi, rho_psi]|| = "
 dist = wv.quasi_prob(mixed_phi, mixed_psi, obs)
 for a, g in zip(dist.labels, dist.weights):
     print(f"  eigenvalue {a:g}: g = {g.real:+.6f}  (imag {g.imag:+.1e})")
-print(f"anomalous indices: {wv.anomalous_indices(dist)}  (none)")
+print(f"anomalous indices: {dist.anomalous_indices}  (none)")

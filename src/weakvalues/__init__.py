@@ -38,9 +38,7 @@ from .quasiprob import (
     DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
     QuasiProbDist,
-    anomalous_indices,
     classify,
-    is_marginal,
     quasi_prob,
     weak_value,
     weak_value_pure,

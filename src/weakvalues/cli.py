@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -50,15 +50,7 @@ from .core import (
 from .explore import SamplerSpec, scan_anomaly_rate, search_max_negativity
 from .invariants import build_frame_graph
 from .pointer import PointerConfig, extrapolate
-from .quasiprob import (
-    ANOMALOUS_REAL,
-    NORMAL,
-    QuasiProbDist,
-    anomalous_indices,
-    classify,
-    is_marginal,
-    quasi_prob,
-)
+from .quasiprob import ANOMALOUS_REAL, NORMAL, QuasiProbDist, classify, quasi_prob
 from .witness import WitnessReport, check_theorem_coherence
 
 __all__ = ["main"]
@@ -236,11 +228,7 @@ def _pointer_values(node: dict, where: str) -> dict:
     return values
 
 
-def _with_tol_anom(tol: Tolerances, tol_anom: float | None) -> Tolerances:
-    return tol if tol_anom is None else replace(tol, anom=tol_anom)
-
-
-def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
+def parse_problem(data, tol_override: Tolerances | None = None) -> Problem:
     """Build validated problem inputs from a decoded JSON object."""
     if not isinstance(data, dict):
         raise ProblemFileError("problem", "top level must be a JSON object")
@@ -264,7 +252,8 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
                               "of tolerance values",
                               lambda node, where: {key: _expect_number(value, f"{where}.{key}")
                                                    for key, value in node.items()})
-    tol = _with_tol_anom(tol, tol_anom_override)
+    if tol_override is not None:
+        tol = tol_override
 
     matrix = _parse_matrix(data["observable"], "problem.observable")
     if matrix.shape != (dim, dim):
@@ -293,7 +282,7 @@ def parse_problem(data, tol_anom_override: float | None = None) -> Problem:
                    pointer_cfg=pointer_cfg, seed=seed)
 
 
-def load_problem(path: str, tol_anom_override: float | None = None) -> Problem:
+def load_problem(path: str, tol_override: Tolerances | None = None) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -303,7 +292,7 @@ def load_problem(path: str, tol_anom_override: float | None = None) -> Problem:
         raise ProblemFileError(path, f"cannot read the file: {exc.strerror}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFileError(path, f"invalid JSON: {exc}") from exc
-    return parse_problem(data, tol_anom_override)
+    return parse_problem(data, tol_override)
 
 
 def _extract_pure(rho: DensityOperator, where: str) -> StateVector:
@@ -499,27 +488,24 @@ def _report_head(command: str, problem: Problem | None = None, seed: int | None 
     return report
 
 
-def _weak_value_section(dist: QuasiProbDist, tol: Tolerances) -> dict:
+def _weak_value_section(dist: QuasiProbDist) -> dict:
     return {
         "re": dist.value.real,
         "im": dist.value.imag,
         "denominator": dist.denominator,
         "spectrum": [dist.spectrum_lo, dist.spectrum_hi],
         "classification": dist.classification,
-        "marginal": is_marginal(dist.value, dist.spectrum_lo, dist.spectrum_hi, tol.anom),
+        "marginal": dist.marginal,
     }
 
 
-def _quasiprob_section(dist: QuasiProbDist, tol: Tolerances) -> dict:
+def _quasiprob_section(dist: QuasiProbDist) -> dict:
     return {
         "eigenvalues": dist.labels,
         "weights": _pairs(dist.weights),
-        "anomalous_indices": list(anomalous_indices(dist, tol.anom)),
+        "anomalous_indices": list(dist.anomalous_indices),
         "weak_value_from_weights": _pairs(dist.value),
-        "marginal_indices": [
-            i for i, w in enumerate(dist.weights)
-            if is_marginal(complex(w), 0.0, 1.0, tol.anom)
-        ],
+        "marginal_indices": list(dist.marginal_indices),
     }
 
 
@@ -530,7 +516,7 @@ def _witness_section(problem: Problem, witness: WitnessReport) -> dict:
         "coherent_pre": witness.coherent_pre,
         "coherent_post": witness.coherent_post,
         "commutator_norm": commutator_norm(problem.rho_phi, problem.rho_psi),
-        "anomalous_indices": list(witness.g_anomalous),
+        "anomalous_indices": list(witness.dist.anomalous_indices),
         "aw_classification": witness.dist.classification,
         "verdict": witness.verdict,
     }
@@ -607,33 +593,31 @@ def cmd_compute(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
     witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("compute", problem)
-    report["weak_value"] = _weak_value_section(witness.dist, problem.tol)
-    report["quasiprob"] = _quasiprob_section(witness.dist, problem.tol)
+    report["weak_value"] = _weak_value_section(witness.dist)
+    report["quasiprob"] = _quasiprob_section(witness.dist)
     report["witness"] = _witness_section(problem, witness)
     report["cycles"] = _cycles_section(problem)
     _print_report(report, args.format)
-    return _anomaly_exit(report["weak_value"]["classification"] != NORMAL,
-                         bool(report["quasiprob"]["anomalous_indices"]))
+    return _anomaly_exit(witness.dist.anomalous)
 
 
 def cmd_gvals(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
     dist = quasi_prob(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("gvals", problem)
-    report["quasiprob"] = _quasiprob_section(dist, problem.tol)
+    report["quasiprob"] = _quasiprob_section(dist)
     _print_report(report, args.format)
-    return _anomaly_exit(bool(report["quasiprob"]["anomalous_indices"]))
+    return _anomaly_exit(bool(dist.anomalous_indices))
 
 
 def cmd_witness(args) -> int:
     problem = load_problem(args.input, args.tol_anom)
     witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     report = _report_head("witness", problem)
-    report["weak_value"] = _weak_value_section(witness.dist, problem.tol)
+    report["weak_value"] = _weak_value_section(witness.dist)
     report["witness"] = _witness_section(problem, witness)
     _print_report(report, args.format)
-    return _anomaly_exit(report["weak_value"]["classification"] != NORMAL,
-                         bool(report["witness"]["anomalous_indices"]))
+    return _anomaly_exit(witness.dist.anomalous)
 
 
 def cmd_contextuality(args) -> int:
@@ -663,7 +647,7 @@ def cmd_search(args) -> int:
     value = result.weak_value
     # Only the spectrum's edges classify A_w, so the degenerate identity needs no eigenbasis.
     spectrum = np.linalg.eigvalsh(matrix)
-    tol = _with_tol_anom(DEFAULT_TOL, args.tol_anom)
+    tol = args.tol_anom or DEFAULT_TOL
     report = _report_head("search", seed=args.seed)
     report["search"] = {
         "observable": args.observable,
@@ -687,7 +671,7 @@ def cmd_search(args) -> int:
 def cmd_scan(args) -> int:
     kind = _SCAN_KINDS[args.kind]
     obs = eigensystem(np.diag(np.arange(args.dim, dtype=float)))
-    tol = _with_tol_anom(DEFAULT_TOL, args.tol_anom)
+    tol = args.tol_anom or DEFAULT_TOL
     spec_psi = SamplerSpec(dim=args.dim, kind=kind, seed=args.seed)
     spec_phi = SamplerSpec(dim=args.dim, kind=kind, seed=(args.seed + 1) % 2 ** 64)
     summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=tol)
@@ -768,7 +752,7 @@ def _reference_computations() -> dict:
 
     checks = {
         "coherent_pair_commutator_positive": commutator_norm(coherent_phi, coherent_psi) > 0.0,
-        "coherent_pair_non_anomalous": not anomalous_indices(dist),
+        "coherent_pair_non_anomalous": not dist.anomalous_indices,
         "proj_low_classified_anomalous": dist_low.classification == ANOMALOUS_REAL,
     }
     return {"values": values, "checks": checks}
@@ -819,13 +803,15 @@ def _budget_type(text: str) -> int:
     value = _int_value(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    if value >= 2 ** 63:
+        raise argparse.ArgumentTypeError(f"budget must fit in a signed 64-bit integer, got {text}")
     return value
 
 
-def _tol_anom_type(text: str) -> float:
+def _tol_anom_type(text: str) -> Tolerances:
     # Tolerances holds the only check, so a refused band never reaches a command.
     try:
-        return Tolerances(anom=float(text)).anom
+        return Tolerances(anom=float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

@@ -13,6 +13,7 @@ quasi-probability (the g_i have unit sum but may leave the real interval
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +38,10 @@ __all__ = [
     "QuasiProbDist",
     "classify",
     "anomalous_mask",
-    "is_marginal",
     "quasi_prob",
     "quasi_prob_stack",
     "weak_value",
     "weak_value_pure",
-    "anomalous_indices",
 ]
 
 NORMAL = "Normal"
@@ -70,7 +69,7 @@ def anomalous_mask(values, lo: float, hi: float, anomaly_tol: float = DEFAULT_TO
             | (values.real < lo - anomaly_tol) | (values.real > hi + anomaly_tol))
 
 
-def is_marginal(value: complex, lo: float, hi: float, anomaly_tol: float = DEFAULT_TOL.anom) -> bool:
+def _is_marginal(value: complex, lo: float, hi: float, anomaly_tol: float) -> bool:
     """True when the verdict sits within 10x the tolerance of a decision boundary.
 
     The real test is additive distance to the spectrum edges.  The imaginary
@@ -90,16 +89,20 @@ class QuasiProbDist:
     """Quasi-probabilities of one selection pair and the weak value they average to.
 
     ``weights`` are the g_i over the ascending eigenvalues ``labels``, and
-    ``value`` is A_w = sum_i a_i g_i, classified against the spectrum edges.
-    ``denominator`` is the post-selection overlap Tr(rho_phi rho_psi); small
-    values flag an ill-conditioned (nearly orthogonal) selection.
+    ``value`` is A_w = sum_i a_i g_i. ``denominator`` is the post-selection
+    overlap Tr(rho_phi rho_psi); small values flag an ill-conditioned (nearly
+    orthogonal) selection. ``tol`` is the anomaly band the pair is judged with,
+    and every verdict derives from the record on first read: ``classification``
+    of A_w against the spectrum edges, ``anomalous_indices`` of the g_i that
+    leave [0, 1], ``marginal`` and ``marginal_indices`` for an A_w or g_i near a
+    decision line, and ``anomalous`` when A_w or any g_i is anomalous.
     """
 
     weights: np.ndarray
     labels: np.ndarray
     value: complex
     denominator: float
-    classification: str
+    tol: Tolerances
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
@@ -112,6 +115,26 @@ class QuasiProbDist:
     @property
     def spectrum_hi(self) -> float:
         return float(self.labels[-1])
+
+    @cached_property
+    def classification(self) -> str:
+        return classify(self.value, self.spectrum_lo, self.spectrum_hi, self.tol.anom)
+
+    @cached_property
+    def marginal(self) -> bool:
+        return _is_marginal(self.value, self.spectrum_lo, self.spectrum_hi, self.tol.anom)
+
+    @cached_property
+    def anomalous_indices(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(anomalous_mask(self.weights, 0.0, 1.0, self.tol.anom)).tolist())
+
+    @cached_property
+    def marginal_indices(self) -> tuple[int, ...]:
+        return tuple(i for i, w in enumerate(self.weights.tolist()) if _is_marginal(w, 0.0, 1.0, self.tol.anom))
+
+    @property
+    def anomalous(self) -> bool:
+        return self.classification != NORMAL or bool(self.anomalous_indices)
 
 
 def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +176,7 @@ def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observab
     # An elementwise product and a row sum give each weak value the same bits
     # in a stack of one as in a scan block; a matrix-vector product does not.
     value = complex((g[0] * a).sum(axis=-1))
-    return QuasiProbDist(weights=g[0], labels=a, value=value, denominator=den,
-                         classification=classify(value, float(a[0]), float(a[-1]), tol.anom))
+    return QuasiProbDist(weights=g[0], labels=a, value=value, denominator=den, tol=tol)
 
 
 def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator,
@@ -168,7 +190,3 @@ def weak_value_pure(obs: Observable, psi: StateVector, phi: StateVector,
     """Weak value <phi|A|psi> / <phi|psi> for pure selections: the n = 1 kernel on their projectors."""
     return quasi_prob(pure_to_density(phi), pure_to_density(psi), obs, tol)
 
-
-def anomalous_indices(dist: QuasiProbDist, anomaly_tol: float = DEFAULT_TOL.anom) -> tuple[int, ...]:
-    """Indices whose quasi-probability leaves the real interval [0, 1]."""
-    return tuple(np.flatnonzero(anomalous_mask(dist.weights, 0.0, 1.0, anomaly_tol)).tolist())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DEFAULT_TOL, DensityOperator, Observable, Tolerances, coherence_l1
-from .quasiprob import NORMAL, QuasiProbDist, anomalous_indices, quasi_prob
+from .quasiprob import QuasiProbDist, quasi_prob
 
 __all__ = [
     "CONSISTENT",
@@ -33,14 +33,14 @@ DEFAULT_COHERENCE_TOL = 1e-8
 class WitnessReport:
     """Joint coherence / anomaly diagnosis for one selection pair.
 
-    ``dist`` holds the quasi-probabilities and weak value behind the verdict.
+    ``dist`` holds the quasi-probabilities and weak value behind the verdict,
+    and their anomaly verdicts (``dist.anomalous_indices``, ``dist.anomalous``).
     """
 
     l1_post: float
     l1_pre: float
     coherent_post: bool
     coherent_pre: bool
-    g_anomalous: tuple[int, ...]
     dist: QuasiProbDist
     verdict: str
 
@@ -56,17 +56,14 @@ def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, 
     l1_post = coherence_l1(rho_phi, obs)
     l1_pre = coherence_l1(rho_psi, obs)
     dist = quasi_prob(rho_phi, rho_psi, obs, tol)
-    bad = anomalous_indices(dist, tol.anom)
     coherent_post = l1_post >= DEFAULT_COHERENCE_TOL
     coherent_pre = l1_pre >= DEFAULT_COHERENCE_TOL
-    anomaly = bool(bad) or dist.classification != NORMAL
-    verdict = VIOLATED if anomaly and not (coherent_post and coherent_pre) else CONSISTENT
+    verdict = VIOLATED if dist.anomalous and not (coherent_post and coherent_pre) else CONSISTENT
     return WitnessReport(
         l1_post=l1_post,
         l1_pre=l1_pre,
         coherent_post=coherent_post,
         coherent_pre=coherent_pre,
-        g_anomalous=bad,
         dist=dist,
         verdict=verdict,
     )

@@ -10,7 +10,10 @@ the coherence theorem predicts for incoherent selections (criterion 4),
 eigenprojector (criterion 6), and ``antipodal`` builds the orthogonal qubit
 ray for direct overlap arithmetic on the six-state fragment (criterion 7).
 None of them goes through the quasi-probability kernel; each applies its
-own selection gate. ``scalar_search``
+own selection gate. ``verdicts`` judges a ``QuasiProbDist``'s values by the
+free-function rules the record's derived verdicts replaced:
+``anomalous_indices`` through ``anomalous_mask`` and ``is_marginal`` applied
+to A_w and, in a loop, to each g_i. ``scalar_search``
 is the negativity search walked one restart and one candidate at a time,
 the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
 ``looped_three_cycles`` fill the overlap graph one vertex pair at a time
@@ -40,6 +43,7 @@ from weakvalues.core import REALITY_TOL, require_dims
 from weakvalues.explore import (SEARCH_INITIAL_STEP, SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS,
                                 SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
+from weakvalues.quasiprob import anomalous_mask
 from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
 
@@ -122,6 +126,33 @@ def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, tol=wv.DEFAULT_TOL)
     proj = obs.projector(i)
     value = complex(np.trace(rho_phi.matrix @ proj.matrix @ rho_psi.matrix)) / den
     return _result(value, den, 0.0, 1.0, tol)
+
+
+def anomalous_indices(dist, anomaly_tol):
+    """Indices whose quasi-probability leaves the real interval [0, 1]."""
+    return tuple(np.flatnonzero(anomalous_mask(dist.weights, 0.0, 1.0, anomaly_tol)).tolist())
+
+
+def is_marginal(value, lo, hi, anomaly_tol):
+    """True when the verdict sits within 10x the tolerance of a decision boundary.
+
+    Additive distance to the spectrum edges for the real part; for the imaginary
+    part, within a factor of ten of the line |Im| = tol on either side.
+    """
+    band = 10.0 * anomaly_tol
+    if anomaly_tol / 10.0 < abs(value.imag) < band:
+        return True
+    return abs(value.real - lo) < band or abs(value.real - hi) < band
+
+
+def verdicts(dist, anomaly_tol):
+    """(classification, marginal, anomalous_indices, marginal_indices, anomalous) of a record's values."""
+    lo, hi = float(dist.labels[0]), float(dist.labels[-1])
+    classification = wv.classify(dist.value, lo, hi, anomaly_tol)
+    bad = anomalous_indices(dist, anomaly_tol)
+    marginal = tuple(i for i, w in enumerate(dist.weights) if is_marginal(complex(w), 0.0, 1.0, anomaly_tol))
+    return (classification, is_marginal(dist.value, lo, hi, anomaly_tol), bad, marginal,
+            classification != wv.NORMAL or bool(bad))
 
 
 def antipodal(psi):

@@ -28,7 +28,7 @@ def pairwise_counts(spec_phi, spec_psi, obs, n, tol=wv.DEFAULT_TOL):
             except wv.OrthogonalSelectionError:
                 counts[3] += 1
                 continue
-            g_bad = bool(wv.anomalous_indices(dist, tol.anom))
+            g_bad = bool(dist.anomalous_indices)
             aw_bad = aw.classification != wv.NORMAL
             counts[0] += g_bad
             counts[1] += aw_bad

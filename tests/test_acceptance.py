@@ -71,7 +71,7 @@ def test_criterion_2_coherent_mixed_pair(capsys):
     dist = wv.quasi_prob(rho_phi, rho_psi, obs)
     err = max(abs(dist.weights[0] - 0.829997), abs(dist.weights[1] - 0.170003))
     commutator = wv.commutator_norm(rho_phi, rho_psi)
-    anomalous = wv.anomalous_indices(dist)
+    anomalous = dist.anomalous_indices
 
     ok = err < 5e-6 and commutator > 0.0 and anomalous == ()
     _verdict(capsys, ok, "criterion-2",
@@ -103,7 +103,7 @@ def test_criterion_3_incoherent_states_never_anomalous(capsys):
                     continue
                 dist = wv.quasi_prob(rho_phi, rho_psi, obs)
                 aw = wv.weak_value(obs, rho_psi, rho_phi)
-                assert wv.anomalous_indices(dist, 1e-9) == ()
+                assert dist.anomalous_indices == ()
                 assert aw.classification == wv.NORMAL
                 worst_imag = max(worst_imag, float(np.max(np.abs(dist.weights.imag))))
                 checked += 1
@@ -204,7 +204,7 @@ def test_criterion_6_projector_route_matches_anomalies(capsys):
         rho_phi = wv.pure_to_density(wv.state_vector(z[0]))
         rho_psi = wv.pure_to_density(wv.state_vector(z[1]))
         dist = wv.quasi_prob(rho_phi, rho_psi, obs)
-        bad = wv.anomalous_indices(dist)
+        bad = dist.anomalous_indices
         if not bad:
             continue
         for i in bad:

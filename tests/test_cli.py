@@ -352,14 +352,46 @@ _HUGE = 10 ** 400
         "dimension": 3, "observable": np.diag([0.0, 1.0, 2.0]).tolist(),
         "pre_state": [0.6, None, 0.8], "post_state": [1.0, 0.0, 0.0]})),
      "problem.pre_state[1]: expected a [re, im] pair or a real number"),
+    (lambda path: path.write_text(json.dumps([GREAT_CIRCLE])), "problem: top level must be a JSON object"),
+    (lambda path: path.write_text(json.dumps({"dimension": 2, "observable": GREAT_CIRCLE["observable"]})),
+     "problem: missing required keys ['post_state', 'pre_state']"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "dimension": True})),
+     "problem.dimension: expected an integer"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "dimension": 2.0})),
+     "problem.dimension: expected an integer"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "dimension": 1})),
+     "problem.dimension: dimension 1 outside supported range [2, 64]"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "dimension": 65})),
+     "problem.dimension: dimension 65 outside supported range [2, 64]"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "observable": np.eye(3).tolist()})),
+     "problem.observable: shape (3, 3), expected (2, 2)"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "seed": 2 ** 64})),
+     "problem.seed: expected an unsigned 64-bit integer"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "seed": -1})),
+     "problem.seed: expected an unsigned 64-bit integer"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "seed": True})),
+     "problem.seed: expected an unsigned 64-bit integer"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "tolerances": [1e-9]})),
+     "problem.tolerances: expected an object of tolerance values"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pointer": 0.05})),
+     "problem.pointer: expected an object with pointer settings"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pointer": {"couplings_series": 0.1}})),
+     "problem.pointer.couplings_series: expected a list of couplings"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "observable": []})),
+     "problem.observable: expected a non-empty list of rows"),
+    (lambda path: path.write_text(json.dumps({**GREAT_CIRCLE, "pre_state": []})),
+     "problem.pre_state: expected an amplitude vector or a density matrix"),
 ], ids=["directory", "not-utf8", "deep-nesting", "huge-matrix-entry", "refusal-in-file-order",
         "huge-amplitude", "huge-tolerance", "huge-pointer-setting", "bare-string-amplitude",
-        "bare-huge-amplitude", "null-amplitude"])
+        "bare-huge-amplitude", "null-amplitude", "top-level-list", "missing-keys", "bool-dimension",
+        "float-dimension", "dimension-below-2", "dimension-above-64", "observable-shape", "seed-past-64-bits",
+        "negative-seed", "bool-seed", "tolerances-list", "pointer-number", "couplings-series-number",
+        "empty-observable", "empty-state"])
 def test_unreadable_problem_files_are_input_errors(capsys, tmp_path, write, message):
     path = tmp_path / "p.json"
     write(path)
     code, out, err = _run(capsys, ["compute", "--input", str(path)])
-    located = message if message.startswith("problem.") else f"{path}: {message}"
+    located = message if message.startswith(("problem.", "problem:")) else f"{path}: {message}"
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert err.startswith(f"input error: {located}")
 
@@ -404,7 +436,10 @@ def test_scan_refuses_an_empty_dimension(capsys, dim, message):
 @pytest.mark.parametrize("budget, message", [
     ("-3", "budget must be at least 1, got -3"),
     ("0", "budget must be at least 1, got 0"),
-], ids=["-3", "0"])
+    # the search splits the budget into 64-bit shares, so a larger one overflowed there
+    ("9223372036854775808", "budget must fit in a signed 64-bit integer, got 9223372036854775808"),
+    ("1000000000000000000000", "budget must fit in a signed 64-bit integer, got 1000000000000000000000"),
+], ids=["-3", "0", "2**63", "1e21"])
 def test_search_refuses_a_budget_below_one(capsys, budget, message):
     code, out, err = _run(capsys, ["search", "--budget", budget])
     assert (code, out, err) == (1, "", f"error: argument --budget: {message}\n")
@@ -414,6 +449,19 @@ def test_search_accepts_a_budget_of_one(capsys):
     code, out, err = _run(capsys, ["search", "--budget", "1", "--seed", "5"])
     assert (code, err) == (0, "")
     assert json.loads(out)["search"]["evaluations"] == 1
+
+
+def test_search_accepts_the_largest_signed_64_bit_budget(capsys):
+    code, out, err = _run(capsys, ["search", "--budget", str(2 ** 63 - 1), "--seed", "5"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["search"]["budget"] == 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("command", ["search", "scan"])
+def test_a_seed_past_64_bits_is_refused(capsys, command):
+    code, out, err = _run(capsys, [command, "--seed", "18446744073709551616"])
+    assert (code, out, err) == (1, "", "error: argument --seed: seed must fit in an unsigned 64-bit integer, "
+                                       "got 18446744073709551616\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

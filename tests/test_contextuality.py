@@ -245,7 +245,7 @@ def test_mixed_fragment_uses_complement(proj_zero):
 def test_anomaly_bridge_great_circle(great_circle_densities, proj_zero):
     rho_psi, rho_phi = great_circle_densities
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, proj_zero)
-    assert wv.anomalous_indices(dist) != ()
+    assert dist.anomalous_indices != ()
     assert len(violated) == 6
     assert isinstance(violated, CycleTable) and violated.violated.all()
     assert abs(violated.values.max() - 1.25) < 1e-12
@@ -254,7 +254,7 @@ def test_anomaly_bridge_great_circle(great_circle_densities, proj_zero):
 def test_anomaly_bridge_identical_selections(proj_zero):
     rho = wv.pure_to_density(wv.state_vector([np.sqrt(0.3), np.sqrt(0.7)]))
     dist, violated = anomaly_implies_violation(rho, rho, proj_zero)
-    assert wv.anomalous_indices(dist) == ()
+    assert dist.anomalous_indices == ()
     assert len(violated) == 0
 
 
@@ -278,7 +278,7 @@ def test_every_real_anomaly_certifies(proj_zero):
             continue
         rho_psi, rho_phi = wv.pure_to_density(psi), wv.pure_to_density(phi)
         dist, violated = anomaly_implies_violation(rho_phi, rho_psi, proj_zero)
-        if wv.anomalous_indices(dist) == ():
+        if dist.anomalous_indices == ():
             continue
         found += 1
         assert len(violated) >= 1
@@ -294,7 +294,7 @@ def test_a_small_anomaly_at_low_overlap_still_certifies():
     rho_psi = wv.validate_density([[0.8, -0.4], [-0.4, 0.2]])
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
     assert abs(dist.weights[0] + 2e-9) < 1e-15
-    assert wv.anomalous_indices(dist) == (0, 1)
+    assert dist.anomalous_indices == (0, 1)
     assert violated
     assert abs(violated.values.max() - (1.0 + 8e-10)) < 1e-15
 
@@ -304,7 +304,7 @@ def test_an_anomaly_at_the_edge_of_the_band_still_certifies(proj_one):
     rho_phi = wv.validate_density([[0.5, 0.5], [0.5, 0.5]])
     rho_psi = wv.DensityOperator(np.outer([1.0, -1e-9], [1.0, -1e-9]).astype(complex))
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, proj_one)
-    assert wv.anomalous_indices(dist) == (1,)
+    assert dist.anomalous_indices == (1,)
     assert violated
 
 
@@ -331,6 +331,6 @@ def test_an_accepted_input_defect_violates_no_fragment_cycle(pre_state, post_sta
     rho_phi, rho_psi = (wv.pure_to_density(wv.state_vector(amps)) for amps in (post_state, pre_state))
     obs = wv.eigensystem(observable)
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
-    assert not wv.anomalous_indices(dist)
+    assert not dist.anomalous_indices
     assert fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)[1].values.max() > 1.0 + 1e-11
     assert len(violated) == 0

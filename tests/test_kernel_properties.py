@@ -2,11 +2,14 @@
 
 Each example is a stack of n selection pairs of dimension d = 2..8, mixed
 states G G^dagger / Tr built from generated entries, and a non-degenerate
-observable with a generated spectrum in a generated eigenbasis. The phase
-property draws pure pairs in the same way. The last two properties draw real
+observable with a generated spectrum in a generated eigenbasis. The verdict
+property judges one such pair, its values pushed next to the decision lines.
+The phase property draws pure pairs in the same way. The last two properties draw real
 qubit pairs instead and check the contextuality certificate that the paper
 attaches to every real-qubit anomaly.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -15,7 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
 from weakvalues.contextuality import anomaly_implies_violation, fragment_cycles
-from weakvalues.quasiprob import anomalous_indices, anomalous_mask, quasi_prob_stack
+from weakvalues.quasiprob import anomalous_mask, quasi_prob_stack
+
+from oracles import verdicts
 
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -118,6 +123,43 @@ def test_a_dephased_pre_selection_gives_no_anomalous_weight(case):
     assert not np.any(anomalous_mask(g[_selected(den)], 0.0, 1.0, wv.DEFAULT_TOL.anom))
 
 
+# signed distances from a decision line, in units of the band: anom/10, anom and 10 anom
+_OFFSETS = st.sampled_from((-10.0, -1.0, -0.1, 0.1, 1.0, 10.0))
+
+
+@st.composite
+def judged_records(draw):
+    """The kernel record of one generated pair, judged at a band from 1e-12 to 1e-3, and the same
+    record with each part of each g_i and of A_w left alone or pushed next to a decision line.
+
+    The g_i may first be clipped into [0, 1], so that an A_w verdict also meets g_i that are
+    all normal."""
+    d = draw(st.integers(2, 8))
+    phi, psi = map(wv.DensityOperator, _states(draw(hnp.arrays(np.float64, (2, 2, d, d), elements=entries))))
+    obs = _observable(draw, d)
+    anom = 10.0 ** draw(st.floats(-12.0, -3.0))
+    assume(np.trace(phi.matrix @ psi.matrix).real > 1e-6)
+    dist = wv.quasi_prob(phi, psi, obs, wv.Tolerances(anom=anom))
+
+    def push(z, lo, hi):
+        line = draw(st.sampled_from((None, lo, hi)))
+        re = z.real if line is None else line + draw(_OFFSETS) * anom
+        im = z.imag if draw(st.booleans()) else draw(_OFFSETS) * anom
+        return complex(re, im)
+
+    weights = dist.weights.real.clip(0.0, 1.0) if draw(st.booleans()) else dist.weights
+    weights = np.array([push(complex(w), 0.0, 1.0) for w in weights])
+    return dist, replace(dist, weights=weights, value=push(dist.value, dist.spectrum_lo, dist.spectrum_hi))
+
+
+@PROPERTY_SETTINGS
+@given(judged_records())
+def test_the_record_verdicts_are_the_free_function_rules(records):
+    for dist in records:
+        assert (dist.classification, dist.marginal, dist.anomalous_indices, dist.marginal_indices,
+                dist.anomalous) == verdicts(dist, dist.tol.anom)
+
+
 @PROPERTY_SETTINGS
 @given(pure_selections())
 def test_selection_phases_change_neither_g_nor_the_weak_value(case):
@@ -162,7 +204,7 @@ def real_qubit_observables(draw):
 def test_a_real_qubit_anomaly_gives_a_violated_cycle(rho_phi, rho_psi, obs):
     assume(np.trace(rho_phi.matrix @ rho_psi.matrix).real > 1e-6)
     dist, violated = anomaly_implies_violation(rho_phi, rho_psi, obs)
-    if anomalous_indices(dist):
+    if dist.anomalous_indices:
         assert violated
 
 
@@ -171,7 +213,7 @@ def test_a_real_qubit_anomaly_gives_a_violated_cycle(rho_phi, rho_psi, obs):
 def test_the_fragment_excess_is_twice_the_overlap_times_the_anomaly_margin(rho_phi, rho_psi, obs):
     assume(np.trace(rho_phi.matrix @ rho_psi.matrix).real > 1e-6)
     dist = wv.quasi_prob(rho_phi, rho_psi, obs)
-    if anomalous_indices(dist):
+    if dist.anomalous_indices:
         g = dist.weights.real
         margin = max(-g.min(), g.max() - 1.0)
         graph, cycles = fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)

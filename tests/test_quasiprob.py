@@ -3,7 +3,7 @@ import pytest
 
 import weakvalues as wv
 from weakvalues.core import DimensionMismatchError, OrthogonalSelectionError
-from weakvalues.quasiprob import classify, is_marginal
+from weakvalues.quasiprob import classify
 
 from conftest import random_mixed, random_pure
 from oracles import amplitude_ratio_weak_value
@@ -27,12 +27,18 @@ def test_classify_decisions():
     assert classify(complex(0.5, 5e-10), 0.0, 1.0) == wv.NORMAL
 
 
+def _judged(value: complex) -> wv.QuasiProbDist:
+    """A record whose A_w is ``value`` over the spectrum [0, 1], judged at the default band."""
+    return wv.QuasiProbDist(weights=[1.0 - value, value], labels=[0.0, 1.0], value=value, denominator=1.0,
+                            tol=wv.DEFAULT_TOL)
+
+
 def test_is_marginal_band():
-    assert is_marginal(complex(1.0 + 5e-9, 0.0), 0.0, 1.0)
-    assert is_marginal(complex(-4e-9, 0.0), 0.0, 1.0)
-    assert not is_marginal(complex(0.5, 0.0), 0.0, 1.0)
-    assert not is_marginal(complex(2.0, 0.0), 0.0, 1.0)
-    assert is_marginal(complex(0.5, 3e-9), 0.0, 1.0)
+    assert _judged(complex(1.0 + 5e-9, 0.0)).marginal
+    assert _judged(complex(-4e-9, 0.0)).marginal
+    assert not _judged(complex(0.5, 0.0)).marginal
+    assert not _judged(complex(2.0, 0.0)).marginal
+    assert _judged(complex(0.5, 3e-9)).marginal
 
 
 def test_great_circle_weights(great_circle_densities, proj_zero):
@@ -41,7 +47,7 @@ def test_great_circle_weights(great_circle_densities, proj_zero):
     assert np.allclose(dist.labels, [0.0, 1.0])
     assert abs(dist.weights[0] - 1.5) < 1e-12
     assert abs(dist.weights[1] - (-0.5)) < 1e-12
-    assert wv.anomalous_indices(dist) == (0, 1)
+    assert dist.anomalous_indices == (0, 1)
 
 
 def test_coherent_pair_weights(coherent_pair, proj_one):
@@ -50,7 +56,7 @@ def test_coherent_pair_weights(coherent_pair, proj_one):
     assert abs(dist.weights[0].real - 0.829997) < 5e-6
     assert abs(dist.weights[1].real - 0.170003) < 5e-6
     assert abs(dist.weights[0].imag) < 1e-12
-    assert wv.anomalous_indices(dist) == ()
+    assert dist.anomalous_indices == ()
     # denominator frozen from an independent hand evaluation:
     # 9/16 + 1/16 + 2*sqrt(3/32)*sqrt(3)/8
     assert abs(wv.overlap(rho_phi, rho_psi) - 0.7575825214724776) < 1e-15
@@ -60,7 +66,7 @@ def test_projective_limit(proj_zero):
     a1 = wv.pure_to_density(proj_zero.basis_state(0))
     dist = wv.quasi_prob(a1, a1, proj_zero)
     assert np.allclose(dist.weights, [1.0, 0.0])
-    assert wv.anomalous_indices(dist) == ()
+    assert dist.anomalous_indices == ()
 
 
 def test_normalization_and_conjugation():
@@ -123,7 +129,7 @@ def test_anomalous_aw_implies_anomalous_weight():
             continue
         seen += 1
         dist = wv.quasi_prob(rho_phi, rho_psi, obs)
-        assert wv.anomalous_indices(dist) != ()
+        assert dist.anomalous_indices != ()
     assert seen > 100  # pure pairs make anomalies generic
 
 
@@ -231,12 +237,17 @@ def test_dimension_mismatch(proj_zero):
 
 
 def test_anomalous_indices_on_handmade_distribution():
+    # the record derives its verdicts from its own values, so none can contradict them
     dist = wv.QuasiProbDist(weights=np.array([1.0, 0.0, 0.0], dtype=complex),
                             labels=np.array([0.0, 1.0, 2.0]),
-                            value=0j, denominator=1.0, classification=wv.NORMAL)
-    assert wv.anomalous_indices(dist) == ()
+                            value=0j, denominator=1.0, tol=wv.DEFAULT_TOL)
+    assert dist.anomalous_indices == ()
+    assert dist.classification == wv.NORMAL
+    assert not dist.anomalous
     assert (dist.spectrum_lo, dist.spectrum_hi) == (0.0, 2.0)
     dist2 = wv.QuasiProbDist(weights=np.array([0.5, 0.5 + 2e-9j, 0.0 - 0.0j], dtype=complex),
                              labels=np.array([0.0, 1.0, 2.0]),
-                             value=0.5 + 2e-9j, denominator=1.0, classification=wv.ANOMALOUS_IMAGINARY)
-    assert wv.anomalous_indices(dist2) == (1,)
+                             value=0.5 + 2e-9j, denominator=1.0, tol=wv.DEFAULT_TOL)
+    assert dist2.anomalous_indices == (1,)
+    assert dist2.classification == wv.ANOMALOUS_IMAGINARY
+    assert dist2.anomalous

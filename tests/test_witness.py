@@ -62,7 +62,7 @@ def test_factorized_rejects_coherent_input(coherent_pair, proj_zero):
 def test_witness_great_circle(great_circle_densities, proj_zero):
     rho_psi, rho_phi = great_circle_densities
     report = check_theorem_coherence(rho_phi, rho_psi, proj_zero)
-    assert report.g_anomalous == (0, 1)
+    assert report.dist.anomalous_indices == (0, 1)
     assert report.coherent_pre and report.coherent_post
     assert report.dist.classification == wv.ANOMALOUS_REAL
     assert report.verdict == CONSISTENT
@@ -74,7 +74,7 @@ def test_witness_coherent_but_tame(coherent_pair, proj_zero):
     rho_psi, rho_phi = coherent_pair
     report = check_theorem_coherence(rho_phi, rho_psi, proj_zero)
     assert report.coherent_pre and report.coherent_post
-    assert report.g_anomalous == ()
+    assert report.dist.anomalous_indices == ()
     assert report.dist.classification == wv.NORMAL
     assert report.verdict == CONSISTENT
     assert abs(report.l1_post - np.sqrt(3) / 4) < 1e-12
@@ -85,7 +85,7 @@ def test_witness_after_dephasing(great_circle_densities, proj_zero):
     report = check_theorem_coherence(wv.dephase(rho_phi, proj_zero),
                                      wv.dephase(rho_psi, proj_zero), proj_zero)
     assert not report.coherent_pre and not report.coherent_post
-    assert report.g_anomalous == ()
+    assert report.dist.anomalous_indices == ()
     assert report.dist.classification == wv.NORMAL
     assert report.verdict == CONSISTENT
 
@@ -100,7 +100,7 @@ def test_one_diagonal_state_never_anomalous():
         rho_phi = wv.validate_density(np.diag(p / p.sum()))
         rho_psi = wv.validate_density(random_mixed(rng, d))
         report = check_theorem_coherence(rho_phi, rho_psi, obs)
-        assert report.g_anomalous == ()
+        assert report.dist.anomalous_indices == ()
         assert report.dist.classification == wv.NORMAL
         assert report.verdict == CONSISTENT
 
