@@ -47,7 +47,7 @@ from .core import (
     state_vector,
     validate_density,
 )
-from .explore import SamplerSpec, scan_anomaly_rate, search_max_negativity
+from .explore import SamplerSpec, _is_seed, scan_anomaly_rate, search_max_negativity
 from .invariants import build_frame_graph
 from .pointer import PointerConfig, extrapolate
 from .quasiprob import ANOMALOUS_REAL, NORMAL, QuasiProbDist, classify, quasi_prob
@@ -271,12 +271,9 @@ def parse_problem(data, tol_override: Tolerances | None = None) -> Problem:
         pointer_cfg = _parse_settings(data["pointer"], "problem.pointer", PointerConfig, "pointer",
                                       "with pointer settings", _pointer_values)
 
-    seed = None
-    if "seed" in data:
-        seed_node = data["seed"]
-        if isinstance(seed_node, bool) or not isinstance(seed_node, int) or not 0 <= seed_node < 2 ** 64:
-            raise ProblemFileError("problem.seed", "expected an unsigned 64-bit integer")
-        seed = seed_node
+    seed = data.get("seed")
+    if "seed" in data and not _is_seed(seed):  # a null seed is refused too
+        raise ProblemFileError("problem.seed", "expected an unsigned 64-bit integer")
 
     return Problem(dim=dim, obs=obs, rho_psi=rho_psi, rho_phi=rho_phi, tol=tol,
                    pointer_cfg=pointer_cfg, seed=seed)
@@ -527,7 +524,33 @@ def _cycle_rows(table: CycleTable, **columns: np.ndarray) -> _Rows:
     return _Rows(triple=names[table.triples], minus_edge=names[table.minus_edges], value=table.values, **columns)
 
 
-def _cycles_section(problem: Problem) -> dict:
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def _compute_sections(problem: Problem) -> tuple[dict, bool]:
+    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
+    return {
+        "weak_value": _weak_value_section(witness.dist),
+        "quasiprob": _quasiprob_section(witness.dist),
+        "witness": _witness_section(problem, witness),
+        **_contextuality_sections(problem)[0],
+    }, witness.dist.anomalous
+
+
+def _gvals_sections(problem: Problem) -> tuple[dict, bool]:
+    dist = quasi_prob(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
+    return {"quasiprob": _quasiprob_section(dist)}, bool(dist.anomalous_indices)
+
+
+def _witness_sections(problem: Problem) -> tuple[dict, bool]:
+    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
+    return {"weak_value": _weak_value_section(witness.dist),
+            "witness": _witness_section(problem, witness)}, witness.dist.anomalous
+
+
+def _contextuality_sections(problem: Problem) -> tuple[dict, bool]:
+    """The ``cycles`` section, and whether any frame or fragment cycle is violated."""
     graph = build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs)
     cycles = all_three_cycles(graph, problem.tol.anom)
     section = {
@@ -536,6 +559,7 @@ def _cycles_section(problem: Problem) -> dict:
         "max_value": float(cycles.values.max()),
         "violated_count": int(np.count_nonzero(cycles.violated)),
     }
+    violated = bool(cycles.violated.any())
     if problem.dim != 2:
         section["fragment_note"] = (
             f"six-state fragment analysis is qubit-only; omitted for dimension {problem.dim}"
@@ -550,94 +574,50 @@ def _cycles_section(problem: Problem) -> dict:
             "max_value": float(fragment_table.values.max()),
             "violated": _cycle_rows(fragment_table[fragment_table.violated]),
         }
-    return section
+        violated |= bool(fragment_table.violated.any())
+    return {"cycles": section}, violated
 
 
-def _pointer_section(problem: Problem, psi: StateVector, phi: StateVector) -> dict:
+def _pointer_sections(problem: Problem) -> tuple[dict, bool]:
+    psi = _extract_pure(problem.rho_psi, "problem.pre_state")
+    phi = _extract_pure(problem.rho_phi, "problem.post_state")
     cfg = problem.pointer_cfg if problem.pointer_cfg is not None else PointerConfig()
     result = extrapolate(problem.obs, psi, phi, cfg)
-    series_rows = [
-        {
-            "coupling": g,
-            "re_estimate": step.mean_position / g,
-            "im_estimate": 2.0 * cfg.width ** 2 * step.mean_momentum / g,
-            "postselect_prob": step.postselect_prob,
-        }
-        for g, step in zip(cfg.couplings_series, result.outcomes)
-    ]
-    lo = float(problem.obs.eigenvalues[0])
-    hi = float(problem.obs.eigenvalues[-1])
-    label = classify(result.value, lo, hi, problem.tol.anom)
-    return {
+    label = classify(result.value, float(problem.obs.eigenvalues[0]), float(problem.obs.eigenvalues[-1]),
+                     problem.tol.anom)
+    return {"pointer": {
         "coupling": cfg.coupling,
         "width": cfg.width,
         "outcome": asdict(result.outcome),
-        "series": series_rows,
+        "series": [{"coupling": g, "re_estimate": estimate.real, "im_estimate": estimate.imag,
+                    "postselect_prob": step.postselect_prob}
+                   for g, estimate, step in zip(cfg.couplings_series, result.estimates, result.outcomes)],
         "extrapolation": {
             "value": _pairs(result.value),
             "error": result.error,
             "classification": label,
         },
-    }
+    }}, label != NORMAL
 
 
-# ---------------------------------------------------------------------------
-# Commands
+# Each problem command: its help text, and the builder of its report sections and anomaly flag.
+_PROBLEM_COMMANDS = {
+    "compute": ("full report: weak value, quasi-probabilities, witness, cycles", _compute_sections),
+    "gvals": ("quasi-probability distribution only", _gvals_sections),
+    "witness": ("coherence witness diagnosis", _witness_sections),
+    "contextuality": ("3-cycle inequality table and frame graphs", _contextuality_sections),
+    "pointer": ("pointer readout and extrapolated weak value", _pointer_sections),
+}
 
 
-def _anomaly_exit(*flags: bool) -> int:
-    return EXIT_ANOMALY if any(flags) else EXIT_OK
-
-
-def cmd_compute(args) -> int:
+def cmd_problem(args) -> int:
+    """Load the problem file, print the command's report, and exit 3 when it shows an anomaly."""
     problem = load_problem(args.input, args.tol_anom)
-    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
-    report = _report_head("compute", problem)
-    report["weak_value"] = _weak_value_section(witness.dist)
-    report["quasiprob"] = _quasiprob_section(witness.dist)
-    report["witness"] = _witness_section(problem, witness)
-    report["cycles"] = _cycles_section(problem)
+    report = _report_head(args.command, problem)
+    sections, anomalous = _PROBLEM_COMMANDS[args.command][1](problem)
+    report.update(sections)
     _print_report(report, args.format)
-    return _anomaly_exit(witness.dist.anomalous)
-
-
-def cmd_gvals(args) -> int:
-    problem = load_problem(args.input, args.tol_anom)
-    dist = quasi_prob(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
-    report = _report_head("gvals", problem)
-    report["quasiprob"] = _quasiprob_section(dist)
-    _print_report(report, args.format)
-    return _anomaly_exit(bool(dist.anomalous_indices))
-
-
-def cmd_witness(args) -> int:
-    problem = load_problem(args.input, args.tol_anom)
-    witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
-    report = _report_head("witness", problem)
-    report["weak_value"] = _weak_value_section(witness.dist)
-    report["witness"] = _witness_section(problem, witness)
-    _print_report(report, args.format)
-    return _anomaly_exit(witness.dist.anomalous)
-
-
-def cmd_contextuality(args) -> int:
-    problem = load_problem(args.input, args.tol_anom)
-    report = _report_head("contextuality", problem)
-    report["cycles"] = _cycles_section(problem)
-    _print_report(report, args.format)
-    cycles = report["cycles"]
-    fragment_violated = cycles["fragment"]["violated"].n_rows if "fragment" in cycles else 0
-    return _anomaly_exit(cycles["violated_count"] > 0, fragment_violated > 0)
-
-
-def cmd_pointer(args) -> int:
-    problem = load_problem(args.input, args.tol_anom)
-    psi = _extract_pure(problem.rho_psi, "problem.pre_state")
-    phi = _extract_pure(problem.rho_phi, "problem.post_state")
-    report = _report_head("pointer", problem)
-    report["pointer"] = _pointer_section(problem, psi, phi)
-    _print_report(report, args.format)
-    return _anomaly_exit(report["pointer"]["extrapolation"]["classification"] != NORMAL)
+    return EXIT_ANOMALY if anomalous else EXIT_OK
 
 
 def cmd_search(args) -> int:
@@ -787,7 +767,7 @@ def _int_value(text: str) -> int:
 
 def _seed_type(text: str) -> int:
     value = _int_value(text)
-    if not 0 <= value < 2 ** 64:
+    if not _is_seed(value):
         raise argparse.ArgumentTypeError(f"seed must fit in an unsigned 64-bit integer, got {text}")
     return value
 
@@ -829,20 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-anom", type=_tol_anom_type, default=None, metavar="FLOAT",
                        help="override the anomaly decision tolerance")
 
-    def with_input(name: str, help_text: str):
+    for name, (help_text, _) in _PROBLEM_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, metavar="FILE", help="problem file (JSON)")
         common(p)
-        return p
-
-    with_input("compute", "full report: weak value, quasi-probabilities, witness, cycles"
-               ).set_defaults(func=cmd_compute)
-    with_input("gvals", "quasi-probability distribution only").set_defaults(func=cmd_gvals)
-    with_input("witness", "coherence witness diagnosis").set_defaults(func=cmd_witness)
-    with_input("contextuality", "3-cycle inequality table and frame graphs"
-               ).set_defaults(func=cmd_contextuality)
-    with_input("pointer", "pointer readout and extrapolated weak value"
-               ).set_defaults(func=cmd_pointer)
+        p.set_defaults(func=cmd_problem)
 
     p_search = sub.add_parser("search", help="search for maximally negative weak values")
     p_search.add_argument("--observable", choices=sorted(_SEARCH_OBSERVABLES), default="proj0",

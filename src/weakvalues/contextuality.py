@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (DEFAULT_TOL, REALITY_TOL, DensityOperator, NotQubitError, Observable, Tolerances,
                    ValidationError, _frozen)
-from .invariants import FrameGraph, _graph_from_vertices
+from .invariants import FrameGraph, _frame_vertices, _graph_from_vertices
 from .quasiprob import QuasiProbDist, quasi_prob
 
 __all__ = ["NotRealAmplitudeError", "CycleTable", "all_three_cycles", "qubit_fragment_graph",
@@ -86,20 +86,23 @@ def real_amplitude_failure(rho_phi: DensityOperator, rho_psi: DensityOperator, o
     return None
 
 
+def _fragment_vertices(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> np.ndarray:
+    """The (6, 2, 2) vertex stack of ``FRAGMENT_LABELS``: the frame vertices, then 1 - phi and 1 - psi."""
+    if rho_phi.dim != 2 or rho_psi.dim != 2 or obs.dim != 2:
+        raise NotQubitError(
+            f"fragment graph needs qubits, got dims {rho_phi.dim}/{rho_psi.dim}/{obs.dim}"
+        )
+    frame = _frame_vertices(rho_phi, rho_psi, obs)
+    return np.concatenate([frame, np.eye(2, dtype=complex) - frame[:2]])
+
+
 def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> FrameGraph:
     """Six-vertex overlap graph for a qubit selection pair, mixed states allowed.
 
     The perpendicular vertices generalize to 1 - rho, which reduces to the
     antipodal projector when rho is pure.
     """
-    if rho_phi.dim != 2 or rho_psi.dim != 2 or obs.dim != 2:
-        raise NotQubitError(
-            f"fragment graph needs qubits, got dims {rho_phi.dim}/{rho_psi.dim}/{obs.dim}"
-        )
-    selection = np.stack([rho_phi.matrix, rho_psi.matrix])
-    vertices = np.concatenate([selection, [obs.projector(0).matrix, obs.projector(1).matrix],
-                               np.eye(2, dtype=complex) - selection])
-    return _graph_from_vertices(FRAGMENT_LABELS, vertices)
+    return _graph_from_vertices(FRAGMENT_LABELS, _fragment_vertices(rho_phi, rho_psi, obs))
 
 
 def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -114,8 +117,9 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
     (a cycle moves by at most three), when that defect is more than rounding. Cycles among
     phi, psi, a1, a2 keep ``tol.anom``, as in ``build_frame_graph`` at d = 2.
     """
-    graph = qubit_fragment_graph(rho_phi, rho_psi, obs)
-    selection = np.stack([rho_phi.matrix, rho_psi.matrix])
+    vertices = _fragment_vertices(rho_phi, rho_psi, obs)
+    graph = _graph_from_vertices(FRAGMENT_LABELS, vertices)
+    selection = vertices[:2]
     defects = (np.abs(np.trace(selection, axis1=1, axis2=2).real - 1.0)
                + 2.0 * np.maximum(-np.linalg.eigvalsh(selection)[:, 0], 0.0))
     floor = _CYCLE_ROUNDING + 4.0 * float(defects[defects > _CYCLE_ROUNDING].sum())

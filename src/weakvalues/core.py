@@ -195,11 +195,6 @@ class Observable:
         """Eigenvector i as a pure state."""
         return StateVector(self.eigenvectors[:, i])
 
-    def projector(self, i: int) -> DensityOperator:
-        """Rank-1 projector onto eigenvector i."""
-        v = self.eigenvectors[:, i]
-        return DensityOperator(np.outer(v, v.conj()))
-
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():

@@ -58,12 +58,21 @@ class SamplerSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValidationError(f"sampler dimension must be >= 2, got {self.dim}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 2:
+            raise ValidationError(f"sampler dimension must be an integer >= 2, got {self.dim!r}")
         if self.kind not in SAMPLER_KINDS:
             raise ValidationError(f"unknown sampler kind {self.kind!r}, expected one of {SAMPLER_KINDS}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+        _require_seed(self.seed)
+
+
+def _is_seed(seed) -> bool:
+    """True for a master seed: an int, not a bool, in [0, 2**64)."""
+    return isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2 ** 64
+
+
+def _require_seed(seed) -> None:
+    if not _is_seed(seed):
+        raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 def _task_rng(seed: int, key: int) -> np.random.Generator:
@@ -236,6 +245,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
         raise ValidationError(f"search is defined for qubit observables, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("search needs a finite observable matrix")
+    _require_seed(seed)
 
     n_restarts = max(1, min(SEARCH_RESTARTS, budget))
     shares = budget // n_restarts + (np.arange(n_restarts) < budget % n_restarts)

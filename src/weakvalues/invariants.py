@@ -78,15 +78,19 @@ def _graph_from_vertices(labels: Sequence[str], vertices: np.ndarray) -> FrameGr
     return FrameGraph(labels=tuple(labels), weights=weights)
 
 
+def _frame_vertices(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> np.ndarray:
+    """The (d + 2, d, d) vertex stack phi, psi, a_1 ... a_d, a_i the eigenprojectors of ``obs``."""
+    require_dims(obs.dim, rho_phi, rho_psi)
+    v = obs.eigenvectors.T  # projectors[i] = outer(v_i, conj(v_i))
+    projectors = v[:, :, None] * v.conj()[:, None, :]
+    return np.concatenate([np.stack([rho_phi.matrix, rho_psi.matrix]), projectors])
+
+
 def build_frame_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> FrameGraph:
     """Overlap graph over both states and every eigenprojector of ``obs``.
 
     Vertices are labeled ``phi``, ``psi``, ``a1`` ... ``ad`` following the
     ascending eigenvalue order of the observable.
     """
-    require_dims(obs.dim, rho_phi, rho_psi)
-    labels = ["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)]
-    v = obs.eigenvectors.T  # projectors[i] = outer(v_i, conj(v_i)), as Observable.projector builds it
-    projectors = v[:, :, None] * v.conj()[:, None, :]
-    vertices = np.concatenate([np.stack([rho_phi.matrix, rho_psi.matrix]), projectors])
-    return _graph_from_vertices(labels, vertices)
+    vertices = _frame_vertices(rho_phi, rho_psi, obs)
+    return _graph_from_vertices(["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)], vertices)

@@ -51,6 +51,9 @@ class PointerConfig:
             raise ValidationError(f"coupling must be positive and finite, got {self.coupling!r}")
         if not 0.0 < self.width < np.inf:
             raise ValidationError(f"pointer width must be positive and finite, got {self.width!r}")
+        # The readouts divide by 4 width^2: it must neither overflow nor underflow past the normal floats.
+        if not np.finfo(float).tiny <= 4.0 * (self.width * self.width) < np.inf:
+            raise ValidationError(f"pointer width {self.width!r} puts 4 width^2 outside the normal finite floats")
         series = tuple(float(g) for g in self.couplings_series)
         if len(series) < 3:
             raise ValidationError(f"extrapolation needs at least 3 couplings, got {len(series)}")
@@ -74,20 +77,16 @@ class PointerOutcome:
 class ExtrapolationResult:
     """Weak value recovered from the coupling series, with an error estimate.
 
-    ``outcomes[k]`` is the pointer readout at ``couplings_series[k]`` and
+    ``outcomes[k]`` is the pointer readout at ``couplings_series[k]``,
+    ``estimates[k]`` the weak value read from it (x/g + i 2 sigma^2 p/g), and
     ``outcome`` the readout at the configured ``coupling``.
     """
 
     value: complex
     error: float
     outcomes: tuple[PointerOutcome, ...]
+    estimates: tuple[complex, ...]
     outcome: PointerOutcome
-
-
-def _branch_amplitudes(obs: Observable, psi: StateVector, phi: StateVector) -> np.ndarray:
-    require_dims(obs.dim, phi, psi)
-    v = obs.eigenvectors
-    return (v.conj().T @ phi.amps).conj() * (v.conj().T @ psi.amps)
 
 
 def _readouts(obs: Observable, psi: StateVector, phi: StateVector, couplings: tuple[float, ...],
@@ -96,7 +95,9 @@ def _readouts(obs: Observable, psi: StateVector, phi: StateVector, couplings: tu
 
     The first coupling, in order, left without a post-selected pointer raises ZeroPostselectionError.
     """
-    c = _branch_amplitudes(obs, psi, phi)
+    require_dims(obs.dim, phi, psi)
+    v = obs.eigenvectors
+    c = (v.conj().T @ phi.amps).conj() * (v.conj().T @ psi.amps)  # the branch amplitudes c_i
     a = obs.eigenvalues
     g = np.asarray(couplings, dtype=float)[:, None, None]
     var4 = 4.0 * width ** 2
@@ -147,7 +148,8 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
         )
     two_var = 2.0 * cfg.width ** 2
     *outcomes, outcome = _readouts(obs, psi, phi, series + (cfg.coupling,), cfg.width)
-    estimates = [step.mean_position / g + 1j * two_var * step.mean_momentum / g
+    # complex(re, im) keeps the bits of both parts, signed zeros included.
+    estimates = [complex(step.mean_position / g, two_var * step.mean_momentum / g)
                  for g, step in zip(series, outcomes)]
 
     nodes = np.asarray([g * g for g in series], dtype=float)
@@ -161,4 +163,4 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
     value = table[-1]
     error = abs(value - table[-2])
     return ExtrapolationResult(value=complex(value), error=float(error), outcomes=tuple(outcomes),
-                               outcome=outcome)
+                               estimates=tuple(estimates), outcome=outcome)

@@ -35,35 +35,31 @@ class WitnessReport:
 
     ``dist`` holds the quasi-probabilities and weak value behind the verdict,
     and their anomaly verdicts (``dist.anomalous_indices``, ``dist.anomalous``).
+    A state is coherent when its l1 coherence is at least
+    ``DEFAULT_COHERENCE_TOL``. The ``verdict`` is ``TheoremViolated`` only if
+    an anomaly shows up while at least one selection state is incoherent in the
+    observable eigenbasis, which a correct implementation can never produce.
     """
 
     l1_post: float
     l1_pre: float
-    coherent_post: bool
-    coherent_pre: bool
     dist: QuasiProbDist
-    verdict: str
+
+    @property
+    def coherent_post(self) -> bool:
+        return self.l1_post >= DEFAULT_COHERENCE_TOL
+
+    @property
+    def coherent_pre(self) -> bool:
+        return self.l1_pre >= DEFAULT_COHERENCE_TOL
+
+    @property
+    def verdict(self) -> str:
+        return VIOLATED if self.dist.anomalous and not (self.coherent_post and self.coherent_pre) else CONSISTENT
 
 
 def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
                             tol: Tolerances = DEFAULT_TOL) -> WitnessReport:
-    """Diagnose one selection pair: coherence, anomalies, and their consistency.
-
-    The verdict is ``TheoremViolated`` only if an anomaly shows up while at
-    least one selection state is incoherent in the observable eigenbasis,
-    which a correct implementation can never produce.
-    """
-    l1_post = coherence_l1(rho_phi, obs)
-    l1_pre = coherence_l1(rho_psi, obs)
-    dist = quasi_prob(rho_phi, rho_psi, obs, tol)
-    coherent_post = l1_post >= DEFAULT_COHERENCE_TOL
-    coherent_pre = l1_pre >= DEFAULT_COHERENCE_TOL
-    verdict = VIOLATED if dist.anomalous and not (coherent_post and coherent_pre) else CONSISTENT
-    return WitnessReport(
-        l1_post=l1_post,
-        l1_pre=l1_pre,
-        coherent_post=coherent_post,
-        coherent_pre=coherent_pre,
-        dist=dist,
-        verdict=verdict,
-    )
+    """Diagnose one selection pair: coherence, anomalies, and their consistency."""
+    return WitnessReport(l1_post=coherence_l1(rho_phi, obs), l1_pre=coherence_l1(rho_psi, obs),
+                         dist=quasi_prob(rho_phi, rho_psi, obs, tol))

@@ -8,7 +8,8 @@ checked against. ``incoherent_quasi_prob`` is the factorized distribution
 the coherence theorem predicts for incoherent selections (criterion 4),
 ``corollary_projector_weak_value`` is the three-operator trace ratio of an
 eigenprojector (criterion 6), and ``antipodal`` builds the orthogonal qubit
-ray for direct overlap arithmetic on the six-state fragment (criterion 7).
+ray for direct overlap arithmetic on the six-state fragment (criterion 7),
+and ``projector`` builds one eigenprojector at a time for the graph oracles.
 None of them goes through the quasi-probability kernel; each applies its
 own selection gate. ``verdicts`` judges a ``QuasiProbDist``'s values by the
 free-function rules the record's derived verdicts replaced:
@@ -27,6 +28,9 @@ vector, the reference for the reader that classifies each entry once.
 a time, the reference for the renderers that turn each array and row table
 into text in one format call; ``as_lists`` turns a report's arrays and row
 tables into the plain lists and row dicts they stand for.
+``pointer_estimate`` reads the weak value off one pointer readout by the
+formulas the ``pointer`` report wrote its series rows with before the
+extrapolation kept its estimates.
 """
 
 import math
@@ -49,6 +53,12 @@ from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
 class NotIncoherentError(wv.ValidationError):
     pass
+
+
+def projector(obs, i):
+    """Rank-1 projector onto eigenvector i of ``obs``, as a density operator of its own."""
+    v = obs.eigenvectors[:, i]
+    return wv.DensityOperator(np.outer(v, v.conj()))
 
 
 def _gated(den):
@@ -123,7 +133,7 @@ def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, tol=wv.DEFAULT_TOL)
     if not 0 <= i < obs.dim:
         raise wv.ValidationError(f"eigenvector index {i} out of range for dim {obs.dim}")
     den = _gated(wv.overlap(rho_phi, rho_psi))
-    proj = obs.projector(i)
+    proj = projector(obs, i)
     value = complex(np.trace(rho_phi.matrix @ proj.matrix @ rho_psi.matrix)) / den
     return _result(value, den, 0.0, 1.0, tol)
 
@@ -275,14 +285,14 @@ def pairwise_frame_graph(labels, states):
 def pairwise_selection_graph(rho_phi, rho_psi, obs):
     """``build_frame_graph`` over explicit projector states, one pair at a time."""
     labels = ["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)]
-    states = [rho_phi, rho_psi] + [obs.projector(i) for i in range(obs.dim)]
+    states = [rho_phi, rho_psi] + [projector(obs, i) for i in range(obs.dim)]
     return pairwise_frame_graph(labels, states)
 
 
 def pairwise_fragment_graph(rho_phi, rho_psi, obs):
     """``qubit_fragment_graph`` over explicit complement states, one pair at a time."""
     eye = np.eye(2, dtype=complex)
-    states = [rho_phi, rho_psi, obs.projector(0), obs.projector(1),
+    states = [rho_phi, rho_psi, projector(obs, 0), projector(obs, 1),
               wv.DensityOperator(eye - rho_phi.matrix), wv.DensityOperator(eye - rho_psi.matrix)]
     return pairwise_frame_graph(FRAGMENT_LABELS, states)
 
@@ -478,3 +488,8 @@ def looped_render_csv(node):
     rows = ["key,value"]
     _looped_csv_rows(node, "", rows)
     return "\n".join(rows)
+
+
+def pointer_estimate(outcome, coupling, width):
+    """(x/g, 2 sigma^2 p/g) of one pointer readout, each part as a float of its own."""
+    return outcome.mean_position / coupling, 2.0 * width ** 2 * outcome.mean_momentum / coupling

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line surface: parsing, reports,
 exit codes, and determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,7 +18,7 @@ import weakvalues as wv
 from weakvalues import cli, pointer, quasiprob
 from conftest import random_mixed, random_pure
 from oracles import (as_lists, looped_fragment_cycles, looped_render_csv, looped_render_json, looped_three_cycles,
-                     nodewise_matrix, nodewise_state)
+                     nodewise_matrix, nodewise_state, pointer_estimate)
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -261,7 +262,10 @@ def test_grid_of_bare_numbers_prefers_matrix_reading(capsys, tmp_path):
     assert "amplitude-vector reading fails as well" in err
 
 
-_ODD_ENTRIES = st.sampled_from(["x", None, True, False, [], [0.5, 0.5, 0.5], [[0.5]], [0.5, "y"], [True, 0.0]])
+# A fresh copy per draw: the mutations below edit the lists they insert, and an edited
+# shared constant would change later draws (hypothesis then reports a flaky strategy).
+_ODD_ENTRIES = st.sampled_from(["x", None, True, False, [], [0.5, 0.5, 0.5], [[0.5]], [0.5, "y"],
+                                [True, 0.0]]).map(copy.deepcopy)
 _NUMBERS = (st.floats() | st.integers(-2 ** 70, 2 ** 70)
             | st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]))
 
@@ -612,6 +616,70 @@ def test_pointer_refuses_couplings_outside_the_weak_regime(capsys, tmp_path):
     assert "= 1000," in err
 
 
+@pytest.mark.parametrize("width", [1.2e154, 1e200, 1e-200])
+def test_pointer_width_past_the_float_range_is_an_input_error(capsys, tmp_path, width):
+    # 4 width^2 overflows (at 1.2e154 the series once read null and exited 0, at 1e200
+    # ``width ** 2`` raised OverflowError) or underflows to 0 (the moments read NaN)
+    path = _write_problem(tmp_path / "wide.json", {**GREAT_CIRCLE, "pointer": {"width": width}})
+    code, out, err = _run(capsys, ["pointer", "--input", path])
+    assert (code, out) == (1, "")
+    assert err == f"input error: problem.pointer: pointer width {width!r} puts 4 width^2 outside the normal " \
+                  "finite floats\n"
+
+
+def test_pointer_width_inside_the_float_range_still_flags_the_anomaly(capsys, tmp_path):
+    path = _write_problem(tmp_path / "wide.json", {**GREAT_CIRCLE, "pointer": {"width": 1e153}})
+    code, out, _ = _run(capsys, ["pointer", "--input", path])
+    assert code == 3
+    assert json.loads(out)["pointer"]["extrapolation"]["classification"] == "AnomalousReal"
+
+
+_PART = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def pointer_problems(draw):
+    """A pure selection pair at d = 2..4 with a pointer block: width 0.1..10, 3-6 couplings in the weak regime."""
+    d = draw(st.integers(2, 4))
+    amplitudes = st.lists(st.lists(_PART, min_size=2, max_size=2), min_size=d, max_size=d).filter(
+        lambda amps: sum(re * re + im * im for re, im in amps) > 1e-2).map(
+        lambda amps: (np.array(amps) / np.linalg.norm(amps)).tolist())  # keeps signed zeros
+    spectrum = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True))
+    width = draw(st.floats(0.1, 10.0))
+    largest = draw(st.floats(1e-4, 1.0)) * width / (max(spectrum) - min(spectrum))
+    steps = draw(st.lists(st.floats(0.1, 0.9), min_size=2, max_size=5))
+    series = [largest]
+    for step in steps:
+        series.append(series[-1] * step)
+    return {"dimension": d, "observable": np.diag(np.array(spectrum, dtype=float)).tolist(),
+            "pre_state": draw(amplitudes), "post_state": draw(amplitudes),
+            "pointer": {"width": width, "couplings_series": series}}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=pointer_problems())
+@example(data={**GREAT_CIRCLE, "pointer": {"width": 0.5, "couplings_series": [0.4, 0.2, 0.1]}})
+@example(data={"dimension": 2, "observable": [[-1.0, 0.0], [0.0, 1.0]], "pre_state": [[0.6, -0.0], [0.8, 0.0]],
+               "post_state": [[0.6, 0.0], [0.8, -0.0]], "pointer": {"width": 3.0, "couplings_series": [1.0, 0.5, 0.3]}})
+def test_pointer_series_rows_are_the_estimates_bit_for_bit(data):
+    # the rows print the extrapolation's own estimates, whose parts are the readout
+    # formulas x/g and 2 sigma^2 p/g with every bit kept, signed zeros included
+    problem = cli.parse_problem(data)
+    cfg = problem.pointer_cfg
+    psi = cli._extract_pure(problem.rho_psi, "problem.pre_state")
+    phi = cli._extract_pure(problem.rho_phi, "problem.post_state")
+    try:
+        result = pointer.extrapolate(problem.obs, psi, phi, cfg)
+    except wv.ZeroPostselectionError:
+        assume(False)
+    rows = cli._pointer_sections(problem)[0]["pointer"]["series"]
+    assert len(rows) == len(result.estimates) == len(cfg.couplings_series)
+    for g, row, estimate, outcome in zip(cfg.couplings_series, rows, result.estimates, result.outcomes):
+        re, im = pointer_estimate(outcome, g, cfg.width)
+        assert (row["re_estimate"].hex(), row["im_estimate"].hex()) == (re.hex(), im.hex())
+        assert (estimate.real.hex(), estimate.imag.hex()) == (re.hex(), im.hex())
+
+
 def test_csv_format(capsys, great_circle_file):
     code, out, _ = _run(capsys, ["compute", "--input", great_circle_file,
                                  "--format", "csv"])
@@ -703,7 +771,7 @@ def test_cycles_section_renders_as_the_looped_oracle(make):
     # the rows built from the cycle table render to the same text as rows built
     # one cycle at a time, on whatever numpy and BLAS run the suite
     problem = make()
-    section = cli._cycles_section(problem)
+    section = cli._contextuality_sections(problem)[0]["cycles"]
     rows = looped_three_cycles(wv.build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs),
                                problem.tol.anom)
     expected = {**section, "inequalities": _looped_rows(rows, True),

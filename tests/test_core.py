@@ -204,14 +204,6 @@ def test_eigensystem_refuses_a_spectrum_wider_than_a_float(matrix):
     assert wv.eigensystem(np.diag([0.5e308, -0.5e308])).eigenvalues[-1] == 0.5e308
 
 
-def test_observable_projector_matches_basis_state():
-    obs = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
-    for i in range(3):
-        p = obs.projector(i)
-        b = obs.basis_state(i).amps
-        assert np.allclose(p.matrix, np.outer(b, b.conj()))
-
-
 def test_dephase_examples(coherent_pair, proj_one):
     rho_psi, rho_phi = coherent_pair
     out = wv.dephase(rho_psi, proj_one)

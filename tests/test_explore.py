@@ -86,6 +86,22 @@ def test_spec_validation():
         SamplerSpec(dim=2, kind=HAAR_PURE, seed=-1)
 
 
+@pytest.mark.parametrize("dim, seed", [(2, 1.5), (2, True), (2, 2 ** 64), (2, "1"), (2.5, 0), (True, 0), (2.0, 0)],
+                         ids=["float-seed", "bool-seed", "seed-past-64-bits", "str-seed", "float-dim", "bool-dim",
+                              "integral-float-dim"])
+def test_spec_takes_integer_dimension_and_seed(dim, seed):
+    # seed 1.5 and dim 2.5 once passed and failed in numpy inside ``sample``, and seed True drew as seed 1
+    with pytest.raises(wv.ValidationError, match="seed must be an unsigned|dimension must be an integer >= 2"):
+        SamplerSpec(dim=dim, kind=HAAR_PURE, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
+def test_search_takes_an_unsigned_64_bit_seed(seed):
+    # seed -1 once failed in numpy's SeedSequence with "expected non-negative integer"
+    with pytest.raises(wv.ValidationError, match="seed must be an unsigned 64-bit integer"):
+        search_max_negativity(np.diag([1.0, 0.0]), 10, seed)
+
+
 def test_haar_overlap_distribution():
     # |<0|psi>|^2 under the d=2 Haar measure is uniform on [0, 1]
     spec = SamplerSpec(dim=2, kind=HAAR_PURE, seed=11)

@@ -6,7 +6,7 @@ import pytest
 import weakvalues as wv
 from weakvalues.core import DensityOperator, DimensionMismatchError, ImaginaryOverlapError
 from weakvalues.contextuality import qubit_fragment_graph
-from weakvalues.invariants import overlap_stack
+from weakvalues.invariants import _frame_vertices, overlap_stack
 from weakvalues.quasiprob import quasi_prob_stack
 
 from conftest import random_mixed, random_pure
@@ -224,3 +224,13 @@ def test_imaginary_overlaps_are_refused_alike_on_every_route(proj_zero):
         with pytest.raises(ImaginaryOverlapError) as got:
             route()
         assert str(got.value) == str(expected.value)
+
+
+def test_frame_vertices_hold_the_eigenprojectors_of_the_basis_states():
+    obs = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
+    rho = wv.validate_density(np.eye(3) / 3.0)
+    vertices = _frame_vertices(rho, rho, obs)
+    assert vertices.shape == (5, 3, 3)
+    for i in range(3):
+        b = obs.basis_state(i).amps
+        assert np.array_equal(vertices[2 + i], np.outer(b, b.conj()))

@@ -1,5 +1,7 @@
 """Closed-form Gaussian pointer readout and its extrapolation to zero coupling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,21 @@ def test_config_rejects_non_finite_values():
             PointerConfig(width=value)
         with pytest.raises(wv.ValidationError):
             PointerConfig(couplings_series=(value, 1e-2, 5e-3))
+
+
+@pytest.mark.parametrize("width", [1.2e154, 1e200, 1e-200, 1e-155])
+def test_config_refuses_a_width_whose_variance_leaves_the_normal_floats(width):
+    # 4 width^2 overflows to inf, or underflows to 0 or (at 1e-155) to a subnormal
+    # whose reciprocal overflows: the readouts divide by it
+    with pytest.raises(wv.ValidationError, match=re.escape(f"pointer width {width!r} puts 4 width")):
+        PointerConfig(width=width)
+
+
+@pytest.mark.parametrize("width", [1e153, 1e-154])
+def test_widths_at_the_edges_of_the_float_range_read_out_finite_moments(great_circle_pair, proj_zero, width):
+    psi, phi = great_circle_pair
+    out = simulate(proj_zero, psi, phi, PointerConfig(width=width))
+    assert np.isfinite([out.mean_position, out.mean_momentum, out.postselect_prob]).all()
 
 
 def test_eigenstate_readout_is_exact():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import weakvalues as wv
-from weakvalues.witness import CONSISTENT, check_theorem_coherence
+from weakvalues.witness import (CONSISTENT, DEFAULT_COHERENCE_TOL, VIOLATED, WitnessReport,
+                                check_theorem_coherence)
 
 from conftest import random_mixed
 from oracles import NotIncoherentError, corollary_projector_weak_value, incoherent_quasi_prob
@@ -87,6 +88,34 @@ def test_witness_after_dephasing(great_circle_densities, proj_zero):
     assert not report.coherent_pre and not report.coherent_post
     assert report.dist.anomalous_indices == ()
     assert report.dist.classification == wv.NORMAL
+    assert report.verdict == CONSISTENT
+
+
+def test_witness_coherence_and_verdict_derive_from_the_record(great_circle_densities, coherent_pair, proj_zero):
+    # l1 at DEFAULT_COHERENCE_TOL counts as coherent, one ulp below it does not
+    below = np.nextafter(DEFAULT_COHERENCE_TOL, 0.0)
+    anomalous = check_theorem_coherence(*great_circle_densities[::-1], proj_zero).dist
+    tame = check_theorem_coherence(*coherent_pair[::-1], proj_zero).dist
+    coherent = DEFAULT_COHERENCE_TOL
+    for l1_post, l1_pre, dist, verdict in [(coherent, coherent, anomalous, CONSISTENT),
+                                           (coherent, below, anomalous, VIOLATED),
+                                           (below, coherent, anomalous, VIOLATED),
+                                           (below, below, tame, CONSISTENT)]:
+        report = WitnessReport(l1_post=l1_post, l1_pre=l1_pre, dist=dist)
+        assert (report.coherent_post, report.coherent_pre) == (l1_post != below, l1_pre != below)
+        assert report.verdict == verdict
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the verdict pairs the anomaly band with the coherence "
+                                       "threshold instead of the bound min(C_psi, C_phi) / (2 Tr(rho_phi rho_psi))")
+def test_witness_small_coherence_anomaly_within_the_bound_is_consistent():
+    # Tr(rho_phi rho_psi) = 0.75, so no rounding is at play: g_0 = -1.31e-9 is truly
+    # negative, within the bound 9.8e-9 / 1.5 that C_psi = 9.8e-9 (below 1e-8) allows
+    obs = wv.eigensystem(np.diag([0.0, 1.0]))
+    rho_psi = wv.validate_density([[3.92e-9, 4.9e-9], [4.9e-9, 1.0 - 3.92e-9]])
+    rho_phi = wv.validate_density([[0.25, -0.4], [-0.4, 0.75]])
+    report = check_theorem_coherence(rho_phi, rho_psi, obs)
+    assert report.dist.anomalous and not report.coherent_pre
     assert report.verdict == CONSISTENT
 
 

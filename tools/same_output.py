@@ -9,7 +9,12 @@ the parent commit unpacked into a directory). Every request calls
 
 - the problem files of the benchmark's ``report`` deck (``bench/workloads.py``)
   at seeds 1, 2 and 3, each through ``compute``, ``gvals``, ``witness``,
-  ``contextuality`` and ``pointer`` in JSON and in CSV;
+  ``contextuality`` and ``pointer`` in JSON and in CSV, and through each of
+  the five in JSON with ``--tol-anom 1e-3``;
+- copies of those files that carry a setting no deck file does: each block of
+  ``POINTER_BLOCKS`` (through ``pointer`` in both formats), ``tolerances``
+  with ``anom`` 1e-6 (through the five commands in JSON) and a ``seed`` key
+  (through ``gvals`` in both formats);
 - ``reproduce-paper``;
 - ``scan`` over every ensemble at d = 2, 3, 5 and 8, and ``search`` on every
   built-in observable at the budgets in ``SEARCH_BUDGETS``, at fixed seeds in
@@ -17,8 +22,8 @@ the parent commit unpacked into a directory). Every request calls
 
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, then one line per request that differs. It exits 1 when any
-request differs. The deck files are written to a temporary directory; nothing
-under ``bench/`` is written.
+request differs. The deck files and their copies are written to a temporary
+directory; nothing under ``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ FORMATS = ("json", "csv")
 # Fewer evaluations than restarts (1, 7, 19), uneven shares (7, 19, 21), and the
 # benchmark's budget, at which the flat identity's restarts retire on the minimum step.
 SEARCH_BUDGETS = (1, 7, 19, 21, 1500, workloads.SEARCH_BUDGET)
+# Widths 0.5 and 3, series of 3 and of 6 couplings, each with a coupling off its series.
+# The largest spectrum spread in the deck is 4.8, so both series stay in the weak regime.
+POINTER_BLOCKS = (
+    {"width": 0.5, "coupling": 3e-3, "couplings_series": [0.05, 0.025, 0.0125]},
+    {"width": 3.0, "coupling": 0.2, "couplings_series": [0.3, 0.15, 0.075, 0.0375, 0.01875, 0.009375]},
+)
 
 # Runs in a fresh interpreter with the tree's src/ as argv[1]: reads a JSON list of
 # argv lists on stdin and writes one JSON line per request: exit code and the sha256
@@ -66,6 +77,13 @@ for argv in json.load(sys.stdin):
 """
 
 
+def _write_copy(path: str, suffix: str, problem: dict) -> str:
+    """Write ``problem`` next to the deck file ``path``, named after it and ``suffix``."""
+    copy = Path(path).with_name(f"{Path(path).stem}-{suffix}.json")
+    copy.write_text(json.dumps(problem))
+    return str(copy)
+
+
 def requests(workdir: Path) -> list[list[str]]:
     """The fixed request set, as argv lists for ``cli.main``."""
     inputs = []
@@ -77,6 +95,16 @@ def requests(workdir: Path) -> list[list[str]]:
                 inputs.append(path)
     argvs = [[command, "--input", path, "--format", fmt]
              for path in inputs for command in PROBLEM_COMMANDS for fmt in FORMATS]
+    argvs += [[command, "--input", path, "--tol-anom", "1e-3"] for path in inputs for command in PROBLEM_COMMANDS]
+    for path in inputs:
+        problem = json.loads(Path(path).read_text())
+        for k, block in enumerate(POINTER_BLOCKS):
+            copy = _write_copy(path, f"pointer{k}", {**problem, "pointer": block})
+            argvs += [["pointer", "--input", copy, "--format", fmt] for fmt in FORMATS]
+        copy = _write_copy(path, "tolerances", {**problem, "tolerances": {"anom": 1e-6}})
+        argvs += [[command, "--input", copy] for command in PROBLEM_COMMANDS]
+        copy = _write_copy(path, "seed", {**problem, "seed": 2 ** 64 - 1})
+        argvs += [["gvals", "--input", copy, "--format", fmt] for fmt in FORMATS]
     argvs.append(["reproduce-paper"])
     for fmt in FORMATS:
         argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", "300", "--seed", str(11 + dim),
