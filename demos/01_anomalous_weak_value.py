@@ -29,7 +29,8 @@ for name, obs in (("P0 = |0><0|", proj_low), ("P1 = |1><1|", proj_high)):
 # P0 + P1, so its weak value is the sum of those quasi-probabilities.
 dist = wv.quasi_prob(wv.pure_to_density(phi), wv.pure_to_density(psi), proj_low)
 identity = complex(np.sum(dist.weights))
-print(f"identity : weak value = {identity.real:+.6f} ({wv.classify(identity, 1.0, 1.0)})")
+label = wv.classify(identity, 1.0, 1.0, wv.DEFAULT_TOL.anom)
+print(f"identity : weak value = {identity.real:+.6f} ({label})")
 print()
 
 # The quasi-probability decomposition shows where the excursion comes from:

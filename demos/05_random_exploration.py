@@ -28,8 +28,8 @@ for kind in (HAAR_PURE, REAL_PURE, REAL_MIXED, DIAGONAL):
     spec_psi = SamplerSpec(dim=2, kind=kind, seed=101)
     spec_phi = SamplerSpec(dim=2, kind=kind, seed=102)
     s = scan_anomaly_rate(spec_phi, spec_psi, obs, n)
-    print(f" {kind:10s} | {s.anomalous_g_fraction:10.1%} | {s.anomalous_aw_fraction:12.1%}"
-          f" | {s.coherent_non_anomalous_fraction:10.1%}")
+    print(f" {kind:10s} | {s.anomalous_g / n:10.1%} | {s.anomalous_aw / n:12.1%}"
+          f" | {s.coherent_non_anomalous / n:10.1%}")
 
 print()
 print("complex amplitudes make anomalies generic (any imaginary part counts);")

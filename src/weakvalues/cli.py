@@ -47,7 +47,8 @@ from .core import (
     state_vector,
     validate_density,
 )
-from .explore import SamplerSpec, _is_seed, scan_anomaly_rate, search_max_negativity
+from .explore import (HAAR_PURE, SAMPLER_KINDS, SamplerSpec, ScanSummary, _is_seed, scan_anomaly_rate,
+                      search_max_negativity)
 from .invariants import build_frame_graph
 from .pointer import PointerConfig, extrapolate
 from .quasiprob import ANOMALOUS_REAL, NORMAL, QuasiProbDist, classify, quasi_prob
@@ -71,15 +72,6 @@ _SEARCH_OBSERVABLES = {
 }
 
 _DIMENSIONS = range(2, 65)
-
-_SCAN_KINDS = {
-    "haar": "haar-pure",
-    "mixed": "mixed-full-rank",
-    "real-pure": "real-pure",
-    "real-mixed": "real-mixed",
-    "diagonal": "diagonal",
-}
-
 
 class ProblemFileError(ValueError):
     """Parse failure annotated with the JSON path of the offending node."""
@@ -649,28 +641,20 @@ def cmd_search(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    kind = _SCAN_KINDS[args.kind]
     obs = eigensystem(np.diag(np.arange(args.dim, dtype=float)))
     tol = args.tol_anom or DEFAULT_TOL
-    spec_psi = SamplerSpec(dim=args.dim, kind=kind, seed=args.seed)
-    spec_phi = SamplerSpec(dim=args.dim, kind=kind, seed=(args.seed + 1) % 2 ** 64)
+    spec_psi = SamplerSpec(dim=args.dim, kind=args.kind, seed=args.seed)
+    spec_phi = SamplerSpec(dim=args.dim, kind=args.kind, seed=(args.seed + 1) % 2 ** 64)
     summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=tol)
+    # Every field after n is a tally; each but skipped is also reported as a fraction of n.
+    counts = {field.name: getattr(summary, field.name) for field in fields(ScanSummary)[1:]}
     report = _report_head("scan", seed=args.seed)
     report["scan"] = {
         "kind": args.kind,
         "dim": args.dim,
         "n": summary.n,
-        "counts": {
-            "anomalous_g": summary.anomalous_g,
-            "anomalous_aw": summary.anomalous_aw,
-            "coherent_non_anomalous": summary.coherent_non_anomalous,
-            "skipped": summary.skipped,
-        },
-        "fractions": {
-            "anomalous_g": summary.anomalous_g_fraction,
-            "anomalous_aw": summary.anomalous_aw_fraction,
-            "coherent_non_anomalous": summary.coherent_non_anomalous_fraction,
-        },
+        "counts": counts,
+        "fractions": {name: count / summary.n for name, count in counts.items() if name != "skipped"},
     }
     _print_report(report, args.format)
     return EXIT_OK
@@ -826,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_scan = sub.add_parser("scan", help="anomaly-rate scan over sampled selection pairs")
-    p_scan.add_argument("--kind", choices=sorted(_SCAN_KINDS), default="haar",
+    p_scan.add_argument("--kind", choices=sorted(SAMPLER_KINDS), default=HAAR_PURE,
                         help="state ensemble for both selections (default haar)")
     p_scan.add_argument("--n", type=int, default=1000, metavar="N",
                         help="number of sampled pairs (default 1000)")

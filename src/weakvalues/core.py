@@ -255,13 +255,9 @@ def validate_density(matrix) -> DensityOperator:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus component is real positive."""
-    out = np.array(vectors)
-    for i in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, i])))
-        pivot = out[k, i]
-        out[:, i] *= np.abs(pivot) / pivot
-    return out
+    """Rotate each column so its largest-modulus component (the first, on a tie) is real positive."""
+    pivots = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=0)[None], axis=0)[0]
+    return vectors * (np.abs(pivots) / pivots)
 
 
 def eigensystem(matrix) -> Observable:

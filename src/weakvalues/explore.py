@@ -40,8 +40,8 @@ __all__ = [
     "scan_anomaly_rate",
 ]
 
-HAAR_PURE = "haar-pure"
-MIXED_FULL_RANK = "mixed-full-rank"
+HAAR_PURE = "haar"
+MIXED_FULL_RANK = "mixed"
 REAL_PURE = "real-pure"
 REAL_MIXED = "real-mixed"
 DIAGONAL = "diagonal"
@@ -58,16 +58,21 @@ class SamplerSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 2:
+        if not _is_int(self.dim) or self.dim < 2:
             raise ValidationError(f"sampler dimension must be an integer >= 2, got {self.dim!r}")
         if self.kind not in SAMPLER_KINDS:
             raise ValidationError(f"unknown sampler kind {self.kind!r}, expected one of {SAMPLER_KINDS}")
         _require_seed(self.seed)
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool: the type of every size and seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_seed(seed) -> bool:
     """True for a master seed: an int, not a bool, in [0, 2**64)."""
-    return isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2 ** 64
+    return _is_int(seed) and 0 <= seed < 2 ** 64
 
 
 def _require_seed(seed) -> None:
@@ -245,6 +250,8 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
         raise ValidationError(f"search is defined for qubit observables, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("search needs a finite observable matrix")
+    if not _is_int(budget):
+        raise ValidationError(f"search budget must be an integer, got {budget!r}")
     _require_seed(seed)
 
     n_restarts = max(1, min(SEARCH_RESTARTS, budget))
@@ -306,18 +313,6 @@ class ScanSummary:
     coherent_non_anomalous: int
     skipped: int
 
-    @property
-    def anomalous_g_fraction(self) -> float:
-        return self.anomalous_g / self.n
-
-    @property
-    def anomalous_aw_fraction(self) -> float:
-        return self.anomalous_aw / self.n
-
-    @property
-    def coherent_non_anomalous_fraction(self) -> float:
-        return self.coherent_non_anomalous / self.n
-
 
 def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observable, n: int,
                       tol: Tolerances = DEFAULT_TOL) -> ScanSummary:
@@ -325,10 +320,12 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
 
     Block b holds the next ``max(1, 65536 // d**2)`` pairs (the last block
     is shorter), drawn from the keys (spec.seed, b), and goes through
-    :func:`quasi_prob_stack` at once; A_w = sum_i g_i a_i, and the rules of
+    :func:`quasi_prob_stack` at once, which gives the g_i and A_w; the rules of
     ``classify`` and ``coherence_l1`` apply elementwise. Pairs whose overlap
     falls at or below the selection threshold are skipped and tallied apart.
     """
+    if not _is_int(n):
+        raise ValidationError(f"scan needs an integer n, got {n!r}")
     if n < 1:
         raise ValidationError(f"scan needs n >= 1, got {n}")
     require_dims(obs.dim, spec_phi, spec_psi)
@@ -339,10 +336,10 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
         size = min(block, n - start)
         rho_phi = _density_block(spec_phi, b, size)
         rho_psi = _density_block(spec_psi, b, size)
-        den, g = quasi_prob_stack(rho_phi, rho_psi, obs)
+        den, g, value = quasi_prob_stack(rho_phi, rho_psi, obs)
         kept = den > DEFAULT_SELECTION_THRESHOLD
         g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
-        aw_bad = anomalous_mask((g * a).sum(axis=-1), a[0], a[-1], tol.anom) & kept
+        aw_bad = anomalous_mask(value, a[0], a[-1], tol.anom) & kept
         quiet = kept & ~g_bad & ~aw_bad
         quiet[quiet] = ((coherence_l1_stack(rho_phi[quiet], obs) >= DEFAULT_COHERENCE_TOL)
                         & (coherence_l1_stack(rho_psi[quiet], obs) >= DEFAULT_COHERENCE_TOL))

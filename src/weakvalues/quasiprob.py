@@ -49,7 +49,7 @@ ANOMALOUS_REAL = "AnomalousReal"
 ANOMALOUS_IMAGINARY = "AnomalousImaginary"
 
 
-def classify(value: complex, lo: float, hi: float, anomaly_tol: float = DEFAULT_TOL.anom) -> str:
+def classify(value: complex, lo: float, hi: float, anomaly_tol: float) -> str:
     """Label a weak value against the real spectrum interval [lo, hi].
 
     Imaginary parts win over real excursions: a value can only be
@@ -62,7 +62,7 @@ def classify(value: complex, lo: float, hi: float, anomaly_tol: float = DEFAULT_
     return NORMAL
 
 
-def anomalous_mask(values, lo: float, hi: float, anomaly_tol: float = DEFAULT_TOL.anom) -> np.ndarray:
+def anomalous_mask(values, lo: float, hi: float, anomaly_tol: float) -> np.ndarray:
     """Elementwise: True wherever :func:`classify` would not return NORMAL."""
     values = np.asarray(values)
     return ((np.abs(values.imag) > anomaly_tol)
@@ -137,14 +137,15 @@ class QuasiProbDist:
         return self.classification != NORMAL or bool(self.anomalous_indices)
 
 
-def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps and quasi-probabilities of (n, d, d) stacks of selection pairs.
+def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,
+                     obs: Observable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlaps, quasi-probabilities and weak values of (n, d, d) stacks of selection pairs.
 
-    Returns ``den[k] = Tr(rho_phi[k] rho_psi[k])`` and ``g[k, i] =
+    Returns ``den[k] = Tr(rho_phi[k] rho_psi[k])``, ``g[k, i] =
     <a_i| rho_psi[k] rho_phi[k] |a_i> / den[k]`` over the ascending
-    eigenvectors a_i of ``obs``; the weak value is ``sum_i g[k, i] a_i``.
+    eigenvectors a_i of ``obs``, and the weak values ``value[k] = sum_i g[k, i] a_i``.
     Rows at or below ``DEFAULT_SELECTION_THRESHOLD`` are the caller's to drop
-    (their g may be infinite or NaN). Raises ImaginaryOverlapError when any
+    (their g and value may be infinite or NaN). Raises ImaginaryOverlapError when any
     overlap has an imaginary part above ``REALITY_TOL``.
     """
     den = overlap_stack(rho_phi, rho_psi)
@@ -156,7 +157,10 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray, obs: Observable) 
     right = rho_phi.reshape(n * d, d) @ v
     num = (left * right).reshape(n, d, d).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return den, num / den[:, None]
+        g = num / den[:, None]
+        # An elementwise product and a row sum give row k the same bits in any
+        # stack; a matrix-vector product does not.
+        return den, g, (g * obs.eigenvalues).sum(axis=-1)
 
 
 def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -166,17 +170,13 @@ def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observab
     This is the n = 1 case of :func:`quasi_prob_stack` behind the selection gate.
     """
     require_dims(obs.dim, rho_phi, rho_psi)
-    den, g = quasi_prob_stack(rho_phi.matrix[None], rho_psi.matrix[None], obs)
+    den, g, value = quasi_prob_stack(rho_phi.matrix[None], rho_psi.matrix[None], obs)
     den = float(den[0])
     if den <= DEFAULT_SELECTION_THRESHOLD:
         raise OrthogonalSelectionError(
             f"post-selection overlap {den:.3e} at or below threshold {DEFAULT_SELECTION_THRESHOLD:.1e}"
         )
-    a = obs.eigenvalues
-    # An elementwise product and a row sum give each weak value the same bits
-    # in a stack of one as in a scan block; a matrix-vector product does not.
-    value = complex((g[0] * a).sum(axis=-1))
-    return QuasiProbDist(weights=g[0], labels=a, value=value, denominator=den, tol=tol)
+    return QuasiProbDist(weights=g[0], labels=obs.eigenvalues, value=complex(value[0]), denominator=den, tol=tol)
 
 
 def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator,

@@ -30,7 +30,9 @@ into text in one format call; ``as_lists`` turns a report's arrays and row
 tables into the plain lists and row dicts they stand for.
 ``pointer_estimate`` reads the weak value off one pointer readout by the
 formulas the ``pointer`` report wrote its series rows with before the
-extrapolation kept its estimates.
+extrapolation kept its estimates. ``looped_fix_phases`` rotates an
+eigenbasis one column at a time, the reference for the one array expression
+that fixes every column's phase.
 """
 
 import math
@@ -493,3 +495,13 @@ def looped_render_csv(node):
 def pointer_estimate(outcome, coupling, width):
     """(x/g, 2 sigma^2 p/g) of one pointer readout, each part as a float of its own."""
     return outcome.mean_position / coupling, 2.0 * width ** 2 * outcome.mean_momentum / coupling
+
+
+def looped_fix_phases(vectors):
+    """Each column rotated so its largest-modulus component (the first, on a tie) is real positive."""
+    out = np.array(vectors)
+    for i in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, i])))
+        pivot = out[k, i]
+        out[:, i] *= np.abs(pivot) / pivot
+    return out

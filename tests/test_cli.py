@@ -897,6 +897,15 @@ def test_scan_reports_are_byte_identical(capsys):
     assert "workers" not in json.dumps(report)
 
 
+def test_scan_kinds_are_the_sampler_kinds(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["scan", "--help"])
+    assert "--kind {" + ",".join(sorted(wv.SAMPLER_KINDS)) + "}" in capsys.readouterr().out
+    for kind in wv.SAMPLER_KINDS:
+        code, out, _ = _run(capsys, ["scan", "--kind", kind, "--n", "5"])
+        assert code == 0 and json.loads(out)["scan"]["kind"] == kind
+
+
 def test_workers_flag_is_gone(capsys):
     for argv in (["scan", "--n", "10", "--workers", "2"],
                  ["search", "--budget", "10", "--workers", "2"]):

@@ -2,6 +2,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
 from weakvalues.core import (
@@ -19,10 +22,11 @@ from weakvalues.core import (
     Tolerances,
     TraceNotOneError,
     ValidationError,
+    _fix_phases,
 )
 
 from conftest import random_mixed, random_pure
-from oracles import antipodal
+from oracles import antipodal, looped_fix_phases
 
 
 def test_tolerances_defaults():
@@ -178,6 +182,32 @@ def test_eigensystem_random_hermitian_properties():
             col = v[:, i]
             pivot = col[np.argmax(np.abs(col))]
             assert pivot.real > 0 and abs(pivot.imag) < 1e-12
+
+
+# Entries of equal modulus, so that several components of one column tie for the pivot.
+_TIED = st.sampled_from([s * np.sqrt(0.5) for s in (1, -1, 1j, -1j)] + [0.5 * (1 + 1j), 0.0])
+
+
+@st.composite
+def eigenbases(draw):
+    """(d, d) columns, d = 2..64, real or complex: an eigensolver's basis, or entries of equal modulus."""
+    d = draw(st.integers(2, 64))
+    if draw(st.booleans()):
+        raw = draw(hnp.arrays(np.float64, (2, d, d), elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+        h = raw[0] + 1j * raw[1] if draw(st.booleans()) else raw[0]
+        return np.linalg.eigh(h + h.conj().T)[1]
+    vectors = draw(hnp.arrays(complex, (d, d), elements=_TIED))
+    if draw(st.booleans()):
+        vectors = vectors.real.copy()
+    vectors[0, np.abs(vectors).max(axis=0) == 0] = 1.0  # no column is all zeros
+    return vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(eigenbases())
+def test_fix_phases_is_the_column_loop_bit_for_bit(vectors):
+    fixed, looped = _fix_phases(vectors), looped_fix_phases(vectors)
+    assert fixed.dtype == looped.dtype and fixed.tobytes() == looped.tobytes()
 
 
 def test_eigensystem_rejects_degenerate_and_nonhermitian():

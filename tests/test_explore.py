@@ -102,6 +102,24 @@ def test_search_takes_an_unsigned_64_bit_seed(seed):
         search_max_negativity(np.diag([1.0, 0.0]), 10, seed)
 
 
+@pytest.mark.parametrize("budget", [1.5, True, 10.0])
+def test_search_takes_an_integer_budget(budget):
+    # budget 1.5 once failed in numpy with a bare TypeError, and budget True ran as budget 1
+    with pytest.raises(wv.ValidationError, match="search budget must be an integer"):
+        search_max_negativity(np.diag([1.0, 0.0]), budget, 0)
+
+
+@pytest.mark.parametrize("n, message", [(2.5, "scan needs an integer n, got 2.5"),
+                                        (True, "scan needs an integer n, got True"),
+                                        (0, "scan needs n >= 1, got 0"), (-3, "scan needs n >= 1, got -3")])
+def test_scan_takes_an_integer_n_of_at_least_one(proj_zero, n, message):
+    # n 2.5 once failed in numpy with a bare TypeError, and n True returned ScanSummary(n=True, ...)
+    spec = SamplerSpec(dim=2, kind=HAAR_PURE, seed=0)
+    with pytest.raises(wv.ValidationError) as excinfo:
+        scan_anomaly_rate(spec, spec, proj_zero, n)
+    assert str(excinfo.value) == message
+
+
 def test_haar_overlap_distribution():
     # |<0|psi>|^2 under the d=2 Haar measure is uniform on [0, 1]
     spec = SamplerSpec(dim=2, kind=HAAR_PURE, seed=11)

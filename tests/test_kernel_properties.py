@@ -78,7 +78,7 @@ def _selected(den: np.ndarray) -> np.ndarray:
 @given(selection_stacks())
 def test_weights_sum_to_one(case):
     phi, psi, obs = case
-    den, g = quasi_prob_stack(phi, psi, obs)
+    den, g, _ = quasi_prob_stack(phi, psi, obs)
     g = g[_selected(den)]
     assert np.all(np.abs(g.sum(axis=1) - 1.0) <= 1e-12 * np.abs(g).sum(axis=1))
 
@@ -94,21 +94,32 @@ _ZERO = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
 @example((_PLUS, _ZERO, wv.eigensystem(np.array([[0.0, _TINY], [np.conj(_TINY), 1.0]]))))
 def test_weighted_eigenvalues_give_the_trace_ratio(case):
     phi, psi, obs = case
-    den, g = quasi_prob_stack(phi, psi, obs)
+    den, g, value = quasi_prob_stack(phi, psi, obs)
     a = obs.eigenvalues
     for k in np.flatnonzero(_selected(den)):
         direct = np.trace(phi[k] @ obs.matrix @ psi[k]) / np.trace(phi[k] @ psi[k])
         # rounding in either route scales with the terms and with eps ||A||
         scale = np.abs(g[k] * a).sum() + np.abs(a).max()
-        assert abs((g[k] * a).sum() - direct) <= 1e-12 * scale
+        assert abs(value[k] - direct) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(selection_stacks())
+def test_the_kernel_weak_value_is_the_record_weak_value(case):
+    """Row k of a stack gets the bits the n = 1 record of pair k gets."""
+    phi, psi, obs = case
+    den, _, value = quasi_prob_stack(phi, psi, obs)
+    for k in np.flatnonzero(den > wv.DEFAULT_SELECTION_THRESHOLD):
+        dist = wv.quasi_prob(wv.DensityOperator(phi[k]), wv.DensityOperator(psi[k]), obs)
+        assert dist.value == complex(value[k])
 
 
 @PROPERTY_SETTINGS
 @given(selection_stacks())
 def test_swapping_the_selection_conjugates_the_weights(case):
     phi, psi, obs = case
-    den, g = quasi_prob_stack(phi, psi, obs)
-    _, swapped = quasi_prob_stack(psi, phi, obs)
+    den, g, _ = quasi_prob_stack(phi, psi, obs)
+    _, swapped, _ = quasi_prob_stack(psi, phi, obs)
     keep = _selected(den)
     g, swapped = g[keep], swapped[keep]
     assert np.all(np.abs(g - swapped.conj()) <= 1e-12 * np.abs(g).max(axis=1, keepdims=True))
@@ -119,7 +130,7 @@ def test_swapping_the_selection_conjugates_the_weights(case):
 def test_a_dephased_pre_selection_gives_no_anomalous_weight(case):
     phi, psi, obs = case
     dephased = np.stack([wv.dephase(wv.DensityOperator(m), obs).matrix for m in psi])
-    den, g = quasi_prob_stack(phi, dephased, obs)
+    den, g, _ = quasi_prob_stack(phi, dephased, obs)
     assert not np.any(anomalous_mask(g[_selected(den)], 0.0, 1.0, wv.DEFAULT_TOL.anom))
 
 

@@ -16,15 +16,16 @@ def _config(rng, d, pure_prob=0.5):
 
 
 def test_classify_decisions():
-    assert classify(complex(-0.5, 0.0), 0.0, 1.0) == wv.ANOMALOUS_REAL
-    assert classify(complex(0.3, 0.0), 0.0, 1.0) == wv.NORMAL
-    assert classify(complex(0.3, 0.2), 0.0, 1.0) == wv.ANOMALOUS_IMAGINARY
+    anom = wv.DEFAULT_TOL.anom
+    assert classify(complex(-0.5, 0.0), 0.0, 1.0, anom) == wv.ANOMALOUS_REAL
+    assert classify(complex(0.3, 0.0), 0.0, 1.0, anom) == wv.NORMAL
+    assert classify(complex(0.3, 0.2), 0.0, 1.0, anom) == wv.ANOMALOUS_IMAGINARY
     # imaginary excursions win when both kinds are present
-    assert classify(complex(5.0, 5.0), 0.0, 1.0) == wv.ANOMALOUS_IMAGINARY
+    assert classify(complex(5.0, 5.0), 0.0, 1.0, anom) == wv.ANOMALOUS_IMAGINARY
     # tolerance fences
-    assert classify(complex(1.0 + 5e-10, 0.0), 0.0, 1.0) == wv.NORMAL
-    assert classify(complex(1.0 + 2e-9, 0.0), 0.0, 1.0) == wv.ANOMALOUS_REAL
-    assert classify(complex(0.5, 5e-10), 0.0, 1.0) == wv.NORMAL
+    assert classify(complex(1.0 + 5e-10, 0.0), 0.0, 1.0, anom) == wv.NORMAL
+    assert classify(complex(1.0 + 2e-9, 0.0), 0.0, 1.0, anom) == wv.ANOMALOUS_REAL
+    assert classify(complex(0.5, 5e-10), 0.0, 1.0, anom) == wv.NORMAL
 
 
 def _judged(value: complex) -> wv.QuasiProbDist:
