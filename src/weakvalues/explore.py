@@ -120,6 +120,8 @@ def sample(spec: SamplerSpec, index: int = 0):
 
     The same (spec, index) always reproduces the same state bit for bit.
     """
+    if not _is_int(index) or index < 0:
+        raise ValidationError(f"sample index must be an integer >= 0, got {index!r}")
     state = _draw(spec.kind, spec.dim, _task_rng(spec.seed, index), 1)[0]
     return StateVector(state) if state.ndim == 1 else DensityOperator(state)
 

@@ -22,11 +22,11 @@ def bargmann(states: Sequence[DensityOperator]) -> complex:
 
 
 def overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real overlaps Tr(a[k] b[k]) of (n, d, d) stacks; a single (d, d) operand broadcasts.
+    """Real overlaps Tr(a[k] b[k]) of (n, d, d) stacks, each the O(d^2) sum_ij a_ij b_ji.
 
-    Raises ImaginaryOverlapError when any imaginary part exceeds ``REALITY_TOL``.
-    """
-    value = np.trace(a @ b, axis1=-2, axis2=-1)
+    A single (d, d) operand broadcasts, and row k's bits do not depend on the stack. Raises
+    ImaginaryOverlapError when any imaginary part exceeds ``REALITY_TOL``."""
+    value = np.einsum("...ij,...ji->...", a, b)
     imaginary = np.abs(value.imag) > REALITY_TOL
     if imaginary.any():
         worst = value.imag.ravel()[np.argmax(imaginary)]  # argmax is a flat index, and 0-d has no axis

@@ -18,9 +18,13 @@ to A_w and, in a loop, to each g_i. ``scalar_search``
 is the negativity search walked one restart and one candidate at a time,
 the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
 ``looped_three_cycles`` fill the overlap graph one vertex pair at a time
-and evaluate its cycles one triple at a time, as plain tuples, the
-reference for the stacked overlap rows and the cycle table;
-``looped_fragment_cycles`` judges the fragment's rows one at a time.
+(each edge the one-pair ``overlap``, over the vertex states that
+``selection_states`` and ``fragment_states`` list) and evaluate its cycles
+one triple at a time, as plain tuples, the reference for the stacked
+overlap rows and the cycle table; ``looped_fragment_cycles`` judges the
+fragment's rows one at a time. ``pairwise_overlap`` is Tr(rho1 rho2) by the
+Bargmann trace of a product, which every overlap must match within
+``overlap_rounding_bound``.
 ``nodewise_matrix`` and ``nodewise_state`` read a problem file's matrices
 and states one node at a time, probing each state as a grid and as a
 vector, the reference for the reader that classifies each entry once.
@@ -273,30 +277,58 @@ def pairwise_overlap(rho1, rho2):
     return value.real
 
 
+def overlap_rounding_bound(a, b):
+    """Bound on the gap between ``overlap`` and ``pairwise_overlap`` for (d, d) matrices a, b.
+
+    With S = sum_ij |a_ij| |b_ji| and unit roundoff u = eps / 2, a complex
+    inner product of length m, products formed with four real multiplications
+    and summed in any order, is off by at most sqrt(2) gamma_(m+2) sum_k
+    |x_k| |y_k|, gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.6). The kernel's contraction is one
+    such sum of m = d^2 products a_ij b_ji: off by sqrt(2) gamma_(d^2+2) S.
+    The Bargmann route forms each (a b)_ii, a sum of d products, off by
+    sqrt(2) gamma_(d+2) S_i with sum_i S_i = S, then adds the d entries, which
+    adds at most gamma_(d-1) (1 + sqrt(2) gamma_(d+2)) S. Since d + 2 and d - 1
+    are below d^2 + 2, the gap between the two is at most
+    (2 sqrt(2) + 1) u (d^2 + 2) S (1 + O(d^2 u)) < 2 (d^2 + 2) eps S, and its
+    real part no more.
+    """
+    d = a.shape[-1]
+    return 2.0 * (d * d + 2) * np.finfo(float).eps * float(np.sum(np.abs(a) * np.abs(b).T))
+
+
 def pairwise_frame_graph(labels, states):
-    """Complete overlap graph over labeled states, filled one vertex pair at a time."""
+    """Complete overlap graph over labeled states, filled one ``overlap`` call per vertex pair."""
     if len(labels) != len(states):
         raise wv.ValidationError(f"{len(labels)} labels for {len(states)} states")
     weights = np.full((len(states), len(states)), np.nan)
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            weights[i, j] = weights[j, i] = pairwise_overlap(states[i], states[j])
+            weights[i, j] = weights[j, i] = wv.overlap(states[i], states[j])
     return FrameGraph(labels=tuple(labels), weights=weights)
+
+
+def selection_states(rho_phi, rho_psi, obs):
+    """The frame graph's vertices phi, psi, a_1 ... a_d, each projector a state of its own."""
+    return [rho_phi, rho_psi] + [projector(obs, i) for i in range(obs.dim)]
+
+
+def fragment_states(rho_phi, rho_psi, obs):
+    """The qubit fragment's six vertices, the complements 1 - rho as states of their own."""
+    eye = np.eye(2, dtype=complex)
+    return [rho_phi, rho_psi, projector(obs, 0), projector(obs, 1),
+            wv.DensityOperator(eye - rho_phi.matrix), wv.DensityOperator(eye - rho_psi.matrix)]
 
 
 def pairwise_selection_graph(rho_phi, rho_psi, obs):
     """``build_frame_graph`` over explicit projector states, one pair at a time."""
     labels = ["phi", "psi"] + [f"a{i + 1}" for i in range(obs.dim)]
-    states = [rho_phi, rho_psi] + [projector(obs, i) for i in range(obs.dim)]
-    return pairwise_frame_graph(labels, states)
+    return pairwise_frame_graph(labels, selection_states(rho_phi, rho_psi, obs))
 
 
 def pairwise_fragment_graph(rho_phi, rho_psi, obs):
     """``qubit_fragment_graph`` over explicit complement states, one pair at a time."""
-    eye = np.eye(2, dtype=complex)
-    states = [rho_phi, rho_psi, projector(obs, 0), projector(obs, 1),
-              wv.DensityOperator(eye - rho_phi.matrix), wv.DensityOperator(eye - rho_psi.matrix)]
-    return pairwise_frame_graph(FRAGMENT_LABELS, states)
+    return pairwise_frame_graph(FRAGMENT_LABELS, fragment_states(rho_phi, rho_psi, obs))
 
 
 def looped_three_cycles(graph, anomaly_tol=wv.DEFAULT_TOL.anom):

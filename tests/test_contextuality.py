@@ -21,11 +21,15 @@ from weakvalues.invariants import FrameGraph, build_frame_graph
 from conftest import random_mixed, random_pure
 from oracles import (
     antipodal,
+    fragment_states,
     looped_fragment_cycles,
     looped_three_cycles,
+    overlap_rounding_bound,
     pairwise_fragment_graph,
     pairwise_frame_graph,
+    pairwise_overlap,
     pairwise_selection_graph,
+    selection_states,
 )
 
 
@@ -157,12 +161,16 @@ def _random_hermitian(rng, d):
     return wv.eigensystem(h + h.conj().T)
 
 
-def _assert_same_graph_and_cycles(graph, oracle):
+def _assert_same_graph_and_cycles(graph, oracle, states):
+    # bit for bit against the graph of one-pair overlaps, and within the
+    # stated rounding bound of the Bargmann trace of each pair's product
     assert graph.labels == oracle.labels
     for i in range(graph.n_vertices):
         for j in range(graph.n_vertices):
             if i != j:
                 assert graph.edge(i, j) == oracle.edge(i, j), (i, j)
+                gap = abs(graph.edge(i, j) - pairwise_overlap(states[i], states[j]))
+                assert gap <= overlap_rounding_bound(states[i].matrix, states[j].matrix), (i, j)
     assert graph.adjacency_text() == oracle.adjacency_text()
     for tol in (wv.DEFAULT_TOL.anom, 0.0):
         assert _rows(all_three_cycles(graph, tol)) == looped_three_cycles(oracle, tol)
@@ -177,7 +185,8 @@ def test_frame_graph_and_cycles_match_the_pairwise_oracle(d):
     rho_psi = wv.pure_to_density(wv.state_vector(random_pure(rng, d)))
     obs = _random_hermitian(rng, d)
     _assert_same_graph_and_cycles(wv.build_frame_graph(rho_phi, rho_psi, obs),
-                                  pairwise_selection_graph(rho_phi, rho_psi, obs))
+                                  pairwise_selection_graph(rho_phi, rho_psi, obs),
+                                  selection_states(rho_phi, rho_psi, obs))
 
 
 def test_fragment_matches_the_pairwise_oracle():
@@ -194,7 +203,8 @@ def test_fragment_matches_the_pairwise_oracle():
         for rho_phi, rho_psi in ((pure_phi, pure_psi), (real_phi, real_psi),
                                  (mixed_phi, mixed_psi), (pure_phi, mixed_psi)):
             oracle = pairwise_fragment_graph(rho_phi, rho_psi, obs)
-            _assert_same_graph_and_cycles(qubit_fragment_graph(rho_phi, rho_psi, obs), oracle)
+            _assert_same_graph_and_cycles(qubit_fragment_graph(rho_phi, rho_psi, obs), oracle,
+                                          fragment_states(rho_phi, rho_psi, obs))
             assert (_rows(fragment_cycles(rho_phi, rho_psi, obs, wv.DEFAULT_TOL)[1])
                     == looped_fragment_cycles(oracle, rho_phi, rho_psi))
 

@@ -120,6 +120,15 @@ def test_scan_takes_an_integer_n_of_at_least_one(proj_zero, n, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("index", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_sample_takes_a_non_negative_integer_index(index):
+    # index -1 once failed in numpy with "expected non-negative integer", 1.5 with
+    # a TypeError about the seed, and True drew index 1
+    with pytest.raises(wv.ValidationError) as excinfo:
+        sample(SamplerSpec(dim=2, kind=HAAR_PURE, seed=0), index)
+    assert str(excinfo.value) == f"sample index must be an integer >= 0, got {index!r}"
+
+
 def test_haar_overlap_distribution():
     # |<0|psi>|^2 under the d=2 Haar measure is uniform on [0, 1]
     spec = SamplerSpec(dim=2, kind=HAAR_PURE, seed=11)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import weakvalues as wv
 from weakvalues.core import DensityOperator, DimensionMismatchError, ImaginaryOverlapError
@@ -10,7 +12,7 @@ from weakvalues.invariants import _frame_vertices, overlap_stack
 from weakvalues.quasiprob import quasi_prob_stack
 
 from conftest import random_mixed, random_pure
-from oracles import pairwise_frame_graph, pairwise_overlap
+from oracles import overlap_rounding_bound, pairwise_frame_graph, pairwise_overlap
 
 
 def _pure(rng, d):
@@ -192,17 +194,42 @@ def test_adjacency_text_stable():
     float(first[2])  # numeric payload parses
 
 
+def _assert_one_pair_rows(stacked, pairs):
+    # each row has the bits of the one-pair call and lies within the stated
+    # rounding bound of the Bargmann trace of the pair's product
+    for value, (a, b) in zip(stacked, pairs, strict=True):
+        rho_a, rho_b = DensityOperator(a), DensityOperator(b)
+        assert value == wv.overlap(rho_a, rho_b)
+        assert abs(value - pairwise_overlap(rho_a, rho_b)) <= overlap_rounding_bound(a, b)
+
+
 def test_overlap_is_the_one_pair_case_of_the_stack():
     rng = np.random.default_rng(31)
     for d in (2, 3, 5, 8, 16, 33):
         a = np.stack([random_mixed(rng, d) for _ in range(4)])
         b = np.stack([random_mixed(rng, d) for _ in range(4)])
-        stacked = overlap_stack(a, b)
-        row = overlap_stack(a[0], b)
-        for k in range(4):
-            rho_a, rho_b = DensityOperator(a[k]), DensityOperator(b[k])
-            assert stacked[k] == wv.overlap(rho_a, rho_b) == pairwise_overlap(rho_a, rho_b)
-            assert row[k] == pairwise_overlap(DensityOperator(a[0]), rho_b)
+        _assert_one_pair_rows(overlap_stack(a, b), zip(a, b))
+        _assert_one_pair_rows(overlap_stack(a[0], b), ((a[0], m) for m in b))
+
+
+@st.composite
+def overlap_stacks(draw):
+    """Two (n, d, d) stacks and one (d, d) matrix of complex pure and mixed states, d = 2..64."""
+    d = draw(st.integers(2, 64))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.booleans(), min_size=2 * n + 1, max_size=2 * n + 1))
+    states = np.stack([_pure(rng, d).matrix if pure else random_mixed(rng, d) for pure in kinds])
+    return states[:n], states[n:2 * n], states[2 * n]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(overlap_stacks())
+def test_every_stack_row_is_the_one_pair_overlap(case):
+    a, b, single = case
+    _assert_one_pair_rows(overlap_stack(a, b), zip(a, b))
+    _assert_one_pair_rows(overlap_stack(single, b), ((single, m) for m in b))
+    _assert_one_pair_rows(overlap_stack(a, single), ((m, single) for m in a))
 
 
 def test_imaginary_overlaps_are_refused_alike_on_every_route(proj_zero):

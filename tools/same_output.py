@@ -16,13 +16,15 @@ the parent commit unpacked into a directory). Every request calls
   with ``anom`` 1e-6 (through the five commands in JSON) and a ``seed`` key
   (through ``gvals`` in both formats);
 - ``reproduce-paper``;
-- ``scan`` over every ensemble at d = 2, 3, 5 and 8, and ``search`` on every
-  built-in observable at the budgets in ``SEARCH_BUDGETS``, at fixed seeds in
-  both formats.
+- ``scan`` over every ensemble at d = 2, 3, 5 and 8 with each n in
+  ``SCAN_SIZES``, and ``search`` on every built-in observable at the budgets
+  in ``SEARCH_BUDGETS``, at fixed seeds in both formats (3,867 requests).
 
 The script prints how many requests gave the same stdout, stderr and exit code
-in both trees, then one line per request that differs. It exits 1 when any
-request differs. The deck files and their copies are written to a temporary
+in both trees, one line per request that differs, and one tally line per
+command with a differing request: how many differ, and in how many of them
+the exit code, the stdout and the stderr differ. It exits 1 when any request
+differs. The deck files and their copies are written to a temporary
 directory; nothing under ``bench/`` is written.
 """
 
@@ -32,6 +34,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +44,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 DECK_SEEDS = (1, 2, 3)
+# Less than one scan block, and more than one at every d here, the last of them short.
+SCAN_SIZES = (300, 20_000)
 PROBLEM_COMMANDS = ("compute", "gvals", "witness", "contextuality", "pointer")
 FORMATS = ("json", "csv")
 # Fewer evaluations than restarts (1, 7, 19), uneven shares (7, 19, 21), and the
@@ -107,9 +112,10 @@ def requests(workdir: Path) -> list[list[str]]:
         argvs += [["gvals", "--input", copy, "--format", fmt] for fmt in FORMATS]
     argvs.append(["reproduce-paper"])
     for fmt in FORMATS:
-        argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", "300", "--seed", str(11 + dim),
+        argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", str(n), "--seed", str(11 + dim),
                    "--format", fmt]
-                  for kind in ("haar", "mixed", "real-pure", "real-mixed", "diagonal") for dim in (2, 3, 5, 8)]
+                  for n in SCAN_SIZES for kind in ("haar", "mixed", "real-pure", "real-mixed", "diagonal")
+                  for dim in (2, 3, 5, 8)]
         argvs += [["search", "--observable", observable, "--budget", str(budget), "--seed", str(seed),
                    "--format", fmt]
                   for budget in SEARCH_BUDGETS for observable in workloads.SEARCH_OBSERVABLES for seed in (0, 7)]
@@ -140,10 +146,16 @@ def main(argv: list[str]) -> int:
         differing = [(request, a, b) for request, a, b in zip(argvs, here, there) if a != b]
         print(f"{len(argvs) - len(differing)} of {len(argvs)} requests gave the same stdout, stderr "
               f"and exit code in {ROOT} and {other}")
+        tally: dict[str, Counter] = {}
         for request, a, b in differing:
-            parts = [f"{name} {a[name]} vs {b[name]}" for name in ("rc", "out", "err") if a[name] != b[name]]
+            moved = [name for name in ("rc", "out", "err") if a[name] != b[name]]
+            tally.setdefault(request[0], Counter()).update(["requests", *moved])
+            parts = [f"{name} {a[name]} vs {b[name]}" for name in moved]
             shown = " ".join(word.removeprefix(workdir + "/") for word in request)
             print(f"differs: {shown}: {'; '.join(parts)}")
+        for command, counts in tally.items():
+            print(f"tally: {command}: {counts['requests']} differ (rc {counts['rc']}, out {counts['out']}, "
+                  f"err {counts['err']})")
     return 1 if differing else 0
 
 
