@@ -88,25 +88,34 @@ def _task_rng(seed: int, key: int) -> np.random.Generator:
 def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
 
-    State k consumes the generator's k-th run of variates, so the first
-    states of a draw do not depend on ``size``.
+    From standard normal variates: ``real-pure`` is x / |x| for a real
+    x; ``haar`` is z / |z| for z = x + iy; ``mixed`` is g g^dagger / Tr
+    for g = X + iY; ``real-mixed`` is W W^T / Tr for W = [X | Y], which
+    equals Re(g g^dagger) / Tr, made exactly symmetric; ``diagonal`` puts a
+    flat Dirichlet draw on the diagonal. State k consumes the generator's
+    k-th run of variates, so the first states of a draw do not depend on
+    ``size``. Norms and traces are einsums because numpy reduces a short
+    trailing axis with one inner loop per row. States are scaled by 1/t,
+    the product numpy's complex division by a real t forms, without its cost.
     """
     if kind == REAL_PURE:
         x = rng.normal(size=(size, dim))
-        return x.astype(complex) / np.linalg.norm(x, axis=1, keepdims=True)
+        return (x * (1.0 / np.sqrt(np.einsum("ni,ni->n", x, x)))[:, None]).astype(complex)
     if kind == HAAR_PURE:
         x = rng.normal(size=(size, 2, dim))
-        z = x[:, 0] + 1j * x[:, 1]
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
-    if kind in (MIXED_FULL_RANK, REAL_MIXED):
+        x *= (1.0 / np.sqrt(np.einsum("nki,nki->n", x, x)))[:, None, None]
+        return x[:, 0] + 1j * x[:, 1]
+    if kind == MIXED_FULL_RANK:
         x = rng.normal(size=(size, 2, dim, dim))
         g = x[:, 0] + 1j * x[:, 1]
         rho = g @ g.conj().transpose(0, 2, 1)
-        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-        if kind == REAL_MIXED:
-            re = rho.real
-            rho = ((re + re.transpose(0, 2, 1)) / 2.0).astype(complex)
+        rho *= (1.0 / np.einsum("nii->n", rho).real)[:, None, None]
         return rho
+    if kind == REAL_MIXED:
+        w = rng.normal(size=(size, 2, dim, dim)).transpose(0, 2, 1, 3).reshape(size, dim, 2 * dim)
+        rho = w @ w.transpose(0, 2, 1)
+        rho *= (1.0 / np.einsum("nii->n", rho))[:, None, None]
+        return ((rho + rho.transpose(0, 2, 1)) * 0.5).astype(complex)
     if kind == DIAGONAL:
         probs = rng.dirichlet(np.ones(dim), size=size)
         rho = np.zeros((size, dim, dim), dtype=complex)

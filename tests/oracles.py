@@ -36,7 +36,10 @@ tables into the plain lists and row dicts they stand for.
 formulas the ``pointer`` report wrote its series rows with before the
 extrapolation kept its estimates. ``looped_fix_phases`` rotates an
 eigenbasis one column at a time, the reference for the one array expression
-that fixes every column's phase.
+that fixes every column's phase. ``reference_draw`` samples each ensemble
+with numpy's row reductions, complex divisions and, for ``real-mixed``, the
+real part of a complex product g g^dagger; every state of the sampler lies
+within ``draw_rounding_bound`` of it.
 """
 
 import math
@@ -50,8 +53,8 @@ import weakvalues as wv
 from weakvalues.cli import ProblemFileError, _Rows
 from weakvalues.contextuality import _CYCLE_ROUNDING, FRAGMENT_LABELS
 from weakvalues.core import REALITY_TOL, require_dims
-from weakvalues.explore import (SEARCH_INITIAL_STEP, SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS,
-                                SearchResult, _task_rng)
+from weakvalues.explore import (DIAGONAL, HAAR_PURE, MIXED_FULL_RANK, REAL_MIXED, REAL_PURE, SEARCH_INITIAL_STEP,
+                                SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS, SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
 from weakvalues.quasiprob import anomalous_mask
 from weakvalues.witness import DEFAULT_COHERENCE_TOL
@@ -537,3 +540,77 @@ def looped_fix_phases(vectors):
         pivot = out[k, i]
         out[:, i] *= np.abs(pivot) / pivot
     return out
+
+
+def reference_draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
+
+    State k consumes the generator's k-th run of variates, so the first
+    states of a draw do not depend on ``size``.
+    """
+    if kind == REAL_PURE:
+        x = rng.normal(size=(size, dim))
+        return x.astype(complex) / np.linalg.norm(x, axis=1, keepdims=True)
+    if kind == HAAR_PURE:
+        x = rng.normal(size=(size, 2, dim))
+        z = x[:, 0] + 1j * x[:, 1]
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    if kind in (MIXED_FULL_RANK, REAL_MIXED):
+        x = rng.normal(size=(size, 2, dim, dim))
+        g = x[:, 0] + 1j * x[:, 1]
+        rho = g @ g.conj().transpose(0, 2, 1)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        if kind == REAL_MIXED:
+            re = rho.real
+            rho = ((re + re.transpose(0, 2, 1)) / 2.0).astype(complex)
+        return rho
+    if kind == DIAGONAL:
+        probs = rng.dirichlet(np.ones(dim), size=size)
+        rho = np.zeros((size, dim, dim), dtype=complex)
+        rho[:, np.arange(dim), np.arange(dim)] = probs
+        return rho
+    raise wv.ValidationError(f"unknown sampler kind {kind!r}")
+
+
+def draw_rounding_bound(kind, variates, reference):
+    """Entrywise bound on |explore._draw - reference_draw| for one run of ``variates``.
+
+    ``reference`` is ``reference_draw``'s output from ``variates``, the
+    generator's normals; u = eps / 2 and gamma_m = m u / (1 - m u). The
+    reference divides by a real t as a complex division, which is the product
+    with fl(1 / t) (Smith's method with a zero imaginary part), and the
+    sampler scales by fl(1 / t) itself, so the two part only where they sum.
+    A sum of m rounded products is off by at most gamma_m times the sum of
+    their moduli, in any order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1).
+
+    - ``real-pure``: the squared norms, sums of d positive squares, agree to
+      2 gamma_d relatively; the square root halves that and adds u a side,
+      the reciprocal and the scaling u each: (d + 6) u |ref| to first order.
+    - ``haar``: the same over 2d squares: (2d + 6) u |ref|.
+    - ``mixed``: g g^dagger is one shared product; the traces sum the same d
+      positive diagonal entries and agree to 2 gamma_(d-1); the reciprocal
+      and the scaling add u a side: (2d + 2) u |ref|.
+    - ``real-mixed``: let E = W W^T be the exact product and M = |X| |X|^T +
+      |Y| |Y|^T, so |E_ij| <= M_ij and T = Tr M = Tr E. Both products (2d
+      terms an entry) are within gamma_(2d) M of E, and each trace is within
+      gamma_(2d) + gamma_(d-1) of T relatively. An entry scaled by its
+      reciprocal then differs by at most (4d + 2 (3d - 1) + 4) u M_ij / T,
+      and symmetrizing adds 2 u M_ij / T: (10d + 4) u M_ij / T.
+    - ``diagonal``: one route, no gap.
+
+    Each bound takes one u more, which covers the second-order terms for d <= 64.
+    """
+    dim = reference.shape[-1]
+    u = np.finfo(float).eps / 2.0
+    if kind == REAL_PURE:
+        return (dim + 7) * u * np.abs(reference)
+    if kind == HAAR_PURE:
+        return (2 * dim + 7) * u * np.abs(reference)
+    if kind == MIXED_FULL_RANK:
+        return (2 * dim + 3) * u * np.abs(reference)
+    if kind == REAL_MIXED:
+        a = np.abs(variates)
+        m = a[:, 0] @ a[:, 0].transpose(0, 2, 1) + a[:, 1] @ a[:, 1].transpose(0, 2, 1)
+        return (10 * dim + 5) * u * m / np.trace(m, axis1=1, axis2=2)[:, None, None]
+    return np.zeros(reference.shape)

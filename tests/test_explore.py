@@ -20,8 +20,8 @@ from weakvalues.explore import (
     scan_anomaly_rate,
     search_max_negativity,
 )
-from weakvalues.explore import _block_size, _density_block
-from oracles import scalar_search, trace_ratio_weak_value
+from weakvalues.explore import _block_size, _density_block, _draw, _task_rng
+from oracles import draw_rounding_bound, reference_draw, scalar_search, trace_ratio_weak_value
 from scan_oracle import pairwise_counts
 
 
@@ -287,6 +287,79 @@ def test_scan_is_repeatable_and_keyed_by_block(proj_zero):
     for kind in SAMPLER_KINDS:
         spec = SamplerSpec(dim=3, kind=kind, seed=23)
         assert np.array_equal(_density_block(spec, 1, 40), _density_block(spec, 1, 1000)[:40])
+
+
+@st.composite
+def scan_blocks(draw, kinds=st.sampled_from(SAMPLER_KINDS)):
+    """(kind, dim, seed, block number, size m, size M) with 1 <= m <= M <= the block size at dim."""
+    dim = draw(st.integers(2, 64))
+    full = draw(st.integers(1, _block_size(dim)))
+    return (draw(kinds), dim, draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(0, 1000)),
+            draw(st.integers(1, full)), full)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scan_blocks())
+def test_a_block_prefix_does_not_depend_on_the_block_size(case):
+    kind, dim, seed, block, m, full = case
+    spec = SamplerSpec(dim=dim, kind=kind, seed=seed)
+    assert np.array_equal(_density_block(spec, block, m), _density_block(spec, block, full)[:m])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scan_blocks())
+def test_draws_stay_within_rounding_of_the_reference_sampler(case):
+    kind, dim, seed, block, _, size = case
+    got = _draw(kind, dim, _task_rng(seed, block), size)
+    want = reference_draw(kind, dim, _task_rng(seed, block), size)
+    variates = _task_rng(seed, block).normal(size=(size, 2, dim, dim)) if kind == REAL_MIXED else None
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= draw_rounding_bound(kind, variates, want))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scan_blocks(kinds=st.just(REAL_MIXED)))
+def test_real_mixed_states_are_exactly_symmetric_and_real(case):
+    _, dim, seed, block, _, size = case
+    rho = _draw(REAL_MIXED, dim, _task_rng(seed, block), size)
+    assert np.all(rho.imag == 0.0)
+    assert np.array_equal(rho, rho.transpose(0, 2, 1))
+
+
+# (anomalous_g, anomalous_aw, coherent_non_anomalous, skipped) of 4,000 pairs against
+# diag(0, 1, ..., d - 1), post-selections at seed 2027 and pre-selections at 2026.
+# Complex states give imaginary weak values, so haar and mixed count every pair.
+PINNED_SCANS = {
+    ("haar", 2): (4000, 4000, 0, 0),
+    ("haar", 3): (4000, 4000, 0, 0),
+    ("haar", 5): (4000, 4000, 0, 0),
+    ("haar", 8): (4000, 4000, 0, 0),
+    ("mixed", 2): (4000, 4000, 0, 0),
+    ("mixed", 3): (4000, 4000, 0, 0),
+    ("mixed", 5): (4000, 4000, 0, 0),
+    ("mixed", 8): (4000, 4000, 0, 0),
+    ("real-pure", 2): (1996, 1996, 2004, 0),
+    ("real-pure", 3): (3005, 1623, 995, 0),
+    ("real-pure", 5): (3745, 1420, 255, 0),
+    ("real-pure", 8): (3974, 1318, 26, 0),
+    ("real-mixed", 2): (168, 168, 3832, 0),
+    ("real-mixed", 3): (135, 6, 3865, 0),
+    ("real-mixed", 5): (56, 0, 3944, 0),
+    ("real-mixed", 8): (10, 0, 3990, 0),
+    ("diagonal", 2): (0, 0, 0, 0),
+    ("diagonal", 3): (0, 0, 0, 0),
+    ("diagonal", 5): (0, 0, 0, 0),
+    ("diagonal", 8): (0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("kind, dim", sorted(PINNED_SCANS))
+def test_scan_counts_stay_pinned(kind, dim):
+    obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
+    summary = scan_anomaly_rate(SamplerSpec(dim, kind, 2027), SamplerSpec(dim, kind, 2026), obs, 4000)
+    assert summary.n == 4000
+    counts = (summary.anomalous_g, summary.anomalous_aw, summary.coherent_non_anomalous, summary.skipped)
+    assert counts == PINNED_SCANS[kind, dim]
 
 
 def test_scan_block_stack_stays_within_one_mebibyte():

@@ -252,3 +252,12 @@ def test_anomalous_indices_on_handmade_distribution():
     assert dist2.anomalous_indices == (1,)
     assert dist2.classification == wv.ANOMALOUS_IMAGINARY
     assert dist2.anomalous
+
+
+def test_orthogonal_refusal_prints_no_rounding_noise(proj_zero):
+    # This pair's overlap rounds to a small negative number, which the message once printed as data.
+    psi = wv.pure_to_density(wv.state_vector([np.cos(0.7), np.sin(0.7)]))
+    phi = wv.pure_to_density(wv.state_vector([-np.sin(0.7), np.cos(0.7)]))
+    with pytest.raises(OrthogonalSelectionError) as excinfo:
+        wv.quasi_prob(phi, psi, proj_zero)
+    assert str(excinfo.value) == "post-selection overlap at or below threshold 1.0e-12"

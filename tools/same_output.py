@@ -18,7 +18,9 @@ the parent commit unpacked into a directory). Every request calls
 - ``reproduce-paper``;
 - ``scan`` over every ensemble at d = 2, 3, 5 and 8 with each n in
   ``SCAN_SIZES``, and ``search`` on every built-in observable at the budgets
-  in ``SEARCH_BUDGETS``, at fixed seeds in both formats (3,867 requests).
+  in ``SEARCH_BUDGETS``, at fixed seeds in both formats;
+- ``scan`` over every ensemble at d = 2, 3, 5 and 8 with n = 20,000 at each
+  seed in ``WIDE_SCAN_SEEDS``, in JSON (4,107 requests in all).
 
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, one line per request that differs, and one tally line per
@@ -46,6 +48,10 @@ import workloads  # noqa: E402
 DECK_SEEDS = (1, 2, 3)
 # Less than one scan block, and more than one at every d here, the last of them short.
 SCAN_SIZES = (300, 20_000)
+SCAN_KINDS = ("haar", "mixed", "real-pure", "real-mixed", "diagonal")
+SCAN_DIMS = (2, 3, 5, 8)
+# Twelve more seeds for the sampled states, whose last bits a change to the sampler or kernel may move.
+WIDE_SCAN_SEEDS = range(100, 112)
 PROBLEM_COMMANDS = ("compute", "gvals", "witness", "contextuality", "pointer")
 FORMATS = ("json", "csv")
 # Fewer evaluations than restarts (1, 7, 19), uneven shares (7, 19, 21), and the
@@ -114,11 +120,12 @@ def requests(workdir: Path) -> list[list[str]]:
     for fmt in FORMATS:
         argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", str(n), "--seed", str(11 + dim),
                    "--format", fmt]
-                  for n in SCAN_SIZES for kind in ("haar", "mixed", "real-pure", "real-mixed", "diagonal")
-                  for dim in (2, 3, 5, 8)]
+                  for n in SCAN_SIZES for kind in SCAN_KINDS for dim in SCAN_DIMS]
         argvs += [["search", "--observable", observable, "--budget", str(budget), "--seed", str(seed),
                    "--format", fmt]
                   for budget in SEARCH_BUDGETS for observable in workloads.SEARCH_OBSERVABLES for seed in (0, 7)]
+    argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", "20000", "--seed", str(seed)]
+              for seed in WIDE_SCAN_SEEDS for kind in SCAN_KINDS for dim in SCAN_DIMS]
     return argvs
 
 
