@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -220,7 +220,7 @@ def _pointer_values(node: dict, where: str) -> dict:
     return values
 
 
-def parse_problem(data, tol_override: Tolerances | None = None) -> Problem:
+def parse_problem(data) -> Problem:
     """Build validated problem inputs from a decoded JSON object."""
     if not isinstance(data, dict):
         raise ProblemFileError("problem", "top level must be a JSON object")
@@ -244,8 +244,6 @@ def parse_problem(data, tol_override: Tolerances | None = None) -> Problem:
                               "of tolerance values",
                               lambda node, where: {key: _expect_number(value, f"{where}.{key}")
                                                    for key, value in node.items()})
-    if tol_override is not None:
-        tol = tol_override
 
     matrix = _parse_matrix(data["observable"], "problem.observable")
     if matrix.shape != (dim, dim):
@@ -271,7 +269,7 @@ def parse_problem(data, tol_override: Tolerances | None = None) -> Problem:
                    pointer_cfg=pointer_cfg, seed=seed)
 
 
-def load_problem(path: str, tol_override: Tolerances | None = None) -> Problem:
+def load_problem(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -281,7 +279,7 @@ def load_problem(path: str, tol_override: Tolerances | None = None) -> Problem:
         raise ProblemFileError(path, f"cannot read the file: {exc.strerror}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFileError(path, f"invalid JSON: {exc}") from exc
-    return parse_problem(data, tol_override)
+    return parse_problem(data)
 
 
 def _extract_pure(rho: DensityOperator, where: str) -> StateVector:
@@ -604,7 +602,9 @@ _PROBLEM_COMMANDS = {
 
 def cmd_problem(args) -> int:
     """Load the problem file, print the command's report, and exit 3 when it shows an anomaly."""
-    problem = load_problem(args.input, args.tol_anom)
+    problem = load_problem(args.input)
+    if args.tol_anom is not None:  # the flag's band replaces the file's, once the file is validated
+        problem = replace(problem, tol=args.tol_anom)
     report = _report_head(args.command, problem)
     sections, anomalous = _PROBLEM_COMMANDS[args.command][1](problem)
     report.update(sections)
@@ -619,7 +619,6 @@ def cmd_search(args) -> int:
     value = result.weak_value
     # Only the spectrum's edges classify A_w, so the degenerate identity needs no eigenbasis.
     spectrum = np.linalg.eigvalsh(matrix)
-    tol = args.tol_anom or DEFAULT_TOL
     report = _report_head("search", seed=args.seed)
     report["search"] = {
         "observable": args.observable,
@@ -633,7 +632,7 @@ def cmd_search(args) -> int:
         "weak_value_at_best": {
             "re": value.real,
             "im": value.imag,
-            "classification": classify(value, float(spectrum[0]), float(spectrum[-1]), tol.anom),
+            "classification": classify(value, float(spectrum[0]), float(spectrum[-1]), args.tol_anom.anom),
         },
     }
     _print_report(report, args.format)
@@ -642,10 +641,9 @@ def cmd_search(args) -> int:
 
 def cmd_scan(args) -> int:
     obs = eigensystem(np.diag(np.arange(args.dim, dtype=float)))
-    tol = args.tol_anom or DEFAULT_TOL
     spec_psi = SamplerSpec(dim=args.dim, kind=args.kind, seed=args.seed)
     spec_phi = SamplerSpec(dim=args.dim, kind=args.kind, seed=(args.seed + 1) % 2 ** 64)
-    summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=tol)
+    summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=args.tol_anom)
     # Every field after n is a tally; each but skipped is also reported as a fraction of n.
     counts = {field.name: getattr(summary, field.name) for field in fields(ScanSummary)[1:]}
     report = _report_head("scan", seed=args.seed)
@@ -807,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                           help="master seed (default 0)")
     common(p_search)
-    p_search.set_defaults(func=cmd_search)
+    p_search.set_defaults(func=cmd_search, tol_anom=DEFAULT_TOL)
 
     p_scan = sub.add_parser("scan", help="anomaly-rate scan over sampled selection pairs")
     p_scan.add_argument("--kind", choices=sorted(SAMPLER_KINDS), default=HAAR_PURE,
@@ -819,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                         help="master seed (default 0)")
     common(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.set_defaults(func=cmd_scan, tol_anom=DEFAULT_TOL)
 
     p_repro = sub.add_parser("reproduce-paper",
                              help="recompute the bundled reference values and compare")

@@ -130,18 +130,18 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
     return graph, CycleTable(table.labels, table.triples, table.minus_edges, table.values, violated)
 
 
-def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
-                              tol: Tolerances = DEFAULT_TOL) -> tuple[QuasiProbDist, CycleTable]:
+def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator,
+                              obs: Observable) -> tuple[QuasiProbDist, CycleTable]:
     """Quasi-probabilities (with their weak value) and violated fragment cycles for real qubit inputs.
 
     For qubits with real amplitudes, any quasi-probability above 1 forces at
-    least one violated 3-cycle on the six-vertex fragment graph, so callers
-    get both the anomaly and its contextuality certificate in one call.
+    least one violated 3-cycle on the six-vertex fragment graph, so callers get both the
+    anomaly and its contextuality certificate, judged with ``DEFAULT_TOL``, in one call.
     """
     failure = real_amplitude_failure(rho_phi, rho_psi, obs)
     if failure is not None:
         raise NotRealAmplitudeError(failure)
 
-    dist = quasi_prob(rho_phi, rho_psi, obs, tol)
-    cycles = fragment_cycles(rho_phi, rho_psi, obs, tol)[1]
+    dist = quasi_prob(rho_phi, rho_psi, obs)
+    cycles = fragment_cycles(rho_phi, rho_psi, obs, DEFAULT_TOL)[1]
     return dist, cycles[cycles.violated]

@@ -208,9 +208,17 @@ def require_dims(dim: int, *states) -> None:
         raise DimensionMismatchError(f"dimension mismatch: dim {dims} against dim {dim}")
 
 
-def _hermiticity_defect(mat: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # an overflowing difference is an infinite defect, refused by the gate
-        return float(np.max(np.abs(mat - mat.conj().T)))
+def _hermitian(matrix, what: str) -> np.ndarray:
+    """``matrix`` as a complex array once it is square, non-empty, finite and Hermitian; ``what`` names it."""
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValidationError(f"{what} must be square and non-empty, got shape {mat.shape}")
+    _require_finite(mat, what)
+    with np.errstate(over="ignore"):  # an overflowing difference is an infinite defect, refused below
+        defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
+    return mat
 
 
 def state_vector(values) -> StateVector:
@@ -237,13 +245,7 @@ def validate_density(matrix) -> DensityOperator:
     Raises NotHermitianError, NotPSDError or TraceNotOneError naming the
     violated invariant and its magnitude.
     """
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
-        raise ValidationError(f"density operator must be square and non-empty, got shape {mat.shape}")
-    _require_finite(mat, "density operator")
-    defect = _hermiticity_defect(mat)
-    if defect > HERMITICITY_TOL:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
+    mat = _hermitian(matrix, "density operator")
     lowest = float(np.linalg.eigvalsh(mat)[0])
     if lowest < -PSD_TOL:
         raise NotPSDError(f"lowest eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
@@ -266,13 +268,7 @@ def eigensystem(matrix) -> Observable:
     Eigenvalues come out ascending; eigenvector phases follow the
     largest-modulus-component convention so repeated calls agree bitwise.
     """
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
-        raise ValidationError(f"observable must be square and non-empty, got shape {mat.shape}")
-    _require_finite(mat, "observable")
-    defect = _hermiticity_defect(mat)
-    if defect > HERMITICITY_TOL:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
+    mat = _hermitian(matrix, "observable")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     with np.errstate(over="ignore", invalid="ignore"):
         width = float(eigenvalues[-1] - eigenvalues[0])

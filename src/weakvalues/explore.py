@@ -8,7 +8,9 @@ block number, so a fixed seed reproduces every count bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -51,33 +53,36 @@ SAMPLER_KINDS = (HAAR_PURE, MIXED_FULL_RANK, REAL_PURE, REAL_MIXED, DIAGONAL)
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """What to sample: dimension, ensemble kind, master seed."""
+    """What to sample: dimension, ensemble kind, master seed, held as plain ints."""
 
     dim: int
     kind: str
     seed: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.dim) or self.dim < 2:
+        if not _is_int(self.dim) or operator.index(self.dim) < 2:
             raise ValidationError(f"sampler dimension must be an integer >= 2, got {self.dim!r}")
         if self.kind not in SAMPLER_KINDS:
             raise ValidationError(f"unknown sampler kind {self.kind!r}, expected one of {SAMPLER_KINDS}")
-        _require_seed(self.seed)
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "seed", _require_seed(self.seed))
 
 
 def _is_int(value) -> bool:
-    """True for an int that is not a bool: the type of every size and seed."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True for an integer, numpy's included, that is not a bool: the type of every size and seed."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _is_seed(seed) -> bool:
-    """True for a master seed: an int, not a bool, in [0, 2**64)."""
-    return _is_int(seed) and 0 <= seed < 2 ** 64
+    """True for a master seed: an integer, not a bool, in [0, 2**64)."""
+    return _is_int(seed) and 0 <= operator.index(seed) < 2 ** 64
 
 
-def _require_seed(seed) -> None:
+def _require_seed(seed) -> int:
+    """The master seed as a plain int; raises unless it is one."""
     if not _is_seed(seed):
         raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return operator.index(seed)
 
 
 def _task_rng(seed: int, key: int) -> np.random.Generator:
@@ -116,12 +121,11 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
         rho = w @ w.transpose(0, 2, 1)
         rho *= (1.0 / np.einsum("nii->n", rho))[:, None, None]
         return ((rho + rho.transpose(0, 2, 1)) * 0.5).astype(complex)
-    if kind == DIAGONAL:
-        probs = rng.dirichlet(np.ones(dim), size=size)
-        rho = np.zeros((size, dim, dim), dtype=complex)
-        rho[:, np.arange(dim), np.arange(dim)] = probs
-        return rho
-    raise ValidationError(f"unknown sampler kind {kind!r}")
+    # DIAGONAL, the last kind SamplerSpec admits.
+    probs = rng.dirichlet(np.ones(dim), size=size)
+    rho = np.zeros((size, dim, dim), dtype=complex)
+    rho[:, np.arange(dim), np.arange(dim)] = probs
+    return rho
 
 
 def sample(spec: SamplerSpec, index: int = 0):
@@ -129,9 +133,9 @@ def sample(spec: SamplerSpec, index: int = 0):
 
     The same (spec, index) always reproduces the same state bit for bit.
     """
-    if not _is_int(index) or index < 0:
+    if not _is_int(index) or operator.index(index) < 0:
         raise ValidationError(f"sample index must be an integer >= 0, got {index!r}")
-    state = _draw(spec.kind, spec.dim, _task_rng(spec.seed, index), 1)[0]
+    state = _draw(spec.kind, spec.dim, _task_rng(spec.seed, operator.index(index)), 1)[0]
     return StateVector(state) if state.ndim == 1 else DensityOperator(state)
 
 
@@ -263,7 +267,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
         raise ValidationError("search needs a finite observable matrix")
     if not _is_int(budget):
         raise ValidationError(f"search budget must be an integer, got {budget!r}")
-    _require_seed(seed)
+    budget, seed = operator.index(budget), _require_seed(seed)
 
     n_restarts = max(1, min(SEARCH_RESTARTS, budget))
     shares = budget // n_restarts + (np.arange(n_restarts) < budget % n_restarts)
@@ -337,6 +341,7 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
     """
     if not _is_int(n):
         raise ValidationError(f"scan needs an integer n, got {n!r}")
+    n = operator.index(n)
     if n < 1:
         raise ValidationError(f"scan needs n >= 1, got {n}")
     require_dims(obs.dim, spec_phi, spec_psi)

@@ -179,14 +179,12 @@ def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observab
     return QuasiProbDist(weights=g[0], labels=obs.eigenvalues, value=complex(value[0]), denominator=den, tol=tol)
 
 
-def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator,
-               tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
-    """Weak value of a validated observable as sum_i a_i g_i."""
-    return quasi_prob(rho_phi, rho_psi, obs, tol)
+def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator) -> QuasiProbDist:
+    """Weak value of a validated observable as sum_i a_i g_i, judged with ``DEFAULT_TOL``."""
+    return quasi_prob(rho_phi, rho_psi, obs)
 
 
-def weak_value_pure(obs: Observable, psi: StateVector, phi: StateVector,
-                    tol: Tolerances = DEFAULT_TOL) -> QuasiProbDist:
-    """Weak value <phi|A|psi> / <phi|psi> for pure selections: the n = 1 kernel on their projectors."""
-    return quasi_prob(pure_to_density(phi), pure_to_density(psi), obs, tol)
+def weak_value_pure(obs: Observable, psi: StateVector, phi: StateVector) -> QuasiProbDist:
+    """Weak value <phi|A|psi> / <phi|psi> of pure selections, judged with ``DEFAULT_TOL``: the n = 1 kernel."""
+    return quasi_prob(pure_to_density(phi), pure_to_density(psi), obs)
 

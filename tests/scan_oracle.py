@@ -2,8 +2,9 @@
 
 ``scan_anomaly_rate`` classifies whole blocks of pairs at once. This oracle
 reads the same drawn blocks and walks them one pair at a time through
-``quasi_prob``, ``weak_value`` and ``coherence_l1`` on ``DensityOperator``
-objects, with the selection gate raising as it does for single problems.
+``quasi_prob`` and ``coherence_l1`` on ``DensityOperator`` objects, with the
+selection gate raising as it does for single problems. One record per pair
+gives both the g_i verdicts and the A_w classification.
 """
 
 import weakvalues as wv
@@ -24,12 +25,11 @@ def pairwise_counts(spec_phi, spec_psi, obs, n, tol=wv.DEFAULT_TOL):
             rho_psi = wv.DensityOperator(stack_psi[k])
             try:
                 dist = wv.quasi_prob(rho_phi, rho_psi, obs, tol)
-                aw = wv.weak_value(obs, rho_psi, rho_phi, tol)
             except wv.OrthogonalSelectionError:
                 counts[3] += 1
                 continue
             g_bad = bool(dist.anomalous_indices)
-            aw_bad = aw.classification != wv.NORMAL
+            aw_bad = dist.classification != wv.NORMAL
             counts[0] += g_bad
             counts[1] += aw_bad
             counts[2] += (not g_bad and not aw_bad

@@ -101,6 +101,29 @@ def test_tol_anom_override_suppresses_anomaly(capsys, great_circle_file):
     assert report["inputs"]["tolerances"]["anom"] == 10.0
 
 
+@pytest.mark.parametrize("command", ["compute", "gvals", "witness", "contextuality", "pointer"])
+def test_tol_anom_flag_overrides_the_file_band(capsys, tmp_path, command):
+    path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, "tolerances": {"anom": 1e-6}})
+    code, out, _ = _run(capsys, [command, "--input", path])
+    assert code == 3
+    assert json.loads(out)["inputs"]["tolerances"]["anom"] == 1e-6
+    code, out, err = _run(capsys, [command, "--input", path, "--tol-anom", "10"])
+    assert (code, err) == (0, "")  # every verdict is judged with the flag's band
+    assert json.loads(out)["inputs"]["tolerances"]["anom"] == 10.0
+
+
+@pytest.mark.parametrize("tolerances, message", [
+    ({"anom": "x"}, "problem.tolerances.anom: expected a number, got str"),
+    ([1e-9], "problem.tolerances: expected an object of tolerance values"),
+    ({"norm": 1e-9}, "problem.tolerances: unknown tolerance keys ['norm']"),
+    ({"anom": -1.0}, "problem.tolerances: tolerance anom must be positive and finite, got -1.0"),
+], ids=["anom-str", "list", "unknown-key", "negative-anom"])
+def test_tol_anom_flag_does_not_excuse_a_bad_file_band(capsys, tmp_path, tolerances, message):
+    path = _write_problem(tmp_path / "p.json", {**GREAT_CIRCLE, "tolerances": tolerances})
+    code, out, err = _run(capsys, ["gvals", "--input", path, "--tol-anom", "10"])
+    assert (code, out, err) == (1, "", f"input error: {message}\n")
+
+
 def test_gvals_and_witness_subcommands(capsys, great_circle_file):
     code, out, _ = _run(capsys, ["gvals", "--input", great_circle_file])
     assert code == 3

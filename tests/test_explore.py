@@ -86,23 +86,28 @@ def test_spec_validation():
         SamplerSpec(dim=2, kind=HAAR_PURE, seed=-1)
 
 
-@pytest.mark.parametrize("dim, seed", [(2, 1.5), (2, True), (2, 2 ** 64), (2, "1"), (2.5, 0), (True, 0), (2.0, 0)],
+@pytest.mark.parametrize("dim, seed", [(2, 1.5), (2, True), (2, 2 ** 64), (2, "1"), (2.5, 0), (True, 0), (2.0, 0),
+                                       (2, np.bool_(True)), (2, np.float64(1.0)), (np.bool_(True), 0),
+                                       (np.float64(2.0), 0)],
                          ids=["float-seed", "bool-seed", "seed-past-64-bits", "str-seed", "float-dim", "bool-dim",
-                              "integral-float-dim"])
+                              "integral-float-dim", "numpy-bool-seed", "numpy-float-seed", "numpy-bool-dim",
+                              "numpy-float-dim"])
 def test_spec_takes_integer_dimension_and_seed(dim, seed):
     # seed 1.5 and dim 2.5 once passed and failed in numpy inside ``sample``, and seed True drew as seed 1
     with pytest.raises(wv.ValidationError, match="seed must be an unsigned|dimension must be an integer >= 2"):
         SamplerSpec(dim=dim, kind=HAAR_PURE, seed=seed)
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True, pytest.param(np.bool_(True), id="numpy-bool"),
+                                  pytest.param(np.float64(1.0), id="numpy-float")])
 def test_search_takes_an_unsigned_64_bit_seed(seed):
     # seed -1 once failed in numpy's SeedSequence with "expected non-negative integer"
     with pytest.raises(wv.ValidationError, match="seed must be an unsigned 64-bit integer"):
         search_max_negativity(np.diag([1.0, 0.0]), 10, seed)
 
 
-@pytest.mark.parametrize("budget", [1.5, True, 10.0])
+@pytest.mark.parametrize("budget", [1.5, True, 10.0, pytest.param(np.bool_(True), id="numpy-bool"),
+                                    pytest.param(np.float64(10.0), id="numpy-float")])
 def test_search_takes_an_integer_budget(budget):
     # budget 1.5 once failed in numpy with a bare TypeError, and budget True ran as budget 1
     with pytest.raises(wv.ValidationError, match="search budget must be an integer"):
@@ -111,6 +116,10 @@ def test_search_takes_an_integer_budget(budget):
 
 @pytest.mark.parametrize("n, message", [(2.5, "scan needs an integer n, got 2.5"),
                                         (True, "scan needs an integer n, got True"),
+                                        pytest.param(np.bool_(True), "scan needs an integer n, got np.True_",
+                                                     id="numpy-bool"),
+                                        pytest.param(np.float64(2.0), "scan needs an integer n, got np.float64(2.0)",
+                                                     id="numpy-float"),
                                         (0, "scan needs n >= 1, got 0"), (-3, "scan needs n >= 1, got -3")])
 def test_scan_takes_an_integer_n_of_at_least_one(proj_zero, n, message):
     # n 2.5 once failed in numpy with a bare TypeError, and n True returned ScanSummary(n=True, ...)
@@ -120,13 +129,28 @@ def test_scan_takes_an_integer_n_of_at_least_one(proj_zero, n, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("index", [-1, 1.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("index", [-1, 1.5, True, np.bool_(True), np.float64(1.0)],
+                         ids=["negative", "float", "bool", "numpy-bool", "numpy-float"])
 def test_sample_takes_a_non_negative_integer_index(index):
     # index -1 once failed in numpy with "expected non-negative integer", 1.5 with
     # a TypeError about the seed, and True drew index 1
     with pytest.raises(wv.ValidationError) as excinfo:
         sample(SamplerSpec(dim=2, kind=HAAR_PURE, seed=0), index)
     assert str(excinfo.value) == f"sample index must be an integer >= 0, got {index!r}"
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32, np.uint8], ids=lambda t: t.__name__)
+def test_numpy_integers_act_as_plain_ints(proj_zero, integer):
+    # each of these once failed: "sampler dimension must be an integer >= 2, got np.int64(3)" and the like
+    spec = SamplerSpec(dim=integer(2), kind=HAAR_PURE, seed=integer(7))
+    assert spec == SamplerSpec(dim=2, kind=HAAR_PURE, seed=7)
+    assert type(spec.dim) is int and type(spec.seed) is int
+    assert np.array_equal(sample(spec, integer(3)).amps, sample(spec, 3).amps)
+    summary = scan_anomaly_rate(spec, spec, proj_zero, integer(50))
+    assert summary == scan_anomaly_rate(spec, spec, proj_zero, 50)
+    assert type(summary.n) is int
+    matrix = np.diag([1.0, 0.0])
+    _assert_same_search(search_max_negativity(matrix, integer(30), integer(7)), search_max_negativity(matrix, 30, 7))
 
 
 def test_haar_overlap_distribution():
@@ -360,6 +384,36 @@ def test_scan_counts_stay_pinned(kind, dim):
     assert summary.n == 4000
     counts = (summary.anomalous_g, summary.anomalous_aw, summary.coherent_non_anomalous, summary.skipped)
     assert counts == PINNED_SCANS[kind, dim]
+
+
+# The same scans of the complex kinds in the band 0.2, where their counts depend on the
+# states' values, so a change to those samplers shows here.
+WIDE_BAND = wv.Tolerances(anom=0.2)
+PINNED_WIDE_BAND_SCANS = {
+    ("haar", 2): (2345, 2345, 1655, 0),
+    ("haar", 3): (3164, 2937, 601, 0),
+    ("haar", 5): (3551, 3423, 178, 0),
+    ("haar", 8): (3670, 3618, 97, 0),
+    ("mixed", 2): (890, 890, 3110, 0),
+    ("mixed", 3): (664, 1061, 2768, 0),
+    ("mixed", 5): (51, 1121, 2865, 0),
+    ("mixed", 8): (0, 1245, 2755, 0),
+}
+
+
+@pytest.mark.parametrize("kind, dim", sorted(PINNED_WIDE_BAND_SCANS))
+def test_complex_kind_scans_stay_pinned_in_a_wide_band(kind, dim):
+    obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
+    summary = scan_anomaly_rate(SamplerSpec(dim, kind, 2027), SamplerSpec(dim, kind, 2026), obs, 4000, WIDE_BAND)
+    counts = (summary.anomalous_g, summary.anomalous_aw, summary.coherent_non_anomalous, summary.skipped)
+    assert counts == PINNED_WIDE_BAND_SCANS[kind, dim]
+
+
+@pytest.mark.parametrize("kind", (HAAR_PURE, MIXED_FULL_RANK))
+def test_wide_band_pins_match_the_pairwise_oracle(kind):
+    obs = wv.eigensystem(np.diag(np.arange(3.0)))
+    counts = pairwise_counts(SamplerSpec(3, kind, 2027), SamplerSpec(3, kind, 2026), obs, 4000, WIDE_BAND)
+    assert counts == PINNED_WIDE_BAND_SCANS[kind, 3]
 
 
 def test_scan_block_stack_stays_within_one_mebibyte():

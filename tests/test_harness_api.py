@@ -20,7 +20,7 @@ import weakvalues as wv
 
 BASELINE = Path(__file__).resolve().parents[1] / "bench" / "baseline.py"
 MODULES = ("core", "invariants", "quasiprob", "witness", "contextuality", "pointer", "explore", "cli")
-SETTABLE_CEILING = 15
+SETTABLE_CEILING = 12
 
 
 def test_every_name_bench_baseline_calls_resolves():
