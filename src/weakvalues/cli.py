@@ -49,7 +49,7 @@ from .core import (
 )
 from .explore import (HAAR_PURE, SAMPLER_KINDS, SamplerSpec, ScanSummary, _is_seed, scan_anomaly_rate,
                       search_max_negativity)
-from .invariants import build_frame_graph
+from .invariants import bargmann, build_frame_graph, overlap
 from .pointer import PointerConfig, extrapolate
 from .quasiprob import ANOMALOUS_REAL, NORMAL, QuasiProbDist, classify, quasi_prob
 from .witness import WitnessReport, check_theorem_coherence
@@ -97,7 +97,6 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class Problem:
-    dim: int
     obs: Observable
     rho_psi: DensityOperator
     rho_phi: DensityOperator
@@ -194,30 +193,28 @@ def _parse_state(node, where: str, dim: int) -> DensityOperator:
                            f"not a valid density matrix ({errors[0]}) and the amplitude-vector reading fails as well")
 
 
-def _parse_settings(node, where: str, cls, noun: str, shape: str, read):
-    """A ``cls`` from ``read(node, where)``, the keys present; the dataclass keeps the other defaults."""
+def _parse_settings(node, where: str, cls, noun: str, shape: str):
+    """A ``cls`` from the keys present, read in field order: a list of numbers for a field whose
+    default is a tuple, else a number. The dataclass keeps the other defaults."""
     if not isinstance(node, dict):
         raise ProblemFileError(where, f"expected an object {shape}")
     unknown = set(node) - {f.name for f in fields(cls)}
     if unknown:
         raise ProblemFileError(where, f"unknown {noun} keys {sorted(unknown)}")
-    values = read(node, where)
+    values = {}
+    for field in fields(cls):
+        if field.name in node:
+            value, at = node[field.name], f"{where}.{field.name}"
+            if not isinstance(field.default, tuple):
+                values[field.name] = _expect_number(value, at)
+            elif isinstance(value, list):
+                values[field.name] = tuple(_expect_number(entry, f"{at}[{i}]") for i, entry in enumerate(value))
+            else:
+                raise ProblemFileError(at, "expected a list of couplings")
     try:
         return cls(**values)
     except ValidationError as exc:
         raise ProblemFileError(where, str(exc)) from exc
-
-
-def _pointer_values(node: dict, where: str) -> dict:
-    values = {key: _expect_number(node[key], f"{where}.{key}") for key in ("coupling", "width") if key in node}
-    if "couplings_series" in node:
-        series = node["couplings_series"]
-        if not isinstance(series, list):
-            raise ProblemFileError(f"{where}.couplings_series", "expected a list of couplings")
-        values["couplings_series"] = tuple(
-            _expect_number(entry, f"{where}.couplings_series[{i}]") for i, entry in enumerate(series)
-        )
-    return values
 
 
 def parse_problem(data) -> Problem:
@@ -241,9 +238,7 @@ def parse_problem(data) -> Problem:
     tol = DEFAULT_TOL
     if "tolerances" in data:
         tol = _parse_settings(data["tolerances"], "problem.tolerances", Tolerances, "tolerance",
-                              "of tolerance values",
-                              lambda node, where: {key: _expect_number(value, f"{where}.{key}")
-                                                   for key, value in node.items()})
+                              "of tolerance values")
 
     matrix = _parse_matrix(data["observable"], "problem.observable")
     if matrix.shape != (dim, dim):
@@ -259,14 +254,13 @@ def parse_problem(data) -> Problem:
     pointer_cfg = None
     if "pointer" in data:
         pointer_cfg = _parse_settings(data["pointer"], "problem.pointer", PointerConfig, "pointer",
-                                      "with pointer settings", _pointer_values)
+                                      "with pointer settings")
 
     seed = data.get("seed")
     if "seed" in data and not _is_seed(seed):  # a null seed is refused too
         raise ProblemFileError("problem.seed", "expected an unsigned 64-bit integer")
 
-    return Problem(dim=dim, obs=obs, rho_psi=rho_psi, rho_phi=rho_phi, tol=tol,
-                   pointer_cfg=pointer_cfg, seed=seed)
+    return Problem(obs=obs, rho_psi=rho_psi, rho_phi=rho_phi, tol=tol, pointer_cfg=pointer_cfg, seed=seed)
 
 
 def load_problem(path: str) -> Problem:
@@ -393,6 +387,7 @@ def _json_text(node) -> str:
 
 
 def render_json(report: dict) -> str:
+    """A report's JSON text. The walk recurses in ``_json_text``, so a wrapper on this name sees one call."""
     return _json_text(report)
 
 
@@ -450,7 +445,7 @@ def _pairs(z) -> np.ndarray:
 
 def _canonical_inputs(problem: Problem) -> dict:
     echo = {
-        "dimension": problem.dim,
+        "dimension": problem.obs.dim,
         "observable": _pairs(problem.obs.matrix),
         "pre_state": _pairs(problem.rho_psi.matrix),
         "post_state": _pairs(problem.rho_phi.matrix),
@@ -464,15 +459,8 @@ def _canonical_inputs(problem: Problem) -> dict:
     return echo
 
 
-def _report_head(command: str, problem: Problem | None = None, seed: int | None = None) -> dict:
-    report = {
-        "tool": {"name": "weakvalues", "version": __version__},
-        "command": command,
-        "seed": seed if seed is not None else (problem.seed if problem else None),
-    }
-    if problem is not None:
-        report["inputs"] = _canonical_inputs(problem)
-    return report
+def _report_head(command: str, seed: int | None) -> dict:
+    return {"tool": {"name": "weakvalues", "version": __version__}, "command": command, "seed": seed}
 
 
 def _weak_value_section(dist: QuasiProbDist) -> dict:
@@ -550,9 +538,9 @@ def _contextuality_sections(problem: Problem) -> tuple[dict, bool]:
         "violated_count": int(np.count_nonzero(cycles.violated)),
     }
     violated = bool(cycles.violated.any())
-    if problem.dim != 2:
+    if problem.obs.dim != 2:
         section["fragment_note"] = (
-            f"six-state fragment analysis is qubit-only; omitted for dimension {problem.dim}"
+            f"six-state fragment analysis is qubit-only; omitted for dimension {problem.obs.dim}"
         )
     else:
         fragment_graph, fragment_table = fragment_cycles(problem.rho_phi, problem.rho_psi, problem.obs,
@@ -605,7 +593,8 @@ def cmd_problem(args) -> int:
     problem = load_problem(args.input)
     if args.tol_anom is not None:  # the flag's band replaces the file's, once the file is validated
         problem = replace(problem, tol=args.tol_anom)
-    report = _report_head(args.command, problem)
+    report = _report_head(args.command, problem.seed)
+    report["inputs"] = _canonical_inputs(problem)
     sections, anomalous = _PROBLEM_COMMANDS[args.command][1](problem)
     report.update(sections)
     _print_report(report, args.format)
@@ -619,7 +608,7 @@ def cmd_search(args) -> int:
     value = result.weak_value
     # Only the spectrum's edges classify A_w, so the degenerate identity needs no eigenbasis.
     spectrum = np.linalg.eigvalsh(matrix)
-    report = _report_head("search", seed=args.seed)
+    report = _report_head("search", args.seed)
     report["search"] = {
         "observable": args.observable,
         "budget": args.budget,
@@ -646,7 +635,7 @@ def cmd_scan(args) -> int:
     summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=args.tol_anom)
     # Every field after n is a tally; each but skipped is also reported as a fraction of n.
     counts = {field.name: getattr(summary, field.name) for field in fields(ScanSummary)[1:]}
-    report = _report_head("scan", seed=args.seed)
+    report = _report_head("scan", args.seed)
     report["scan"] = {
         "kind": args.kind,
         "dim": args.dim,
@@ -661,25 +650,11 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 # Built-in reference reproduction
 
-# Golden values for the bundled reference configurations; the reproduce
-# command recomputes each one and compares at the stated tolerance.
-REFERENCE_VALUES = {
-    "proj_low_weak_value": (-0.5, 1e-12),
-    "proj_high_weak_value": (1.5, 1e-12),
-    "identity_weak_value": (1.0, 1e-12),
-    "pair_overlap": (0.25, 1e-12),
-    "third_order_invariant": (-0.125, 1e-12),
-    "coherent_pair_g0": (0.829997, 5e-6),
-    "coherent_pair_g1": (0.170003, 5e-6),
-    "fragment_max_cycle": (1.25, 1e-12),
-    "pointer_extrapolation_re": (-0.5, 1e-6),
-    "pointer_extrapolation_im": (0.0, 1e-6),
-}
 
-
-def _reference_computations() -> dict:
-    from .invariants import bargmann, overlap
-
+def _reference_table() -> list[tuple]:
+    """The bundled reference configurations as rows ``(name, expected, tolerance, computed)``, in report
+    order: ``computed`` must lie within ``tolerance`` of the golden ``expected``, or, in a check (``expected``
+    True, ``tolerance`` None), compute True."""
     half_sqrt3 = np.sqrt(3.0) / 2.0
     psi = state_vector([0.5, half_sqrt3])
     phi = state_vector([-0.5, half_sqrt3])
@@ -689,50 +664,45 @@ def _reference_computations() -> dict:
 
     dist_low = quasi_prob(rho_phi, rho_psi, proj_low)
     dist_high = quasi_prob(rho_phi, rho_psi, eigensystem(np.diag([0.0, 1.0])))
-
     basis_low = pure_to_density(proj_low.basis_state(1))  # eigenvalue 1 sits last
-    values = {
-        "proj_low_weak_value": dist_low.value.real,
-        "proj_high_weak_value": dist_high.value.real,
-        "identity_weak_value": dist_low.weights.sum().real,  # the identity is sum_i P_i
-        "pair_overlap": overlap(rho_phi, rho_psi),
-        "third_order_invariant": bargmann((rho_phi, basis_low, rho_psi)).real,
-    }
 
     coherent_psi = validate_density([[0.75, np.sqrt(3.0 / 32.0)], [np.sqrt(3.0 / 32.0), 0.25]])
     coherent_phi = validate_density([[0.75, np.sqrt(3.0) / 8.0], [np.sqrt(3.0) / 8.0, 0.25]])
-    number_obs = eigensystem(np.diag([0.0, 1.0]))
-    dist = quasi_prob(coherent_phi, coherent_psi, number_obs)
-    values["coherent_pair_g0"] = dist.weights[0].real
-    values["coherent_pair_g1"] = dist.weights[1].real
-
-    values["fragment_max_cycle"] = float(fragment_cycles(rho_phi, rho_psi, proj_low, DEFAULT_TOL)[1].values.max())
+    dist = quasi_prob(coherent_phi, coherent_psi, eigensystem(np.diag([0.0, 1.0])))
 
     pointer_result = extrapolate(proj_low, psi, phi)
-    values["pointer_extrapolation_re"] = pointer_result.value.real
-    values["pointer_extrapolation_im"] = pointer_result.value.imag
-
-    checks = {
-        "coherent_pair_commutator_positive": commutator_norm(coherent_phi, coherent_psi) > 0.0,
-        "coherent_pair_non_anomalous": not dist.anomalous_indices,
-        "proj_low_classified_anomalous": dist_low.classification == ANOMALOUS_REAL,
-    }
-    return {"values": values, "checks": checks}
+    return [
+        ("proj_low_weak_value", -0.5, 1e-12, dist_low.value.real),
+        ("proj_high_weak_value", 1.5, 1e-12, dist_high.value.real),
+        ("identity_weak_value", 1.0, 1e-12, dist_low.weights.sum().real),  # the identity is sum_i P_i
+        ("pair_overlap", 0.25, 1e-12, overlap(rho_phi, rho_psi)),
+        ("third_order_invariant", -0.125, 1e-12, bargmann((rho_phi, basis_low, rho_psi)).real),
+        ("coherent_pair_g0", 0.829997, 5e-6, dist.weights[0].real),
+        ("coherent_pair_g1", 0.170003, 5e-6, dist.weights[1].real),
+        ("fragment_max_cycle", 1.25, 1e-12,
+         float(fragment_cycles(rho_phi, rho_psi, proj_low, DEFAULT_TOL)[1].values.max())),
+        ("pointer_extrapolation_re", -0.5, 1e-6, pointer_result.value.real),
+        ("pointer_extrapolation_im", 0.0, 1e-6, pointer_result.value.imag),
+        ("coherent_pair_commutator_positive", True, None, commutator_norm(coherent_phi, coherent_psi) > 0.0),
+        ("coherent_pair_non_anomalous", True, None, not dist.anomalous_indices),
+        ("proj_low_classified_anomalous", True, None, dist_low.classification == ANOMALOUS_REAL),
+    ]
 
 
 def cmd_reproduce(args) -> int:
-    computed = _reference_computations()
-    values = computed["values"]
-    results = [(name, abs(values[name] - expected) <= tolerance,
-                f"expected={_fmt_float(expected)} computed={_fmt_float(values[name])} tol={tolerance:.1e}")
-               for name, (expected, tolerance) in REFERENCE_VALUES.items()]
-    results += [(name, ok, f"expected=true computed={'true' if ok else 'false'}")
-                for name, ok in computed["checks"].items()]
-    for name, ok, detail in results:
+    rows = _reference_table()
+    passed = 0
+    for name, expected, tolerance, computed in rows:
+        if tolerance is None:
+            ok = computed == expected
+            detail = f"expected={_leaf(expected)} computed={_leaf(computed)}"
+        else:
+            ok = abs(computed - expected) <= tolerance
+            detail = f"expected={_fmt_float(expected)} computed={_fmt_float(computed)} tol={tolerance:.1e}"
+        passed += ok
         print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
-    passed = sum(ok for _, ok, _ in results)
-    print(f"{passed}/{len(results)} reference checks passed")
-    return EXIT_OK if passed == len(results) else EXIT_REPRODUCE
+    print(f"{passed}/{len(rows)} reference checks passed")
+    return EXIT_OK if passed == len(rows) else EXIT_REPRODUCE
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +731,16 @@ def _dim_type(text: str) -> int:
     return value
 
 
-def _budget_type(text: str) -> int:
-    value = _int_value(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
-    if value >= 2 ** 63:
-        raise argparse.ArgumentTypeError(f"budget must fit in a signed 64-bit integer, got {text}")
-    return value
+def _count_type(name: str):
+    """The reader of a count flag: an integer from 1 to 2^63 - 1, named ``name`` when refused."""
+    def count(text: str) -> int:
+        value = _int_value(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {value}")
+        if value >= 2 ** 63:
+            raise argparse.ArgumentTypeError(f"{name} must fit in a signed 64-bit integer, got {text}")
+        return value
+    return count
 
 
 def _tol_anom_type(text: str) -> Tolerances:
@@ -800,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="search for maximally negative weak values")
     p_search.add_argument("--observable", choices=sorted(_SEARCH_OBSERVABLES), default="proj0",
                           help="built-in qubit observable (default proj0)")
-    p_search.add_argument("--budget", type=_budget_type, default=10000, metavar="N",
+    p_search.add_argument("--budget", type=_count_type("budget"), default=10000, metavar="N",
                           help="objective evaluation budget (default 10000)")
     p_search.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                           help="master seed (default 0)")
@@ -810,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="anomaly-rate scan over sampled selection pairs")
     p_scan.add_argument("--kind", choices=sorted(SAMPLER_KINDS), default=HAAR_PURE,
                         help="state ensemble for both selections (default haar)")
-    p_scan.add_argument("--n", type=int, default=1000, metavar="N",
+    p_scan.add_argument("--n", type=_count_type("n"), default=1000, metavar="N",
                         help="number of sampled pairs (default 1000)")
     p_scan.add_argument("--dim", type=_dim_type, default=2, metavar="D",
                         help="Hilbert space dimension (default 2)")

@@ -63,11 +63,12 @@ def _cycle_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             _frozen(np.stack([apex * n + low, apex * n + high, low * n + high])))
 
 
-def all_three_cycles(graph: FrameGraph, anomaly_tol: float = DEFAULT_TOL.anom) -> CycleTable:
+def all_three_cycles(graph: FrameGraph, anomaly_tol: float | np.ndarray = DEFAULT_TOL.anom) -> CycleTable:
     """Every 3-cycle inequality of the graph, three minus placements per triple.
 
-    Row order is canonical: triples in lexicographic vertex order, the minus
-    edge cycling through the third, second, first pair of each triple.
+    A row is violated when its value exceeds 1 + ``anomaly_tol``: one band for every row, or
+    an array with one band per row. Row order is canonical: triples in lexicographic vertex
+    order, the minus edge cycling through the third, second, first pair of each triple.
     """
     triples, minus_edges, (first, second, minus) = _cycle_index(graph.n_vertices)
     weights = graph.weights.ravel()
@@ -86,23 +87,19 @@ def real_amplitude_failure(rho_phi: DensityOperator, rho_psi: DensityOperator, o
     return None
 
 
-def _fragment_vertices(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> np.ndarray:
-    """The (6, 2, 2) vertex stack of ``FRAGMENT_LABELS``: the frame vertices, then 1 - phi and 1 - psi."""
+def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> FrameGraph:
+    """Six-vertex overlap graph for a qubit selection pair, mixed states allowed.
+
+    The vertices are those of ``FRAGMENT_LABELS``: the frame vertices, then 1 - phi and
+    1 - psi. The perpendicular vertices generalize to 1 - rho, which reduces to the
+    antipodal projector when rho is pure.
+    """
     if rho_phi.dim != 2 or rho_psi.dim != 2 or obs.dim != 2:
         raise NotQubitError(
             f"fragment graph needs qubits, got dims {rho_phi.dim}/{rho_psi.dim}/{obs.dim}"
         )
     frame = _frame_vertices(rho_phi, rho_psi, obs)
-    return np.concatenate([frame, np.eye(2, dtype=complex) - frame[:2]])
-
-
-def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable) -> FrameGraph:
-    """Six-vertex overlap graph for a qubit selection pair, mixed states allowed.
-
-    The perpendicular vertices generalize to 1 - rho, which reduces to the
-    antipodal projector when rho is pure.
-    """
-    return _graph_from_vertices(FRAGMENT_LABELS, _fragment_vertices(rho_phi, rho_psi, obs))
+    return _graph_from_vertices(FRAGMENT_LABELS, np.concatenate([frame, np.eye(2, dtype=complex) - frame[:2]]))
 
 
 def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,
@@ -117,17 +114,14 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
     (a cycle moves by at most three), when that defect is more than rounding. Cycles among
     phi, psi, a1, a2 keep ``tol.anom``, as in ``build_frame_graph`` at d = 2.
     """
-    vertices = _fragment_vertices(rho_phi, rho_psi, obs)
-    graph = _graph_from_vertices(FRAGMENT_LABELS, vertices)
-    selection = vertices[:2]
+    graph = qubit_fragment_graph(rho_phi, rho_psi, obs)
+    selection = np.stack([rho_phi.matrix, rho_psi.matrix])
     defects = (np.abs(np.trace(selection, axis1=1, axis2=2).real - 1.0)
                + 2.0 * np.maximum(-np.linalg.eigvalsh(selection)[:, 0], 0.0))
     floor = _CYCLE_ROUNDING + 4.0 * float(defects[defects > _CYCLE_ROUNDING].sum())
     band = max(2.0 * graph.edge(0, 1) * tol.anom - _CYCLE_ROUNDING, floor)
-    table = all_three_cycles(graph, tol.anom)
-    through_perpendicular = table.triples[:, 2] >= 4  # a triple lists its largest vertex last
-    violated = np.where(through_perpendicular, table.values > 1.0 + band, table.violated)
-    return graph, CycleTable(table.labels, table.triples, table.minus_edges, table.values, violated)
+    through_perpendicular = _cycle_index(graph.n_vertices)[0][:, 2] >= 4  # a triple lists its largest vertex last
+    return graph, all_three_cycles(graph, np.where(through_perpendicular, band, tol.anom))
 
 
 def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator,

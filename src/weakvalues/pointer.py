@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable, StateVector, ValidationError, ZeroPostselectionError, require_dims
+from .quasiprob import weak_value_pure
 
 __all__ = [
     "PointerConfig",
@@ -136,7 +137,10 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
     That gap bounds the error only in the weak regime, where every branch
     shift g a_i stays within the pointer width: a series whose largest
     coupling spreads the branches over more than one width,
-    max(g) (a_max - a_min) / width > 1, raises a ``ValidationError``.
+    max(g) (a_max - a_min) / width > 1, raises a ``ValidationError``, and so
+    does one that puts a branch more than one width from the shift g A_w,
+    max(g) max_i |a_i - A_w| / width > 1, as a small post-selection overlap
+    amplifies A_w. The one-pair kernel gives A_w and refuses an orthogonal pair.
     """
     series = cfg.couplings_series
     a = obs.eigenvalues
@@ -145,6 +149,13 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
         raise ValidationError(
             f"couplings_series leaves the weak regime: max coupling x (a_max - a_min) / width"
             f" = {spread:g}, must be at most 1"
+        )
+    aw = weak_value_pure(obs, psi, phi).value
+    amplification = max(series) * float(np.max(np.abs(a - aw))) / cfg.width
+    if amplification > 1.0:
+        raise ValidationError(
+            f"couplings_series leaves the weak regime: max coupling x max_i |a_i - A_w| / width"
+            f" = {amplification:g}, must be at most 1"
         )
     two_var = 2.0 * cfg.width ** 2
     *outcomes, outcome = _readouts(obs, psi, phi, series + (cfg.coupling,), cfg.width)

@@ -104,10 +104,6 @@ class QuasiProbDist:
     denominator: float
     tol: Tolerances
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=complex))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
-
     @property
     def spectrum_lo(self) -> float:
         return float(self.labels[0])

@@ -171,15 +171,19 @@ def test_pointer_rejects_mixed_states(capsys, coherent_mixed_file):
 
 
 def test_exit_two_on_orthogonal_selection(capsys, tmp_path):
-    path = _write_problem(tmp_path / "orthogonal.json", {
-        "dimension": 2,
-        "observable": [[1.0, 0.0], [0.0, 0.0]],
-        "pre_state": [1.0, 0.0],
-        "post_state": [0.0, 1.0],
-    })
-    code, _, err = _run(capsys, ["compute", "--input", path])
-    assert code == 2
-    assert "overlap" in err
+    # the pointer once read the plus-minus pair out at every coupling and reported an extrapolated value
+    for pre_state, post_state in (([1.0, 0.0], [0.0, 1.0]),
+                                  ([np.sqrt(0.5), np.sqrt(0.5)], [np.sqrt(0.5), -np.sqrt(0.5)])):
+        path = _write_problem(tmp_path / "orthogonal.json", {
+            "dimension": 2,
+            "observable": [[1.0, 0.0], [0.0, 0.0]],
+            "pre_state": pre_state,
+            "post_state": post_state,
+        })
+        for command in ("compute", "gvals", "pointer"):
+            code, out, err = _run(capsys, [command, "--input", path])
+            assert (code, out, err) == (2, "", "numerical failure: post-selection overlap at or below threshold "
+                                               "1.0e-12\n"), (pre_state, command)
 
 
 def test_input_error_paths(capsys, tmp_path):
@@ -472,6 +476,18 @@ def test_search_refuses_a_budget_below_one(capsys, budget, message):
     assert (code, out, err) == (1, "", f"error: argument --budget: {message}\n")
 
 
+@pytest.mark.parametrize("n, message", [
+    ("0", "n must be at least 1, got 0"),
+    ("-3", "n must be at least 1, got -3"),
+    ("9223372036854775808", "n must fit in a signed 64-bit integer, got 9223372036854775808"),
+    # once accepted, and then sampled for 30 s and more without a line of output
+    ("100000000000000000000000", "n must fit in a signed 64-bit integer, got 100000000000000000000000"),
+], ids=["0", "-3", "2**63", "1e23"])
+def test_scan_refuses_a_count_outside_the_signed_64_bit_range(capsys, n, message):
+    code, out, err = _run(capsys, ["scan", "--n", n])
+    assert (code, out, err) == (1, "", f"error: argument --n: {message}\n")
+
+
 def test_search_accepts_a_budget_of_one(capsys):
     code, out, err = _run(capsys, ["search", "--budget", "1", "--seed", "5"])
     assert (code, err) == (0, "")
@@ -496,7 +512,8 @@ def test_a_seed_past_64_bits_is_refused(capsys, command):
     (["scan", "--seed", "abc"], "--seed"),
     (["scan", "--dim", "abc"], "--dim"),
     (["search", "--budget", "abc"], "--budget"),
-], ids=["search-seed", "scan-seed", "dim", "budget"])
+    (["scan", "--n", "abc"], "--n"),
+], ids=["search-seed", "scan-seed", "dim", "budget", "n"])
 def test_integer_flags_refuse_a_non_integer_by_name(capsys, argv, flag):
     # one reader for every integer flag: the message names the flag, never a function
     code, out, err = _run(capsys, argv)
@@ -639,6 +656,21 @@ def test_pointer_refuses_couplings_outside_the_weak_regime(capsys, tmp_path):
     assert "= 1000," in err
 
 
+def test_pointer_refuses_a_weak_value_amplified_past_the_weak_regime(capsys, tmp_path):
+    # diag(1, 0), psi = |+>, phi = sqrt(1e-9)|+> + sqrt(1 - 1e-9)|->: A_w = 15,811.9, where the
+    # readout once extrapolated to 213.2 with a stated error of 159.7. The spread gate passes
+    # (0.01), but g = 0.01 puts the branches 158 widths from g A_w.
+    small, large = np.sqrt(1e-9), np.sqrt(1.0 - 1e-9)
+    path = _write_problem(tmp_path / "amplified.json", {
+        **GREAT_CIRCLE,
+        "pre_state": [np.sqrt(0.5), np.sqrt(0.5)],
+        "post_state": [(small + large) * np.sqrt(0.5), (small - large) * np.sqrt(0.5)],
+    })
+    assert _run(capsys, ["pointer", "--input", path]) == (
+        1, "", "input error: couplings_series leaves the weak regime: max coupling x max_i |a_i - A_w| / width"
+               " = 158.119, must be at most 1\n")
+
+
 @pytest.mark.parametrize("width", [1.2e154, 1e200, 1e-200])
 def test_pointer_width_past_the_float_range_is_an_input_error(capsys, tmp_path, width):
     # 4 width^2 overflows (at 1.2e154 the series once read null and exited 0, at 1e200
@@ -693,8 +725,11 @@ def test_pointer_series_rows_are_the_estimates_bit_for_bit(data):
     phi = cli._extract_pure(problem.rho_phi, "problem.post_state")
     try:
         result = pointer.extrapolate(problem.obs, psi, phi, cfg)
-    except wv.ZeroPostselectionError:
+    except wv.OrthogonalSelectionError:
         assume(False)
+    except wv.ValidationError as exc:  # the series stays within the spread gate, not always within A_w's
+        assume("A_w" not in str(exc))
+        raise
     rows = cli._pointer_sections(problem)[0]["pointer"]["series"]
     assert len(rows) == len(result.estimates) == len(cfg.couplings_series)
     for g, row, estimate, outcome in zip(cfg.couplings_series, rows, result.estimates, result.outcomes):
@@ -774,7 +809,7 @@ def test_a_cycle_in_both_tables_gets_one_verdict(capsys, tmp_path, problem):
 def _random_problem(d):
     rng = np.random.default_rng(2000 + d)
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return cli.Problem(dim=d, obs=wv.eigensystem(h + h.conj().T),
+    return cli.Problem(obs=wv.eigensystem(h + h.conj().T),
                        rho_psi=wv.pure_to_density(wv.state_vector(random_pure(rng, d))),
                        rho_phi=wv.validate_density(random_mixed(rng, d)),
                        tol=wv.DEFAULT_TOL, pointer_cfg=None, seed=None)
@@ -800,7 +835,7 @@ def test_cycles_section_renders_as_the_looped_oracle(make):
     expected = {**section, "inequalities": _looped_rows(rows, True),
                 "max_value": max(value for _, _, value, _ in rows),
                 "violated_count": sum(bad for *_, bad in rows)}
-    if problem.dim == 2:
+    if problem.obs.dim == 2:
         graph = wv.qubit_fragment_graph(problem.rho_phi, problem.rho_psi, problem.obs)
         fragment_rows = looped_fragment_cycles(graph, problem.rho_phi, problem.rho_psi, problem.tol)
         expected["fragment"] = {**section["fragment"],
@@ -962,6 +997,7 @@ def test_non_finite_pointer_settings_are_input_errors(capsys, tmp_path, pointer)
     # pointer entries are read coupling, width, then the series, whatever the file order
     ({"pointer": {"width": "x", "coupling": "y"}}, "problem.pointer.coupling: expected a number, got str"),
     ({"pointer": {"couplings_series": [1, "a"], "width": "x"}}, "problem.pointer.width: expected a number, got str"),
+    ({"pointer": {"couplings_series": "x", "coupling": "y"}}, "problem.pointer.coupling: expected a number, got str"),
     # unknown keys are refused before any value is read
     pytest.param({"tolerances": {"norm": "x", "anom": "y"}}, "problem.tolerances: unknown tolerance keys ['norm']",
                  id="tolerances-unknown-key"),
@@ -1041,9 +1077,10 @@ def test_reproduce_all_pass(capsys):
 
 
 def test_reproduce_detects_drift(capsys, monkeypatch):
-    broken = dict(cli.REFERENCE_VALUES)
-    broken["pair_overlap"] = (0.26, 1e-12)
-    monkeypatch.setattr(cli, "REFERENCE_VALUES", broken)
+    table = cli._reference_table
+    monkeypatch.setattr(cli, "_reference_table", lambda: [
+        (name, 0.26 if name == "pair_overlap" else expected, tolerance, computed)
+        for name, expected, tolerance, computed in table()])
     code, out, _ = _run(capsys, ["reproduce-paper"])
     assert code == 4
     assert "FAIL pair_overlap" in out

@@ -113,13 +113,27 @@ def test_extrapolation_refuses_series_outside_the_weak_regime(great_circle_pair,
     psi, phi = great_circle_pair
     with pytest.raises(wv.ValidationError, match="weak regime"):
         extrapolate(proj_zero, psi, phi, PointerConfig(couplings_series=(1000.0, 100.0, 10.0)))
-    # max(g) (a_max - a_min) / width = 1 exactly is the last accepted spread
+    # max(g) (a_max - a_min) / width = 1 exactly is the last accepted spread; at psi = phi = |+>
+    # A_w = 1/2 sits mid-spectrum, so no branch is more than half a width from g A_w
+    plus = wv.state_vector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     edge = PointerConfig(width=2.0, couplings_series=(2.0, 1.0, 0.5))
-    assert np.isfinite(extrapolate(proj_zero, psi, phi, edge).value)
+    assert np.isfinite(extrapolate(proj_zero, plus, plus, edge).value)
     z = wv.eigensystem(np.diag([1.0, -1.0]))
-    extrapolate(z, psi, phi, PointerConfig(couplings_series=(0.5, 0.25, 0.125)))
-    with pytest.raises(wv.ValidationError, match="weak regime"):
-        extrapolate(proj_zero, psi, phi, PointerConfig(width=2.0, couplings_series=(np.nextafter(2.0, 3.0), 1.0, 0.5)))
+    z_edge = PointerConfig(couplings_series=(0.5, 0.25, 0.125))
+    assert np.isfinite(extrapolate(z, plus, plus, z_edge).value)
+    spread = PointerConfig(width=2.0, couplings_series=(np.nextafter(2.0, 3.0), 1.0, 0.5))
+    with pytest.raises(wv.ValidationError, match=re.escape("(a_max - a_min) / width = 1,")):
+        extrapolate(proj_zero, plus, plus, spread)
+    # the great-circle pair's A_w = -1/2 (-2 for z) puts a branch 1.5 widths from g A_w on both edges
+    for obs, cfg in ((proj_zero, edge), (z, z_edge)):
+        with pytest.raises(wv.ValidationError, match=re.escape("max_i |a_i - A_w| / width = 1.5,")):
+            extrapolate(obs, psi, phi, cfg)
+    # max(g) max_i |a_i - A_w| / width = 1.5 / 1.5 = 1 exactly is the last accepted amplification
+    amplified = PointerConfig(width=1.5, couplings_series=(1.0, 0.5, 0.25))
+    assert np.isfinite(extrapolate(proj_zero, psi, phi, amplified).value)
+    past = PointerConfig(width=1.5, couplings_series=(np.nextafter(1.0, 2.0), 0.5, 0.25))
+    with pytest.raises(wv.ValidationError, match=re.escape("max_i |a_i - A_w| / width = 1,")):
+        extrapolate(proj_zero, psi, phi, past)
 
 
 def test_momentum_channel_sign():
@@ -148,13 +162,16 @@ def test_extrapolate_reads_out_the_configured_coupling_too(great_circle_pair, pr
     for coupling in (1e-2, 3e-3):  # inside the series and outside it
         cfg = PointerConfig(coupling=coupling)
         assert extrapolate(proj_zero, psi, phi, cfg).outcome == simulate(proj_zero, psi, phi, cfg)
-    # An orthogonal pair reads out with probability ~ g^2 / 16: about 1e-7 and more
-    # over the series, exactly 0 at g = 1e-170.
+    # An orthogonal pair has no weak value to read out, whatever the coupling. Its pointer
+    # reads out with probability ~ g^2 / 16: about 1e-7 and more over the series, exactly 0
+    # at g = 1e-170.
     plus = wv.state_vector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     minus = wv.state_vector(np.array([1.0, -1.0]) / np.sqrt(2.0))
-    assert extrapolate(proj_zero, plus, minus).outcome.postselect_prob > 0.0
+    with pytest.raises(wv.OrthogonalSelectionError):
+        extrapolate(proj_zero, plus, minus)
+    assert simulate(proj_zero, plus, minus).postselect_prob > 0.0
     with pytest.raises(wv.ZeroPostselectionError, match="probability 0.000e"):
-        extrapolate(proj_zero, plus, minus, PointerConfig(coupling=1e-170))
+        simulate(proj_zero, plus, minus, PointerConfig(coupling=1e-170))
 
 
 def test_dimension_mismatch():

@@ -30,8 +30,8 @@ def test_classify_decisions():
 
 def _judged(value: complex) -> wv.QuasiProbDist:
     """A record whose A_w is ``value`` over the spectrum [0, 1], judged at the default band."""
-    return wv.QuasiProbDist(weights=[1.0 - value, value], labels=[0.0, 1.0], value=value, denominator=1.0,
-                            tol=wv.DEFAULT_TOL)
+    return wv.QuasiProbDist(weights=np.array([1.0 - value, value]), labels=np.array([0.0, 1.0]), value=value,
+                            denominator=1.0, tol=wv.DEFAULT_TOL)
 
 
 def test_is_marginal_band():
