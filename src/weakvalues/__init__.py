@@ -1,23 +1,16 @@
 """Weak values, quasi-probabilities, coherence witnesses, and contextuality checks."""
 
 from .core import (
+    DEFAULT_COHERENCE_TOL,
+    DEFAULT_SELECTION_THRESHOLD,
     DEFAULT_TOL,
     ComputationError,
-    DegenerateError,
     DensityOperator,
-    DimensionMismatchError,
-    ImaginaryOverlapError,
-    NotHermitianError,
-    NotNormalizedError,
-    NotPSDError,
-    NotQubitError,
     Observable,
     OrthogonalSelectionError,
     StateVector,
     Tolerances,
-    TraceNotOneError,
     ValidationError,
-    ZeroPostselectionError,
     coherence_l1,
     commutator_norm,
     dephase,
@@ -35,7 +28,6 @@ from .invariants import (
 from .quasiprob import (
     ANOMALOUS_IMAGINARY,
     ANOMALOUS_REAL,
-    DEFAULT_SELECTION_THRESHOLD,
     NORMAL,
     QuasiProbDist,
     classify,
@@ -45,14 +37,12 @@ from .quasiprob import (
 )
 from .witness import (
     CONSISTENT,
-    DEFAULT_COHERENCE_TOL,
     VIOLATED,
     WitnessReport,
     check_theorem_coherence,
 )
 from .contextuality import (
     CycleTable,
-    NotRealAmplitudeError,
     all_three_cycles,
     anomaly_implies_violation,
     qubit_fragment_graph,
@@ -74,7 +64,6 @@ from .explore import (
     SamplerSpec,
     ScanSummary,
     SearchResult,
-    sample,
     scan_anomaly_rate,
     search_max_negativity,
 )

@@ -14,12 +14,11 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, REALITY_TOL, DensityOperator, NotQubitError, Observable, Tolerances,
-                   ValidationError, _frozen)
+from .core import DEFAULT_TOL, REALITY_TOL, DensityOperator, Observable, Tolerances, ValidationError, _frozen
 from .invariants import FrameGraph, _frame_vertices, _graph_from_vertices
 from .quasiprob import QuasiProbDist, quasi_prob
 
-__all__ = ["NotRealAmplitudeError", "CycleTable", "all_three_cycles", "qubit_fragment_graph",
+__all__ = ["CycleTable", "all_three_cycles", "qubit_fragment_graph",
            "fragment_cycles", "anomaly_implies_violation", "real_amplitude_failure"]
 
 FRAGMENT_LABELS = ("phi", "psi", "a1", "a2", "phi_perp", "psi_perp")
@@ -27,10 +26,6 @@ FRAGMENT_LABELS = ("phi", "psi", "a1", "a2", "phi_perp", "psi_perp")
 # Rounding in a fragment cycle value, a sum of three overlaps of order one: a few eps
 # (up to 3.3 eps against the exact excess of anomalous pairs, 3 eps at orthogonal ones).
 _CYCLE_ROUNDING = 1e-15
-
-
-class NotRealAmplitudeError(ValidationError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +90,7 @@ def qubit_fragment_graph(rho_phi: DensityOperator, rho_psi: DensityOperator, obs
     antipodal projector when rho is pure.
     """
     if rho_phi.dim != 2 or rho_psi.dim != 2 or obs.dim != 2:
-        raise NotQubitError(
-            f"fragment graph needs qubits, got dims {rho_phi.dim}/{rho_psi.dim}/{obs.dim}"
-        )
+        raise ValidationError(f"fragment graph needs qubits, got dims {rho_phi.dim}/{rho_psi.dim}/{obs.dim}")
     frame = _frame_vertices(rho_phi, rho_psi, obs)
     return _graph_from_vertices(FRAGMENT_LABELS, np.concatenate([frame, np.eye(2, dtype=complex) - frame[:2]]))
 
@@ -134,7 +127,7 @@ def anomaly_implies_violation(rho_phi: DensityOperator, rho_psi: DensityOperator
     """
     failure = real_amplitude_failure(rho_phi, rho_psi, obs)
     if failure is not None:
-        raise NotRealAmplitudeError(failure)
+        raise ValidationError(failure)
 
     dist = quasi_prob(rho_phi, rho_psi, obs)
     cycles = fragment_cycles(rho_phi, rho_psi, obs, DEFAULT_TOL)[1]

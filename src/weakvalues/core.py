@@ -15,6 +15,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "DEFAULT_SELECTION_THRESHOLD",
+    "DEFAULT_COHERENCE_TOL",
     "NORM_TOL",
     "HERMITICITY_TOL",
     "PSD_TOL",
@@ -24,17 +25,8 @@ __all__ = [
     "DensityOperator",
     "Observable",
     "ValidationError",
-    "NotHermitianError",
-    "NotPSDError",
-    "TraceNotOneError",
-    "NotNormalizedError",
-    "DegenerateError",
-    "NotQubitError",
-    "DimensionMismatchError",
     "ComputationError",
-    "ImaginaryOverlapError",
     "OrthogonalSelectionError",
-    "ZeroPostselectionError",
     "state_vector",
     "pure_to_density",
     "validate_density",
@@ -51,52 +43,18 @@ class ValidationError(ValueError):
     """An input failed one of the structural invariants."""
 
 
-class NotHermitianError(ValidationError):
-    pass
-
-
-class NotPSDError(ValidationError):
-    pass
-
-
-class TraceNotOneError(ValidationError):
-    pass
-
-
-class NotNormalizedError(ValidationError):
-    pass
-
-
-class DegenerateError(ValidationError):
-    pass
-
-
-class NotQubitError(ValidationError):
-    pass
-
-
-class DimensionMismatchError(ValidationError):
-    pass
-
-
 class ComputationError(RuntimeError):
     """A well-formed computation hit a numerically meaningless regime."""
 
 
-class ImaginaryOverlapError(ComputationError):
-    pass
-
-
 class OrthogonalSelectionError(ComputationError):
-    pass
-
-
-class ZeroPostselectionError(ComputationError):
-    pass
+    """The post-selection overlap is at or below ``DEFAULT_SELECTION_THRESHOLD``: no weak value exists."""
 
 
 # Post-selection overlaps at or below this are treated as orthogonal, by every gate and the scan.
 DEFAULT_SELECTION_THRESHOLD = 1e-12
+# l1 coherence at or above this counts as genuinely coherent, in the witness and the scan.
+DEFAULT_COHERENCE_TOL = 1e-8
 # The validation gates' thresholds.
 NORM_TOL = 1e-10  # unit-norm / unit-trace defect
 HERMITICITY_TOL = 1e-10  # largest entrywise Hermiticity defect
@@ -202,10 +160,10 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 
 def require_dims(dim: int, *states) -> None:
-    """Raise DimensionMismatchError unless every state (anything with ``.dim``) has dimension ``dim``."""
+    """Raise ValidationError unless every state (anything with ``.dim``) has dimension ``dim``."""
     if any(state.dim != dim for state in states):
         dims = "/".join(str(state.dim) for state in states)
-        raise DimensionMismatchError(f"dimension mismatch: dim {dims} against dim {dim}")
+        raise ValidationError(f"dimension mismatch: dim {dims} against dim {dim}")
 
 
 def _hermitian(matrix, what: str) -> np.ndarray:
@@ -217,7 +175,7 @@ def _hermitian(matrix, what: str) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflowing difference is an infinite defect, refused below
         defect = float(np.max(np.abs(mat - mat.conj().T)))
     if defect > HERMITICITY_TOL:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
+        raise ValidationError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
     return mat
 
 
@@ -230,7 +188,7 @@ def state_vector(values) -> StateVector:
     with np.errstate(over="ignore"):  # an overflowing norm is an infinite defect, refused below
         defect = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     if defect > NORM_TOL:
-        raise NotNormalizedError(f"squared norm deviates from 1 by {defect:.3e} (tolerance {NORM_TOL:.1e})")
+        raise ValidationError(f"squared norm deviates from 1 by {defect:.3e} (tolerance {NORM_TOL:.1e})")
     return StateVector(amps)
 
 
@@ -242,17 +200,17 @@ def pure_to_density(psi: StateVector) -> DensityOperator:
 def validate_density(matrix) -> DensityOperator:
     """Validate a raw matrix as a density operator.
 
-    Raises NotHermitianError, NotPSDError or TraceNotOneError naming the
-    violated invariant and its magnitude.
+    Raises ValidationError naming the violated invariant (Hermiticity,
+    positivity or unit trace) and its magnitude.
     """
     mat = _hermitian(matrix, "density operator")
     lowest = float(np.linalg.eigvalsh(mat)[0])
     if lowest < -PSD_TOL:
-        raise NotPSDError(f"lowest eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
+        raise ValidationError(f"lowest eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
     with np.errstate(over="ignore"):  # an overflowing trace is an infinite defect, refused below
         trace_defect = abs(complex(np.trace(mat)) - 1.0)
     if trace_defect > NORM_TOL:
-        raise TraceNotOneError(f"trace deviates from 1 by {trace_defect:.3e} (tolerance {NORM_TOL:.1e})")
+        raise ValidationError(f"trace deviates from 1 by {trace_defect:.3e} (tolerance {NORM_TOL:.1e})")
     return DensityOperator(mat)
 
 
@@ -276,7 +234,7 @@ def eigensystem(matrix) -> Observable:
         raise ValidationError(f"spectrum width a_max - a_min = {width:.3e} is not a finite float")
     gaps = np.diff(eigenvalues)
     if gaps.size and float(np.min(gaps)) < DEGENERACY_TOL:
-        raise DegenerateError(
+        raise ValidationError(
             f"eigenvalue gap {float(np.min(gaps)):.3e} below tolerance {DEGENERACY_TOL:.1e}; "
             "degenerate observables have no canonical eigenbasis"
         )

@@ -1,9 +1,9 @@
 """Random-state exploration: samplers, anomaly-rate scans, negativity search.
 
 Every random draw flows through a counter-based generator keyed by
-(master seed, key). ``sample`` keys one state by its index; a scan draws
-its pairs in blocks of ``max(1, 65536 // d**2)`` and keys each block by its
-block number, so a fixed seed reproduces every count bit for bit.
+(master seed, key). A scan draws its pairs in blocks of
+``max(1, 65536 // d**2)`` and keys each block by its block number, so a
+fixed seed reproduces every count bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from numbers import Integral
 import numpy as np
 
 from .core import (
+    DEFAULT_COHERENCE_TOL,
+    DEFAULT_SELECTION_THRESHOLD,
     DEFAULT_TOL,
-    DensityOperator,
     Observable,
     StateVector,
     Tolerances,
@@ -24,8 +25,7 @@ from .core import (
     coherence_l1_stack,
     require_dims,
 )
-from .quasiprob import DEFAULT_SELECTION_THRESHOLD, anomalous_mask, quasi_prob_stack
-from .witness import DEFAULT_COHERENCE_TOL
+from .quasiprob import anomalous_mask, quasi_prob_stack
 
 __all__ = [
     "HAAR_PURE",
@@ -37,7 +37,6 @@ __all__ = [
     "SamplerSpec",
     "SearchResult",
     "ScanSummary",
-    "sample",
     "search_max_negativity",
     "scan_anomaly_rate",
 ]
@@ -126,17 +125,6 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
     rho = np.zeros((size, dim, dim), dtype=complex)
     rho[:, np.arange(dim), np.arange(dim)] = probs
     return rho
-
-
-def sample(spec: SamplerSpec, index: int = 0):
-    """One draw from the ensemble; pure kinds give StateVector, mixed give DensityOperator.
-
-    The same (spec, index) always reproduces the same state bit for bit.
-    """
-    if not _is_int(index) or operator.index(index) < 0:
-        raise ValidationError(f"sample index must be an integer >= 0, got {index!r}")
-    state = _draw(spec.kind, spec.dim, _task_rng(spec.seed, operator.index(index)), 1)[0]
-    return StateVector(state) if state.ndim == 1 else DensityOperator(state)
 
 
 def _block_size(dim: int) -> int:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import REALITY_TOL, DensityOperator, ImaginaryOverlapError, Observable, ValidationError, require_dims
+from .core import REALITY_TOL, ComputationError, DensityOperator, Observable, ValidationError, require_dims
 
 __all__ = ["FrameGraph", "bargmann", "overlap", "overlap_stack", "build_frame_graph"]
 
@@ -25,12 +25,12 @@ def overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real overlaps Tr(a[k] b[k]) of (n, d, d) stacks, each the O(d^2) sum_ij a_ij b_ji.
 
     A single (d, d) operand broadcasts, and row k's bits do not depend on the stack. Raises
-    ImaginaryOverlapError when any imaginary part exceeds ``REALITY_TOL``."""
+    ComputationError when any imaginary part exceeds ``REALITY_TOL``."""
     value = np.einsum("...ij,...ji->...", a, b)
     imaginary = np.abs(value.imag) > REALITY_TOL
     if imaginary.any():
         worst = value.imag.ravel()[np.argmax(imaginary)]  # argmax is a flat index, and 0-d has no axis
-        raise ImaginaryOverlapError(f"two-state overlap has imaginary part {worst:.3e}")
+        raise ComputationError(f"two-state overlap has imaginary part {worst:.3e}")
     return value.real
 
 

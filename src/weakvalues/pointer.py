@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, StateVector, ValidationError, ZeroPostselectionError, require_dims
+from .core import ComputationError, Observable, StateVector, ValidationError, require_dims
 from .quasiprob import weak_value_pure
 
 __all__ = [
@@ -94,7 +94,7 @@ def _readouts(obs: Observable, psi: StateVector, phi: StateVector, couplings: tu
               width: float) -> list[PointerOutcome]:
     """Exact pointer moments at each coupling from one stacked (k, d, d) evaluation.
 
-    The first coupling, in order, left without a post-selected pointer raises ZeroPostselectionError.
+    The first coupling, in order, left without a post-selected pointer raises ComputationError.
     """
     require_dims(obs.dim, phi, psi)
     v = obs.eigenvectors
@@ -111,7 +111,7 @@ def _readouts(obs: Observable, psi: StateVector, phi: StateVector, couplings: tu
     probs, xs, ps = terms.reshape(3, len(couplings), -1).sum(axis=2).real.tolist()
     for prob in probs:
         if prob < ZERO_POSTSELECTION_FLOOR:
-            raise ZeroPostselectionError(
+            raise ComputationError(
                 f"post-selection probability {prob:.3e} below {ZERO_POSTSELECTION_FLOOR:.0e}"
             )
     return [PointerOutcome(mean_position=x / prob, mean_momentum=p / prob, postselect_prob=prob)

@@ -34,7 +34,6 @@ __all__ = [
     "NORMAL",
     "ANOMALOUS_REAL",
     "ANOMALOUS_IMAGINARY",
-    "DEFAULT_SELECTION_THRESHOLD",
     "QuasiProbDist",
     "classify",
     "anomalous_mask",
@@ -141,7 +140,7 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,
     <a_i| rho_psi[k] rho_phi[k] |a_i> / den[k]`` over the ascending
     eigenvectors a_i of ``obs``, and the weak values ``value[k] = sum_i g[k, i] a_i``.
     Rows at or below ``DEFAULT_SELECTION_THRESHOLD`` are the caller's to drop
-    (their g and value may be infinite or NaN). Raises ImaginaryOverlapError when any
+    (their g and value may be infinite or NaN). Raises ComputationError when any
     overlap has an imaginary part above ``REALITY_TOL``.
     """
     den = overlap_stack(rho_phi, rho_psi)

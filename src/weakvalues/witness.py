@@ -5,19 +5,38 @@ every quasi-probability g_i is a plain probability: Tr(rho_phi P_i rho_psi)
 equals Tr(D rho_psi) for the diagonal PSD operator D = rho_phi P_i, which is
 real and non-negative, and the g_i sum to one. Anomalies therefore certify
 coherence of both states at once.
+
+The theorem holds as an inequality in the l1 coherences C_psi and C_phi
+(Baumgratz, Cramer and Plenio, PRL 113, 140401, 2014). In the eigenbasis,
+with x = rho_psi, y = rho_phi and T = Tr(rho_phi rho_psi), the numerator of
+g_i is x_ii y_ii + o_i with o_i = sum_{k != i} x_ik y_ki, and x_ii y_ii >= 0.
+Since |y_ki| <= sqrt(y_kk y_ii) <= 1/2, |o_i| is at most half the
+off-diagonal moduli of row i of x, which by Hermiticity stand again in
+column i: |o_i| <= C_psi / 4 and sum_i |o_i| <= C_psi / 2, and the same with
+C_phi when x and y swap roles. With B = min(C_psi, C_phi) / (2 T):
+
+- -Re g_i and |Im g_i| are each at most |o_i| / T <= B / 2;
+- Re g_i - 1 = -sum_{j != i} Re g_j <= sum_j |o_j| / T <= B;
+- as the g_i sum to one, Re A_w - a_max = sum_i (a_i - a_max) Re g_i and
+  a_min - Re A_w are at most (a_max - a_min) sum_i max(-Re g_i, 0)
+  <= (a_max - a_min) B, and |Im A_w| = |sum_i (a_i - (a_min + a_max) / 2) Im g_i|
+  <= (a_max - a_min) B / 2.
+
+So each term of ``WitnessReport.excess`` is at most B at every dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_TOL, DensityOperator, Observable, Tolerances, coherence_l1
+import numpy as np
+
+from .core import DEFAULT_COHERENCE_TOL, DEFAULT_TOL, DensityOperator, Observable, Tolerances, coherence_l1
 from .quasiprob import QuasiProbDist, quasi_prob
 
 __all__ = [
     "CONSISTENT",
     "VIOLATED",
-    "DEFAULT_COHERENCE_TOL",
     "WitnessReport",
     "check_theorem_coherence",
 ]
@@ -25,8 +44,16 @@ __all__ = [
 CONSISTENT = "ConsistentWithTheorem"
 VIOLATED = "TheoremViolated"
 
-# l1 coherence at or above this counts as genuinely coherent, here and in the scan.
-DEFAULT_COHERENCE_TOL = 1e-8
+# c / d in the verdict's rounding allowance: the kernel's g_i and the l1 coherences each sum
+# d products of entries of order one.
+_ROUNDING_PER_DIM = 16
+
+
+def _rounding(dist: QuasiProbDist) -> float:
+    """The allowance c eps max(1, max_i |a_i| / (a_max - a_min)) / Tr(rho_phi rho_psi), c = 16 d."""
+    a = dist.labels
+    scale = max(1.0, float(np.max(np.abs(a))) / (dist.spectrum_hi - dist.spectrum_lo))
+    return _ROUNDING_PER_DIM * len(a) * float(np.finfo(float).eps) * scale / dist.denominator
 
 
 @dataclass(frozen=True)
@@ -36,9 +63,13 @@ class WitnessReport:
     ``dist`` holds the quasi-probabilities and weak value behind the verdict,
     and their anomaly verdicts (``dist.anomalous_indices``, ``dist.anomalous``).
     A state is coherent when its l1 coherence is at least
-    ``DEFAULT_COHERENCE_TOL``. The ``verdict`` is ``TheoremViolated`` only if
-    an anomaly shows up while at least one selection state is incoherent in the
-    observable eigenbasis, which a correct implementation can never produce.
+    ``DEFAULT_COHERENCE_TOL``. ``bound`` is B = min(l1_pre, l1_post) /
+    (2 Tr(rho_phi rho_psi)) and ``excess`` the largest amount by which the
+    record leaves what an incoherent pair allows, each term scaled so that the
+    module's proof bounds it by B. The ``verdict`` is ``TheoremViolated`` only
+    when an anomalous record has an excess above B plus the rounding allowance
+    16 d eps max(1, max_i |a_i| / (a_max - a_min)) / Tr(rho_phi rho_psi), which
+    valid states can never produce.
     """
 
     l1_post: float
@@ -54,8 +85,23 @@ class WitnessReport:
         return self.l1_pre >= DEFAULT_COHERENCE_TOL
 
     @property
+    def bound(self) -> float:
+        return min(self.l1_pre, self.l1_post) / (2.0 * self.dist.denominator)
+
+    @property
+    def excess(self) -> float:
+        """The largest of 0, 2 max_i(-Re g_i), 2 max_i |Im g_i|, max_i(Re g_i - 1) and
+        max(Re A_w - a_max, a_min - Re A_w, |Im A_w|) / (a_max - a_min)."""
+        g, value = self.dist.weights, self.dist.value
+        lo, hi = self.dist.spectrum_lo, self.dist.spectrum_hi
+        aw_exit = max(value.real - hi, lo - value.real, abs(value.imag)) / (hi - lo)
+        return max(0.0, 2.0 * float(np.max(-g.real)), 2.0 * float(np.max(np.abs(g.imag))),
+                   float(np.max(g.real)) - 1.0, aw_exit)
+
+    @property
     def verdict(self) -> str:
-        return VIOLATED if self.dist.anomalous and not (self.coherent_post and self.coherent_pre) else CONSISTENT
+        broken = self.dist.anomalous and self.excess > self.bound + _rounding(self.dist)
+        return VIOLATED if broken else CONSISTENT
 
 
 def check_theorem_coherence(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,

@@ -52,12 +52,11 @@ import numpy as np
 import weakvalues as wv
 from weakvalues.cli import ProblemFileError, _Rows
 from weakvalues.contextuality import _CYCLE_ROUNDING, FRAGMENT_LABELS
-from weakvalues.core import REALITY_TOL, require_dims
+from weakvalues.core import DEFAULT_COHERENCE_TOL, REALITY_TOL, require_dims
 from weakvalues.explore import (DIAGONAL, HAAR_PURE, MIXED_FULL_RANK, REAL_MIXED, REAL_PURE, SEARCH_INITIAL_STEP,
                                 SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS, SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
 from weakvalues.quasiprob import anomalous_mask
-from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
 
 class NotIncoherentError(wv.ValidationError):
@@ -177,7 +176,7 @@ def verdicts(dist, anomaly_tol):
 def antipodal(psi):
     """Orthogonal qubit state, its largest-modulus component made real positive."""
     if psi.dim != 2:
-        raise wv.NotQubitError(f"antipodal state is defined for dim 2, got dim {psi.dim}")
+        raise wv.ValidationError(f"antipodal state is defined for dim 2, got dim {psi.dim}")
     perp = np.array([np.conj(psi.amps[1]), -np.conj(psi.amps[0])])
     pivot = perp[int(np.argmax(np.abs(perp)))]
     return wv.StateVector(perp * (np.abs(pivot) / pivot))
@@ -276,7 +275,7 @@ def pairwise_overlap(rho1, rho2):
     """Tr(rho1 rho2) as the two-state Bargmann product of one pair, imaginary parts refused."""
     value = wv.bargmann((rho1, rho2))
     if abs(value.imag) > REALITY_TOL:
-        raise wv.ImaginaryOverlapError(f"two-state overlap has imaginary part {value.imag:.3e}")
+        raise wv.ComputationError(f"two-state overlap has imaginary part {value.imag:.3e}")
     return value.real
 
 

@@ -8,8 +8,8 @@ gives both the g_i verdicts and the A_w classification.
 """
 
 import weakvalues as wv
+from weakvalues.core import DEFAULT_COHERENCE_TOL
 from weakvalues.explore import _block_size, _density_block
-from weakvalues.witness import DEFAULT_COHERENCE_TOL
 
 
 def pairwise_counts(spec_phi, spec_psi, obs, n, tol=wv.DEFAULT_TOL):

@@ -20,7 +20,7 @@ from weakvalues.explore import (
     HAAR_PURE,
     MIXED_FULL_RANK,
     SamplerSpec,
-    sample,
+    _density_block,
     search_max_negativity,
 )
 from weakvalues.pointer import extrapolate, simulate, PointerConfig
@@ -83,21 +83,23 @@ def test_criterion_3_incoherent_states_never_anomalous(capsys):
     start = time.perf_counter()
     checked = 0
     worst_imag = 0.0
+    per_scenario = 10_000 // 12 + 1  # 10k spread over 3 scenarios x 4 dims
+
+    def block(spec, key):
+        return [wv.DensityOperator(rho) for rho in _density_block(spec, key, per_scenario)]
+
     for d in (2, 3, 4, 5):
         obs = wv.eigensystem(np.diag(np.arange(d, dtype=float)))
         diag = SamplerSpec(dim=d, kind=DIAGONAL, seed=1000 + d)
         diag2 = SamplerSpec(dim=d, kind=DIAGONAL, seed=2000 + d)
         mixed = SamplerSpec(dim=d, kind=MIXED_FULL_RANK, seed=3000 + d)
-        per_scenario = 10_000 // 12 + 1  # 10k spread over 3 scenarios x 4 dims
-
-        for i in range(per_scenario):
-            # scenario A: both states diagonal
-            pairs = [(sample(diag, 2 * i), sample(diag2, 2 * i + 1))]
-            # scenario B: one diagonal, one generic
-            pairs.append((sample(diag, 10_000 + i), sample(mixed, i)))
-            # scenario C: both dephased copies of coherent states
-            pairs.append((wv.dephase(sample(mixed, 20_000 + i), obs),
-                          wv.dephase(sample(mixed, 30_000 + i), obs)))
+        # scenario A: both states diagonal; B: one diagonal, one generic;
+        # C: both dephased copies of coherent states
+        scenarios = [zip(block(diag, 0), block(diag2, 0)),
+                     zip(block(diag, 1), block(mixed, 0)),
+                     zip((wv.dephase(rho, obs) for rho in block(mixed, 1)),
+                         (wv.dephase(rho, obs) for rho in block(mixed, 2)))]
+        for pairs in scenarios:
             for rho_phi, rho_psi in pairs:
                 if wv.overlap(rho_phi, rho_psi) <= 1e-12:
                     continue

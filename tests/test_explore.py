@@ -16,7 +16,6 @@ from weakvalues.explore import (
     SAMPLER_KINDS,
     SEARCH_MIN_OVERLAP,
     SamplerSpec,
-    sample,
     scan_anomaly_rate,
     search_max_negativity,
 )
@@ -28,53 +27,39 @@ from scan_oracle import pairwise_counts
 def test_sampling_is_bit_reproducible():
     for kind in SAMPLER_KINDS:
         spec = SamplerSpec(dim=3, kind=kind, seed=123)
-        a = sample(spec, index=7)
-        b = sample(spec, index=7)
-        mat_a = a.amps if hasattr(a, "amps") else a.matrix
-        mat_b = b.amps if hasattr(b, "amps") else b.matrix
-        assert np.array_equal(mat_a, mat_b)
-        c = sample(spec, index=8)
-        mat_c = c.amps if hasattr(c, "amps") else c.matrix
-        assert not np.array_equal(mat_a, mat_c)
+        block = _density_block(spec, 7, 4)
+        assert np.array_equal(block, _density_block(spec, 7, 4))
+        assert not np.array_equal(block, _density_block(spec, 8, 4))
 
 
 def test_all_kinds_yield_valid_states():
     for kind in SAMPLER_KINDS:
         for d in (2, 3, 5):
-            spec = SamplerSpec(dim=d, kind=kind, seed=9)
-            for i in range(20):
-                state = sample(spec, i)
-                if hasattr(state, "amps"):
-                    wv.state_vector(state.amps)
-                else:
-                    wv.validate_density(state.matrix)
+            for rho in _density_block(SamplerSpec(dim=d, kind=kind, seed=9), 0, 20):
+                wv.validate_density(rho)
 
 
 def test_purity_by_kind():
-    pure = sample(SamplerSpec(dim=4, kind=HAAR_PURE, seed=1), 0)
-    rho = wv.pure_to_density(pure)
-    assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-12
+    pure = _density_block(SamplerSpec(dim=4, kind=HAAR_PURE, seed=1), 0, 1)[0]
+    assert abs(np.trace(pure @ pure).real - 1.0) < 1e-12
 
-    full = sample(SamplerSpec(dim=4, kind=MIXED_FULL_RANK, seed=1), 0)
-    assert np.all(np.linalg.eigvalsh(full.matrix) > 1e-6)
+    full = _density_block(SamplerSpec(dim=4, kind=MIXED_FULL_RANK, seed=1), 0, 1)[0]
+    assert np.all(np.linalg.eigvalsh(full) > 1e-6)
 
 
 def test_real_kinds_are_entrywise_real():
-    for kind, attr in ((REAL_PURE, "amps"), (REAL_MIXED, "matrix")):
-        spec = SamplerSpec(dim=3, kind=kind, seed=5)
-        for i in range(30):
-            arr = getattr(sample(spec, i), attr)
-            assert np.max(np.abs(arr.imag)) == 0.0
+    for kind in (REAL_PURE, REAL_MIXED):
+        block = _density_block(SamplerSpec(dim=3, kind=kind, seed=5), 0, 30)
+        assert np.max(np.abs(block.imag)) == 0.0
 
 
 def test_diagonal_kind_has_no_coherence():
     spec = SamplerSpec(dim=4, kind=DIAGONAL, seed=6)
     obs = wv.eigensystem(np.diag(np.arange(4.0)))
-    for i in range(30):
-        rho = sample(spec, i)
-        off = rho.matrix - np.diag(np.diag(rho.matrix))
+    for rho in _density_block(spec, 0, 30):
+        off = rho - np.diag(np.diag(rho))
         assert np.max(np.abs(off)) == 0.0
-        assert wv.coherence_l1(rho, obs) < 1e-14
+        assert wv.coherence_l1(wv.DensityOperator(rho), obs) < 1e-14
 
 
 def test_spec_validation():
@@ -93,7 +78,7 @@ def test_spec_validation():
                               "integral-float-dim", "numpy-bool-seed", "numpy-float-seed", "numpy-bool-dim",
                               "numpy-float-dim"])
 def test_spec_takes_integer_dimension_and_seed(dim, seed):
-    # seed 1.5 and dim 2.5 once passed and failed in numpy inside ``sample``, and seed True drew as seed 1
+    # seed 1.5 and dim 2.5 once passed and failed in numpy inside the sampler, and seed True drew as seed 1
     with pytest.raises(wv.ValidationError, match="seed must be an unsigned|dimension must be an integer >= 2"):
         SamplerSpec(dim=dim, kind=HAAR_PURE, seed=seed)
 
@@ -129,23 +114,12 @@ def test_scan_takes_an_integer_n_of_at_least_one(proj_zero, n, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("index", [-1, 1.5, True, np.bool_(True), np.float64(1.0)],
-                         ids=["negative", "float", "bool", "numpy-bool", "numpy-float"])
-def test_sample_takes_a_non_negative_integer_index(index):
-    # index -1 once failed in numpy with "expected non-negative integer", 1.5 with
-    # a TypeError about the seed, and True drew index 1
-    with pytest.raises(wv.ValidationError) as excinfo:
-        sample(SamplerSpec(dim=2, kind=HAAR_PURE, seed=0), index)
-    assert str(excinfo.value) == f"sample index must be an integer >= 0, got {index!r}"
-
-
 @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32, np.uint8], ids=lambda t: t.__name__)
 def test_numpy_integers_act_as_plain_ints(proj_zero, integer):
     # each of these once failed: "sampler dimension must be an integer >= 2, got np.int64(3)" and the like
     spec = SamplerSpec(dim=integer(2), kind=HAAR_PURE, seed=integer(7))
     assert spec == SamplerSpec(dim=2, kind=HAAR_PURE, seed=7)
     assert type(spec.dim) is int and type(spec.seed) is int
-    assert np.array_equal(sample(spec, integer(3)).amps, sample(spec, 3).amps)
     summary = scan_anomaly_rate(spec, spec, proj_zero, integer(50))
     assert summary == scan_anomaly_rate(spec, spec, proj_zero, 50)
     assert type(summary.n) is int
@@ -157,10 +131,7 @@ def test_haar_overlap_distribution():
     # |<0|psi>|^2 under the d=2 Haar measure is uniform on [0, 1]
     spec = SamplerSpec(dim=2, kind=HAAR_PURE, seed=11)
     n = 100_000
-    vals = np.empty(n)
-    for i in range(n):
-        vals[i] = abs(sample(spec, i).amps[0]) ** 2
-    sorted_vals = np.sort(vals)
+    sorted_vals = np.sort(_density_block(spec, 0, n)[:, 0, 0].real)
     ks = np.max(np.abs(sorted_vals - (np.arange(1, n + 1) - 0.5) / n))
     assert ks < 0.01
 

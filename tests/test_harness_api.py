@@ -1,13 +1,14 @@
-"""The package's surface: what ``bench/baseline.py`` calls, and how many values a caller can set.
+"""The package's surface: what ``bench/baseline.py`` calls, how many names and values a caller can set.
 
 The script reaches the public API by attribute (``wv.<name>``), so a name
 trimmed from ``weakvalues`` would surface only when the script runs; the
-first test fails first. The second counts the settable values: parameters
+first test fails first. The second counts the names ``weakvalues`` exports,
+its submodules aside. The third counts the settable values: parameters
 with a default plus defaulted dataclass fields, over every function and
 dataclass in the ``__all__`` of the eight modules (other classes and
-instances are skipped). The count may not pass the ceiling; a change that
-needs a new settable value raises the ceiling in the same diff and says why
-in CHANGES.md.
+instances are skipped). Neither count may pass its ceiling; a change that
+needs a new name or settable value raises the ceiling in the same diff and
+says why in CHANGES.md.
 """
 
 import ast
@@ -20,7 +21,8 @@ import weakvalues as wv
 
 BASELINE = Path(__file__).resolve().parents[1] / "bench" / "baseline.py"
 MODULES = ("core", "invariants", "quasiprob", "witness", "contextuality", "pointer", "explore", "cli")
-SETTABLE_CEILING = 12
+NAME_CEILING = 53
+SETTABLE_CEILING = 11
 
 
 def test_every_name_bench_baseline_calls_resolves():
@@ -29,6 +31,11 @@ def test_every_name_bench_baseline_calls_resolves():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "wv"}
     assert "weak_value_pure" in names  # the walk sees the calls
     assert sorted(name for name in names if not hasattr(wv, name)) == []
+
+
+def test_public_names_stay_under_the_ceiling():
+    names = [name for name, obj in vars(wv).items() if not name.startswith("_") and not inspect.ismodule(obj)]
+    assert len(names) <= NAME_CEILING, f"{len(names)} public names, above the ceiling of {NAME_CEILING}"
 
 
 def test_settable_values_stay_under_the_ceiling():

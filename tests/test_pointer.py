@@ -153,7 +153,7 @@ def test_orthogonal_postselection_raises():
     obs = wv.eigensystem(np.diag([1.0, 0.0]))
     psi = wv.state_vector([1.0, 0.0])
     phi = wv.state_vector([0.0, 1.0])
-    with pytest.raises(wv.ZeroPostselectionError):
+    with pytest.raises(wv.ComputationError, match="post-selection probability 0.000e"):
         simulate(obs, psi, phi)
 
 
@@ -170,12 +170,12 @@ def test_extrapolate_reads_out_the_configured_coupling_too(great_circle_pair, pr
     with pytest.raises(wv.OrthogonalSelectionError):
         extrapolate(proj_zero, plus, minus)
     assert simulate(proj_zero, plus, minus).postselect_prob > 0.0
-    with pytest.raises(wv.ZeroPostselectionError, match="probability 0.000e"):
+    with pytest.raises(wv.ComputationError, match="post-selection probability 0.000e"):
         simulate(proj_zero, plus, minus, PointerConfig(coupling=1e-170))
 
 
 def test_dimension_mismatch():
     obs = wv.eigensystem(np.diag([0.0, 1.0, 2.0]))
     psi = wv.state_vector([1.0, 0.0])
-    with pytest.raises(wv.DimensionMismatchError):
+    with pytest.raises(wv.ValidationError, match="dimension mismatch: dim 2/2 against dim 3"):
         simulate(obs, psi, psi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import weakvalues as wv
-from weakvalues.core import DimensionMismatchError, OrthogonalSelectionError
+from weakvalues.core import OrthogonalSelectionError, ValidationError
 from weakvalues.quasiprob import classify
 
 from conftest import random_mixed, random_pure
@@ -231,9 +231,9 @@ def test_orthogonal_selection_rejected(proj_zero):
 
 def test_dimension_mismatch(proj_zero):
     r3 = wv.validate_density(np.eye(3) / 3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="dimension mismatch: dim 3/3 against dim 2"):
         wv.weak_value(proj_zero, r3, r3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="dimension mismatch: dim 2/3 against dim 2"):
         wv.weak_value_pure(proj_zero, wv.state_vector([1.0, 0.0, 0.0]), wv.state_vector([1.0, 0.0]))
 
 

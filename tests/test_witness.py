@@ -1,13 +1,18 @@
 """Coherence witnessing, and the factorized and projector oracles it is checked against."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import weakvalues as wv
-from weakvalues.witness import (CONSISTENT, DEFAULT_COHERENCE_TOL, VIOLATED, WitnessReport,
-                                check_theorem_coherence)
+from weakvalues import witness
+from weakvalues.core import DEFAULT_COHERENCE_TOL
+from weakvalues.witness import CONSISTENT, VIOLATED, WitnessReport, _rounding, check_theorem_coherence
 
-from conftest import random_mixed
+from conftest import random_mixed, random_pure
 from oracles import NotIncoherentError, corollary_projector_weak_value, incoherent_quasi_prob
 
 
@@ -92,22 +97,24 @@ def test_witness_after_dephasing(great_circle_densities, proj_zero):
 
 
 def test_witness_coherence_and_verdict_derive_from_the_record(great_circle_densities, coherent_pair, proj_zero):
-    # l1 at DEFAULT_COHERENCE_TOL counts as coherent, one ulp below it does not
+    # l1 at DEFAULT_COHERENCE_TOL counts as coherent, one ulp below it does not. The verdict
+    # reads the bound instead: an l1 of 1e-8 cannot carry the 120-degree excess of 1 (g_0 = -1/2).
     below = np.nextafter(DEFAULT_COHERENCE_TOL, 0.0)
-    anomalous = check_theorem_coherence(*great_circle_densities[::-1], proj_zero).dist
+    circle = check_theorem_coherence(*great_circle_densities[::-1], proj_zero)
+    anomalous, true_l1 = circle.dist, circle.l1_post
     tame = check_theorem_coherence(*coherent_pair[::-1], proj_zero).dist
     coherent = DEFAULT_COHERENCE_TOL
-    for l1_post, l1_pre, dist, verdict in [(coherent, coherent, anomalous, CONSISTENT),
-                                           (coherent, below, anomalous, VIOLATED),
-                                           (below, coherent, anomalous, VIOLATED),
+    for l1_post, l1_pre, dist, verdict in [(true_l1, true_l1, anomalous, CONSISTENT),
+                                           (coherent, coherent, anomalous, VIOLATED),
+                                           (true_l1, below, anomalous, VIOLATED),
+                                           (below, true_l1, anomalous, VIOLATED),
                                            (below, below, tame, CONSISTENT)]:
         report = WitnessReport(l1_post=l1_post, l1_pre=l1_pre, dist=dist)
         assert (report.coherent_post, report.coherent_pre) == (l1_post != below, l1_pre != below)
         assert report.verdict == verdict
+    assert abs(circle.excess - 1.0) < 1e-12 and abs(circle.bound - np.sqrt(3.0)) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the verdict pairs the anomaly band with the coherence "
-                                       "threshold instead of the bound min(C_psi, C_phi) / (2 Tr(rho_phi rho_psi))")
 def test_witness_small_coherence_anomaly_within_the_bound_is_consistent():
     # Tr(rho_phi rho_psi) = 0.75, so no rounding is at play: g_0 = -1.31e-9 is truly
     # negative, within the bound 9.8e-9 / 1.5 that C_psi = 9.8e-9 (below 1e-8) allows
@@ -116,6 +123,54 @@ def test_witness_small_coherence_anomaly_within_the_bound_is_consistent():
     rho_phi = wv.validate_density([[0.25, -0.4], [-0.4, 0.75]])
     report = check_theorem_coherence(rho_phi, rho_psi, obs)
     assert report.dist.anomalous and not report.coherent_pre
+    assert report.excess < report.bound
+    assert report.verdict == CONSISTENT
+
+
+def test_witness_reads_violated_when_an_incoherent_pair_breaks_the_bound(monkeypatch, proj_zero):
+    # Both states are diagonal, so B = 0; a kernel that moves 2e-9 of weight off g_0 = 0
+    # gives an anomaly no valid pair can give.
+    rho_phi = wv.validate_density(np.diag([0.5, 0.5]))
+    rho_psi = wv.validate_density(np.diag([1.0, 0.0]))
+    honest = check_theorem_coherence(rho_phi, rho_psi, proj_zero)
+    assert (honest.bound, honest.excess, honest.verdict) == (0.0, 0.0, CONSISTENT)
+
+    def broken(*args):
+        dist = wv.quasi_prob(*args)
+        return dataclasses.replace(dist, weights=dist.weights + np.array([-2e-9, 2e-9]))
+
+    monkeypatch.setattr(witness, "quasi_prob", broken)
+    report = check_theorem_coherence(rho_phi, rho_psi, proj_zero)
+    assert report.dist.anomalous_indices == (0, 1) and report.bound == 0.0
+    assert report.excess == 4e-9
+    assert report.verdict == VIOLATED
+
+
+@st.composite
+def scaled_pairs(draw):
+    """An observable and a selection pair at d = 2..8, pure or mixed, each state's coherence
+    scaled by s in [1e-12, 1] by mixing it with its dephased self."""
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    obs = wv.eigensystem(random_mixed(rng, d))
+    states = []
+    for pure in (draw(st.booleans()), draw(st.booleans())):
+        amps = random_pure(rng, d)
+        rho = wv.validate_density(np.outer(amps, amps.conj()) if pure else random_mixed(rng, d))
+        s = 10.0 ** draw(st.floats(-12.0, 0.0))
+        states.append(wv.validate_density(s * rho.matrix + (1.0 - s) * wv.dephase(rho, obs).matrix))
+    return obs, *states
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_pairs())
+def test_excess_stays_within_the_bound(case):
+    obs, rho_phi, rho_psi = case
+    try:
+        report = check_theorem_coherence(rho_phi, rho_psi, obs)
+    except wv.OrthogonalSelectionError:
+        assume(False)
+    assert report.excess <= report.bound + _rounding(report.dist)
     assert report.verdict == CONSISTENT
 
 

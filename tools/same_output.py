@@ -15,6 +15,8 @@ the parent commit unpacked into a directory). Every request calls
   ``POINTER_BLOCKS`` (through ``pointer`` in both formats), ``tolerances``
   with ``anom`` 1e-6 (through the five commands in JSON) and a ``seed`` key
   (through ``gvals`` in both formats);
+- the two problems of ``EDGE_PROBLEMS``, each through the five problem
+  commands in both formats;
 - ``reproduce-paper``;
 - ``scan`` over every ensemble at d = 2, 3, 5 and 8 with each n in
   ``SCAN_SIZES``, and ``search`` on every built-in observable at the budgets
@@ -24,7 +26,7 @@ the parent commit unpacked into a directory). Every request calls
 - ``scan --tol-anom 0.2`` over the complex ensembles (``WIDE_BAND_KINDS``) at
   d = 2, 3, 5 and 8 with each n in ``SCAN_SIZES``, in both formats: at the
   default band every pair of theirs counts as anomalous, whatever its states
-  (4,139 requests in all).
+  (4,159 requests in all).
 
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, one line per request that differs, and one tally line per
@@ -37,6 +39,7 @@ directory; nothing under ``bench/`` is written.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -69,6 +72,25 @@ POINTER_BLOCKS = (
     {"width": 0.5, "coupling": 3e-3, "couplings_series": [0.05, 0.025, 0.0125]},
     {"width": 3.0, "coupling": 0.2, "couplings_series": [0.3, 0.15, 0.075, 0.0375, 0.01875, 0.009375]},
 )
+# Two verdicts near their edges. A small-coherence anomaly: g_0 = -1.31e-9 leaves the band
+# while C_psi = 9.8e-9 sits below the coherence threshold, at Tr(rho_phi rho_psi) = 0.75.
+# A near-orthogonal real qubit pair, Tr(rho_phi rho_psi) = 1.0e-10, whose observable has
+# psi-perp as its eigenvector a_0: g_0 is +1.6e-11 in exact arithmetic.
+_TILT = 0.7 + math.pi / 2.0
+EDGE_PROBLEMS = {
+    "small-coherence-anomaly": {
+        "dimension": 2, "observable": [[0.0, 0.0], [0.0, 1.0]],
+        "pre_state": [[3.92e-9, 4.9e-9], [4.9e-9, 1.0 - 3.92e-9]],
+        "post_state": [[0.25, -0.4], [-0.4, 0.75]],
+    },
+    "near-orthogonal-rounding": {
+        "dimension": 2,
+        "observable": [[math.sin(_TILT) ** 2, -math.sin(_TILT) * math.cos(_TILT)],
+                       [-math.sin(_TILT) * math.cos(_TILT), math.cos(_TILT) ** 2]],
+        "pre_state": [math.cos(0.7), math.sin(0.7)],
+        "post_state": [-math.sin(0.70001), math.cos(0.70001)],
+    },
+}
 
 # Runs in a fresh interpreter with the tree's src/ as argv[1]: reads a JSON list of
 # argv lists on stdin and writes one JSON line per request: exit code and the sha256
@@ -122,6 +144,10 @@ def requests(workdir: Path) -> list[list[str]]:
         argvs += [[command, "--input", copy] for command in PROBLEM_COMMANDS]
         copy = _write_copy(path, "seed", {**problem, "seed": 2 ** 64 - 1})
         argvs += [["gvals", "--input", copy, "--format", fmt] for fmt in FORMATS]
+    for name, problem in EDGE_PROBLEMS.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(problem))
+        argvs += [[command, "--input", str(path), "--format", fmt] for command in PROBLEM_COMMANDS for fmt in FORMATS]
     argvs.append(["reproduce-paper"])
     for fmt in FORMATS:
         argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", str(n), "--seed", str(11 + dim),
