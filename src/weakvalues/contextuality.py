@@ -108,9 +108,7 @@ def fragment_cycles(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Obs
     phi, psi, a1, a2 keep ``tol.anom``, as in ``build_frame_graph`` at d = 2.
     """
     graph = qubit_fragment_graph(rho_phi, rho_psi, obs)
-    selection = np.stack([rho_phi.matrix, rho_psi.matrix])
-    defects = (np.abs(np.trace(selection, axis1=1, axis2=2).real - 1.0)
-               + 2.0 * np.maximum(-np.linalg.eigvalsh(selection)[:, 0], 0.0))
+    defects = np.array([rho.trace_defect + 2.0 * rho.negativity for rho in (rho_phi, rho_psi)])
     floor = _CYCLE_ROUNDING + 4.0 * float(defects[defects > _CYCLE_ROUNDING].sum())
     band = max(2.0 * graph.edge(0, 1) * tol.anom - _CYCLE_ROUNDING, floor)
     through_perpendicular = _cycle_index(graph.n_vertices)[0][:, 2] >= 4  # a triple lists its largest vertex last

@@ -8,6 +8,7 @@ inputs and never re-validates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +113,11 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Mixed state as a d x d complex matrix."""
+    """Mixed state as a d x d complex matrix.
+
+    ``trace_defect`` |Tr rho - 1| and ``negativity`` max(-lambda_min, 0), which the density gate accepts up to
+    ``NORM_TOL`` and ``PSD_TOL``, are measured once, on first read, for the gate and every later reader.
+    """
 
     matrix: np.ndarray
 
@@ -125,6 +130,15 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def trace_defect(self) -> float:
+        with np.errstate(over="ignore"):  # an overflowing trace is an infinite defect, which the gate refuses
+            return abs(complex(np.trace(self.matrix)) - 1.0)
+
+    @cached_property
+    def negativity(self) -> float:
+        return max(-float(np.linalg.eigvalsh(self.matrix)[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -203,15 +217,12 @@ def validate_density(matrix) -> DensityOperator:
     Raises ValidationError naming the violated invariant (Hermiticity,
     positivity or unit trace) and its magnitude.
     """
-    mat = _hermitian(matrix, "density operator")
-    lowest = float(np.linalg.eigvalsh(mat)[0])
-    if lowest < -PSD_TOL:
-        raise ValidationError(f"lowest eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
-    with np.errstate(over="ignore"):  # an overflowing trace is an infinite defect, refused below
-        trace_defect = abs(complex(np.trace(mat)) - 1.0)
-    if trace_defect > NORM_TOL:
-        raise ValidationError(f"trace deviates from 1 by {trace_defect:.3e} (tolerance {NORM_TOL:.1e})")
-    return DensityOperator(mat)
+    rho = DensityOperator(_hermitian(matrix, "density operator"))
+    if rho.negativity > PSD_TOL:
+        raise ValidationError(f"lowest eigenvalue {-rho.negativity:.3e} below -{PSD_TOL:.1e}")
+    if rho.trace_defect > NORM_TOL:
+        raise ValidationError(f"trace deviates from 1 by {rho.trace_defect:.3e} (tolerance {NORM_TOL:.1e})")
+    return rho
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

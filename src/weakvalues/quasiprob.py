@@ -48,39 +48,36 @@ ANOMALOUS_REAL = "AnomalousReal"
 ANOMALOUS_IMAGINARY = "AnomalousImaginary"
 
 
-def classify(value: complex, lo: float, hi: float, anomaly_tol: float) -> str:
-    """Label a weak value against the real spectrum interval [lo, hi].
-
-    Imaginary parts win over real excursions: a value can only be
-    AnomalousReal when its imaginary part is negligible.
-    """
-    if abs(value.imag) > anomaly_tol:
-        return ANOMALOUS_IMAGINARY
-    if value.real < lo - anomaly_tol or value.real > hi + anomaly_tol:
-        return ANOMALOUS_REAL
-    return NORMAL
-
-
 def anomalous_mask(values, lo: float, hi: float, anomaly_tol: float) -> np.ndarray:
-    """Elementwise: True wherever :func:`classify` would not return NORMAL."""
+    """Elementwise: True wherever a value leaves the real interval [lo, hi] by more than the band."""
     values = np.asarray(values)
     return ((np.abs(values.imag) > anomaly_tol)
             | (values.real < lo - anomaly_tol) | (values.real > hi + anomaly_tol))
 
 
-def _is_marginal(value: complex, lo: float, hi: float, anomaly_tol: float) -> bool:
-    """True when the verdict sits within 10x the tolerance of a decision boundary.
+def classify(value: complex, lo: float, hi: float, anomaly_tol: float) -> str:
+    """Label a weak value by :func:`anomalous_mask` against the real spectrum interval [lo, hi].
 
-    The real test is additive distance to the spectrum edges.  The imaginary
-    test is multiplicative: the decision line |Im| = tol lives at the noise
-    scale itself, so an exactly-real value (distance tol from the line) must
-    not count as marginal, while anything within a factor of ten of the line
-    on either side does.
+    Imaginary parts win over real excursions: a value can only be AnomalousReal when its
+    imaginary part is negligible, that is when the value moved onto the edge lo stays in the band.
     """
-    band = 10.0 * anomaly_tol
-    if anomaly_tol / 10.0 < abs(value.imag) < band:
-        return True
-    return abs(value.real - lo) < band or abs(value.real - hi) < band
+    anomalous, imaginary = anomalous_mask([value, complex(lo, value.imag)], lo, hi, anomaly_tol)
+    return ANOMALOUS_IMAGINARY if imaginary else ANOMALOUS_REAL if anomalous else NORMAL
+
+
+def _marginal_mask(values, lo: float, hi: float, anomaly_tol: float, error) -> np.ndarray:
+    """Elementwise: True where a value sits within max(10 tol, 2 error) of a decision line.
+
+    The real test is additive distance to the spectrum edges. The imaginary test is
+    multiplicative: the decision line |Im| = tol lives at the noise scale itself, so an
+    exactly-real value (distance tol from the line) must not count as marginal while its
+    error is below tol / 2, and anything within a factor of ten of the line on either
+    side, or within twice its error of it, does.
+    """
+    values = np.asarray(values)
+    band, im = np.maximum(10.0 * anomaly_tol, 2.0 * error), np.abs(values.imag)
+    return (((np.minimum(anomaly_tol / 10.0, anomaly_tol - 2.0 * error) < im) & (im < band))
+            | (np.abs(values.real - lo) < band) | (np.abs(values.real - hi) < band))
 
 
 @dataclass(frozen=True)
@@ -90,17 +87,33 @@ class QuasiProbDist:
     ``weights`` are the g_i over the ascending eigenvalues ``labels``, and
     ``value`` is A_w = sum_i a_i g_i. ``denominator`` is the post-selection
     overlap Tr(rho_phi rho_psi); small values flag an ill-conditioned (nearly
-    orthogonal) selection. ``tol`` is the anomaly band the pair is judged with,
-    and every verdict derives from the record on first read: ``classification``
-    of A_w against the spectrum edges, ``anomalous_indices`` of the g_i that
+    orthogonal) selection. ``slack`` is the negativity max(-lambda_min, 0) of
+    rho_phi plus that of rho_psi, which the positivity gate accepts up to
+    ``PSD_TOL`` each. ``tol`` is the anomaly band the pair is judged with, and
+    every verdict derives from the record on first read: ``classification`` of
+    A_w against the spectrum edges, ``anomalous_indices`` of the g_i that
     leave [0, 1], ``marginal`` and ``marginal_indices`` for an A_w or g_i near a
-    decision line, and ``anomalous`` when A_w or any g_i is anomalous.
+    decision line, ``anomalous`` when A_w or any g_i is anomalous, and the
+    witness's ``allowance``.
+
+    The record states its own error. ``error`` bounds, to first order, how far
+    rounding and the slack move each g_i from its value for the exact, positive
+    states: e_i = (c eps + slack) (1 + |g_i|) / Tr with c = 2d, where the kernel
+    sums d products and the relative error of Tr scales |g_i|. A rescaled state
+    cancels in the ratio, so only the negativity counts. Against exact rational
+    arithmetic on the stored doubles, near-orthogonal pairs at d = 2..8 reached
+    0.65 eps (1 + |g_i|) / Tr. ``value_error`` = sum_i |a_i| e_i bounds A_w's,
+    as A_w = sum_i a_i g_i is computed from the a_i themselves, offset and all.
+    A value is marginal within max(10 ``tol.anom``, k error) of a decision line
+    with k = 2, so a verdict that the error could flip is flagged while the
+    slack is at most half of Tr, and past that every verdict is.
     """
 
     weights: np.ndarray
     labels: np.ndarray
     value: complex
     denominator: float
+    slack: float
     tol: Tolerances
 
     @property
@@ -116,8 +129,17 @@ class QuasiProbDist:
         return classify(self.value, self.spectrum_lo, self.spectrum_hi, self.tol.anom)
 
     @cached_property
+    def error(self) -> np.ndarray:
+        rounding = 2.0 * len(self.labels) * float(np.finfo(float).eps)
+        return (rounding + self.slack) * (1.0 + np.abs(self.weights)) / self.denominator
+
+    @cached_property
+    def value_error(self) -> float:
+        return float(np.abs(self.labels) @ self.error)
+
+    @cached_property
     def marginal(self) -> bool:
-        return _is_marginal(self.value, self.spectrum_lo, self.spectrum_hi, self.tol.anom)
+        return bool(_marginal_mask(self.value, self.spectrum_lo, self.spectrum_hi, self.tol.anom, self.value_error))
 
     @cached_property
     def anomalous_indices(self) -> tuple[int, ...]:
@@ -125,11 +147,18 @@ class QuasiProbDist:
 
     @cached_property
     def marginal_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights.tolist()) if _is_marginal(w, 0.0, 1.0, self.tol.anom))
+        return tuple(np.flatnonzero(_marginal_mask(self.weights, 0.0, 1.0, self.tol.anom, self.error)).tolist())
 
     @property
     def anomalous(self) -> bool:
         return self.classification != NORMAL or bool(self.anomalous_indices)
+
+    @cached_property
+    def allowance(self) -> float:
+        """How far the witness's excess may pass its bound B without a broken theorem (derived in
+        ``witness``): 2 max(2 max_i e_i, value_error / (a_max - a_min)) + (d - 1)^2 slack / (2 Tr)."""
+        moved = max(2.0 * float(np.max(self.error)), self.value_error / (self.spectrum_hi - self.spectrum_lo))
+        return 2.0 * moved + (len(self.labels) - 1) ** 2 * self.slack / (2.0 * self.denominator)
 
 
 def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,
@@ -171,7 +200,8 @@ def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observab
     if den <= DEFAULT_SELECTION_THRESHOLD:
         raise OrthogonalSelectionError(
             f"post-selection overlap at or below threshold {DEFAULT_SELECTION_THRESHOLD:.1e}")
-    return QuasiProbDist(weights=g[0], labels=obs.eigenvalues, value=complex(value[0]), denominator=den, tol=tol)
+    return QuasiProbDist(weights=g[0], labels=obs.eigenvalues, value=complex(value[0]), denominator=den,
+                         slack=rho_phi.negativity + rho_psi.negativity, tol=tol)
 
 
 def weak_value(obs: Observable, rho_psi: DensityOperator, rho_phi: DensityOperator) -> QuasiProbDist:

@@ -23,6 +23,21 @@ C_phi when x and y swap roles. With B = min(C_psi, C_phi) / (2 T):
   <= (a_max - a_min) B / 2.
 
 So each term of ``WitnessReport.excess`` is at most B at every dimension.
+
+The proof holds for the exact values of exactly positive states, and
+``dist.allowance`` covers the distance to the record. To first order,
+rounding and the negativity that the gates accept (``dist.slack``) move each
+g_i by at most its ``dist.error`` e_i, and A_w by at most ``dist.value_error``
+e_A (see ``QuasiProbDist``). A rescaled state moves no ratio, so the gates'
+trace slack does not count. The excess therefore moves by at most
+m = max(2 max_i e_i, e_A / (a_max - a_min)). B moves as well. Rounding moves
+each l1 coherence by a few d eps, and an error in Tr moves B by the relative
+(c eps + slack) / Tr; where the verdict can turn, B is close to the excess,
+about 2 max_i |g_i|, so the factor 1 + |g_i| in e_i makes a second m cover
+both. Last, a negative part has at most d - 1 eigenvalues, each of modulus at
+most the slack, so its l1 coherence is at most (d - 1)^2 slack, which raises
+B by at most (d - 1)^2 slack / (2 Tr). The allowance is their sum,
+2 m + (d - 1)^2 slack / (2 Tr).
 """
 
 from __future__ import annotations
@@ -44,18 +59,6 @@ __all__ = [
 CONSISTENT = "ConsistentWithTheorem"
 VIOLATED = "TheoremViolated"
 
-# c / d in the verdict's rounding allowance: the kernel's g_i and the l1 coherences each sum
-# d products of entries of order one.
-_ROUNDING_PER_DIM = 16
-
-
-def _rounding(dist: QuasiProbDist) -> float:
-    """The allowance c eps max(1, max_i |a_i| / (a_max - a_min)) / Tr(rho_phi rho_psi), c = 16 d."""
-    a = dist.labels
-    scale = max(1.0, float(np.max(np.abs(a))) / (dist.spectrum_hi - dist.spectrum_lo))
-    return _ROUNDING_PER_DIM * len(a) * float(np.finfo(float).eps) * scale / dist.denominator
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Joint coherence / anomaly diagnosis for one selection pair.
@@ -67,9 +70,8 @@ class WitnessReport:
     (2 Tr(rho_phi rho_psi)) and ``excess`` the largest amount by which the
     record leaves what an incoherent pair allows, each term scaled so that the
     module's proof bounds it by B. The ``verdict`` is ``TheoremViolated`` only
-    when an anomalous record has an excess above B plus the rounding allowance
-    16 d eps max(1, max_i |a_i| / (a_max - a_min)) / Tr(rho_phi rho_psi), which
-    valid states can never produce.
+    when an anomalous record has an excess above B plus the record's
+    ``allowance``, which gate-accepted states can never produce.
     """
 
     l1_post: float
@@ -100,7 +102,7 @@ class WitnessReport:
 
     @property
     def verdict(self) -> str:
-        broken = self.dist.anomalous and self.excess > self.bound + _rounding(self.dist)
+        broken = self.dist.anomalous and self.excess > self.bound + self.dist.allowance
         return VIOLATED if broken else CONSISTENT
 
 

@@ -11,10 +11,12 @@ eigenprojector (criterion 6), and ``antipodal`` builds the orthogonal qubit
 ray for direct overlap arithmetic on the six-state fragment (criterion 7),
 and ``projector`` builds one eigenprojector at a time for the graph oracles.
 None of them goes through the quasi-probability kernel; each applies its
-own selection gate. ``verdicts`` judges a ``QuasiProbDist``'s values by the
-free-function rules the record's derived verdicts replaced:
-``anomalous_indices`` through ``anomalous_mask`` and ``is_marginal`` applied
-to A_w and, in a loop, to each g_i. ``scalar_search``
+own selection gate. ``verdicts`` judges a ``QuasiProbDist``'s values and
+stated errors one scalar at a time: ``classify`` and ``is_marginal`` applied
+to A_w and, in a loop, to each g_i, the reference for the record's array
+rules. ``exact_verdicts`` judges a selection pair in exact rational
+arithmetic (``fractions.Fraction``) on its stored doubles, the reference
+for the rounding the record's ``error`` states. ``scalar_search``
 is the negativity search walked one restart and one candidate at a time,
 the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
 ``looped_three_cycles`` fill the overlap graph one vertex pair at a time
@@ -44,8 +46,10 @@ within ``draw_rounding_bound`` of it.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +60,6 @@ from weakvalues.core import DEFAULT_COHERENCE_TOL, REALITY_TOL, require_dims
 from weakvalues.explore import (DIAGONAL, HAAR_PURE, MIXED_FULL_RANK, REAL_MIXED, REAL_PURE, SEARCH_INITIAL_STEP,
                                 SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS, SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
-from weakvalues.quasiprob import anomalous_mask
 
 
 class NotIncoherentError(wv.ValidationError):
@@ -89,7 +92,7 @@ class OracleWeakValue:
 
 def _result(value, den, lo, hi, tol):
     return OracleWeakValue(value=value, denominator=den, spectrum_lo=lo, spectrum_hi=hi,
-                           classification=wv.classify(value, lo, hi, tol.anom))
+                           classification=classify(value, lo, hi, tol.anom))
 
 
 def trace_ratio_weak_value(matrix, rho_psi, rho_phi, tol=wv.DEFAULT_TOL):
@@ -146,31 +149,92 @@ def corollary_projector_weak_value(rho_phi, rho_psi, obs, i, tol=wv.DEFAULT_TOL)
     return _result(value, den, 0.0, 1.0, tol)
 
 
-def anomalous_indices(dist, anomaly_tol):
+def classify(value, lo, hi, anomaly_tol):
+    """Label a weak value against the real interval [lo, hi]; imaginary excursions win over real ones."""
+    if abs(value.imag) > anomaly_tol:
+        return wv.ANOMALOUS_IMAGINARY
+    if value.real < lo - anomaly_tol or value.real > hi + anomaly_tol:
+        return wv.ANOMALOUS_REAL
+    return wv.NORMAL
+
+
+def anomalous_indices(weights, anomaly_tol):
     """Indices whose quasi-probability leaves the real interval [0, 1]."""
-    return tuple(np.flatnonzero(anomalous_mask(dist.weights, 0.0, 1.0, anomaly_tol)).tolist())
+    return tuple(i for i, w in enumerate(weights) if classify(complex(w), 0.0, 1.0, anomaly_tol) != wv.NORMAL)
 
 
-def is_marginal(value, lo, hi, anomaly_tol):
-    """True when the verdict sits within 10x the tolerance of a decision boundary.
+def is_marginal(value, lo, hi, anomaly_tol, error):
+    """True when the verdict sits within max(10 tol, 2 error) of a decision boundary.
 
     Additive distance to the spectrum edges for the real part; for the imaginary
-    part, within a factor of ten of the line |Im| = tol on either side.
+    part, within a factor of ten of the line |Im| = tol on either side, or within
+    twice the error of it.
     """
-    band = 10.0 * anomaly_tol
-    if anomaly_tol / 10.0 < abs(value.imag) < band:
+    band = max(10.0 * anomaly_tol, 2.0 * error)
+    if min(anomaly_tol / 10.0, anomaly_tol - 2.0 * error) < abs(value.imag) < band:
         return True
     return abs(value.real - lo) < band or abs(value.real - hi) < band
 
 
 def verdicts(dist, anomaly_tol):
-    """(classification, marginal, anomalous_indices, marginal_indices, anomalous) of a record's values."""
+    """(classification, marginal, anomalous_indices, marginal_indices, anomalous) of a record's values
+    and of its stated errors."""
     lo, hi = float(dist.labels[0]), float(dist.labels[-1])
-    classification = wv.classify(dist.value, lo, hi, anomaly_tol)
-    bad = anomalous_indices(dist, anomaly_tol)
-    marginal = tuple(i for i, w in enumerate(dist.weights) if is_marginal(complex(w), 0.0, 1.0, anomaly_tol))
-    return (classification, is_marginal(dist.value, lo, hi, anomaly_tol), bad, marginal,
+    classification = classify(dist.value, lo, hi, anomaly_tol)
+    bad = anomalous_indices(dist.weights, anomaly_tol)
+    marginal = tuple(i for i, (w, e) in enumerate(zip(dist.weights, dist.error))
+                     if is_marginal(complex(w), 0.0, 1.0, anomaly_tol, float(e)))
+    return (classification, is_marginal(dist.value, lo, hi, anomaly_tol, dist.value_error), bad, marginal,
             classification != wv.NORMAL or bool(bad))
+
+
+class _Exact(NamedTuple):
+    """A complex number as an exact pair of fractions, judged by ``classify`` as a complex is."""
+
+    real: Fraction
+    imag: Fraction
+
+    def __mul__(self, other):
+        return _Exact(self.real * other.real - self.imag * other.imag, self.real * other.imag + self.imag * other.real)
+
+    def conjugate(self):
+        return _Exact(self.real, -self.imag)
+
+
+def _exact(z):
+    """A stored complex double as the exact rational pair it is."""
+    z = complex(z)
+    return _Exact(Fraction(z.real), Fraction(z.imag))
+
+
+def _sum(terms):
+    terms = list(terms)
+    return _Exact(sum(t.real for t in terms), sum(t.imag for t in terms))
+
+
+def exact_verdicts(rho_phi, rho_psi, obs, anomaly_tol):
+    """(classification, anomalous_indices) of a selection pair in exact rational arithmetic on its stored doubles.
+
+    The g_i are <a_i| rho_psi rho_phi |a_i> / Re Tr(rho_phi rho_psi) over the stored eigenvectors
+    and matrix entries, each taken as the exact rational it is, and A_w is sum_i a_i g_i over the
+    stored eigenvalues: only the package's rounding of the sums and products is taken away. The
+    verdicts compare them exactly with the band edges as the package rounds them.
+    """
+    d = obs.dim
+    phi = [[_exact(x) for x in row] for row in rho_phi.matrix]
+    psi = [[_exact(x) for x in row] for row in rho_psi.matrix]
+    vecs = [[_exact(x) for x in row] for row in obs.eigenvectors]
+    den = _sum(phi[j][k] * psi[k][j] for j in range(d) for k in range(d)).real
+    g = []
+    for i in range(d):
+        bra = [_sum(v[i].conjugate() * psi[j][k] for j, v in enumerate(vecs)) for k in range(d)]
+        ket = [_sum(phi[k][j] * v[i] for j, v in enumerate(vecs)) for k in range(d)]
+        num = _sum(b * k for b, k in zip(bra, ket))
+        g.append(_Exact(num.real / den, num.imag / den))
+    value = _sum(_exact(a) * w for a, w in zip(obs.eigenvalues, g))
+    lo, hi = float(obs.eigenvalues[0]), float(obs.eigenvalues[-1])
+    return (classify(value, lo, hi, anomaly_tol),
+            tuple(i for i, w in enumerate(g) if classify(w, 0.0, 1.0, anomaly_tol) != wv.NORMAL))
 
 
 def antipodal(psi):

@@ -152,6 +152,39 @@ def test_contextuality_qutrit_omits_fragment(capsys, tmp_path):
     assert len(report["cycles"]["inequalities"]) == 30  # C(5,3) * 3
 
 
+_TILT = 0.7 + np.pi / 2.0
+# Tr(rho_phi rho_psi) = 1.0e-10 and a_0 = psi-perp: g_0 = -3.8e-7 carries a rounding of order eps / Tr.
+NEAR_ORTHOGONAL_ROUNDING = {
+    "dimension": 2,
+    "observable": [[np.sin(_TILT) ** 2, -np.sin(_TILT) * np.cos(_TILT)],
+                   [-np.sin(_TILT) * np.cos(_TILT), np.cos(_TILT) ** 2]],
+    "pre_state": [np.cos(0.7), np.sin(0.7)],
+    "post_state": [-np.sin(0.70001), np.cos(0.70001)],
+}
+# Diagonal states that the gates accept; the eigenvalue -5e-11 alone gives g = (-1, 2) at Tr = 5e-11.
+ACCEPTED_NEGATIVITY = {
+    "dimension": 2,
+    "observable": [[0.0, 0.0], [0.0, 1.0]],
+    "pre_state": [[-5e-11, 0.0], [0.0, 1.00000000005]],
+    "post_state": [[0.9999999999, 0.0], [0.0, 1e-10]],
+}
+
+
+@pytest.mark.parametrize("problem", [NEAR_ORTHOGONAL_ROUNDING, ACCEPTED_NEGATIVITY],
+                         ids=["near-orthogonal-rounding", "accepted-negativity"])
+def test_a_verdict_its_error_can_flip_is_flagged(capsys, tmp_path, problem):
+    # The anomaly still counts (exit 3), but every verdict is flagged, and the witness does not
+    # read a broken theorem into what rounding or an accepted negative eigenvalue can do.
+    path = _write_problem(tmp_path / "p.json", problem)
+    code, out, _ = _run(capsys, ["compute", "--input", path])
+    report = json.loads(out)
+    assert code == 3
+    assert report["quasiprob"]["anomalous_indices"] == [0, 1]
+    assert report["quasiprob"]["marginal_indices"] == [0, 1]
+    assert report["weak_value"]["marginal"] is True
+    assert report["witness"]["verdict"] == "ConsistentWithTheorem"
+
+
 def test_pointer_subcommand(capsys, great_circle_file):
     code, out, _ = _run(capsys, ["pointer", "--input", great_circle_file])
     assert code == 3

@@ -3,8 +3,11 @@
 Each example is a stack of n selection pairs of dimension d = 2..8, mixed
 states G G^dagger / Tr built from generated entries, and a non-degenerate
 observable with a generated spectrum in a generated eigenbasis. The verdict
-property judges one such pair, its values pushed next to the decision lines.
-The phase property draws pure pairs in the same way. The last two properties draw real
+property judges one such pair, its values pushed next to the decision lines
+and its stated error set beside the band. The rounding property draws pure
+pairs down to Tr(rho_phi rho_psi) = 1e-11 and holds each verdict to exact
+rational arithmetic or to its flag. The phase property draws pure pairs in the
+same way as the stacks. The last two properties draw real
 qubit pairs instead and check the contextuality certificate that the paper
 attaches to every real-qubit anomaly.
 """
@@ -18,9 +21,10 @@ from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
 from weakvalues.contextuality import anomaly_implies_violation, fragment_cycles
-from weakvalues.quasiprob import anomalous_mask, quasi_prob_stack
+from weakvalues.quasiprob import anomalous_mask, classify, quasi_prob_stack
 
-from oracles import verdicts
+from oracles import classify as oracle_classify
+from oracles import exact_verdicts, verdicts
 
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -134,14 +138,15 @@ def test_a_dephased_pre_selection_gives_no_anomalous_weight(case):
     assert not np.any(anomalous_mask(g[_selected(den)], 0.0, 1.0, wv.DEFAULT_TOL.anom))
 
 
-# signed distances from a decision line, in units of the band: anom/10, anom and 10 anom
-_OFFSETS = st.sampled_from((-10.0, -1.0, -0.1, 0.1, 1.0, 10.0))
+# signed distances from a decision line, in units of the band: anom/10, anom and 10 anom, or anything within 20 anom
+_OFFSETS = st.sampled_from((-10.0, -1.0, -0.1, 0.1, 1.0, 10.0)) | st.floats(-20.0, 20.0)
 
 
 @st.composite
 def judged_records(draw):
     """The kernel record of one generated pair, judged at a band from 1e-12 to 1e-3, and the same
-    record with each part of each g_i and of A_w left alone or pushed next to a decision line.
+    record with each part of each g_i and of A_w left alone or pushed within 20 bands of a decision
+    line (a spectrum edge, or |Im| = band), and a slack that puts each error at up to 20 bands.
 
     The g_i may first be clipped into [0, 1], so that an A_w verdict also meets g_i that are
     all normal."""
@@ -160,7 +165,9 @@ def judged_records(draw):
 
     weights = dist.weights.real.clip(0.0, 1.0) if draw(st.booleans()) else dist.weights
     weights = np.array([push(complex(w), 0.0, 1.0) for w in weights])
-    return dist, replace(dist, weights=weights, value=push(dist.value, dist.spectrum_lo, dist.spectrum_hi))
+    slack = draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 20.0)) * anom * dist.denominator
+    return dist, replace(dist, weights=weights, value=push(dist.value, dist.spectrum_lo, dist.spectrum_hi),
+                         slack=slack)
 
 
 @PROPERTY_SETTINGS
@@ -169,6 +176,65 @@ def test_the_record_verdicts_are_the_free_function_rules(records):
     for dist in records:
         assert (dist.classification, dist.marginal, dist.anomalous_indices, dist.marginal_indices,
                 dist.anomalous) == verdicts(dist, dist.tol.anom)
+        lo, hi, anom = dist.spectrum_lo, dist.spectrum_hi, dist.tol.anom
+        assert [classify(complex(w), 0.0, 1.0, anom) for w in dist.weights] == [
+            oracle_classify(complex(w), 0.0, 1.0, anom) for w in dist.weights]
+        assert anomalous_mask(dist.value, lo, hi, anom) == (oracle_classify(dist.value, lo, hi, anom) != wv.NORMAL)
+
+
+@st.composite
+def near_orthogonal_selections(draw):
+    """Pure selections at d = 2..4, real or complex, with Tr(rho_phi rho_psi) = 10^u for u in [-11, 0],
+    a band from 1e-12 to 1e-6, and an observable whose eigenvector a_0 lies anywhere, or tilted from
+    the part of phi orthogonal to psi by 10^v rad (v in [-13, -3]) or by the angle that aims Re g_0
+    at the decision line -band, give or take the rounding scale eps / Tr."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    real = draw(st.booleans())
+
+    def unit(*against):
+        v = rng.normal(size=d) + (0.0 if real else 1j * rng.normal(size=d))
+        for u in against:
+            v = v - np.vdot(u, v) * u
+        return v / np.linalg.norm(v)
+
+    psi = unit()
+    perp = unit(psi)
+    overlap = 10.0 ** draw(st.floats(-11.0, 0.0))
+    phi = np.sqrt(1.0 - overlap) * perp + np.sqrt(overlap) * psi
+    anom = 10.0 ** draw(st.floats(-12.0, -6.0))
+    aim = draw(st.sampled_from(("anywhere", "near", "aimed", "aimed")))
+    if aim != "anywhere":
+        towards = unit(perp)
+        # a_0 = cos(tilt) perp + sin(tilt) towards gives g_0 = tilt k to first order
+        k = np.vdot(towards, psi) * np.vdot(phi, perp) / np.vdot(phi, psi)
+        assume(k.real != 0.0)  # 0 at Tr = 1, where phi is psi
+        tilt = (10.0 ** draw(st.floats(-13.0, -3.0)) if aim == "near"
+                else -(anom + draw(st.floats(-0.25, 0.25)) * np.finfo(float).eps / overlap) / k.real)
+        first = np.cos(tilt) * perp + np.sin(tilt) * towards
+        basis = np.linalg.qr(np.column_stack([first] + [unit() for _ in range(d - 1)]))[0]
+    else:
+        basis = np.linalg.qr(np.column_stack([unit() for _ in range(d)]))[0]
+    spectrum = np.cumsum(draw(hnp.arrays(np.float64, d, elements=st.floats(0.1, 2.0)))) - draw(st.floats(-3.0, 3.0))
+    matrix = (basis * np.roll(spectrum, draw(st.integers(0, d - 1)))) @ basis.conj().T
+    obs = wv.eigensystem((matrix + matrix.conj().T) / 2.0)
+    states = [wv.pure_to_density(wv.state_vector(v)) for v in (phi, psi)]
+    return (*states, obs, wv.Tolerances(anom=anom))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_orthogonal_selections())
+def test_a_verdict_that_rounding_flips_is_flagged(case):
+    """Each anomaly verdict is the one exact arithmetic on the stored doubles gives, or it is flagged marginal."""
+    rho_phi, rho_psi, obs, tol = case
+    try:
+        dist = wv.quasi_prob(rho_phi, rho_psi, obs, tol)
+    except wv.OrthogonalSelectionError:
+        assume(False)
+    classification, anomalous_indices = exact_verdicts(rho_phi, rho_psi, obs, tol.anom)
+    assert dist.classification == classification or dist.marginal
+    for i in range(obs.dim):
+        assert (i in dist.anomalous_indices) == (i in anomalous_indices) or i in dist.marginal_indices
 
 
 @PROPERTY_SETTINGS

@@ -31,7 +31,7 @@ def test_classify_decisions():
 def _judged(value: complex) -> wv.QuasiProbDist:
     """A record whose A_w is ``value`` over the spectrum [0, 1], judged at the default band."""
     return wv.QuasiProbDist(weights=np.array([1.0 - value, value]), labels=np.array([0.0, 1.0]), value=value,
-                            denominator=1.0, tol=wv.DEFAULT_TOL)
+                            denominator=1.0, slack=0.0, tol=wv.DEFAULT_TOL)
 
 
 def test_is_marginal_band():
@@ -241,14 +241,14 @@ def test_anomalous_indices_on_handmade_distribution():
     # the record derives its verdicts from its own values, so none can contradict them
     dist = wv.QuasiProbDist(weights=np.array([1.0, 0.0, 0.0], dtype=complex),
                             labels=np.array([0.0, 1.0, 2.0]),
-                            value=0j, denominator=1.0, tol=wv.DEFAULT_TOL)
+                            value=0j, denominator=1.0, slack=0.0, tol=wv.DEFAULT_TOL)
     assert dist.anomalous_indices == ()
     assert dist.classification == wv.NORMAL
     assert not dist.anomalous
     assert (dist.spectrum_lo, dist.spectrum_hi) == (0.0, 2.0)
     dist2 = wv.QuasiProbDist(weights=np.array([0.5, 0.5 + 2e-9j, 0.0 - 0.0j], dtype=complex),
                              labels=np.array([0.0, 1.0, 2.0]),
-                             value=0.5 + 2e-9j, denominator=1.0, tol=wv.DEFAULT_TOL)
+                             value=0.5 + 2e-9j, denominator=1.0, slack=0.0, tol=wv.DEFAULT_TOL)
     assert dist2.anomalous_indices == (1,)
     assert dist2.classification == wv.ANOMALOUS_IMAGINARY
     assert dist2.anomalous

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import weakvalues as wv
 from weakvalues import witness
 from weakvalues.core import DEFAULT_COHERENCE_TOL
-from weakvalues.witness import CONSISTENT, VIOLATED, WitnessReport, _rounding, check_theorem_coherence
+from weakvalues.witness import CONSISTENT, VIOLATED, WitnessReport, check_theorem_coherence
 
 from conftest import random_mixed, random_pure
 from oracles import NotIncoherentError, corollary_projector_weak_value, incoherent_quasi_prob
@@ -170,7 +170,7 @@ def test_excess_stays_within_the_bound(case):
         report = check_theorem_coherence(rho_phi, rho_psi, obs)
     except wv.OrthogonalSelectionError:
         assume(False)
-    assert report.excess <= report.bound + _rounding(report.dist)
+    assert report.excess <= report.bound + report.dist.allowance
     assert report.verdict == CONSISTENT
 
 

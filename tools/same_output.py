@@ -15,7 +15,7 @@ the parent commit unpacked into a directory). Every request calls
   ``POINTER_BLOCKS`` (through ``pointer`` in both formats), ``tolerances``
   with ``anom`` 1e-6 (through the five commands in JSON) and a ``seed`` key
   (through ``gvals`` in both formats);
-- the two problems of ``EDGE_PROBLEMS``, each through the five problem
+- the three problems of ``EDGE_PROBLEMS``, each through the five problem
   commands in both formats;
 - ``reproduce-paper``;
 - ``scan`` over every ensemble at d = 2, 3, 5 and 8 with each n in
@@ -26,7 +26,7 @@ the parent commit unpacked into a directory). Every request calls
 - ``scan --tol-anom 0.2`` over the complex ensembles (``WIDE_BAND_KINDS``) at
   d = 2, 3, 5 and 8 with each n in ``SCAN_SIZES``, in both formats: at the
   default band every pair of theirs counts as anomalous, whatever its states
-  (4,159 requests in all).
+  (4,169 requests in all).
 
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, one line per request that differs, and one tally line per
@@ -72,10 +72,12 @@ POINTER_BLOCKS = (
     {"width": 0.5, "coupling": 3e-3, "couplings_series": [0.05, 0.025, 0.0125]},
     {"width": 3.0, "coupling": 0.2, "couplings_series": [0.3, 0.15, 0.075, 0.0375, 0.01875, 0.009375]},
 )
-# Two verdicts near their edges. A small-coherence anomaly: g_0 = -1.31e-9 leaves the band
+# Three verdicts near their edges. A small-coherence anomaly: g_0 = -1.31e-9 leaves the band
 # while C_psi = 9.8e-9 sits below the coherence threshold, at Tr(rho_phi rho_psi) = 0.75.
 # A near-orthogonal real qubit pair, Tr(rho_phi rho_psi) = 1.0e-10, whose observable has
-# psi-perp as its eigenvector a_0: g_0 is +1.6e-11 in exact arithmetic.
+# psi-perp as its eigenvector a_0: g_0 is +1.6e-11 in exact arithmetic on the state vectors.
+# Two diagonal states that the gates accept, the pre-selection with an eigenvalue of -5e-11:
+# at Tr(rho_phi rho_psi) = 5e-11 that negativity alone gives g = (-1, 2).
 _TILT = 0.7 + math.pi / 2.0
 EDGE_PROBLEMS = {
     "small-coherence-anomaly": {
@@ -89,6 +91,11 @@ EDGE_PROBLEMS = {
                        [-math.sin(_TILT) * math.cos(_TILT), math.cos(_TILT) ** 2]],
         "pre_state": [math.cos(0.7), math.sin(0.7)],
         "post_state": [-math.sin(0.70001), math.cos(0.70001)],
+    },
+    "accepted-negativity": {
+        "dimension": 2, "observable": [[0.0, 0.0], [0.0, 1.0]],
+        "pre_state": [[-5e-11, 0.0], [0.0, 1.00000000005]],
+        "post_state": [[0.9999999999, 0.0], [0.0, 1e-10]],
     },
 }
 
