@@ -628,8 +628,14 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@cache  # an Observable is frozen, so one per dimension serves every scan of a process
+def _scan_observable(dim: int) -> Observable:
+    """diag(0, 1, ..., dim - 1), the observable every scan is judged against."""
+    return eigensystem(np.diag(np.arange(dim, dtype=float)))
+
+
 def cmd_scan(args) -> int:
-    obs = eigensystem(np.diag(np.arange(args.dim, dtype=float)))
+    obs = _scan_observable(args.dim)
     spec_psi = SamplerSpec(dim=args.dim, kind=args.kind, seed=args.seed)
     spec_phi = SamplerSpec(dim=args.dim, kind=args.kind, seed=(args.seed + 1) % 2 ** 64)
     summary = scan_anomaly_rate(spec_phi, spec_psi, obs, args.n, tol=args.tol_anom)

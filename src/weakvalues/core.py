@@ -35,7 +35,6 @@ __all__ = [
     "dephase",
     "require_dims",
     "coherence_l1",
-    "coherence_l1_stack",
     "commutator_norm",
 ]
 
@@ -260,22 +259,23 @@ def dephase(rho: DensityOperator, basis: Observable) -> DensityOperator:
     return DensityOperator((v * populations) @ v.conj().T)
 
 
-def coherence_l1_stack(stack: np.ndarray, basis: Observable) -> np.ndarray:
-    """l1 coherence of every matrix of an (n, d, d) stack in the eigenbasis of ``basis``.
+def _l1_in_eigenbasis(stack: np.ndarray) -> np.ndarray:
+    """l1 coherence of every matrix of an (n, d, d) stack written in the eigenbasis: moduli sum minus trace.
 
-    V^dagger rho V is two (n d, d) x (d, d) products: rho V, then its transpose times conj(V).
+    The moduli are summed in transposed order, the layout in which :func:`coherence_l1` forms
+    V^dagger rho V, so a stack drawn in the eigenbasis gets the bits of the rotated route.
     """
-    n, d, _ = stack.shape
-    v = basis.eigenvectors
-    right = (stack.reshape(n * d, d) @ v).reshape(n, d, d)
-    moduli = np.abs(right.transpose(0, 2, 1).reshape(n * d, d) @ v.conj()).reshape(n, d, d)
+    moduli = np.ascontiguousarray(np.abs(stack).transpose(0, 2, 1))
     return moduli.sum(axis=(1, 2)) - np.trace(moduli, axis1=1, axis2=2)
 
 
 def coherence_l1(rho: DensityOperator, basis: Observable) -> float:
     """Sum of the moduli of the off-diagonal entries of rho in the eigenbasis."""
     require_dims(basis.dim, rho)
-    return float(coherence_l1_stack(rho.matrix[None], basis)[0])
+    v = basis.eigenvectors
+    # (V^dagger rho V)^T is two products: rho V, then its transpose times conj(V).
+    transposed = np.ascontiguousarray((rho.matrix @ v).T) @ v.conj()
+    return float(_l1_in_eigenbasis(transposed.T[None])[0])
 
 
 def commutator_norm(rho1: DensityOperator, rho2: DensityOperator) -> float:

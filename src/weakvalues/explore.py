@@ -3,7 +3,9 @@
 Every random draw flows through a counter-based generator keyed by
 (master seed, key). A scan draws its pairs in blocks of
 ``max(1, 65536 // d**2)`` and keys each block by its block number, so a
-fixed seed reproduces every count bit for bit.
+fixed seed reproduces every count bit for bit. A scan reads every drawn
+matrix as coordinates in the eigenbasis of its observable, so its path has
+no basis rotation.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .core import (
     StateVector,
     Tolerances,
     ValidationError,
-    coherence_l1_stack,
+    _l1_in_eigenbasis,
     require_dims,
 )
-from .quasiprob import anomalous_mask, quasi_prob_stack
+from .invariants import overlap_stack
+from .quasiprob import _g_contraction, anomalous_mask
 
 __all__ = [
     "HAAR_PURE",
@@ -103,20 +106,20 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
     the product numpy's complex division by a real t forms, without its cost.
     """
     if kind == REAL_PURE:
-        x = rng.normal(size=(size, dim))
+        x = rng.standard_normal(size=(size, dim))
         return (x * (1.0 / np.sqrt(np.einsum("ni,ni->n", x, x)))[:, None]).astype(complex)
     if kind == HAAR_PURE:
-        x = rng.normal(size=(size, 2, dim))
+        x = rng.standard_normal(size=(size, 2, dim))
         x *= (1.0 / np.sqrt(np.einsum("nki,nki->n", x, x)))[:, None, None]
         return x[:, 0] + 1j * x[:, 1]
     if kind == MIXED_FULL_RANK:
-        x = rng.normal(size=(size, 2, dim, dim))
+        x = rng.standard_normal(size=(size, 2, dim, dim))
         g = x[:, 0] + 1j * x[:, 1]
         rho = g @ g.conj().transpose(0, 2, 1)
         rho *= (1.0 / np.einsum("nii->n", rho).real)[:, None, None]
         return rho
     if kind == REAL_MIXED:
-        w = rng.normal(size=(size, 2, dim, dim)).transpose(0, 2, 1, 3).reshape(size, dim, 2 * dim)
+        w = rng.standard_normal(size=(size, 2, dim, dim)).transpose(0, 2, 1, 3).reshape(size, dim, 2 * dim)
         rho = w @ w.transpose(0, 2, 1)
         rho *= (1.0 / np.einsum("nii->n", rho))[:, None, None]
         return ((rho + rho.transpose(0, 2, 1)) * 0.5).astype(complex)
@@ -321,11 +324,17 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
                       tol: Tolerances = DEFAULT_TOL) -> ScanSummary:
     """Anomaly statistics over ``n`` independent selection pairs.
 
-    Block b holds the next ``max(1, 65536 // d**2)`` pairs (the last block
-    is shorter), drawn from the keys (spec.seed, b), and goes through
-    :func:`quasi_prob_stack` at once, which gives the g_i and A_w; the rules of
-    ``classify`` and ``coherence_l1`` apply elementwise. Pairs whose overlap
-    falls at or below the selection threshold are skipped and tallied apart.
+    Every drawn matrix is read as coordinates in the eigenbasis of ``obs``,
+    whose eigenvectors the scan never reads: ``haar`` and ``mixed`` are
+    unitarily invariant, and ``real-*`` and ``diagonal`` are real, or
+    diagonal, in that basis, so ``diagonal`` is the theorem's incoherent
+    ensemble for any observable. Block b holds the next
+    ``max(1, 65536 // d**2)`` pairs (the last block is shorter), drawn from
+    the keys (spec.seed, b), and goes through the contraction of
+    :func:`quasi_prob_stack` at once, which gives the g_i and A_w; the rules
+    of ``classify`` and ``coherence_l1`` apply elementwise. Pairs whose
+    overlap falls at or below the selection threshold are skipped and
+    tallied apart.
     """
     if not _is_int(n):
         raise ValidationError(f"scan needs an integer n, got {n!r}")
@@ -340,13 +349,14 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
         size = min(block, n - start)
         rho_phi = _density_block(spec_phi, b, size)
         rho_psi = _density_block(spec_psi, b, size)
-        den, g, value = quasi_prob_stack(rho_phi, rho_psi, obs)
+        den = overlap_stack(rho_phi, rho_psi)
+        g, value = _g_contraction(rho_psi.transpose(0, 2, 1), rho_phi, den, a)
         kept = den > DEFAULT_SELECTION_THRESHOLD
         g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
         aw_bad = anomalous_mask(value, a[0], a[-1], tol.anom) & kept
         quiet = kept & ~g_bad & ~aw_bad
-        quiet[quiet] = ((coherence_l1_stack(rho_phi[quiet], obs) >= DEFAULT_COHERENCE_TOL)
-                        & (coherence_l1_stack(rho_psi[quiet], obs) >= DEFAULT_COHERENCE_TOL))
+        quiet[quiet] = ((_l1_in_eigenbasis(rho_phi[quiet]) >= DEFAULT_COHERENCE_TOL)
+                        & (_l1_in_eigenbasis(rho_psi[quiet]) >= DEFAULT_COHERENCE_TOL))
         g_count += int(g_bad.sum())
         aw_count += int(aw_bad.sum())
         quiet_count += int(quiet.sum())

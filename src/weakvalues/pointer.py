@@ -124,6 +124,12 @@ def simulate(obs: Observable, psi: StateVector, phi: StateVector,
     return _readouts(obs, psi, phi, (cfg.coupling,), cfg.width)[0]
 
 
+def _above_one(ratio: float) -> str:
+    """A ratio above 1 as ``:g`` prints it, with every digit where ``:g`` would round it to 1."""
+    text = f"{ratio:g}"
+    return repr(float(ratio)) if text == "1" else text
+
+
 def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
                 cfg: PointerConfig = PointerConfig()) -> ExtrapolationResult:
     """Recover the weak value by polynomial extrapolation of the readouts to g = 0.
@@ -148,14 +154,14 @@ def extrapolate(obs: Observable, psi: StateVector, phi: StateVector,
     if spread > 1.0:
         raise ValidationError(
             f"couplings_series leaves the weak regime: max coupling x (a_max - a_min) / width"
-            f" = {spread:g}, must be at most 1"
+            f" = {_above_one(spread)}, must be at most 1"
         )
     aw = weak_value_pure(obs, psi, phi).value
     amplification = max(series) * float(np.max(np.abs(a - aw))) / cfg.width
     if amplification > 1.0:
         raise ValidationError(
             f"couplings_series leaves the weak regime: max coupling x max_i |a_i - A_w| / width"
-            f" = {amplification:g}, must be at most 1"
+            f" = {_above_one(amplification)}, must be at most 1"
         )
     two_var = 2.0 * cfg.width ** 2
     *outcomes, outcome = _readouts(obs, psi, phi, series + (cfg.coupling,), cfg.width)

@@ -161,6 +161,23 @@ class QuasiProbDist:
         return 2.0 * moved + (len(self.labels) - 1) ** 2 * self.slack / (2.0 * self.denominator)
 
 
+def _g_contraction(left: np.ndarray, right: np.ndarray, den: np.ndarray,
+                   eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The g rows and weak values of (n, d, d) stacks in the eigenbasis, ``left`` transposed.
+
+    ``left[k]`` is (V^dagger rho_psi[k])^T and ``right[k]`` is rho_phi[k] V, so a stack
+    drawn in the eigenbasis enters as ``rho_psi.transpose(0, 2, 1)`` and ``rho_phi``
+    themselves; ``den`` is the overlaps of :func:`quasi_prob_stack`.
+    """
+    # An einsum, not .sum(axis=1): numpy runs that reduction as one inner loop per row.
+    num = np.einsum("nki->ni", left * right)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = num / den[:, None]
+        # An elementwise product and a row sum give row k the same bits in any
+        # stack; a matrix-vector product does not.
+        return g, (g * eigenvalues).sum(axis=-1)
+
+
 def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,
                      obs: Observable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Overlaps, quasi-probabilities and weak values of (n, d, d) stacks of selection pairs.
@@ -179,13 +196,7 @@ def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,
     v = obs.eigenvectors
     left = rho_psi.transpose(0, 2, 1).reshape(n * d, d) @ v.conj()
     right = rho_phi.reshape(n * d, d) @ v
-    # An einsum, not .sum(axis=1): numpy runs that reduction as one inner loop per row.
-    num = np.einsum("nki->ni", (left * right).reshape(n, d, d))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = num / den[:, None]
-        # An elementwise product and a row sum give row k the same bits in any
-        # stack; a matrix-vector product does not.
-        return den, g, (g * obs.eigenvalues).sum(axis=-1)
+    return den, *_g_contraction(left.reshape(n, d, d), right.reshape(n, d, d), den, obs.eigenvalues)
 
 
 def quasi_prob(rho_phi: DensityOperator, rho_psi: DensityOperator, obs: Observable,

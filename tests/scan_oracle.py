@@ -1,10 +1,13 @@
 """Pair-by-pair recount of a scan through the scalar API.
 
-``scan_anomaly_rate`` classifies whole blocks of pairs at once. This oracle
-reads the same drawn blocks and walks them one pair at a time through
-``quasi_prob`` and ``coherence_l1`` on ``DensityOperator`` objects, with the
-selection gate raising as it does for single problems. One record per pair
-gives both the g_i verdicts and the A_w classification.
+``scan_anomaly_rate`` classifies whole blocks of pairs at once and reads every
+drawn matrix as coordinates in the eigenbasis of its observable. This oracle
+reads the same drawn blocks, writes each pair in the computational basis as
+V rho V^dagger over the observable's eigenvectors V, and walks the pairs one
+at a time through ``quasi_prob`` and ``coherence_l1`` on ``DensityOperator``
+objects, with the selection gate raising as it does for single problems. So
+it checks the eigenbasis contract for any V. One record per pair gives both
+the g_i verdicts and the A_w classification.
 """
 
 import weakvalues as wv
@@ -15,14 +18,15 @@ from weakvalues.explore import _block_size, _density_block
 def pairwise_counts(spec_phi, spec_psi, obs, n, tol=wv.DEFAULT_TOL):
     """(anomalous_g, anomalous_aw, coherent_non_anomalous, skipped) over n pairs."""
     counts = [0, 0, 0, 0]
+    v = obs.eigenvectors
     block = _block_size(obs.dim)
     for b, start in enumerate(range(0, n, block)):
         size = min(block, n - start)
         stack_phi = _density_block(spec_phi, b, size)
         stack_psi = _density_block(spec_psi, b, size)
         for k in range(size):
-            rho_phi = wv.DensityOperator(stack_phi[k])
-            rho_psi = wv.DensityOperator(stack_psi[k])
+            rho_phi = wv.DensityOperator(v @ stack_phi[k] @ v.conj().T)
+            rho_psi = wv.DensityOperator(v @ stack_psi[k] @ v.conj().T)
             try:
                 dist = wv.quasi_prob(rho_phi, rho_psi, obs, tol)
             except wv.OrthogonalSelectionError:

@@ -734,7 +734,11 @@ def pointer_problems(draw):
         lambda amps: (np.array(amps) / np.linalg.norm(amps)).tolist())  # keeps signed zeros
     spectrum = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d, unique=True))
     width = draw(st.floats(0.1, 10.0))
-    largest = draw(st.floats(1e-4, 1.0)) * width / (max(spectrum) - min(spectrum))
+    span = float(max(spectrum) - min(spectrum))
+    largest = draw(st.floats(1e-4, 1.0)) * width / span
+    # at u = 1.0 the spread gate's max(series) * (a_max - a_min) / width, in its operand order, can round to 1 + 2^-52
+    while largest * span / width > 1.0:
+        largest = float(np.nextafter(largest, 0.0))
     steps = draw(st.lists(st.floats(0.1, 0.9), min_size=2, max_size=5))
     series = [largest]
     for step in steps:

@@ -144,6 +144,14 @@ def test_eigensystem_diag_sorted_ascending():
     assert abs(abs(obs.eigenvectors[0, 2]) - 1.0) < 1e-12
 
 
+def test_scan_observable_has_the_identity_as_its_eigenbasis():
+    # scan reads its draws in the eigenbasis; its reports equal the rotated kernels' only while V = I exactly
+    for d in range(2, 65):
+        obs = wv.eigensystem(np.diag(np.arange(d, dtype=float)))
+        assert np.array_equal(obs.eigenvectors, np.eye(d))
+        assert np.array_equal(obs.eigenvalues, np.arange(d))
+
+
 def test_eigensystem_pauli_cases():
     z = wv.eigensystem(np.diag([1.0, -1.0]))
     assert np.allclose(z.eigenvalues, [-1.0, 1.0])

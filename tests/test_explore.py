@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import weakvalues as wv
+from weakvalues import explore
 from weakvalues.cli import _SEARCH_OBSERVABLES
+from weakvalues.core import _l1_in_eigenbasis
 from weakvalues.explore import (
     DIAGONAL,
     HAAR_PURE,
@@ -20,6 +22,7 @@ from weakvalues.explore import (
     search_max_negativity,
 )
 from weakvalues.explore import _block_size, _density_block, _draw, _task_rng
+from weakvalues.quasiprob import _g_contraction, quasi_prob_stack
 from oracles import draw_rounding_bound, reference_draw, scalar_search, trace_ratio_weak_value
 from scan_oracle import pairwise_counts
 
@@ -270,6 +273,62 @@ def test_scan_matches_pairwise_oracle(kind, dim):
               summary.coherent_non_anomalous, summary.skipped)
     assert counts == pairwise_counts(spec_phi, spec_psi, obs, n)
     assert summary.n == n
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("basis", ("swap", "rotation"))
+def test_scan_reads_its_draws_in_the_eigenbasis_of_any_observable(proj_zero, kind, basis):
+    # The oracle writes each pair as V rho V^dagger and rotates it back through the rotated kernels;
+    # in the wide band the counts of the complex kinds depend on their states too.
+    if basis == "swap":
+        obs = proj_zero
+    else:  # a real rotation of R^3: about x by 0.4, then about z by 1.1
+        (cx, cz), (sx, sz) = np.cos([0.4, 1.1]), np.sin([0.4, 1.1])
+        rotation = (np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+                    @ np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]]))
+        obs = wv.eigensystem(rotation @ np.diag([0.0, 1.0, 2.0]) @ rotation.T)
+    assert not np.array_equal(np.abs(obs.eigenvectors), np.eye(obs.dim))
+    n = 600
+    spec_phi = SamplerSpec(dim=obs.dim, kind=kind, seed=51)
+    spec_psi = SamplerSpec(dim=obs.dim, kind=kind, seed=52)
+    summary = scan_anomaly_rate(spec_phi, spec_psi, obs, n, WIDE_BAND)
+    counts = (summary.anomalous_g, summary.anomalous_aw, summary.coherent_non_anomalous, summary.skipped)
+    assert counts == pairwise_counts(spec_phi, spec_psi, obs, n, WIDE_BAND)
+    if kind == DIAGONAL:
+        assert counts == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("dim", (2, 3, 5, 8, 17))
+def test_scan_rows_are_the_rotated_kernels_bits(monkeypatch, kind, dim):
+    # diag(0..d-1) has V = I exactly, so the unrotated scan must give the rotated route's bits;
+    # at d = 17 numpy sums each row in pairwise blocks. The wide band leaves quiet rows in every kind.
+    obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
+    g_rows, l1_rows = [], []
+
+    def contraction(left, right, den, a):
+        g, value = _g_contraction(left, right, den, a)
+        g_rows.append((g, value))
+        return g, value
+
+    def l1(stack):
+        values = _l1_in_eigenbasis(stack)
+        l1_rows.extend(zip(stack, values))
+        return values
+
+    monkeypatch.setattr(explore, "_g_contraction", contraction)
+    monkeypatch.setattr(explore, "_l1_in_eigenbasis", l1)
+    spec_phi, spec_psi = SamplerSpec(dim, kind, 61), SamplerSpec(dim, kind, 62)
+    n = _block_size(dim) + 40
+    scan_anomaly_rate(spec_phi, spec_psi, obs, n, WIDE_BAND)
+    assert [len(g) for g, _ in g_rows] == [_block_size(dim), 40]
+    for b, (g, value) in enumerate(g_rows):
+        _, g_want, value_want = quasi_prob_stack(_density_block(spec_phi, b, len(g)),
+                                                 _density_block(spec_psi, b, len(g)), obs)
+        assert np.array_equal(g, g_want) and np.array_equal(value, value_want)
+    assert l1_rows
+    for rho, value in l1_rows:
+        assert value == wv.coherence_l1(wv.DensityOperator(rho), obs)
 
 
 def test_scan_is_repeatable_and_keyed_by_block(proj_zero):

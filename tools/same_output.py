@@ -25,8 +25,10 @@ the parent commit unpacked into a directory). Every request calls
   seed in ``WIDE_SCAN_SEEDS``, in JSON;
 - ``scan --tol-anom 0.2`` over the complex ensembles (``WIDE_BAND_KINDS``) at
   d = 2, 3, 5 and 8 with each n in ``SCAN_SIZES``, in both formats: at the
-  default band every pair of theirs counts as anomalous, whatever its states
-  (4,169 requests in all).
+  default band every pair of theirs counts as anomalous, whatever its states;
+- ``scan`` over every ensemble at d = 16 and 64 (``LARGE_SCAN_DIMS``) with
+  n = ``LARGE_SCAN_N``, in JSON: the dimensions where numpy sums a row of g in
+  pairwise blocks, and the largest a scan takes (4,179 requests in all).
 
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, one line per request that differs, and one tally line per
@@ -57,6 +59,9 @@ DECK_SEEDS = (1, 2, 3)
 SCAN_SIZES = (300, 20_000)
 SCAN_KINDS = ("haar", "mixed", "real-pure", "real-mixed", "diagonal")
 SCAN_DIMS = (2, 3, 5, 8)
+# At these d numpy sums each row of g in pairwise blocks; 64 is the largest --dim. Several blocks at both.
+LARGE_SCAN_DIMS = (16, 64)
+LARGE_SCAN_N = 2000
 # Twelve more seeds for the sampled states, whose last bits a change to the sampler or kernel may move.
 WIDE_SCAN_SEEDS = range(100, 112)
 # The ensembles whose scan counts depend on their states only in a band wider than the default.
@@ -168,6 +173,8 @@ def requests(workdir: Path) -> list[list[str]]:
                   for n in SCAN_SIZES for kind in WIDE_BAND_KINDS for dim in SCAN_DIMS]
     argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", "20000", "--seed", str(seed)]
               for seed in WIDE_SCAN_SEEDS for kind in SCAN_KINDS for dim in SCAN_DIMS]
+    argvs += [["scan", "--kind", kind, "--dim", str(dim), "--n", str(LARGE_SCAN_N), "--seed", str(11 + dim)]
+              for kind in SCAN_KINDS for dim in LARGE_SCAN_DIMS]
     return argvs
 
 
