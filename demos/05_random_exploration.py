@@ -1,9 +1,9 @@
 """How common are anomalies, and how large can they get?
 
-Scans deterministic seeded ensembles for anomaly rates, then runs the
-pattern search for the most negative projector weak value subject to a
-floor on the post-selection probability. Everything here reproduces
-bit-for-bit across runs at fixed seeds.
+Scans deterministic seeded ensembles for anomaly rates, then asks the
+search for the most negative projector weak value subject to a floor on
+the post-selection probability, which it writes down in closed form.
+Everything here reproduces bit-for-bit across runs at fixed seeds.
 """
 
 import numpy as np
@@ -42,8 +42,8 @@ print()
 result = search_max_negativity(np.diag([1.0, 0.0]), budget=10_000, seed=0)
 phi, psi = result.best_states
 print(f"search over pure pairs with |<phi|psi>|^2 >= 0.25:")
-print(f"  most negative projector weak value found: {-result.best_value:+.9f}")
-print(f"  evaluations used: {result.evaluations}")
+print(f"  most negative projector weak value: {-result.best_value:+.9f} (closed form: -1/2)")
+print(f"  pairs scored: {result.evaluations}, the optimum itself")
 print(f"  squared overlap at the optimum: {abs(np.vdot(phi.amps, psi.amps))**2:.6f}")
 
 # the optimum closes the same 120-degree triangle as demo 01

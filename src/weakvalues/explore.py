@@ -5,7 +5,8 @@ Every random draw flows through a counter-based generator keyed by
 ``max(1, 65536 // d**2)`` and keys each block by its block number, so a
 fixed seed reproduces every count bit for bit. A scan reads every drawn
 matrix as coordinates in the eigenbasis of its observable, so its path has
-no basis rotation.
+no basis rotation. The negativity search draws nothing: it writes down the
+constrained optimum in closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     StateVector,
     Tolerances,
     ValidationError,
+    _hermitian,
     _l1_in_eigenbasis,
     require_dims,
 )
@@ -147,10 +149,8 @@ def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
 class SearchResult:
     """Outcome of the negativity search.
 
-    ``weak_value`` is A_w at ``best_states`` (post- then pre-selection) and
-    ``best_value`` is exactly its -Re: candidates are projected onto the
-    feasible overlap region before evaluation, so no penalty term ever
-    enters the objective.
+    ``weak_value`` is A_w at ``best_states`` (post- then pre-selection), ``best_value`` exactly its -Re, and
+    ``evaluations`` the number of pairs scored, one.
     """
 
     best_states: tuple[StateVector, StateVector]
@@ -159,154 +159,45 @@ class SearchResult:
     evaluations: int
 
 
-# The search's settings: restarts, the floor on |<phi|psi>|^2, a restart's first and last poll step.
-SEARCH_RESTARTS = 20
+# The floor on the post-selection probability |<phi|psi>|^2 under which the search maximizes -Re(A_w).
 SEARCH_MIN_OVERLAP = 0.25
-SEARCH_INITIAL_STEP = 0.9
-SEARCH_MIN_STEP = 1e-9
-# The Bloch separation x[:, 0] whose squared overlap cos(x[:, 0] / 2)**2 is the floor.
-_MAX_SEPARATION = 2.0 * np.arccos(np.sqrt(SEARCH_MIN_OVERLAP))
-
-
-def _angle_factor(k: int, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angle k's column as scored, and the factor it contributes to a selection pair.
-
-    The four angles are (phi polar, phi azimuth, psi polar, psi azimuth). The
-    pre-selection angles are absolute; the post-selection angles live in the
-    frame whose north pole is the pre-selection state, so angle 0 is the
-    Bloch separation between the two states and the squared overlap is
-    cos(x[:, 0]/2)**2 exactly. -Re(A_w) grows without bound as the pair
-    approaches orthogonality, so the separation is clamped here, and only
-    here, to the range whose squared overlap stays at or above the floor.
-    Because the separation is itself a coordinate, the constraint surface is
-    a box face: the other three coordinates keep moving freely along it and
-    the search cannot wedge against a curved boundary.
-
-    A polar angle (k = 0, 2) contributes the (2, n) rows cos and sin of half
-    the angle, an azimuth (k = 1, 3) the phases exp(1j * angle).
-    """
-    if k == 0:
-        column = np.minimum(np.maximum(column, 0.0), _MAX_SEPARATION)
-    if k % 2:
-        return column, np.exp(1j * column)
-    half = column / 2.0
-    return column, np.array((np.cos(half), np.sin(half)))
-
-
-def _pre_selection(polar: np.ndarray, phase: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pre-selection side from angles 2 and 3: the (n, 2) stacks psi, perp and matrix @ psi.
-
-    perp is the state orthogonal to psi, the south pole of the frame in which
-    the post-selection angles live.
-    """
-    cos_polar, sin_polar = polar
-    psi = np.empty((len(phase), 2), dtype=complex)
-    psi[:, 0] = cos_polar
-    psi[:, 1] = phase * sin_polar
-    perp = np.empty_like(psi)
-    perp[:, 0] = np.conj(psi[:, 1])
-    perp[:, 1] = -np.conj(psi[:, 0])
-    return psi, perp, (matrix @ psi[:, :, None])[:, :, 0]
-
-
-def _weak_values(separation: np.ndarray, phase: np.ndarray,
-                 pre: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2) stack phi from angles 0 and 1 and the pre-selection side, and the n weak values A_w.
-
-    Both inner products are stacked matmuls because those reproduce the
-    one-pair ``np.vdot`` route bit for bit; a conj-multiply-add or an einsum
-    does not.
-    """
-    cos_sep, sin_sep = separation
-    psi, perp, matrix_psi = pre
-    phi = cos_sep[:, None] * psi + (phase * sin_sep)[:, None] * perp
-    bra = phi.conj()[:, None, :]
-    return phi, ((bra @ matrix_psi[:, :, None]) / (bra @ psi[:, :, None]))[:, 0, 0]
 
 
 def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
-    """Maximize -Re(A_w) over pure qubit selection pairs by pattern search.
+    """The largest -Re(A_w) over pure qubit pairs with |<phi|psi>|^2 >= ``SEARCH_MIN_OVERLAP``, in closed form.
 
-    Pairs are parameterized by a polar and an azimuthal Bloch angle per
-    state, the post-selection pair taken relative to the pre-selection state
-    (see ``_angle_factor``); separations past the ``SEARCH_MIN_OVERLAP``
-    floor of 1/4 are clamped before scoring. There the constrained optimum
-    for a rank-1 projector is 1/2, reached when the two states and the small
-    eigenvector close a 120-degree great circle.
-
-    ``SEARCH_RESTARTS`` restarts draw independent starting points keyed by
-    (seed, restart) and split the evaluation budget evenly; a budget of 0 or
-    less evaluates one start. Each restart is a coordinate pattern search: it
-    polls +h and -h along each angle in turn, from h = ``SEARCH_INITIAL_STEP``,
-    adopts a strictly better point, and halves h after a sweep without a
-    move. It retires when its share is spent or h falls below
-    ``SEARCH_MIN_STEP``. All restarts poll the same (angle, sign) position at
-    each step, so one stacked evaluation serves them all, retired rows
-    included.
-
-    Each restart's current point is kept as the factor each angle
-    contributes (see ``_angle_factor``) and its pre-selection side (psi, perp
-    and matrix @ psi). A poll on angle k computes the moved column and that
-    angle's factor alone, rebuilds the pre-selection side only when k is a
-    pre-selection angle (2 or 3), and forms phi and A_w from the cached rest.
-    Adopting rows copies only the moved column, factor and side.
+    With T = |<phi|psi>|^2 and P = |a><a|, in Bloch vectors (complex states too):
+    - Re P_w = Re <phi|a><a|psi><psi|phi> / T = (1 + n_phi.n_a + n_a.n_psi + n_psi.n_phi) / (4T);
+    - n_psi.n_phi = 2T - 1 and |n_phi + n_psi| = 2 sqrt(T), so the least value over n_a is
+      Re P_w = (1 - 1/sqrt(T)) / 2, which is -1/2 at the floor T = 1/4;
+    - A = a_0 + (a_1 - a_0) P_1 for eigenvalues a_0 <= a_1, so -Re A_w <= -a_0 + (a_1 - a_0) / 2.
+    In the eigenbasis the optimum is psi = (cos 30deg, -sin 30deg), phi = (cos 30deg, sin 30deg):
+    <phi|psi> = 1/2 and P_1,w = -1/2. The pair is mapped back with the eigenvectors, its half-angle
+    stepped down one float at a time while its squared overlap rounds below the floor, and scored
+    once as <phi|A|psi> / <phi|psi>. ``budget`` and ``seed`` are validated and change nothing.
     """
     matrix = observable.matrix if isinstance(observable, Observable) else np.asarray(observable, dtype=complex)
     if matrix.shape != (2, 2):
         raise ValidationError(f"search is defined for qubit observables, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("search needs a finite observable matrix")
+    matrix = _hermitian(matrix, "search observable")
     if not _is_int(budget):
         raise ValidationError(f"search budget must be an integer, got {budget!r}")
-    budget, seed = operator.index(budget), _require_seed(seed)
+    _require_seed(seed)
 
-    n_restarts = max(1, min(SEARCH_RESTARTS, budget))
-    shares = budget // n_restarts + (np.arange(n_restarts) < budget % n_restarts)
-    x = np.empty((n_restarts, 4))
-    for r in range(n_restarts):
-        rng = _task_rng(seed, r)
-        theta = np.arccos(rng.uniform(-1.0, 1.0, size=2))
-        azimuth = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        x[r] = theta[0], azimuth[0], theta[1], azimuth[1]
-    factors = []
-    for k in range(4):
-        x[:, k], factor = _angle_factor(k, x[:, k])
-        factors.append(factor)
-    pre = _pre_selection(factors[2], factors[3], matrix)
-    best = -_weak_values(factors[0], factors[1], pre)[1].real
-    evals = np.ones(n_restarts, dtype=np.int64)
-    h = np.full(n_restarts, SEARCH_INITIAL_STEP)
-    active = (evals < shares) & (h >= SEARCH_MIN_STEP)
-    while active.any():
-        moved = np.zeros(n_restarts, dtype=bool)
-        for k in range(4):
-            for step in (h, -h):
-                live = active & (evals < shares)
-                column, factor = _angle_factor(k, x[:, k] + step)
-                trial = factors[:k] + [factor] + factors[k + 1:]
-                trial_pre = _pre_selection(trial[2], trial[3], matrix) if k >= 2 else pre
-                val = -_weak_values(trial[0], trial[1], trial_pre)[1].real
-                better = live & (val > best)
-                evals += live
-                np.copyto(x[:, k], column, where=better)
-                np.copyto(best, val, where=better)
-                np.copyto(factors[k], factor, where=better)
-                if k >= 2:
-                    for kept, polled in zip(pre, trial_pre):
-                        np.copyto(kept, polled, where=better[:, None])
-                moved |= better
-        h[active & ~moved] /= 2.0
-        active &= (evals < shares) & (h >= SEARCH_MIN_STEP)
-
-    winner = int(np.argmax(best))
-    rows = slice(winner, winner + 1)
-    phi, weak_value = _weak_values(factors[0][..., rows], factors[1][..., rows], [side[rows] for side in pre])
-    return SearchResult(
-        best_states=(StateVector(phi[0]), StateVector(pre[0][winner])),
-        best_value=float(best[winner]),
-        weak_value=complex(weak_value[0]),
-        evaluations=int(evals.sum()),
-    )
+    vectors = np.linalg.eigh(matrix)[1]
+    half = np.pi / 6.0
+    while True:
+        cos, sin = np.cos(half), np.sin(half)
+        phi, psi = vectors @ np.array([cos, sin]), vectors @ np.array([cos, -sin])
+        overlap = np.vdot(phi, psi)
+        if abs(overlap) ** 2 >= SEARCH_MIN_OVERLAP:
+            break
+        half = np.nextafter(half, 0.0)
+    weak_value = complex(np.vdot(phi, matrix @ psi) / overlap)
+    return SearchResult(best_states=(StateVector(phi), StateVector(psi)), best_value=-weak_value.real,
+                        weak_value=weak_value, evaluations=1)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ to A_w and, in a loop, to each g_i, the reference for the record's array
 rules. ``exact_verdicts`` judges a selection pair in exact rational
 arithmetic (``fractions.Fraction``) on its stored doubles, the reference
 for the rounding the record's ``error`` states. ``scalar_search``
-is the negativity search walked one restart and one candidate at a time,
-the reference for the lockstep stacked search. ``pairwise_frame_graph`` and
+is a coordinate pattern search for the largest -Re(A_w) under the overlap
+floor, one restart and one candidate at a time: the closed-form search must
+never lose to it. ``pairwise_frame_graph`` and
 ``looped_three_cycles`` fill the overlap graph one vertex pair at a time
 (each edge the one-pair ``overlap``, over the vertex states that
 ``selection_states`` and ``fragment_states`` list) and evaluate its cycles
@@ -57,8 +58,8 @@ import weakvalues as wv
 from weakvalues.cli import ProblemFileError, _Rows
 from weakvalues.contextuality import _CYCLE_ROUNDING, FRAGMENT_LABELS
 from weakvalues.core import DEFAULT_COHERENCE_TOL, REALITY_TOL, require_dims
-from weakvalues.explore import (DIAGONAL, HAAR_PURE, MIXED_FULL_RANK, REAL_MIXED, REAL_PURE, SEARCH_INITIAL_STEP,
-                                SEARCH_MIN_OVERLAP, SEARCH_MIN_STEP, SEARCH_RESTARTS, SearchResult, _task_rng)
+from weakvalues.explore import (DIAGONAL, HAAR_PURE, MIXED_FULL_RANK, REAL_MIXED, REAL_PURE, SEARCH_MIN_OVERLAP,
+                                SearchResult, _task_rng)
 from weakvalues.invariants import FrameGraph
 
 
@@ -246,12 +247,18 @@ def antipodal(psi):
     return wv.StateVector(perp * (np.abs(pivot) / pivot))
 
 
+# The pattern search's settings: restarts, a restart's first and last poll step.
+SEARCH_RESTARTS = 20
+SEARCH_INITIAL_STEP = 0.9
+SEARCH_MIN_STEP = 1e-9
+
+
 def _bloch(theta, azimuth):
     return np.array([np.cos(theta / 2.0), np.exp(1j * azimuth) * np.sin(theta / 2.0)])
 
 
 def _pair_from_params(x):
-    """Selection pair from four angles, the separation first (see ``_pairs_from_params``)."""
+    """Selection pair from four angles, the separation first (see ``scalar_search``)."""
     psi = _bloch(x[2], x[3])
     perp = np.array([np.conj(psi[1]), -np.conj(psi[0])])
     phi = np.cos(x[0] / 2.0) * psi + np.exp(1j * x[1]) * np.sin(x[0] / 2.0) * perp
@@ -301,10 +308,17 @@ def _compass(evaluate, start, share):
 
 
 def scalar_search(observable, budget, seed):
-    """``search_max_negativity`` with each restart run to completion in turn.
+    """The largest -Re(A_w) a coordinate pattern search finds in ``budget`` evaluations.
 
-    Same starts, shares, polls and strict-improvement rule as the stacked
-    search, but one ``np.vdot`` evaluation per candidate.
+    Pairs are four angles: the Bloch separation of phi from psi, clamped so
+    that |<phi|psi>|^2 stays at the ``SEARCH_MIN_OVERLAP`` floor or above, an
+    azimuth about psi, and psi's polar and azimuthal angles. The
+    ``SEARCH_RESTARTS`` restarts start at points keyed by (seed, restart),
+    split the budget evenly and run to completion in turn; a budget of 0 or
+    less evaluates one start. A restart polls +h and -h along each angle,
+    from h = ``SEARCH_INITIAL_STEP``, adopts a strictly better point, halves
+    h after a sweep without a move, and retires when its share is spent or h
+    falls below ``SEARCH_MIN_STEP``. Each candidate is one ``np.vdot`` ratio.
     """
     matrix = observable.matrix if isinstance(observable, wv.Observable) else np.asarray(observable, dtype=complex)
     evaluate = _evaluator_factory(matrix)

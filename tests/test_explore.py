@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import weakvalues as wv
@@ -158,7 +158,7 @@ def test_search_geometry_at_optimum(proj_zero):
     r_sa = abs(np.vdot(psi.amps, ray.amps)) ** 2
     # optimum closes the symmetric 120-degree configuration
     for r in (r_pp, r_pa, r_sa):
-        assert abs(r - 0.25) < 1e-3
+        assert abs(r - 0.25) < 1e-12
 
 
 def test_search_identity_is_flat():
@@ -171,6 +171,12 @@ def test_search_rejects_non_finite_matrices():
     for bad in (np.nan, np.inf):
         with pytest.raises(wv.ValidationError, match="finite"):
             search_max_negativity(np.array([[bad, 0.0], [0.0, 1.0]]), budget=100, seed=0)
+
+
+def test_search_rejects_a_non_hermitian_matrix():
+    # eigh reads one triangle; this matrix once returned best_value 1.779 with Im A_w = 0.0094
+    with pytest.raises(wv.ValidationError, match="Hermiticity defect"):
+        search_max_negativity(np.array([[0, 1], [0, 1]]), 2000, 0)
 
 
 def test_search_budget_of_zero_evaluates_once(proj_zero):
@@ -195,43 +201,13 @@ def _assert_same_search(got, want):
     assert np.array_equal(got.best_states[1].amps, want.best_states[1].amps)
 
 
-@pytest.mark.parametrize("name", sorted(_SEARCH_OBSERVABLES))
-def test_search_matches_scalar_oracle_on_cli_observables(name):
-    matrix = _SEARCH_OBSERVABLES[name]
-    for seed in (0, 1, 7, 8):
-        _assert_same_search(search_max_negativity(matrix, 3000, seed), scalar_search(matrix, 3000, seed))
-
-
-@pytest.mark.parametrize("budget", (0, 1, 7, 19, 20, 21, 3000))
-def test_search_matches_scalar_oracle_across_budgets(budget):
-    # Fewer evaluations than restarts, uneven shares, and one long restart.
-    for name in ("proj0", "x", "identity"):
-        matrix = _SEARCH_OBSERVABLES[name]
-        _assert_same_search(search_max_negativity(matrix, budget, 4), scalar_search(matrix, budget, 4))
-
-
-def test_search_restarts_that_stop_on_min_step_match_the_oracle():
-    # The flat identity never moves, so its restarts halve h down to
-    # SEARCH_MIN_STEP and retire well before their shares are spent.
-    got = search_max_negativity(np.eye(2), 10000, 6)
-    assert got.evaluations < 10000
-    _assert_same_search(got, scalar_search(np.eye(2), 10000, 6))
-
-
-def test_search_matches_scalar_oracle_on_random_hermitian_matrices():
-    rng = np.random.default_rng(2026)
-    for seed in range(10):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        matrix = g + g.conj().T
-        _assert_same_search(search_max_negativity(matrix, 3000, seed), scalar_search(matrix, 3000, seed))
-
-
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(diagonal=st.tuples(unit, unit), off=st.tuples(unit, unit), seed=st.integers(0, 2 ** 32),
        budget=st.integers(0, 300))
+@example(diagonal=(0.6, 0.3), off=(-0.5, 0.4), seed=0, budget=1)  # its 30-degree pair rounds to 0.24999999999999994
 def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, budget):
     b = complex(*off)
     matrix = np.array([[diagonal[0], b], [b.conjugate(), diagonal[1]]])
@@ -240,7 +216,7 @@ def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, 
     assert res.weak_value.real == -res.best_value
     aw = trace_ratio_weak_value(matrix, wv.pure_to_density(psi), wv.pure_to_density(phi))
     assert abs(res.weak_value - aw.value) <= 1e-12
-    assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= SEARCH_MIN_OVERLAP - 1e-12
+    assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= SEARCH_MIN_OVERLAP
 
 
 flat = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False).map(lambda c: c * np.eye(2))
@@ -253,11 +229,48 @@ def hermitian(draw):
     return np.array([[diagonal[0], b], [b.conjugate(), diagonal[1]]])
 
 
+def _optimum(matrix):
+    """-a_0 + (a_1 - a_0)/2, the largest -Re(A_w) under the floor 1/4, and the scale max(1, |a|) of its rounding."""
+    a = np.linalg.eigvalsh(matrix)
+    return -a[0] + (a[1] - a[0]) / 2.0, max(1.0, float(np.max(np.abs(a))))
+
+
+observables = st.one_of(flat, hermitian())
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(matrix=st.one_of(flat, hermitian()), seed=st.integers(0, 2 ** 32), budget=st.integers(0, 400))
-def test_search_matches_scalar_oracle_on_drawn_observables(matrix, seed, budget):
-    # Flat multiples of the identity never move, so their restarts halve h each sweep.
-    _assert_same_search(search_max_negativity(matrix, budget, seed), scalar_search(matrix, budget, seed))
+@given(matrix=observables, seed=st.integers(0, 2 ** 32), budget=st.integers(1, 3000))
+def test_the_pattern_search_never_beats_the_closed_form(matrix, seed, budget):
+    best = search_max_negativity(matrix, budget, seed).best_value
+    _, scale = _optimum(matrix)
+    assert scalar_search(matrix, budget, seed).best_value <= best + 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_OBSERVABLES))
+def test_the_pattern_search_reaches_the_closed_form_at_budget_ten_thousand(name):
+    matrix = _SEARCH_OBSERVABLES[name]
+    best = search_max_negativity(matrix, 10_000, 0).best_value
+    found = scalar_search(matrix, 10_000, 0).best_value
+    assert best - 1e-6 <= found <= best + 1e-12 * _optimum(matrix)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=observables)
+def test_search_value_is_the_closed_form_optimum(matrix):
+    optimum, scale = _optimum(matrix)
+    assert abs(search_max_negativity(matrix, 1, 0).best_value - optimum) <= 1e-12 * scale
+
+
+def test_no_pure_qubit_pair_above_the_floor_beats_the_optimum():
+    # The proof's numeric check: Re P_w >= -1/2 for P = |0><0| whenever |<phi|psi>|^2 >= 1/4.
+    rng = np.random.default_rng(2026)
+    z = rng.standard_normal((2, 2, 300_000)) + 1j * rng.standard_normal((2, 2, 300_000))
+    phi, psi = z / np.linalg.norm(z, axis=1, keepdims=True)
+    inner = np.sum(phi.conj() * psi, axis=0)
+    feasible = np.abs(inner) ** 2 >= SEARCH_MIN_OVERLAP
+    assert np.count_nonzero(feasible) >= 200_000
+    negativity = -(phi[0].conj() * psi[0] / inner)[feasible].real
+    assert negativity.max() <= 0.5 + 1e-12
 
 
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
