@@ -68,4 +68,4 @@ from .explore import (
     search_max_negativity,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

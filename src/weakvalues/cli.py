@@ -10,6 +10,10 @@ first axis = row), written as a list of row dicts. Each array becomes text in
 one format call. The renderers refuse any other value, arrays of any other
 dtype (complex, integer, float32, object) included.
 
+A problem command reports what it found: the violated frame cycles and the SHA-256 of each input
+matrix. ``--detail full`` prints every frame cycle and the matrices themselves instead; its
+``inputs`` block is then a problem file that reproduces the run.
+
 Exit codes: 0 success, 1 input error, 2 numerical failure (for example an
 orthogonal selection pair), 3 success with an anomaly or violation detected,
 4 reference-value reproduction failure.
@@ -443,12 +447,23 @@ def _pairs(z) -> np.ndarray:
     return np.stack((z.real, z.imag), axis=-1)
 
 
-def _canonical_inputs(problem: Problem) -> dict:
-    echo = {
-        "dimension": problem.obs.dim,
+def _sha256(arrays: dict) -> dict:
+    """The hex SHA-256 of each array's C-order, little-endian float64 bytes."""
+    import hashlib  # here, not at the top: the import costs about 4 ms of start-up to every command
+    return {key: hashlib.sha256(array.astype("<f8", copy=False).tobytes()).hexdigest()
+            for key, array in arrays.items()}
+
+
+def _canonical_inputs(problem: Problem, full: bool) -> dict:
+    """The problem as read: the three matrices as [re, im] arrays when ``full``, else their digests."""
+    matrices = {
         "observable": _pairs(problem.obs.matrix),
         "pre_state": _pairs(problem.rho_psi.matrix),
         "post_state": _pairs(problem.rho_phi.matrix),
+    }
+    echo = {
+        "dimension": problem.obs.dim,
+        **(matrices if full else {"sha256": _sha256(matrices)}),
         "tolerances": asdict(problem.tol),
     }
     if problem.pointer_cfg is not None:
@@ -506,34 +521,38 @@ def _cycle_rows(table: CycleTable, **columns: np.ndarray) -> _Rows:
 # Commands
 
 
-def _compute_sections(problem: Problem) -> tuple[dict, bool]:
+def _compute_sections(problem: Problem, full: bool) -> tuple[dict, bool]:
     witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     return {
         "weak_value": _weak_value_section(witness.dist),
         "quasiprob": _quasiprob_section(witness.dist),
         "witness": _witness_section(problem, witness),
-        **_contextuality_sections(problem)[0],
+        **_contextuality_sections(problem, full)[0],
     }, witness.dist.anomalous
 
 
-def _gvals_sections(problem: Problem) -> tuple[dict, bool]:
+def _gvals_sections(problem: Problem, full: bool) -> tuple[dict, bool]:
     dist = quasi_prob(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     return {"quasiprob": _quasiprob_section(dist)}, bool(dist.anomalous_indices)
 
 
-def _witness_sections(problem: Problem) -> tuple[dict, bool]:
+def _witness_sections(problem: Problem, full: bool) -> tuple[dict, bool]:
     witness = check_theorem_coherence(problem.rho_phi, problem.rho_psi, problem.obs, problem.tol)
     return {"weak_value": _weak_value_section(witness.dist),
             "witness": _witness_section(problem, witness)}, witness.dist.anomalous
 
 
-def _contextuality_sections(problem: Problem) -> tuple[dict, bool]:
-    """The ``cycles`` section, and whether any frame or fragment cycle is violated."""
+def _contextuality_sections(problem: Problem, full: bool) -> tuple[dict, bool]:
+    """The ``cycles`` section, and whether any frame or fragment cycle is violated.
+
+    The section lists every frame cycle with its verdict when ``full``, else the violated ones
+    and the number of cycles judged."""
     graph = build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs)
     cycles = all_three_cycles(graph, problem.tol.anom)
     section = {
         "graph": graph.adjacency_text(),
-        "inequalities": _cycle_rows(cycles, violated=cycles.violated),
+        **({"inequalities": _cycle_rows(cycles, violated=cycles.violated)} if full else
+           {"violated": _cycle_rows(cycles[cycles.violated]), "inequality_count": len(cycles)}),
         "max_value": float(cycles.values.max()),
         "violated_count": int(np.count_nonzero(cycles.violated)),
     }
@@ -556,7 +575,7 @@ def _contextuality_sections(problem: Problem) -> tuple[dict, bool]:
     return {"cycles": section}, violated
 
 
-def _pointer_sections(problem: Problem) -> tuple[dict, bool]:
+def _pointer_sections(problem: Problem, full: bool) -> tuple[dict, bool]:
     psi = _extract_pure(problem.rho_psi, "problem.pre_state")
     phi = _extract_pure(problem.rho_phi, "problem.post_state")
     cfg = problem.pointer_cfg if problem.pointer_cfg is not None else PointerConfig()
@@ -578,7 +597,8 @@ def _pointer_sections(problem: Problem) -> tuple[dict, bool]:
     }}, label != NORMAL
 
 
-# Each problem command: its help text, and the builder of its report sections and anomaly flag.
+# Each problem command: its help text, and the builder of its report sections and anomaly flag from the
+# problem and whether ``--detail full`` asks for every cycle (only the cycles section reads it).
 _PROBLEM_COMMANDS = {
     "compute": ("full report: weak value, quasi-probabilities, witness, cycles", _compute_sections),
     "gvals": ("quasi-probability distribution only", _gvals_sections),
@@ -593,9 +613,10 @@ def cmd_problem(args) -> int:
     problem = load_problem(args.input)
     if args.tol_anom is not None:  # the flag's band replaces the file's, once the file is validated
         problem = replace(problem, tol=args.tol_anom)
+    full = args.detail == "full"
     report = _report_head(args.command, problem.seed)
-    report["inputs"] = _canonical_inputs(problem)
-    sections, anomalous = _PROBLEM_COMMANDS[args.command][1](problem)
+    report["inputs"] = _canonical_inputs(problem, full)
+    sections, anomalous = _PROBLEM_COMMANDS[args.command][1](problem, full)
     report.update(sections)
     _print_report(report, args.format)
     return EXIT_ANOMALY if anomalous else EXIT_OK
@@ -773,6 +794,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, _) in _PROBLEM_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, metavar="FILE", help="problem file (JSON)")
+        p.add_argument("--detail", choices=("found", "full"), default="found",
+                       help="found (default): the violated cycles and the input matrices' SHA-256; "
+                            "full: every cycle and the input matrices themselves")
         common(p)
         p.set_defaults(func=cmd_problem)
 
@@ -780,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--observable", choices=sorted(_SEARCH_OBSERVABLES), default="proj0",
                           help="built-in qubit observable (default proj0)")
     p_search.add_argument("--budget", type=_count_type("budget"), default=10000, metavar="N",
-                          help="objective evaluation budget (default 10000)")
+                          help="validated and echoed in the report as budget; limits nothing, as the "
+                               "closed form scores one pair (default 10000)")
     p_search.add_argument("--seed", type=_seed_type, default=0, metavar="U64",
                           help="master seed (default 0)")
     common(p_search)

@@ -2,7 +2,9 @@
 exit codes, and determinism."""
 
 import copy
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,7 +147,7 @@ def test_contextuality_qutrit_omits_fragment(capsys, tmp_path):
         "pre_state": [0.6, 0.0, 0.8],
         "post_state": [0.8, 0.0, 0.6],
     })
-    code, out, _ = _run(capsys, ["contextuality", "--input", path])
+    code, out, _ = _run(capsys, ["contextuality", "--input", path, "--detail", "full"])
     report = json.loads(out)
     assert "fragment" not in report["cycles"]
     assert "dimension 3" in report["cycles"]["fragment_note"]
@@ -292,7 +294,7 @@ def test_grid_of_bare_numbers_prefers_matrix_reading(capsys, tmp_path):
         "pre_state": [[0.75, 0.25], [0.25, 0.25]],
         "post_state": [[1.0, 0.0], [0.0, 0.0]],
     })
-    code, out, _ = _run(capsys, ["gvals", "--input", as_matrix])
+    code, out, _ = _run(capsys, ["gvals", "--input", as_matrix, "--detail", "full"])
     report = json.loads(out)
     assert report["inputs"]["pre_state"][0][0] == [0.75, 0.0]
 
@@ -304,7 +306,7 @@ def test_grid_of_bare_numbers_prefers_matrix_reading(capsys, tmp_path):
         "pre_state": [[inv, 0.0], [0.0, inv]],
         "post_state": [1.0, 0.0],
     })
-    code, out, _ = _run(capsys, ["gvals", "--input", as_vector])
+    code, out, _ = _run(capsys, ["gvals", "--input", as_vector, "--detail", "full"])
     report = json.loads(out)
     pre = np.array([[complex(re, im) for re, im in row]
                     for row in report["inputs"]["pre_state"]])
@@ -554,15 +556,15 @@ def test_integer_flags_refuse_a_non_integer_by_name(capsys, argv, flag):
 
 
 def test_round_trip_echo(capsys, great_circle_file, tmp_path):
-    # a report's inputs block reproduces the whole report byte for byte, in
+    # a full report's inputs block reproduces the whole report byte for byte, in
     # both formats; the 120-degree post-selection state echoes a negative zero
     for command in ("compute", "gvals", "witness", "contextuality", "pointer"):
-        code, out, _ = _run(capsys, [command, "--input", great_circle_file])
+        code, out, _ = _run(capsys, [command, "--input", great_circle_file, "--detail", "full"])
         assert "-0.0" in out
         echoed = _write_problem(tmp_path / f"{command}-echo.json", json.loads(out)["inputs"])
         for fmt in ("json", "csv"):
-            first = _run(capsys, [command, "--input", great_circle_file, "--format", fmt])
-            again = _run(capsys, [command, "--input", echoed, "--format", fmt])
+            first = _run(capsys, [command, "--input", great_circle_file, "--format", fmt, "--detail", "full"])
+            again = _run(capsys, [command, "--input", echoed, "--format", fmt, "--detail", "full"])
             assert again == first, (command, fmt)
 
 
@@ -572,10 +574,10 @@ def _pairs(array):
 
 
 @st.composite
-def problems(draw):
-    """Problem files at d = 2..4: a non-degenerate observable in a generated basis,
+def problems(draw, max_dim=4):
+    """Problem files at d = 2..max_dim: a non-degenerate observable in a generated basis,
     pure or mixed selection states, real or complex amplitudes, optional band and seed."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, max_dim))
     real = draw(st.booleans())
     entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
@@ -606,19 +608,19 @@ def problems(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(problem=problems())
 def test_inputs_block_reproduces_generated_reports(capsys, tmp_path, problem):
-    # over generated problems, the echoed inputs give the report's exact
+    # over generated problems, the echoed inputs of a full report give its exact
     # stdout and exit code in both formats, the cycle tables included
     path = _write_problem(tmp_path / "generated.json", problem)
     for command in ("compute", "contextuality"):
-        code, out, _ = _run(capsys, [command, "--input", path])
+        code, out, _ = _run(capsys, [command, "--input", path, "--detail", "full"])
         assert code in (0, 2, 3), (command, code)
         if code == 2:  # a selection too close to orthogonal has no report to echo
             assert out == ""
             continue
         echoed = _write_problem(tmp_path / f"{command}-echo.json", json.loads(out)["inputs"])
         for fmt in ("json", "csv"):
-            first = _run(capsys, [command, "--input", path, "--format", fmt])[:2]
-            again = _run(capsys, [command, "--input", echoed, "--format", fmt])[:2]
+            first = _run(capsys, [command, "--input", path, "--format", fmt, "--detail", "full"])[:2]
+            again = _run(capsys, [command, "--input", echoed, "--format", fmt, "--detail", "full"])[:2]
             assert again == first, (command, fmt)
 
 
@@ -767,7 +769,7 @@ def test_pointer_series_rows_are_the_estimates_bit_for_bit(data):
     except wv.ValidationError as exc:  # the series stays within the spread gate, not always within A_w's
         assume("A_w" not in str(exc))
         raise
-    rows = cli._pointer_sections(problem)[0]["pointer"]["series"]
+    rows = cli._pointer_sections(problem, False)[0]["pointer"]["series"]
     assert len(rows) == len(result.estimates) == len(cfg.couplings_series)
     for g, row, estimate, outcome in zip(cfg.couplings_series, rows, result.estimates, result.outcomes):
         re, im = pointer_estimate(outcome, g, cfg.width)
@@ -835,7 +837,7 @@ def test_contextuality_flags_no_cycle_for_an_accepted_input_defect(capsys, tmp_p
 def test_a_cycle_in_both_tables_gets_one_verdict(capsys, tmp_path, problem):
     # At d = 2 every cycle of the full table (phi, psi, a1, a2) is also a fragment cycle.
     path = _write_problem(tmp_path / "p.json", problem)
-    _, out, _ = _run(capsys, ["contextuality", "--input", path])
+    _, out, _ = _run(capsys, ["contextuality", "--input", path, "--detail", "full"])
     cycles = json.loads(out)["cycles"]
     full = {(tuple(c["triple"]), tuple(c["minus_edge"])): c["violated"] for c in cycles["inequalities"]}
     fragment_violated = {(tuple(c["triple"]), tuple(c["minus_edge"])) for c in cycles["fragment"]["violated"]}
@@ -866,7 +868,7 @@ def test_cycles_section_renders_as_the_looped_oracle(make):
     # the rows built from the cycle table render to the same text as rows built
     # one cycle at a time, on whatever numpy and BLAS run the suite
     problem = make()
-    section = cli._contextuality_sections(problem)[0]["cycles"]
+    section = cli._contextuality_sections(problem, True)[0]["cycles"]
     rows = looped_three_cycles(wv.build_frame_graph(problem.rho_phi, problem.rho_psi, problem.obs),
                                problem.tol.anom)
     expected = {**section, "inequalities": _looped_rows(rows, True),
@@ -880,6 +882,107 @@ def test_cycles_section_renders_as_the_looped_oracle(make):
                                 "violated": _looped_rows([row for row in fragment_rows if row[3]], False)}
     for render in (cli.render_json, cli.render_csv):
         assert render({"cycles": section}) == render({"cycles": expected})
+
+
+_MATRICES = ("observable", "pre_state", "post_state")
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(np.array(array, dtype="<f8").tobytes()).hexdigest()
+
+
+def _found_report(full: dict) -> dict:
+    """The default report that a ``--detail full`` report implies: the matrices' digests in place of the
+    matrices, and the violated rows (without their verdict) and the row count in place of the cycle table."""
+    inputs = full["inputs"]
+    report = {**full, "inputs": {"dimension": inputs["dimension"],
+                                 "sha256": {key: _digest(inputs[key]) for key in _MATRICES},
+                                 **{key: value for key, value in inputs.items()
+                                    if key not in ("dimension", *_MATRICES)}}}
+    if "cycles" in full:
+        report["cycles"] = {}
+        for key, value in full["cycles"].items():
+            if key == "inequalities":
+                report["cycles"]["violated"] = [{name: cell for name, cell in row.items() if name != "violated"}
+                                                for row in value if row["violated"]]
+                report["cycles"]["inequality_count"] = len(value)
+            else:
+                report["cycles"][key] = value
+    return report
+
+
+def _violating_problem(d):
+    """The 120-degree real pair in the first two of d eigenvectors, tilted a little into the others."""
+    rng = np.random.default_rng(3000 + d)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    psi, phi = np.zeros(d), np.zeros(d)
+    psi[:2], phi[:2] = (HALF_SQRT3, -0.5), (HALF_SQRT3, 0.5)
+    psi[2:], phi[2:] = 0.05 * rng.normal(size=(2, d - 2))
+    return {"dimension": d, "observable": _pairs((q * np.arange(d)) @ q.T),
+            "pre_state": (q @ psi / np.linalg.norm(psi)).tolist(),
+            "post_state": (q @ phi / np.linalg.norm(phi)).tolist()}
+
+
+@pytest.mark.parametrize("command", ["compute", "contextuality"])
+@pytest.mark.parametrize("problem, violated", [(GREAT_CIRCLE, 1), (SMALL_ANOMALY_LOW_OVERLAP, 0),
+                                               (_violating_problem(3), 1), (_violating_problem(24), 1)],
+                         ids=["great-circle", "small-anomaly-low-overlap", "d3", "d24"])
+def test_default_report_lists_the_violated_rows_of_the_full_table(capsys, tmp_path, command, problem, violated):
+    # in both formats the default report is the full one with the cycle table cut to its violated
+    # rows, in table order, and the input matrices replaced by their digests
+    path = _write_problem(tmp_path / "p.json", problem)
+    code, out, _ = _run(capsys, [command, "--input", path, "--detail", "full"])
+    expected = _found_report(json.loads(out))
+    cycles = expected["cycles"]
+    d = problem["dimension"]
+    assert cycles["inequality_count"] == 3 * math.comb(d + 2, 3)
+    assert len(cycles["violated"]) == cycles["violated_count"] == violated
+    for fmt, render in (("json", cli.render_json), ("csv", cli.render_csv)):
+        assert _run(capsys, [command, "--input", path, "--format", fmt]) == (code, render(expected) + "\n", "")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(problem=problems(max_dim=8))
+@example(problem=GREAT_CIRCLE)  # its post-selection state holds a -0.0
+def test_digests_hash_the_full_arrays_as_little_endian_doubles(capsys, tmp_path, problem):
+    path = _write_problem(tmp_path / "generated.json", problem)
+    code, out, _ = _run(capsys, ["gvals", "--input", path, "--detail", "full"])
+    assume(code != 2)  # a selection too close to orthogonal has no report
+    arrays = {key: np.array(json.loads(out)["inputs"][key], dtype="<f8") for key in _MATRICES}
+    digests = {key: _digest(array) for key, array in arrays.items()}
+    _, out, _ = _run(capsys, ["gvals", "--input", path])
+    assert json.loads(out)["inputs"]["sha256"] == digests
+    _, out, _ = _run(capsys, ["gvals", "--input", path, "--format", "csv"])
+    assert [line for line in out.splitlines() if line.startswith("inputs.sha256.")] == [
+        f"inputs.sha256.{key},{digest}" for key, digest in digests.items()]
+    for key, array in arrays.items():  # the sign of a zero is part of the bytes hashed
+        if np.signbit(array[array == 0.0]).any():
+            assert _digest(array + 0.0) != digests[key]
+
+
+def test_importing_the_cli_leaves_hashlib_unimported():
+    # only a default report hashes, so the import stays out of every command's start-up
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, weakvalues.cli; sys.exit('hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_both_details_give_one_exit_code_on_the_benchmark_deck(capsys, monkeypatch, tmp_path):
+    # each problem request of the benchmark's report deck exits alike, with the same stderr, at either
+    # detail, and a JSON report at the default detail is the one its full report implies
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no bytecode cache under bench/
+    import workloads
+    argvs = [request.argv for request in workloads.ReportWorkload(1, tmp_path).requests
+             if request.argv[0] in cli._PROBLEM_COMMANDS]
+    assert len(argvs) >= len(workloads.DECK)
+    for argv in argvs:
+        found = _run(capsys, argv)
+        full = _run(capsys, [*argv, "--detail", "full"])
+        assert (found[0], found[2]) == (full[0], full[2]), argv
+        if found[0] in (0, 3) and "json" in argv:
+            assert found[1] == cli.render_json(_found_report(json.loads(full[1]))) + "\n", argv
 
 
 @pytest.mark.parametrize("render", [cli.render_json, cli.render_csv])
@@ -1142,8 +1245,8 @@ def test_module_entry_point(tmp_path):
 
 
 def test_a_reader_that_leaves_early_ends_the_run_quietly(tmp_path):
-    # A d = 24 contextuality report runs to about 0.9 MB, well past a 64 KiB
-    # pipe buffer, so the writer is still writing when the reader closes.
+    # A d = 24 contextuality report at --detail full runs to about 0.9 MB, well
+    # past a 64 KiB pipe buffer, so the writer is still writing when the reader closes.
     rng = np.random.default_rng(24)
     g = rng.normal(size=(24, 24))
     problem = _write_problem(tmp_path / "d24.json", {
@@ -1154,8 +1257,8 @@ def test_a_reader_that_leaves_early_ends_the_run_quietly(tmp_path):
     })
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     with open(tmp_path / "stderr", "wb") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "weakvalues", "contextuality", "--input", problem],
-                                env=env, stdout=subprocess.PIPE, stderr=err)
+        proc = subprocess.Popen([sys.executable, "-m", "weakvalues", "contextuality", "--input", problem,
+                                 "--detail", "full"], env=env, stdout=subprocess.PIPE, stderr=err)
         head = proc.stdout.read(10)
         proc.stdout.close()
         status = proc.wait(timeout=120)

@@ -1,6 +1,6 @@
 """Compare what two checkouts of weakvalues print for one fixed set of requests.
 
-    python3 tools/same_output.py OTHER_TREE
+    python3 tools/same_output.py [--detail-full] OTHER_TREE
 
 OTHER_TREE is the root of another checkout (for example a ``git archive`` of
 the parent commit unpacked into a directory). Every request calls
@@ -30,6 +30,13 @@ the parent commit unpacked into a directory). Every request calls
   n = ``LARGE_SCAN_N``, in JSON: the dimensions where numpy sums a row of g in
   pairwise blocks, and the largest a scan takes (4,179 requests in all).
 
+With ``--detail-full`` this tree's problem-command requests carry ``--detail
+full``, and so do the other tree's when it is at report schema 0.2 or later (a
+tree before 0.2 refuses the flag). This tree's version head (``"version":"X"``
+in JSON, ``tool.version,X`` in CSV) is read as the other tree's
+``__version__`` before the outputs are compared, so against a tree before
+schema 0.2 every request should be identical.
+
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, one line per request that differs, and one tally line per
 command with a differing request: how many differ, and in how many of them
@@ -40,8 +47,10 @@ directory; nothing under ``bench/`` is written.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -106,13 +115,21 @@ EDGE_PROBLEMS = {
 
 # Runs in a fresh interpreter with the tree's src/ as argv[1]: reads a JSON list of
 # argv lists on stdin and writes one JSON line per request: exit code and the sha256
-# and size of stdout and stderr (a wide contextuality report runs to megabytes).
+# and size of stdout and stderr (a wide contextuality report runs to megabytes). With
+# a version as argv[2], the report's version head is first rewritten to read it.
 _WORKER = r"""
 import contextlib, hashlib, io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
-from weakvalues import cli
+from weakvalues import __version__, cli
+
+heads = []
+if len(sys.argv) > 2:
+    heads = [(f'"version":"{__version__}"', f'"version":"{sys.argv[2]}"'),
+             (f"tool.version,{__version__}\n", f"tool.version,{sys.argv[2]}\n")]
 
 def digest(text):
+    for own, other in heads:
+        text = text.replace(own, other, 1)
     data = text.encode("utf-8", "surrogateescape")
     return [hashlib.sha256(data).hexdigest(), len(data)]
 
@@ -178,8 +195,9 @@ def requests(workdir: Path) -> list[list[str]]:
     return argvs
 
 
-def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
-    proc = subprocess.run([sys.executable, "-c", _WORKER, str(tree / "src")], input=json.dumps(argvs),
+def run_tree(tree: Path, argvs: list[list[str]], as_version: str | None = None) -> list[dict]:
+    extra = [] if as_version is None else [as_version]
+    proc = subprocess.run([sys.executable, "-c", _WORKER, str(tree / "src"), *extra], input=json.dumps(argvs),
                           capture_output=True, text=True, check=False)
     answers = [json.loads(line) for line in proc.stdout.splitlines()]
     if proc.returncode != 0 or len(answers) != len(argvs):
@@ -188,17 +206,31 @@ def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
     return answers
 
 
+def _version(tree: Path) -> str:
+    """The ``__version__`` a tree's package declares."""
+    text = (tree / "src" / "weakvalues" / "__init__.py").read_text()
+    return re.search(r'^__version__ = "([^"]*)"', text, re.MULTILINE).group(1)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    other = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(prog="same_output.py", usage=__doc__.split("\n\n")[1].strip())
+    parser.add_argument("--detail-full", action="store_true")
+    parser.add_argument("other")
+    args = parser.parse_args(argv)
+    other = Path(args.other).resolve()
     if not (other / "src" / "weakvalues" / "cli.py").is_file():
         print(f"{other} holds no src/weakvalues/cli.py", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as workdir:
         argvs = requests(Path(workdir))
-        here, there = run_tree(ROOT, argvs), run_tree(other, argvs)
+        here_argvs = there_argvs = argvs
+        as_version = None
+        if args.detail_full:
+            as_version = _version(other)
+            here_argvs = [[*argv, "--detail", "full"] if argv[0] in PROBLEM_COMMANDS else argv for argv in argvs]
+            if tuple(map(int, as_version.split(".")[:2])) >= (0, 2):
+                there_argvs = here_argvs
+        here, there = run_tree(ROOT, here_argvs, as_version), run_tree(other, there_argvs)
         differing = [(request, a, b) for request, a, b in zip(argvs, here, there) if a != b]
         print(f"{len(argvs) - len(differing)} of {len(argvs)} requests gave the same stdout, stderr "
               f"and exit code in {ROOT} and {other}")
