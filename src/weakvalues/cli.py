@@ -3,12 +3,11 @@
 Problem files are JSON with complex entries written as two-element
 [re, im] arrays. Reports are deterministic: stable key order, floats with 17
 significant digits, and no timestamps, so fixed seeds give byte-identical
-output. A report holds dict, list, str, float, int, bool and None, plus two
-leaves that keep arrays whole: an ``np.ndarray`` of dtype float64, bool or
-str, written as nested lists, and a row table (``_Rows``: field -> array,
-first axis = row), written as a list of row dicts. Each array becomes text in
-one format call. The renderers refuse any other value, arrays of any other
-dtype (complex, integer, float32, object) included.
+output. A report holds dict, list, str, float, int, bool and None, and
+``np.ndarray`` leaves of dtype float64, bool or str, written as the nested
+lists of their ``tolist()``. One plain walk per format renders it and refuses
+any other value, arrays of any other dtype (complex, integer, float32,
+object) included.
 
 A problem command reports what it found: the violated frame cycles and the SHA-256 of each input
 matrix. ``--detail full`` prints every frame cycle and the matrices themselves instead; its
@@ -28,7 +27,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -314,62 +312,16 @@ def _leaf(node) -> str:
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-_BOOL_TEXTS = ("false", "true")
-
-
 def _csv_quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
 
 
-class _Rows(dict):
-    """A row table: columns of one length (field -> array, first axis = row) that render as a list of
-    row dicts, one ``{field: row of the column}`` per row."""
-
-    @property
-    def n_rows(self) -> int:
-        return len(next(iter(self.values())))
-
-
-def _cell_texts(array: np.ndarray, quote) -> list[str]:
-    """Report text of each cell in C order: one %-format call for float64, ``quote`` for str.
-
-    Negative zero and non-finite floats are re-set by index, as ``_fmt_float`` writes them.
-    Other dtypes are refused.
-    """
-    flat = array.ravel()
-    kind = flat.dtype.char
-    if kind == "d":  # float64
-        text = "%.17g\n" * flat.size % tuple(flat.tolist())
-        texts = text.split("\n")[:-1]
-        if "n" in text or "-0\n" in text:  # only the text of nan, inf and -0.0 cells holds these
-            for i in np.flatnonzero(~np.isfinite(flat) | ((flat == 0.0) & np.signbit(flat))).tolist():
-                texts[i] = _fmt_float(float(flat[i]))
-        return texts
-    if kind == "?":
-        return list(map(_BOOL_TEXTS.__getitem__, flat.tolist()))
-    if kind == "U":
-        cells = flat.tolist()
-        texts = {text: quote(text) for text in set(cells)}  # a column of labels repeats a few texts
-        return list(map(texts.__getitem__, cells))
-    raise TypeError(f"cannot serialize an array of {flat.dtype}")
-
-
-def _row_streams(rows: _Rows, quote) -> list[list[str]]:
-    """The cell texts of a row table as one list per cell of a row, in row order: zipped, they give
-    each row's cells in turn."""
-    streams = []
-    for column in rows.values():
-        cells, width = _cell_texts(column, quote), math.prod(column.shape[1:])
-        streams += [cells[i::width] for i in range(width)]
-    return streams
-
-
-def _json_template(shape: tuple[int, ...]) -> str:
-    """Nested JSON lists of the given shape with one ``%s`` per cell."""
-    text = "%s"
-    for size in reversed(shape):
-        text = "[" + ",".join([text] * size) + "]"
-    return text
+def _cells(array: np.ndarray):
+    """An array leaf as the nested lists (or, 0-d, the one value) it stands for; only float64, bool and
+    str arrays are report leaves."""
+    if array.dtype.char not in "d?U":
+        raise TypeError(f"cannot serialize an array of {array.dtype}")
+    return array.tolist()
 
 
 def _json_text(node) -> str:
@@ -381,26 +333,13 @@ def _json_text(node) -> str:
     if kind is str:
         return _quote(node)
     if kind is np.ndarray:
-        return _json_template(node.shape) % tuple(_cell_texts(node, _quote))
-    if kind is _Rows:
-        row = "{" + ",".join(_quote(key).replace("%", "%%") + ":" + _json_template(column.shape[1:])
-                             for key, column in node.items()) + "}"
-        cells = chain.from_iterable(zip(*_row_streams(node, _quote)))
-        return ("[" + ",".join([row] * node.n_rows) + "]") % tuple(cells)
+        return _json_text(_cells(node))
     return "null" if node is None else _leaf(node)
 
 
 def render_json(report: dict) -> str:
     """A report's JSON text. The walk recurses in ``_json_text``, so a wrapper on this name sees one call."""
     return _json_text(report)
-
-
-def _csv_keys(path: str, shape: tuple[int, ...]) -> list[str]:
-    """The ``path.i.j`` key of each cell of an array of the given shape, in C order."""
-    keys = [path]
-    for size in shape:
-        keys = [f"{key}.{i}" for key in keys for i in range(size)]
-    return keys
 
 
 def _csv_rows(node, path: str, rows: list[str]) -> None:
@@ -414,15 +353,7 @@ def _csv_rows(node, path: str, rows: list[str]) -> None:
     elif kind is str:
         rows.append(f"{path},{_csv_quote(node)}")
     elif kind is np.ndarray:
-        rows.extend(map(",".join, zip(_csv_keys(path, node.shape), _cell_texts(node, _csv_quote))))
-    elif kind is _Rows:
-        # one template line per cell of a row, the row's own key prefix passed in with each cell
-        fields = [key for name, column in node.items() for key in _csv_keys(name, column.shape[1:])]
-        prefixes = _csv_keys(path, (node.n_rows,))
-        if fields and prefixes:
-            row = "\n".join(["%s." + key.replace("%", "%%") + ",%s" for key in fields])
-            streams = [stream for cells in _row_streams(node, _csv_quote) for stream in (prefixes, cells)]
-            rows.append("\n".join([row] * len(prefixes)) % tuple(chain.from_iterable(zip(*streams))))
+        _csv_rows(_cells(node), path, rows)
     else:
         rows.append(f"{path}," if node is None else f"{path},{_leaf(node)}")
 
@@ -512,9 +443,12 @@ def _witness_section(problem: Problem, witness: WitnessReport) -> dict:
     }
 
 
-def _cycle_rows(table: CycleTable, **columns: np.ndarray) -> _Rows:
+def _cycle_rows(table: CycleTable, **columns: np.ndarray) -> list[dict]:
+    """One ``{field: cell}`` dict per row of the table, its extra ``columns`` last."""
     names = np.array(table.labels)
-    return _Rows(triple=names[table.triples], minus_edge=names[table.minus_edges], value=table.values, **columns)
+    columns = {"triple": names[table.triples], "minus_edge": names[table.minus_edges], "value": table.values,
+               **columns}
+    return [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
 
 
 # ---------------------------------------------------------------------------

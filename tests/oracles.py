@@ -31,10 +31,9 @@ Bargmann trace of a product, which every overlap must match within
 ``nodewise_matrix`` and ``nodewise_state`` read a problem file's matrices
 and states one node at a time, probing each state as a grid and as a
 vector, the reference for the reader that classifies each entry once.
-``looped_render_json`` and ``looped_render_csv`` render a report one leaf at
-a time, the reference for the renderers that turn each array and row table
-into text in one format call; ``as_lists`` turns a report's arrays and row
-tables into the plain lists and row dicts they stand for.
+``looped_render_json`` and ``looped_render_csv`` render a report of plain
+values one leaf at a time, the reference for the renderers; ``as_lists``
+turns a report's arrays into the plain lists they stand for.
 ``pointer_estimate`` reads the weak value off one pointer readout by the
 formulas the ``pointer`` report wrote its series rows with before the
 extrapolation kept its estimates. ``looped_fix_phases`` rotates an
@@ -55,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 import weakvalues as wv
-from weakvalues.cli import ProblemFileError, _Rows
+from weakvalues.cli import ProblemFileError
 from weakvalues.contextuality import _CYCLE_ROUNDING, FRAGMENT_LABELS
 from weakvalues.core import DEFAULT_COHERENCE_TOL, REALITY_TOL, require_dims
 from weakvalues.explore import (DIAGONAL, HAAR_PURE, MIXED_FULL_RANK, REAL_MIXED, REAL_PURE, SEARCH_MIN_OVERLAP,
@@ -541,7 +540,7 @@ def nodewise_state(node, where, dim):
 
 
 def as_lists(node):
-    """A report with every array as nested lists and every row table as a list of row dicts."""
+    """A report with every array as nested lists."""
     kind = type(node)
     if kind is dict:
         return {key: as_lists(value) for key, value in node.items()}
@@ -549,9 +548,6 @@ def as_lists(node):
         return [as_lists(value) for value in node]
     if kind is np.ndarray:
         return node.tolist()
-    if kind is _Rows:
-        columns = {key: column.tolist() for key, column in node.items()}
-        return [dict(zip(columns, row)) for row in zip(*columns.values())]
     return node
 
 

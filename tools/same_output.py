@@ -38,9 +38,11 @@ in JSON, ``tool.version,X`` in CSV) is read as the other tree's
 schema 0.2 every request should be identical.
 
 The script prints how many requests gave the same stdout, stderr and exit code
-in both trees, one line per request that differs, and one tally line per
-command with a differing request: how many differ, and in how many of them
-the exit code, the stdout and the stderr differ. It exits 1 when any request
+in both trees, one ``timing:`` line with each tree's wall time over its
+requests (its worker process from start to exit), one line per request that
+differs, and one tally line per command with a differing request: how many
+differ, and in how many of them the exit code, the stdout and the stderr
+differ. It exits 1 when any request
 differs. The deck files and their copies are written to a temporary
 directory; nothing under ``bench/`` is written.
 """
@@ -54,6 +56,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -195,15 +198,18 @@ def requests(workdir: Path) -> list[list[str]]:
     return argvs
 
 
-def run_tree(tree: Path, argvs: list[list[str]], as_version: str | None = None) -> list[dict]:
+def run_tree(tree: Path, argvs: list[list[str]], as_version: str | None = None) -> tuple[list[dict], float]:
+    """Each request's answer from ``tree``, and the wall time its worker took over them all."""
     extra = [] if as_version is None else [as_version]
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _WORKER, str(tree / "src"), *extra], input=json.dumps(argvs),
                           capture_output=True, text=True, check=False)
+    seconds = time.perf_counter() - start
     answers = [json.loads(line) for line in proc.stdout.splitlines()]
     if proc.returncode != 0 or len(answers) != len(argvs):
         raise SystemExit(f"{tree}: the worker stopped after {len(answers)} of {len(argvs)} requests "
                          f"(exit {proc.returncode}):\n{proc.stderr}")
-    return answers
+    return answers, seconds
 
 
 def _version(tree: Path) -> str:
@@ -230,10 +236,11 @@ def main(argv: list[str]) -> int:
             here_argvs = [[*argv, "--detail", "full"] if argv[0] in PROBLEM_COMMANDS else argv for argv in argvs]
             if tuple(map(int, as_version.split(".")[:2])) >= (0, 2):
                 there_argvs = here_argvs
-        here, there = run_tree(ROOT, here_argvs, as_version), run_tree(other, there_argvs)
+        (here, here_s), (there, there_s) = run_tree(ROOT, here_argvs, as_version), run_tree(other, there_argvs)
         differing = [(request, a, b) for request, a, b in zip(argvs, here, there) if a != b]
         print(f"{len(argvs) - len(differing)} of {len(argvs)} requests gave the same stdout, stderr "
               f"and exit code in {ROOT} and {other}")
+        print(f"timing: this tree {here_s:.1f} s, other tree {there_s:.1f} s")
         tally: dict[str, Counter] = {}
         for request, a, b in differing:
             moved = [name for name in ("rc", "out", "err") if a[name] != b[name]]
