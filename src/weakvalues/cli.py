@@ -561,8 +561,6 @@ def cmd_search(args) -> int:
     result = search_max_negativity(matrix, args.budget, args.seed)
     phi, psi = result.best_states
     value = result.weak_value
-    # Only the spectrum's edges classify A_w, so the degenerate identity needs no eigenbasis.
-    spectrum = np.linalg.eigvalsh(matrix)
     report = _report_head("search", args.seed)
     report["search"] = {
         "observable": args.observable,
@@ -576,7 +574,8 @@ def cmd_search(args) -> int:
         "weak_value_at_best": {
             "re": value.real,
             "im": value.imag,
-            "classification": classify(value, float(spectrum[0]), float(spectrum[-1]), args.tol_anom.anom),
+            "classification": classify(value, float(result.spectrum[0]), float(result.spectrum[-1]),
+                                       args.tol_anom.anom),
         },
     }
     _print_report(report, args.format)

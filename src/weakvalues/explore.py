@@ -101,15 +101,18 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
     x; ``haar`` is z / |z| for z = x + iy; ``mixed`` is g g^dagger / Tr
     for g = X + iY; ``real-mixed`` is W W^T / Tr for W = [X | Y], which
     equals Re(g g^dagger) / Tr, made exactly symmetric; ``diagonal`` puts a
-    flat Dirichlet draw on the diagonal. State k consumes the generator's
-    k-th run of variates, so the first states of a draw do not depend on
-    ``size``. Norms and traces are einsums because numpy reduces a short
-    trailing axis with one inner loop per row. States are scaled by 1/t,
-    the product numpy's complex division by a real t forms, without its cost.
+    flat Dirichlet draw on the diagonal. ``real-pure``, ``real-mixed`` and
+    ``diagonal`` come out float64, so everything downstream of a scan does
+    real arithmetic on them; ``haar`` and ``mixed`` come out complex128.
+    State k consumes the generator's k-th run of variates, so the first
+    states of a draw do not depend on ``size``. Norms and traces are einsums
+    because numpy reduces a short trailing axis with one inner loop per row.
+    States are scaled by 1/t, the product numpy's complex division by a real
+    t forms, without its cost.
     """
     if kind == REAL_PURE:
         x = rng.standard_normal(size=(size, dim))
-        return (x * (1.0 / np.sqrt(np.einsum("ni,ni->n", x, x)))[:, None]).astype(complex)
+        return x * (1.0 / np.sqrt(np.einsum("ni,ni->n", x, x)))[:, None]
     if kind == HAAR_PURE:
         x = rng.standard_normal(size=(size, 2, dim))
         x *= (1.0 / np.sqrt(np.einsum("nki,nki->n", x, x)))[:, None, None]
@@ -124,10 +127,10 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
         w = rng.standard_normal(size=(size, 2, dim, dim)).transpose(0, 2, 1, 3).reshape(size, dim, 2 * dim)
         rho = w @ w.transpose(0, 2, 1)
         rho *= (1.0 / np.einsum("nii->n", rho))[:, None, None]
-        return ((rho + rho.transpose(0, 2, 1)) * 0.5).astype(complex)
+        return (rho + rho.transpose(0, 2, 1)) * 0.5
     # DIAGONAL, the last kind SamplerSpec admits.
     probs = rng.dirichlet(np.ones(dim), size=size)
-    rho = np.zeros((size, dim, dim), dtype=complex)
+    rho = np.zeros((size, dim, dim))
     rho[:, np.arange(dim), np.arange(dim)] = probs
     return rho
 
@@ -138,7 +141,11 @@ def _block_size(dim: int) -> int:
 
 
 def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
-    """Block ``block`` of a scan as a (size, d, d) stack of density matrices."""
+    """Block ``block`` of a scan as a (size, d, d) stack of density matrices, of :func:`_draw`'s dtype.
+
+    A float64 block of the real kinds gives its complex128 twin's overlaps, g, A_w and l1 bit for bit,
+    by the two rules of :func:`_g_contraction`: g scales by 1/Tr, and A_w is summed over complex g.
+    """
     states = _draw(spec.kind, spec.dim, _task_rng(spec.seed, block), size)
     if states.ndim == 2:
         states = states[:, :, None] * states[:, None, :].conj()
@@ -149,14 +156,15 @@ def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
 class SearchResult:
     """Outcome of the negativity search.
 
-    ``weak_value`` is A_w at ``best_states`` (post- then pre-selection), ``best_value`` exactly its -Re, and
-    ``evaluations`` the number of pairs scored, one.
+    ``weak_value`` is A_w at ``best_states`` (post- then pre-selection), ``best_value`` exactly its -Re,
+    ``evaluations`` the number of pairs scored, one, and ``spectrum`` the observable's ascending eigenvalues.
     """
 
     best_states: tuple[StateVector, StateVector]
     best_value: float
     weak_value: complex
     evaluations: int
+    spectrum: np.ndarray
 
 
 # The floor on the post-selection probability |<phi|psi>|^2 under which the search maximizes -Re(A_w).
@@ -174,7 +182,8 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
     In the eigenbasis the optimum is psi = (cos 30deg, -sin 30deg), phi = (cos 30deg, sin 30deg):
     <phi|psi> = 1/2 and P_1,w = -1/2. The pair is mapped back with the eigenvectors, its half-angle
     stepped down one float at a time while its squared overlap rounds below the floor, and scored
-    once as <phi|A|psi> / <phi|psi>. ``budget`` and ``seed`` are validated and change nothing.
+    once as <phi|A|psi> / <phi|psi>, and the eigenvalues of the same decomposition are returned with it.
+    ``budget`` and ``seed`` are validated and change nothing.
     """
     matrix = observable.matrix if isinstance(observable, Observable) else np.asarray(observable, dtype=complex)
     if matrix.shape != (2, 2):
@@ -186,7 +195,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
         raise ValidationError(f"search budget must be an integer, got {budget!r}")
     _require_seed(seed)
 
-    vectors = np.linalg.eigh(matrix)[1]
+    spectrum, vectors = np.linalg.eigh(matrix)
     half = np.pi / 6.0
     while True:
         cos, sin = np.cos(half), np.sin(half)
@@ -197,7 +206,7 @@ def search_max_negativity(observable, budget: int, seed: int) -> SearchResult:
         half = np.nextafter(half, 0.0)
     weak_value = complex(np.vdot(phi, matrix @ psi) / overlap)
     return SearchResult(best_states=(StateVector(phi), StateVector(psi)), best_value=-weak_value.real,
-                        weak_value=weak_value, evaluations=1)
+                        weak_value=weak_value, evaluations=1, spectrum=spectrum)
 
 
 @dataclass(frozen=True)
@@ -246,8 +255,9 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
         g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
         aw_bad = anomalous_mask(value, a[0], a[-1], tol.anom) & kept
         quiet = kept & ~g_bad & ~aw_bad
-        quiet[quiet] = ((_l1_in_eigenbasis(rho_phi[quiet]) >= DEFAULT_COHERENCE_TOL)
-                        & (_l1_in_eigenbasis(rho_psi[quiet]) >= DEFAULT_COHERENCE_TOL))
+        # psi's l1 is taken only on the rows whose phi is already coherent.
+        quiet[quiet] = _l1_in_eigenbasis(rho_phi[quiet]) >= DEFAULT_COHERENCE_TOL
+        quiet[quiet] = _l1_in_eigenbasis(rho_psi[quiet]) >= DEFAULT_COHERENCE_TOL
         g_count += int(g_bad.sum())
         aw_count += int(aw_bad.sum())
         quiet_count += int(quiet.sum())

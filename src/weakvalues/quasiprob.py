@@ -168,14 +168,21 @@ def _g_contraction(left: np.ndarray, right: np.ndarray, den: np.ndarray,
     ``left[k]`` is (V^dagger rho_psi[k])^T and ``right[k]`` is rho_phi[k] V, so a stack
     drawn in the eigenbasis enters as ``rho_psi.transpose(0, 2, 1)`` and ``rho_phi``
     themselves; ``den`` is the overlaps of :func:`quasi_prob_stack`.
+
+    Stacks are complex128, or float64 for the scan's real kinds; g takes their dtype and the weak
+    values are complex128. Two rules give a float64 stack its complex128 twin's bits. g is the
+    contraction times the reciprocal 1/den, the product numpy's complex division by a real den forms
+    (Smith's method with a zero imaginary part), zero signs included, since no einsum sum is -0. The
+    weak values are summed over complex g, because from d = 4 up numpy's pairwise sum groups the real
+    parts of a complex row differently from a float row.
     """
     # An einsum, not .sum(axis=1): numpy runs that reduction as one inner loop per row.
     num = np.einsum("nki->ni", left * right)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = num / den[:, None]
+        g = num * (1.0 / den)[:, None]
         # An elementwise product and a row sum give row k the same bits in any
         # stack; a matrix-vector product does not.
-        return g, (g * eigenvalues).sum(axis=-1)
+        return g, (g.astype(complex, copy=False) * eigenvalues).sum(axis=-1)
 
 
 def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,

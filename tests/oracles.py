@@ -345,6 +345,7 @@ def scalar_search(observable, budget, seed):
         best_value=best_val,
         weak_value=_pair_weak_value(matrix, best_x),
         evaluations=sum(used for _, _, used in outcomes),
+        spectrum=np.linalg.eigvalsh(matrix),
     )
 
 

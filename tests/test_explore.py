@@ -56,6 +56,13 @@ def test_real_kinds_are_entrywise_real():
         assert np.max(np.abs(block.imag)) == 0.0
 
 
+@pytest.mark.parametrize("kind, dtype", [(HAAR_PURE, np.complex128), (MIXED_FULL_RANK, np.complex128),
+                                         (REAL_PURE, np.float64), (REAL_MIXED, np.float64), (DIAGONAL, np.float64)])
+def test_real_kinds_are_drawn_as_float64(kind, dtype):
+    assert _draw(kind, 3, _task_rng(5, 0), 4).dtype == dtype
+    assert _density_block(SamplerSpec(dim=3, kind=kind, seed=5), 0, 4).dtype == dtype
+
+
 def test_diagonal_kind_has_no_coherence():
     spec = SamplerSpec(dim=4, kind=DIAGONAL, seed=6)
     obs = wv.eigensystem(np.diag(np.arange(4.0)))
@@ -217,6 +224,9 @@ def test_search_value_is_the_weak_value_at_a_feasible_pair(diagonal, off, seed, 
     aw = trace_ratio_weak_value(matrix, wv.pure_to_density(psi), wv.pure_to_density(phi))
     assert abs(res.weak_value - aw.value) <= 1e-12
     assert abs(np.vdot(phi.amps, psi.amps)) ** 2 >= SEARCH_MIN_OVERLAP
+    # The spectrum that classifies A_w is the search's own decomposition, ascending.
+    assert np.all(np.diff(res.spectrum) >= 0.0)
+    assert np.allclose(res.spectrum, np.linalg.eigvalsh(matrix), rtol=0.0, atol=1e-12)
 
 
 flat = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False).map(lambda c: c * np.eye(2))

@@ -7,7 +7,9 @@ property judges one such pair, its values pushed next to the decision lines
 and its stated error set beside the band. The rounding property draws pure
 pairs down to Tr(rho_phi rho_psi) = 1e-11 and holds each verdict to exact
 rational arithmetic or to its flag. The phase property draws pure pairs in the
-same way as the stacks. The last two properties draw real
+same way as the stacks. The dtype properties draw real and complex stacks at
+d = 2..64 with signed zeros and hold the float64 kernels to the bits of their
+complex128 twins, and g to numpy's complex division. The last two properties draw real
 qubit pairs instead and check the contextuality certificate that the paper
 attaches to every real-qubit anomaly.
 """
@@ -21,7 +23,9 @@ from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
 from weakvalues.contextuality import anomaly_implies_violation, fragment_cycles
-from weakvalues.quasiprob import anomalous_mask, classify, quasi_prob_stack
+from weakvalues.core import _l1_in_eigenbasis
+from weakvalues.invariants import overlap_stack
+from weakvalues.quasiprob import _g_contraction, anomalous_mask, classify, quasi_prob_stack
 
 from oracles import classify as oracle_classify
 from oracles import exact_verdicts, verdicts
@@ -136,6 +140,67 @@ def test_a_dephased_pre_selection_gives_no_anomalous_weight(case):
     dephased = np.stack([wv.dephase(wv.DensityOperator(m), obs).matrix for m in psi])
     den, g, _ = quasi_prob_stack(phi, dephased, obs)
     assert not np.any(anomalous_mask(g[_selected(den)], 0.0, 1.0, wv.DEFAULT_TOL.anom))
+
+
+def _signed_zero_stacks(rng, shape, zeros):
+    """Normal variates of ``shape`` with shares ``zeros`` = (negative, positive) of them set to -0.0 and +0.0."""
+    stack = rng.standard_normal(shape)
+    for zero, share in zip((-0.0, 0.0), zeros):
+        stack[rng.random(shape) < share] = zero
+    return stack
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float64 or complex128 array, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+stack_shapes = dict(d=st.integers(2, 64), n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+                    zeros=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)))
+
+
+@PROPERTY_SETTINGS
+@given(**stack_shapes)
+# From d = 4 numpy's pairwise sum groups a complex row's real parts apart from a float row's; at d = 64 in blocks.
+@example(d=4, n=8, seed=1, zeros=(0.0, 0.0))
+@example(d=9, n=8, seed=2, zeros=(0.25, 0.0))
+@example(d=64, n=4, seed=3, zeros=(0.1, 0.1))
+def test_a_real_stack_gives_its_complex_twins_bits(d, n, seed, zeros):
+    """The scan's real kinds stay float64: overlaps, g, A_w and l1 of a real stack are those of its twin."""
+    rng = np.random.default_rng(seed)
+    phi, psi = _signed_zero_stacks(rng, (2, n, d, d), zeros)
+    eigenvalues = np.sort(rng.standard_normal(d))
+    twin_phi, twin_psi = phi.astype(complex), psi.astype(complex)
+    den, twin_den = overlap_stack(phi, psi), overlap_stack(twin_phi, twin_psi)
+    assert den.dtype == np.float64
+    kept = den > wv.DEFAULT_SELECTION_THRESHOLD
+    assert np.array_equal(_bits(den[kept]), _bits(twin_den[kept]))
+    g, value = _g_contraction(psi.transpose(0, 2, 1), phi, den, eigenvalues)
+    twin_g, twin_value = _g_contraction(twin_psi.transpose(0, 2, 1), twin_phi, twin_den, eigenvalues)
+    assert (g.dtype, value.dtype) == (np.float64, np.complex128)
+    assert np.array_equal(_bits(g[kept].astype(complex)), _bits(twin_g[kept]))
+    assert np.array_equal(_bits(value[kept]), _bits(twin_value[kept]))
+    for stack, twin in ((phi, twin_phi), (psi, twin_psi)):
+        assert np.array_equal(_bits(_l1_in_eigenbasis(stack[kept])), _bits(_l1_in_eigenbasis(twin[kept])))
+
+
+@PROPERTY_SETTINGS
+@given(**stack_shapes)
+@example(d=2, n=8, seed=4, zeros=(0.5, 0.5))  # rows whose contraction has a zero part
+def test_g_of_a_complex_stack_is_the_quotient(d, n, seed, zeros):
+    """Scaling by the reciprocal of den is numpy's complex division by den, zero signs included."""
+    rng = np.random.default_rng(seed)
+    stacks = np.empty((2, n, d, d), dtype=complex)
+    stacks.real = _signed_zero_stacks(rng, stacks.shape, zeros)
+    stacks.imag = _signed_zero_stacks(rng, stacks.shape, zeros)
+    phi, psi = stacks
+    den = np.einsum("nij,nji->n", phi, psi).real
+    left = psi.transpose(0, 2, 1)
+    g, _ = _g_contraction(left, phi, den, np.arange(d, dtype=float))
+    kept = den > wv.DEFAULT_SELECTION_THRESHOLD
+    assert g.dtype == np.complex128
+    num = np.einsum("nki->ni", left * phi)
+    assert np.array_equal(_bits(g[kept]), _bits(num[kept] / den[kept, None]))
 
 
 # signed distances from a decision line, in units of the band: anom/10, anom and 10 anom, or anything within 20 anom
