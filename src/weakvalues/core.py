@@ -179,8 +179,26 @@ def require_dims(dim: int, *states) -> None:
         raise ValidationError(f"dimension mismatch: dim {dims} against dim {dim}")
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """``mat`` itself when it equals its conjugate transpose, else its Hermitian part M/2 + M^dagger/2.
+
+    The halves are taken before the sum, which therefore cannot overflow, and the (i, j) entry rounds as
+    the conjugate of the (j, i) one, so the result equals its conjugate transpose bit for bit. numpy's
+    complex products fuse a multiply-add, so an outer product v v^dagger is Hermitian only to rounding.
+    """
+    adjoint = mat.conj().T
+    if (mat == adjoint).all():
+        return mat
+    return mat * 0.5 + adjoint * 0.5
+
+
 def _hermitian(matrix, what: str) -> np.ndarray:
-    """``matrix`` as a complex array once it is square, non-empty, finite and Hermitian; ``what`` names it."""
+    """``matrix`` as an exactly Hermitian complex array once it is square, non-empty, finite and Hermitian
+    within ``HERMITICITY_TOL``; ``what`` names it.
+
+    An accepted matrix with a nonzero defect comes back as its Hermitian part (:func:`_hermitian_part`), so
+    no kernel reads an anti-Hermitian part the gate let through; an exactly Hermitian one comes back as is.
+    """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValidationError(f"{what} must be square and non-empty, got shape {mat.shape}")
@@ -189,7 +207,7 @@ def _hermitian(matrix, what: str) -> np.ndarray:
         defect = float(np.max(np.abs(mat - mat.conj().T)))
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"Hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
-    return mat
+    return _hermitian_part(mat) if defect else mat
 
 
 def state_vector(values) -> StateVector:
@@ -206,8 +224,9 @@ def state_vector(values) -> StateVector:
 
 
 def pure_to_density(psi: StateVector) -> DensityOperator:
-    """Rank-1 projector |psi><psi|."""
-    return DensityOperator(np.outer(psi.amps, psi.amps.conj()))
+    """Rank-1 projector |psi><psi|, made exactly Hermitian as the gate makes an accepted matrix, so a
+    report's echoed matrix reads back to the same bits."""
+    return DensityOperator(_hermitian_part(np.outer(psi.amps, psi.amps.conj())))
 
 
 def validate_density(matrix) -> DensityOperator:

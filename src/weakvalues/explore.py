@@ -1,12 +1,12 @@
 """Random-state exploration: samplers, anomaly-rate scans, negativity search.
 
-Every random draw flows through a counter-based generator keyed by
-(master seed, key). A scan draws its pairs in blocks of
-``max(1, 65536 // d**2)`` and keys each block by its block number, so a
-fixed seed reproduces every count bit for bit. A scan reads every drawn
-matrix as coordinates in the eigenbasis of its observable, so its path has
-no basis rotation. The negativity search draws nothing: it writes down the
-constrained optimum in closed form.
+Every random draw comes from an SFC64 stream keyed by (master seed, block):
+a scan draws its pairs in blocks of ``max(1, 65536 // d**2)`` and seeds each
+block's stream from its block number, so a fixed seed reproduces every
+count bit for bit. A scan reads every drawn matrix as coordinates in the
+eigenbasis of its observable, so its path has no basis rotation. The
+negativity search draws nothing: it writes down the constrained optimum in
+closed form.
 """
 
 from __future__ import annotations
@@ -90,20 +90,23 @@ def _require_seed(seed) -> int:
 
 
 def _task_rng(seed: int, key: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, key) pair."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
+    """The SFC64 stream of one (seed, key) pair, seeded by ``SeedSequence(entropy=seed, spawn_key=(key,))``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
 
 
 def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
 
-    From standard normal variates: ``real-pure`` is x / |x| for a real
-    x; ``haar`` is z / |z| for z = x + iy; ``mixed`` is g g^dagger / Tr
-    for g = X + iY; ``real-mixed`` is W W^T / Tr for W = [X | Y], which
-    equals Re(g g^dagger) / Tr, made exactly symmetric; ``diagonal`` puts a
-    flat Dirichlet draw on the diagonal. ``real-pure``, ``real-mixed`` and
-    ``diagonal`` come out float64, so everything downstream of a scan does
-    real arithmetic on them; ``haar`` and ``mixed`` come out complex128.
+    From standard normal variates, each kind drawn in the layout it reads:
+    ``real-pure`` is x / |x| for a real x, drawn (size, d); ``haar`` is
+    z / |z| for z = x + iy, drawn (size, d, 2) as (Re, Im) pairs and read as
+    complex in place; ``mixed`` is g g^dagger / Tr for g = X + iY, drawn
+    (size, d, d, 2) the same way; ``real-mixed`` is W W^T / Tr for a
+    (size, d, 2d) draw W = [X | Y], which equals Re(g g^dagger) / Tr for
+    g = X + iY, made exactly symmetric; ``diagonal`` puts a flat Dirichlet
+    draw on the diagonal. ``real-pure``, ``real-mixed`` and ``diagonal``
+    come out float64, so everything downstream of a scan does real
+    arithmetic on them; ``haar`` and ``mixed`` come out complex128.
     State k consumes the generator's k-th run of variates, so the first
     states of a draw do not depend on ``size``. Norms and traces are einsums
     because numpy reduces a short trailing axis with one inner loop per row.
@@ -114,17 +117,16 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
         x = rng.standard_normal(size=(size, dim))
         return x * (1.0 / np.sqrt(np.einsum("ni,ni->n", x, x)))[:, None]
     if kind == HAAR_PURE:
-        x = rng.standard_normal(size=(size, 2, dim))
-        x *= (1.0 / np.sqrt(np.einsum("nki,nki->n", x, x)))[:, None, None]
-        return x[:, 0] + 1j * x[:, 1]
+        x = rng.standard_normal(size=(size, dim, 2))
+        x *= (1.0 / np.sqrt(np.einsum("nik,nik->n", x, x)))[:, None, None]
+        return x.view(complex)[..., 0]
     if kind == MIXED_FULL_RANK:
-        x = rng.standard_normal(size=(size, 2, dim, dim))
-        g = x[:, 0] + 1j * x[:, 1]
+        g = rng.standard_normal(size=(size, dim, dim, 2)).view(complex)[..., 0]
         rho = g @ g.conj().transpose(0, 2, 1)
         rho *= (1.0 / np.einsum("nii->n", rho).real)[:, None, None]
         return rho
     if kind == REAL_MIXED:
-        w = rng.standard_normal(size=(size, 2, dim, dim)).transpose(0, 2, 1, 3).reshape(size, dim, 2 * dim)
+        w = rng.standard_normal(size=(size, dim, 2 * dim))
         rho = w @ w.transpose(0, 2, 1)
         rho *= (1.0 / np.einsum("nii->n", rho))[:, None, None]
         return (rho + rho.transpose(0, 2, 1)) * 0.5

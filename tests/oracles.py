@@ -619,19 +619,26 @@ def looped_fix_phases(vectors):
 def reference_draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
 
-    State k consumes the generator's k-th run of variates, so the first
-    states of a draw do not depend on ``size``.
+    Each kind reads its normals in the layout ``explore._draw`` draws them:
+    ``haar`` (size, d, 2) and ``mixed`` (size, d, d, 2) as (Re, Im) pairs,
+    ``real-mixed`` (size, d, 2d) as g = X + iY for W = [X | Y]. State k
+    consumes the generator's k-th run of variates, so the first states of a
+    draw do not depend on ``size``.
     """
     if kind == REAL_PURE:
         x = rng.normal(size=(size, dim))
         return x.astype(complex) / np.linalg.norm(x, axis=1, keepdims=True)
     if kind == HAAR_PURE:
-        x = rng.normal(size=(size, 2, dim))
-        z = x[:, 0] + 1j * x[:, 1]
+        x = rng.normal(size=(size, dim, 2))
+        z = x[..., 0] + 1j * x[..., 1]
         return z / np.linalg.norm(z, axis=1, keepdims=True)
     if kind in (MIXED_FULL_RANK, REAL_MIXED):
-        x = rng.normal(size=(size, 2, dim, dim))
-        g = x[:, 0] + 1j * x[:, 1]
+        if kind == MIXED_FULL_RANK:
+            x = rng.normal(size=(size, dim, dim, 2))
+            g = x[..., 0] + 1j * x[..., 1]
+        else:
+            w = rng.normal(size=(size, dim, 2 * dim))
+            g = w[:, :, :dim] + 1j * w[:, :, dim:]
         rho = g @ g.conj().transpose(0, 2, 1)
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
         if kind == REAL_MIXED:
@@ -665,7 +672,8 @@ def draw_rounding_bound(kind, variates, reference):
     - ``mixed``: g g^dagger is one shared product; the traces sum the same d
       positive diagonal entries and agree to 2 gamma_(d-1); the reciprocal
       and the scaling add u a side: (2d + 2) u |ref|.
-    - ``real-mixed``: let E = W W^T be the exact product and M = |X| |X|^T +
+    - ``real-mixed``: ``variates`` is the (size, d, 2d) draw W = [X | Y]. Let
+      E = W W^T be the exact product and M = |W| |W|^T = |X| |X|^T +
       |Y| |Y|^T, so |E_ij| <= M_ij and T = Tr M = Tr E. Both products (2d
       terms an entry) are within gamma_(2d) M of E, and each trace is within
       gamma_(2d) + gamma_(d-1) of T relatively. An entry scaled by its
@@ -685,6 +693,6 @@ def draw_rounding_bound(kind, variates, reference):
         return (2 * dim + 3) * u * np.abs(reference)
     if kind == REAL_MIXED:
         a = np.abs(variates)
-        m = a[:, 0] @ a[:, 0].transpose(0, 2, 1) + a[:, 1] @ a[:, 1].transpose(0, 2, 1)
+        m = a @ a.transpose(0, 2, 1)
         return (10 * dim + 5) * u * m / np.trace(m, axis1=1, axis2=2)[:, None, None]
     return np.zeros(reference.shape)

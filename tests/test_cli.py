@@ -94,6 +94,22 @@ def test_compute_tame_case(capsys, coherent_mixed_file):
     assert report["witness"]["commutator_norm"] > 0.0
 
 
+def test_compute_reads_the_hermitian_part_of_an_accepted_state(capsys, tmp_path):
+    # The pre-state's Hermiticity defect of 1.0e-10 is what the gate accepts. Its anti-Hermitian part
+    # once reached the kernel: g = (0.5 + 2.5e-8 i, 0.5 + 2.5e-8 i), AnomalousImaginary, exit 3.
+    path = _write_problem(tmp_path / "defect.json", {
+        "dimension": 2, "observable": [[0, 0], [0, 1]],
+        "pre_state": [[0.999999, [0, 5e-11]], [[0, 5e-11], 1e-6]],
+        "post_state": [[1e-6, 0.0009999995], [0.0009999995, 0.999999]],
+    })
+    code, out, _ = _run(capsys, ["compute", "--input", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["quasiprob"]["weights"] == [[0.5, 0.0], [0.5, 0.0]]
+    assert report["weak_value"]["im"] == 0.0
+    assert report["weak_value"]["classification"] == "Normal"
+
+
 def test_tol_anom_override_suppresses_anomaly(capsys, great_circle_file):
     code, out, _ = _run(capsys, ["compute", "--input", great_circle_file,
                                  "--tol-anom", "10"])

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +17,7 @@ from weakvalues.core import (
     Tolerances,
     ValidationError,
     _fix_phases,
+    _hermitian,
 )
 
 from conftest import random_mixed, random_pure
@@ -219,6 +220,43 @@ def test_eigensystem_rejects_degenerate_and_nonhermitian():
         wv.eigensystem(np.diag([0.0, 1.0, 1.0 + 1e-9]))  # gap below DEGENERACY_TOL
     with pytest.raises(ValidationError, match="Hermiticity defect 1.000e"):
         wv.eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@st.composite
+def nearly_hermitian(draw):
+    """A Hermitian matrix of finite entries up to 1e308, plus entries of modulus up to HERMITICITY_TOL / 2, or none."""
+    d = draw(st.integers(1, 5))
+    upper = draw(hnp.arrays(complex, (d, d), elements=st.complex_numbers(max_magnitude=1e308, allow_nan=False,
+                                                                          allow_infinity=False)))
+    matrix = np.triu(upper, 1) + np.triu(upper, 1).conj().T + np.diag(upper.diagonal().real)
+    if draw(st.booleans()):
+        matrix = matrix + draw(hnp.arrays(complex, (d, d), elements=st.complex_numbers(
+            max_magnitude=HERMITICITY_TOL / 2.0, allow_nan=False, allow_infinity=False)))
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearly_hermitian())
+@example(np.array([[1e308, 1e-11], [0.0, 1e308]], dtype=complex))  # a sum before the halving overflows
+@example(np.array([[0.999999, 5e-11j], [5e-11j, 1e-6]]))  # the compute example's pre-state
+def test_the_hermiticity_gate_returns_an_exactly_hermitian_matrix(matrix):
+    try:
+        accepted = _hermitian(matrix, "matrix")
+    except ValidationError:
+        assume(False)
+    assert np.array_equal(accepted, accepted.conj().T)
+    assert np.all(np.isfinite(accepted))
+    if np.array_equal(matrix, matrix.conj().T):  # an exactly Hermitian input keeps its bits
+        assert accepted.tobytes() == matrix.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(complex, st.integers(2, 6), elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False)))
+def test_a_pure_state_density_is_exactly_hermitian(amps):
+    # numpy's fused complex products leave v v^dagger Hermitian only to rounding, and the gate would
+    # then read a report's echoed projector back as other bits than the state gave.
+    rho = wv.pure_to_density(wv.StateVector(amps)).matrix
+    assert np.array_equal(rho, rho.conj().T)
 
 
 @pytest.mark.parametrize("gate", [wv.eigensystem, wv.validate_density])

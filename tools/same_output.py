@@ -40,11 +40,12 @@ schema 0.2 every request should be identical.
 The script prints how many requests gave the same stdout, stderr and exit code
 in both trees, one ``timing:`` line with each tree's wall time over its
 requests (its worker process from start to exit), one line per request that
-differs, and one tally line per command with a differing request: how many
-differ, and in how many of them the exit code, the stdout and the stderr
-differ. It exits 1 when any request
-differs. The deck files and their copies are written to a temporary
-directory; nothing under ``bench/`` is written.
+differs, and one tally line per command with a differing request (per
+ensemble and band for ``scan``, so a sampler change shows which ensembles
+moved): how many differ, and in how many of them the exit code, the stdout
+and the stderr differ. It exits 1 when any request differs. The deck files
+and their copies are written to a temporary directory; nothing under
+``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -198,6 +199,14 @@ def requests(workdir: Path) -> list[list[str]]:
     return argvs
 
 
+def _tally_key(argv: list[str]) -> str:
+    """The tally line a request counts on: its command, and for ``scan`` its ``--kind`` and band."""
+    if argv[0] != "scan":
+        return argv[0]
+    band = argv[argv.index("--tol-anom") + 1] if "--tol-anom" in argv else "default"
+    return f"scan --kind {argv[argv.index('--kind') + 1]}, band {band}"
+
+
 def run_tree(tree: Path, argvs: list[list[str]], as_version: str | None = None) -> tuple[list[dict], float]:
     """Each request's answer from ``tree``, and the wall time its worker took over them all."""
     extra = [] if as_version is None else [as_version]
@@ -244,12 +253,12 @@ def main(argv: list[str]) -> int:
         tally: dict[str, Counter] = {}
         for request, a, b in differing:
             moved = [name for name in ("rc", "out", "err") if a[name] != b[name]]
-            tally.setdefault(request[0], Counter()).update(["requests", *moved])
+            tally.setdefault(_tally_key(request), Counter()).update(["requests", *moved])
             parts = [f"{name} {a[name]} vs {b[name]}" for name in moved]
             shown = " ".join(word.removeprefix(workdir + "/") for word in request)
             print(f"differs: {shown}: {'; '.join(parts)}")
-        for command, counts in tally.items():
-            print(f"tally: {command}: {counts['requests']} differ (rc {counts['rc']}, out {counts['out']}, "
+        for key, counts in tally.items():
+            print(f"tally: {key}: {counts['requests']} differ (rc {counts['rc']}, out {counts['out']}, "
                   f"err {counts['err']})")
     return 1 if differing else 0
 
