@@ -3,10 +3,11 @@
 Every random draw comes from an SFC64 stream keyed by (master seed, block):
 a scan draws its pairs in blocks of ``max(1, 65536 // d**2)`` and seeds each
 block's stream from its block number, so a fixed seed reproduces every
-count bit for bit. A scan reads every drawn matrix as coordinates in the
-eigenbasis of its observable, so its path has no basis rotation. The
-negativity search draws nothing: it writes down the constrained optimum in
-closed form.
+count bit for bit. A scan reads every drawn state as coordinates in the
+eigenbasis of its observable, so its path has no basis rotation. A scan of
+two pure kinds never forms a projector: its pairs stay (n, d) amplitude
+rows, scored in O(d) each. The negativity search draws nothing: it writes
+down the constrained optimum in closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     require_dims,
 )
 from .invariants import overlap_stack
-from .quasiprob import _g_contraction, anomalous_mask
+from .quasiprob import _g_contraction, _scaled_g, anomalous_mask
 
 __all__ = [
     "HAAR_PURE",
@@ -154,6 +155,27 @@ def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
     return states
 
 
+def _pure_contraction(phi: np.ndarray, psi: np.ndarray,
+                      eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlaps, g rows and weak values of (n, d) pure amplitude rows in the eigenbasis, in O(d) a pair.
+
+    With c_i = conj(phi_i) psi_i and <phi|psi> = sum_i c_i, the overlap is T = |<phi|psi>|^2 and
+    g_i = c_i conj(<phi|psi>) / T, the rows :func:`quasi_prob_stack` gives on the projectors to
+    within the record's ``error``. T is real by construction. The weak values are summed over complex g.
+    """
+    cross = phi.conj() * psi
+    amp = np.einsum("ni->n", cross)
+    overlap = (amp * amp.conj()).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return overlap, *_scaled_g(cross, amp.conj() * (1.0 / overlap), eigenvalues)
+
+
+def _pure_l1(states: np.ndarray) -> np.ndarray:
+    """l1 coherence of (n, d) pure amplitude rows in the eigenbasis: (sum_i |v_i|)^2 - sum_i |v_i|^2, O(d)."""
+    moduli = np.abs(states)
+    return np.einsum("ni->n", moduli) ** 2 - np.einsum("ni,ni->n", moduli, moduli)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of the negativity search.
@@ -226,15 +248,17 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
                       tol: Tolerances = DEFAULT_TOL) -> ScanSummary:
     """Anomaly statistics over ``n`` independent selection pairs.
 
-    Every drawn matrix is read as coordinates in the eigenbasis of ``obs``,
+    Every drawn state is read as coordinates in the eigenbasis of ``obs``,
     whose eigenvectors the scan never reads: ``haar`` and ``mixed`` are
     unitarily invariant, and ``real-*`` and ``diagonal`` are real, or
     diagonal, in that basis, so ``diagonal`` is the theorem's incoherent
     ensemble for any observable. Block b holds the next
     ``max(1, 65536 // d**2)`` pairs (the last block is shorter), drawn from
-    the keys (spec.seed, b), and goes through the contraction of
-    :func:`quasi_prob_stack` at once, which gives the g_i and A_w; the rules
-    of ``classify`` and ``coherence_l1`` apply elementwise. Pairs whose
+    the keys (spec.seed, b), and is scored at once. A block of two pure
+    kinds stays amplitude rows, scored by :func:`_pure_contraction` within
+    the record's ``error`` and forming no projector; any other block goes
+    through the contraction of :func:`quasi_prob_stack`. The rules of
+    ``classify`` and ``coherence_l1`` apply elementwise. Pairs whose
     overlap falls at or below the selection threshold are skipped and
     tallied apart.
     """
@@ -246,20 +270,28 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
     require_dims(obs.dim, spec_phi, spec_psi)
     a = obs.eigenvalues
     block = _block_size(obs.dim)
+    pure = {spec_phi.kind, spec_psi.kind} <= {HAAR_PURE, REAL_PURE}
+    l1 = _pure_l1 if pure else _l1_in_eigenbasis
     g_count = aw_count = quiet_count = skipped = 0
     for b, start in enumerate(range(0, n, block)):
         size = min(block, n - start)
-        rho_phi = _density_block(spec_phi, b, size)
-        rho_psi = _density_block(spec_psi, b, size)
-        den = overlap_stack(rho_phi, rho_psi)
-        g, value = _g_contraction(rho_psi.transpose(0, 2, 1), rho_phi, den, a)
+        # One state block at a time, so each draw can reuse the memory of the last block's.
+        if pure:
+            phi = _draw(spec_phi.kind, spec_phi.dim, _task_rng(spec_phi.seed, b), size)
+            psi = _draw(spec_psi.kind, spec_psi.dim, _task_rng(spec_psi.seed, b), size)
+            den, g, value = _pure_contraction(phi, psi, a)
+        else:
+            phi = _density_block(spec_phi, b, size)
+            psi = _density_block(spec_psi, b, size)
+            den = overlap_stack(phi, psi)
+            g, value = _g_contraction(psi.transpose(0, 2, 1), phi, den, a)
         kept = den > DEFAULT_SELECTION_THRESHOLD
         g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
         aw_bad = anomalous_mask(value, a[0], a[-1], tol.anom) & kept
         quiet = kept & ~g_bad & ~aw_bad
         # psi's l1 is taken only on the rows whose phi is already coherent.
-        quiet[quiet] = _l1_in_eigenbasis(rho_phi[quiet]) >= DEFAULT_COHERENCE_TOL
-        quiet[quiet] = _l1_in_eigenbasis(rho_psi[quiet]) >= DEFAULT_COHERENCE_TOL
+        quiet[quiet] = l1(phi[quiet]) >= DEFAULT_COHERENCE_TOL
+        quiet[quiet] = l1(psi[quiet]) >= DEFAULT_COHERENCE_TOL
         g_count += int(g_bad.sum())
         aw_count += int(aw_bad.sum())
         quiet_count += int(quiet.sum())

@@ -179,10 +179,15 @@ def _g_contraction(left: np.ndarray, right: np.ndarray, den: np.ndarray,
     # An einsum, not .sum(axis=1): numpy runs that reduction as one inner loop per row.
     num = np.einsum("nki->ni", left * right)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = num * (1.0 / den)[:, None]
-        # An elementwise product and a row sum give row k the same bits in any
-        # stack; a matrix-vector product does not.
-        return g, (g.astype(complex, copy=False) * eigenvalues).sum(axis=-1)
+        return _scaled_g(num, 1.0 / den, eigenvalues)
+
+
+def _scaled_g(num: np.ndarray, scale: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = ``num`` times each row's ``scale``, and the weak values sum_i a_i g_i summed over complex g."""
+    g = num * scale[:, None]
+    # An elementwise product and a row sum give row k the same bits in any
+    # stack; a matrix-vector product does not.
+    return g, (g.astype(complex, copy=False) * eigenvalues).sum(axis=-1)
 
 
 def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,

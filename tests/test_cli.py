@@ -605,13 +605,19 @@ def problems(draw, max_dim=4):
     spectrum = np.cumsum(draw(hnp.arrays(np.float64, d, elements=st.floats(0.1, 2.0))))
     problem = {"dimension": d, "observable": _pairs((q * spectrum) @ q.conj().T)}
     for key in ("pre_state", "post_state"):
+        # A first entry of -1 cancels the shift, so a draw can be the zero vector or matrix,
+        # whose norm or trace is 0 (or underflows to it); such draws are rejected.
         if draw(st.booleans()):
             amps = complex_array((d,)) + np.eye(d)[0]
-            problem[key] = _pairs(amps / np.linalg.norm(amps))
+            norm = np.linalg.norm(amps)
+            assume(norm > 1e-6)
+            problem[key] = _pairs(amps / norm)
         else:
             g = complex_array((d, d)) + np.eye(d)
             rho = g @ g.conj().T
-            problem[key] = _pairs(rho / np.trace(rho).real)
+            trace = np.trace(rho).real
+            assume(trace > 1e-12)
+            problem[key] = _pairs(rho / trace)
     anom = draw(st.sampled_from([None, 1e-9, 1e-6, 1e-2]))
     if anom is not None:
         problem["tolerances"] = {"anom": anom}

@@ -4,8 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
 from weakvalues import explore
@@ -337,37 +338,136 @@ def test_scan_reads_its_draws_in_the_eigenbasis_of_any_observable(proj_zero, kin
         assert counts == (0, 0, 0, 0)
 
 
+EPS = float(np.finfo(float).eps)
+
+
+def _projectors(rows: np.ndarray) -> np.ndarray:
+    """|v><v| of (n, d) amplitude rows, formed as :func:`_density_block` forms them."""
+    return rows[:, :, None] * rows[:, None, :].conj()
+
+
+def _record_error(g: np.ndarray, den: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``QuasiProbDist.error`` of every row's record, slack 0: 2 d eps (1 + |g_i|) / Tr."""
+    return wv.QuasiProbDist(weights=g, labels=labels, value=0j, denominator=den[:, None], slack=0.0,
+                            tol=wv.DEFAULT_TOL).error
+
+
+def _pure_rounding(d: int, l1: np.ndarray) -> np.ndarray:
+    """How far the pure rules' overlaps and l1 may sit from the projector kernels' on unit rows.
+
+    To first order the projector route sums d^2 products of relative error 4 eps, and the pure route
+    squares a sum of d moduli and subtracts a sum of d squares; together at most
+    (d^2 + 3 d + 11) eps (sum_i |v_i|)^2, and (sum_i |v_i|)^2 = 1 + l1 for a unit row. The overlap's
+    two routes differ by at most (d^2 + 2 d + 9) eps, as T <= (sum_i |phi_i| |psi_i|)^2 <= 1.
+    """
+    return (d + 4) ** 2 * EPS * (1.0 + l1)
+
+
+def _assert_pure_rows_within_error(phi, psi, den, g, value, obs):
+    """The pure rule's rows against :func:`quasi_prob_stack` on the projectors: g within each record's
+    ``error``, A_w within its ``value_error``, the overlaps within rounding."""
+    den_want, g_want, value_want = quasi_prob_stack(_projectors(phi), _projectors(psi), obs)
+    kept = den_want > wv.DEFAULT_SELECTION_THRESHOLD
+    assert np.array_equal(den > wv.DEFAULT_SELECTION_THRESHOLD, kept)
+    assert np.all(np.abs(den - den_want) <= _pure_rounding(obs.dim, 0.0))
+    error = _record_error(g_want[kept], den_want[kept], obs.eigenvalues)
+    assert np.all(np.abs(g[kept] - g_want[kept]) <= error)
+    assert np.all(np.abs(value[kept] - value_want[kept]) <= error @ np.abs(obs.eigenvalues))
+
+
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 @pytest.mark.parametrize("dim", (2, 3, 5, 8, 17))
 def test_scan_rows_are_the_rotated_kernels_bits(monkeypatch, kind, dim):
-    # diag(0..d-1) has V = I exactly, so the unrotated scan must give the rotated route's bits;
-    # at d = 17 numpy sums each row in pairwise blocks. The wide band leaves quiet rows in every kind.
+    # diag(0..d-1) has V = I exactly, so the unrotated scan of a density kind must give the rotated
+    # route's bits; at d = 17 numpy sums each row in pairwise blocks. The pure kinds form no
+    # projectors: their rows hold to the rotated route on the projectors within the record's
+    # error, and their l1 within rounding. The wide band leaves quiet rows in every kind.
     obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
-    g_rows, l1_rows = [], []
+    pure = kind in (HAAR_PURE, REAL_PURE)
+    names = ("_pure_contraction", "_pure_l1") if pure else ("_g_contraction", "_l1_in_eigenbasis")
+    contraction, l1 = (getattr(explore, name) for name in names)
+    rows, l1_rows = [], []
 
-    def contraction(left, right, den, a):
-        g, value = _g_contraction(left, right, den, a)
-        g_rows.append((g, value))
-        return g, value
+    def recorded_contraction(*args):
+        out = contraction(*args)
+        rows.append((args[:2], out))
+        return out
 
-    def l1(stack):
-        values = _l1_in_eigenbasis(stack)
+    def recorded_l1(stack):
+        values = l1(stack)
         l1_rows.extend(zip(stack, values))
         return values
 
-    monkeypatch.setattr(explore, "_g_contraction", contraction)
-    monkeypatch.setattr(explore, "_l1_in_eigenbasis", l1)
+    monkeypatch.setattr(explore, names[0], recorded_contraction)
+    monkeypatch.setattr(explore, names[1], recorded_l1)
     spec_phi, spec_psi = SamplerSpec(dim, kind, 61), SamplerSpec(dim, kind, 62)
     n = _block_size(dim) + 40
     scan_anomaly_rate(spec_phi, spec_psi, obs, n, WIDE_BAND)
-    assert [len(g) for g, _ in g_rows] == [_block_size(dim), 40]
-    for b, (g, value) in enumerate(g_rows):
-        _, g_want, value_want = quasi_prob_stack(_density_block(spec_phi, b, len(g)),
-                                                 _density_block(spec_psi, b, len(g)), obs)
-        assert np.array_equal(g, g_want) and np.array_equal(value, value_want)
+    assert [len(out[-1]) for _, out in rows] == [_block_size(dim), 40]
+    for b, (states, out) in enumerate(rows):
+        if pure:
+            phi, psi = states
+            assert np.array_equal(_projectors(phi), _density_block(spec_phi, b, len(phi)))
+            assert np.array_equal(_projectors(psi), _density_block(spec_psi, b, len(psi)))
+            _assert_pure_rows_within_error(phi, psi, *out, obs)
+        else:
+            g, value = out
+            _, g_want, value_want = quasi_prob_stack(_density_block(spec_phi, b, len(g)),
+                                                     _density_block(spec_psi, b, len(g)), obs)
+            assert np.array_equal(g, g_want) and np.array_equal(value, value_want)
     assert l1_rows
-    for rho, value in l1_rows:
-        assert value == wv.coherence_l1(wv.DensityOperator(rho), obs)
+    for state, value in l1_rows:
+        want = wv.coherence_l1(wv.DensityOperator(_projectors(state[None])[0] if pure else state), obs)
+        if pure:
+            assert abs(value - want) <= _pure_rounding(dim, want)
+        else:
+            assert value == want
+
+
+@st.composite
+def pure_rows(draw):
+    """(phi, psi) as (n, d) unit amplitude rows at d = 2..64, real or complex, with
+    |<phi|psi>| = t for t drawn down to 10^-5.5, so overlaps reach 1e-11."""
+    d, n = draw(st.integers(2, 64)), draw(st.integers(1, 3))
+    raw = draw(hnp.arrays(np.float64, (2, 2, n, d), elements=unit))
+    psi, phi = raw[:, 0] + (0.0 if draw(st.booleans()) else 1j) * raw[:, 1]
+    assume(np.all(np.linalg.norm(psi, axis=1) > 1e-3))
+    psi = psi / np.linalg.norm(psi, axis=1)[:, None]
+    phi = phi - np.einsum("ni,ni->n", psi.conj(), phi)[:, None] * psi
+    assume(np.all(np.linalg.norm(phi, axis=1) > 1e-3))
+    t = 10.0 ** draw(st.floats(-5.5, 0.0))
+    phase = np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))) if np.iscomplexobj(psi) else 1.0
+    phi = np.sqrt(1.0 - t * t) * phi / np.linalg.norm(phi, axis=1)[:, None] + t * phase * psi
+    return phi / np.linalg.norm(phi, axis=1)[:, None], psi
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pure_rows())
+def test_pure_rule_is_the_projector_kernel_within_the_record_error(case):
+    phi, psi = case
+    d = phi.shape[1]
+    obs = wv.eigensystem(np.diag(np.arange(d, dtype=float)))
+    _assert_pure_rows_within_error(phi, psi, *explore._pure_contraction(phi, psi, obs.eigenvalues), obs)
+    want = _l1_in_eigenbasis(_projectors(phi))
+    assert np.all(np.abs(explore._pure_l1(phi) - want) <= _pure_rounding(d, want))
+
+
+# Rates that theory fixes, tested as rates rather than bits, so a change of sampler passes
+# them unedited. A one-sample binomial bound at z = 6 over n = 90,000 pairs resolves +-1%.
+EXACT_RATE_N = 90_000
+
+
+@pytest.mark.parametrize("spectrum", ([0.0, 1.0], [3.5, -2.0]), ids=("diag01", "diag35-2"))
+@pytest.mark.parametrize("seed", (2027, 77))
+def test_real_pure_qubit_pairs_are_anomalous_half_the_time(spectrum, seed):
+    # P(anomalous) = 1/2 exactly for any non-degenerate observable, by the Bloch-arc proof under
+    # "exact scan rates" in the README. A_w is anomalous exactly when some g_i is, so both counts read it.
+    obs = wv.eigensystem(np.diag(spectrum))
+    summary = scan_anomaly_rate(SamplerSpec(2, REAL_PURE, seed), SamplerSpec(2, REAL_PURE, seed + 1), obs,
+                                EXACT_RATE_N)
+    for count in (summary.anomalous_g, summary.anomalous_aw):
+        assert abs(count / EXACT_RATE_N - 0.5) <= 6.0 * np.sqrt(0.25 / EXACT_RATE_N)
+
 
 
 def test_scan_is_repeatable_and_keyed_by_block(proj_zero):
@@ -521,12 +621,14 @@ def test_scan_block_stack_stays_within_one_mebibyte():
 
 
 def test_scan_diagonal_pairs_never_anomalous(proj_zero):
-    spec_phi = SamplerSpec(dim=2, kind=DIAGONAL, seed=31)
-    spec_psi = SamplerSpec(dim=2, kind=DIAGONAL, seed=32)
-    summary = scan_anomaly_rate(spec_phi, spec_psi, proj_zero, 300)
-    assert summary.anomalous_g == 0
-    assert summary.anomalous_aw == 0
-    assert summary.coherent_non_anomalous == 0
+    # Rate 0 by the theorem: incoherent selections give every g_i in [0, 1].
+    for obs in (proj_zero, *(wv.eigensystem(np.diag(np.arange(d, dtype=float))) for d in (3, 5, 8))):
+        spec_phi = SamplerSpec(dim=obs.dim, kind=DIAGONAL, seed=31)
+        spec_psi = SamplerSpec(dim=obs.dim, kind=DIAGONAL, seed=32)
+        summary = scan_anomaly_rate(spec_phi, spec_psi, obs, EXACT_RATE_N)
+        assert summary.anomalous_g == 0
+        assert summary.anomalous_aw == 0
+        assert summary.coherent_non_anomalous == 0
 
 
 def test_scan_real_mixed_finds_tame_coherence(proj_zero):
