@@ -4,10 +4,13 @@ Every random draw comes from an SFC64 stream keyed by (master seed, block):
 a scan draws its pairs in blocks of ``max(1, 65536 // d**2)`` and seeds each
 block's stream from its block number, so a fixed seed reproduces every
 count bit for bit. A scan reads every drawn state as coordinates in the
-eigenbasis of its observable, so its path has no basis rotation. A scan of
-two pure kinds never forms a projector: its pairs stay (n, d) amplitude
-rows, scored in O(d) each. The negativity search draws nothing: it writes
-down the constrained optimum in closed form.
+eigenbasis of its observable, so its path has no basis rotation, and scores
+each block in the form it was drawn: a block of two pure kinds as (n, d)
+amplitude rows and a block of two ``diagonal`` specs as (n, d) population
+rows, both whole and in O(d) a pair, and any other block as density
+matrices, in chunks of ``max(1, 16384 // d**2)`` pairs drawn one after
+another from the block's streams. The negativity search draws nothing: it
+writes down the constrained optimum in closed form.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ def _task_rng(seed: int, key: int) -> np.random.Generator:
 
 
 def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
+    """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, (size, dim) populations
+    for ``diagonal``, else (size, dim, dim).
 
     From standard normal variates, each kind drawn in the layout it reads:
     ``real-pure`` is x / |x| for a real x, drawn (size, d); ``haar`` is
@@ -104,12 +108,14 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
     complex in place; ``mixed`` is g g^dagger / Tr for g = X + iY, drawn
     (size, d, d, 2) the same way; ``real-mixed`` is W W^T / Tr for a
     (size, d, 2d) draw W = [X | Y], which equals Re(g g^dagger) / Tr for
-    g = X + iY, made exactly symmetric; ``diagonal`` puts a flat Dirichlet
-    draw on the diagonal. ``real-pure``, ``real-mixed`` and ``diagonal``
-    come out float64, so everything downstream of a scan does real
-    arithmetic on them; ``haar`` and ``mixed`` come out complex128.
+    g = X + iY and is exactly symmetric, as numpy forms W W^T by a symmetric
+    rank-k update; ``diagonal`` is a flat Dirichlet draw, the populations of
+    a state diagonal in the eigenbasis. ``real-pure``, ``real-mixed`` and
+    ``diagonal`` come out float64, so everything downstream of a scan does
+    real arithmetic on them; ``haar`` and ``mixed`` come out complex128.
     State k consumes the generator's k-th run of variates, so the first
-    states of a draw do not depend on ``size``. Norms and traces are einsums
+    states of a draw do not depend on ``size``, and two draws in a row give
+    the states of one draw of their summed size. Norms and traces are einsums
     because numpy reduces a short trailing axis with one inner loop per row.
     States are scaled by 1/t, the product numpy's complex division by a real
     t forms, without its cost.
@@ -130,17 +136,29 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarra
         w = rng.standard_normal(size=(size, dim, 2 * dim))
         rho = w @ w.transpose(0, 2, 1)
         rho *= (1.0 / np.einsum("nii->n", rho))[:, None, None]
-        return (rho + rho.transpose(0, 2, 1)) * 0.5
+        return rho
     # DIAGONAL, the last kind SamplerSpec admits.
-    probs = rng.dirichlet(np.ones(dim), size=size)
-    rho = np.zeros((size, dim, dim))
-    rho[:, np.arange(dim), np.arange(dim)] = probs
-    return rho
+    return rng.dirichlet(np.ones(dim), size=size)
+
+
+def _as_matrices(kind: str, states: np.ndarray) -> np.ndarray:
+    """:func:`_draw`'s states of ``kind`` as a (size, d, d) stack of density matrices, of its dtype:
+    |v><v| of amplitude rows, diag(p) of population rows."""
+    if states.ndim == 3:
+        return states
+    if kind == DIAGONAL:
+        return states[:, :, None] * np.eye(states.shape[1])
+    return states[:, :, None] * states[:, None, :].conj()
 
 
 def _block_size(dim: int) -> int:
     """Pairs per scan block: no (block, d, d) complex stack exceeds 1 MiB."""
     return max(1, 65536 // dim ** 2)
+
+
+def _chunk_size(dim: int) -> int:
+    """Pairs per chunk of a scan block scored as matrices: no (chunk, d, d) complex stack exceeds 256 KiB."""
+    return max(1, 16384 // dim ** 2)
 
 
 def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
@@ -149,10 +167,7 @@ def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
     A float64 block of the real kinds gives its complex128 twin's overlaps, g, A_w and l1 bit for bit,
     by the two rules of :func:`_g_contraction`: g scales by 1/Tr, and A_w is summed over complex g.
     """
-    states = _draw(spec.kind, spec.dim, _task_rng(spec.seed, block), size)
-    if states.ndim == 2:
-        states = states[:, :, None] * states[:, None, :].conj()
-    return states
+    return _as_matrices(spec.kind, _draw(spec.kind, spec.dim, _task_rng(spec.seed, block), size))
 
 
 def _pure_contraction(phi: np.ndarray, psi: np.ndarray,
@@ -174,6 +189,23 @@ def _pure_l1(states: np.ndarray) -> np.ndarray:
     """l1 coherence of (n, d) pure amplitude rows in the eigenbasis: (sum_i |v_i|)^2 - sum_i |v_i|^2, O(d)."""
     moduli = np.abs(states)
     return np.einsum("ni->n", moduli) ** 2 - np.einsum("ni,ni->n", moduli, moduli)
+
+
+def _population_contraction(phi: np.ndarray, psi: np.ndarray,
+                            eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlaps, g rows and weak values of (n, d) population rows, states diagonal in the eigenbasis.
+
+    g_i = psi_i phi_i / T for T = sum_i psi_i phi_i, O(d) a pair. On diag(phi) and diag(psi) every other
+    product of :func:`overlap_stack` and :func:`_g_contraction` is an exact zero, so these are their
+    bits: T is summed one column after another, the order in which the overlap's einsum meets the
+    diagonal products, where an einsum or a reduction over the rows groups them otherwise from d = 3.
+    """
+    num = psi * phi
+    overlap = num[:, 0].copy()
+    for column in num.T[1:]:
+        overlap += column
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return overlap, *_scaled_g(num, 1.0 / overlap, eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -254,12 +286,18 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
     diagonal, in that basis, so ``diagonal`` is the theorem's incoherent
     ensemble for any observable. Block b holds the next
     ``max(1, 65536 // d**2)`` pairs (the last block is shorter), drawn from
-    the keys (spec.seed, b), and is scored at once. A block of two pure
-    kinds stays amplitude rows, scored by :func:`_pure_contraction` within
-    the record's ``error`` and forming no projector; any other block goes
-    through the contraction of :func:`quasi_prob_stack`. The rules of
-    ``classify`` and ``coherence_l1`` apply elementwise. Pairs whose
-    overlap falls at or below the selection threshold are skipped and
+    the keys (spec.seed, b), and is scored in the form it is drawn in. A
+    block of two pure kinds stays amplitude rows, scored at once by
+    :func:`_pure_contraction` within the record's ``error`` and forming no
+    projector. A block of two ``diagonal`` specs stays population rows,
+    scored at once by :func:`_population_contraction` with the bits of the
+    matrix route; its states have no coherence, so none of its pairs counts
+    as coherent. Any other block goes through the contraction of
+    :func:`quasi_prob_stack` as density matrices, in chunks of
+    ``max(1, 16384 // d**2)`` pairs, each chunk the next states of the
+    block's streams, so the chunks give the bits of the whole block. The
+    rules of ``classify`` and ``coherence_l1`` apply elementwise. Pairs
+    whose overlap falls at or below the selection threshold are skipped and
     tallied apart.
     """
     if not _is_int(n):
@@ -270,31 +308,40 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
     require_dims(obs.dim, spec_phi, spec_psi)
     a = obs.eigenvalues
     block = _block_size(obs.dim)
-    pure = {spec_phi.kind, spec_psi.kind} <= {HAAR_PURE, REAL_PURE}
+    kinds = {spec_phi.kind, spec_psi.kind}
+    pure = kinds <= {HAAR_PURE, REAL_PURE}
+    populations = kinds == {DIAGONAL}
+    chunk = block if pure or populations else _chunk_size(obs.dim)
     l1 = _pure_l1 if pure else _l1_in_eigenbasis
     g_count = aw_count = quiet_count = skipped = 0
     for b, start in enumerate(range(0, n, block)):
-        size = min(block, n - start)
-        # One state block at a time, so each draw can reuse the memory of the last block's.
-        if pure:
-            phi = _draw(spec_phi.kind, spec_phi.dim, _task_rng(spec_phi.seed, b), size)
-            psi = _draw(spec_psi.kind, spec_psi.dim, _task_rng(spec_psi.seed, b), size)
-            den, g, value = _pure_contraction(phi, psi, a)
-        else:
-            phi = _density_block(spec_phi, b, size)
-            psi = _density_block(spec_psi, b, size)
-            den = overlap_stack(phi, psi)
-            g, value = _g_contraction(psi.transpose(0, 2, 1), phi, den, a)
-        kept = den > DEFAULT_SELECTION_THRESHOLD
-        g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
-        aw_bad = anomalous_mask(value, a[0], a[-1], tol.anom) & kept
-        quiet = kept & ~g_bad & ~aw_bad
-        # psi's l1 is taken only on the rows whose phi is already coherent.
-        quiet[quiet] = l1(phi[quiet]) >= DEFAULT_COHERENCE_TOL
-        quiet[quiet] = l1(psi[quiet]) >= DEFAULT_COHERENCE_TOL
-        g_count += int(g_bad.sum())
-        aw_count += int(aw_bad.sum())
-        quiet_count += int(quiet.sum())
-        skipped += size - int(kept.sum())
+        rng_phi, rng_psi = _task_rng(spec_phi.seed, b), _task_rng(spec_psi.seed, b)
+        end = min(start + block, n)
+        for at in range(start, end, chunk):
+            size = min(chunk, end - at)
+            # One state array per statement, so each draw can reuse the memory of the last chunk's.
+            phi = _draw(spec_phi.kind, spec_phi.dim, rng_phi, size)
+            psi = _draw(spec_psi.kind, spec_psi.dim, rng_psi, size)
+            if pure:
+                den, g, value = _pure_contraction(phi, psi, a)
+            elif populations:
+                den, g, value = _population_contraction(phi, psi, a)
+            else:
+                phi = _as_matrices(spec_phi.kind, phi)
+                psi = _as_matrices(spec_psi.kind, psi)
+                den = overlap_stack(phi, psi)
+                g, value = _g_contraction(psi.transpose(0, 2, 1), phi, den, a)
+            kept = den > DEFAULT_SELECTION_THRESHOLD
+            g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
+            aw_bad = anomalous_mask(value, a[0], a[-1], tol.anom) & kept
+            g_count += int(g_bad.sum())
+            aw_count += int(aw_bad.sum())
+            skipped += size - int(kept.sum())
+            if not populations:
+                quiet = kept & ~g_bad & ~aw_bad
+                # psi's l1 is taken only on the rows whose phi is already coherent.
+                quiet[quiet] = l1(phi[quiet]) >= DEFAULT_COHERENCE_TOL
+                quiet[quiet] = l1(psi[quiet]) >= DEFAULT_COHERENCE_TOL
+                quiet_count += int(quiet.sum())
     return ScanSummary(n=n, anomalous_g=g_count, anomalous_aw=aw_count,
                        coherent_non_anomalous=quiet_count, skipped=skipped)

@@ -617,7 +617,8 @@ def looped_fix_phases(vectors):
 
 
 def reference_draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, else (size, dim, dim).
+    """``size`` states of one ensemble: (size, dim) amplitudes for pure kinds, (size, dim) populations
+    for ``diagonal``, else (size, dim, dim).
 
     Each kind reads its normals in the layout ``explore._draw`` draws them:
     ``haar`` (size, d, 2) and ``mixed`` (size, d, d, 2) as (Re, Im) pairs,
@@ -646,10 +647,7 @@ def reference_draw(kind: str, dim: int, rng: np.random.Generator, size: int) -> 
             rho = ((re + re.transpose(0, 2, 1)) / 2.0).astype(complex)
         return rho
     if kind == DIAGONAL:
-        probs = rng.dirichlet(np.ones(dim), size=size)
-        rho = np.zeros((size, dim, dim), dtype=complex)
-        rho[:, np.arange(dim), np.arange(dim)] = probs
-        return rho
+        return rng.dirichlet(np.ones(dim), size=size)
     raise wv.ValidationError(f"unknown sampler kind {kind!r}")
 
 
@@ -677,8 +675,9 @@ def draw_rounding_bound(kind, variates, reference):
       |Y| |Y|^T, so |E_ij| <= M_ij and T = Tr M = Tr E. Both products (2d
       terms an entry) are within gamma_(2d) M of E, and each trace is within
       gamma_(2d) + gamma_(d-1) of T relatively. An entry scaled by its
-      reciprocal then differs by at most (4d + 2 (3d - 1) + 4) u M_ij / T,
-      and symmetrizing adds 2 u M_ij / T: (10d + 4) u M_ij / T.
+      reciprocal then differs by at most (4d + 2 (3d - 1) + 4) u M_ij / T.
+      The sampler's W W^T is exactly symmetric, and the reference's
+      symmetrizing adds at most 2 u M_ij / T: (10d + 4) u M_ij / T.
     - ``diagonal``: one route, no gap.
 
     Each bound takes one u more, which covers the second-order terms for d <= 64.

@@ -24,7 +24,7 @@ from weakvalues.explore import (
     scan_anomaly_rate,
     search_max_negativity,
 )
-from weakvalues.explore import _block_size, _density_block, _draw, _task_rng
+from weakvalues.explore import _block_size, _chunk_size, _density_block, _draw, _task_rng
 from weakvalues.quasiprob import _g_contraction, quasi_prob_stack
 from oracles import draw_rounding_bound, reference_draw, scalar_search, trace_ratio_weak_value
 from scan_oracle import pairwise_counts
@@ -378,19 +378,23 @@ def _assert_pure_rows_within_error(phi, psi, den, g, value, obs):
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 @pytest.mark.parametrize("dim", (2, 3, 5, 8, 17))
 def test_scan_rows_are_the_rotated_kernels_bits(monkeypatch, kind, dim):
-    # diag(0..d-1) has V = I exactly, so the unrotated scan of a density kind must give the rotated
-    # route's bits; at d = 17 numpy sums each row in pairwise blocks. The pure kinds form no
-    # projectors: their rows hold to the rotated route on the projectors within the record's
-    # error, and their l1 within rounding. The wide band leaves quiet rows in every kind.
+    # diag(0..d-1) has V = I exactly, so the unrotated scan of the matrix and population kinds must
+    # give the rotated route's bits, gathered across each block's chunks; at d = 17 numpy sums each
+    # row in pairwise blocks. The pure kinds form no projectors: their rows hold to the rotated route
+    # on the projectors within the record's error, and their l1 within rounding. The population rule
+    # forms no l1, so each diagonal state's own record must read 0 to rounding. The wide band leaves
+    # quiet rows in every kind.
     obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
-    pure = kind in (HAAR_PURE, REAL_PURE)
-    names = ("_pure_contraction", "_pure_l1") if pure else ("_g_contraction", "_l1_in_eigenbasis")
-    contraction, l1 = (getattr(explore, name) for name in names)
-    rows, l1_rows = [], []
+    pure, populations = kind in (HAAR_PURE, REAL_PURE), kind == DIAGONAL
+    contraction_name = ("_pure_contraction" if pure else "_population_contraction" if populations
+                        else "_g_contraction")
+    l1_name = "_pure_l1" if pure else "_l1_in_eigenbasis"
+    contraction, l1 = getattr(explore, contraction_name), getattr(explore, l1_name)
+    calls, l1_rows = [], []
 
     def recorded_contraction(*args):
         out = contraction(*args)
-        rows.append((args[:2], out))
+        calls.append((args[:2], out))
         return out
 
     def recorded_l1(stack):
@@ -398,23 +402,35 @@ def test_scan_rows_are_the_rotated_kernels_bits(monkeypatch, kind, dim):
         l1_rows.extend(zip(stack, values))
         return values
 
-    monkeypatch.setattr(explore, names[0], recorded_contraction)
-    monkeypatch.setattr(explore, names[1], recorded_l1)
+    monkeypatch.setattr(explore, contraction_name, recorded_contraction)
+    monkeypatch.setattr(explore, l1_name, recorded_l1)
     spec_phi, spec_psi = SamplerSpec(dim, kind, 61), SamplerSpec(dim, kind, 62)
-    n = _block_size(dim) + 40
-    scan_anomaly_rate(spec_phi, spec_psi, obs, n, WIDE_BAND)
-    assert [len(out[-1]) for _, out in rows] == [_block_size(dim), 40]
-    for b, (states, out) in enumerate(rows):
-        if pure:
-            phi, psi = states
-            assert np.array_equal(_projectors(phi), _density_block(spec_phi, b, len(phi)))
-            assert np.array_equal(_projectors(psi), _density_block(spec_psi, b, len(psi)))
-            _assert_pure_rows_within_error(phi, psi, *out, obs)
-        else:
-            g, value = out
-            _, g_want, value_want = quasi_prob_stack(_density_block(spec_phi, b, len(g)),
-                                                     _density_block(spec_psi, b, len(g)), obs)
-            assert np.array_equal(g, g_want) and np.array_equal(value, value_want)
+    blocks = [_block_size(dim), 40]
+    scan_anomaly_rate(spec_phi, spec_psi, obs, sum(blocks), WIDE_BAND)
+    # Row blocks are scored whole, matrix blocks a chunk at a time.
+    chunk = _block_size(dim) if pure or populations else _chunk_size(dim)
+    assert [len(out[-1]) for _, out in calls] == [min(chunk, m - at) for m in blocks for at in range(0, m, chunk)]
+    first, second = (np.concatenate([args[k] for args, _ in calls]) for k in range(2))
+    out = [np.concatenate([outs[k] for _, outs in calls]) for k in range(len(calls[0][1]))]
+    stacks = [np.concatenate([_density_block(spec, b, m) for b, m in enumerate(blocks)])
+              for spec in (spec_phi, spec_psi)]
+    if pure:
+        assert np.array_equal(_projectors(first), stacks[0]) and np.array_equal(_projectors(second), stacks[1])
+        _assert_pure_rows_within_error(first, second, *out, obs)
+    elif populations:
+        # diag(p) as p_i times the identity's rows: every off-diagonal entry is 1 * 0.
+        assert np.array_equal(first[:, :, None] * np.eye(dim), stacks[0])
+        assert np.array_equal(second[:, :, None] * np.eye(dim), stacks[1])
+        assert all(np.array_equal(got, want) for got, want in zip(out, quasi_prob_stack(*stacks, obs)))
+    else:
+        # _g_contraction reads (rho_psi^T, rho_phi).
+        assert np.array_equal(second, stacks[0]) and np.array_equal(first.transpose(0, 2, 1), stacks[1])
+        assert all(np.array_equal(got, want) for got, want in zip(out, quasi_prob_stack(*stacks, obs)[1:]))
+    if populations:
+        assert not l1_rows
+        for state in np.concatenate(stacks):
+            assert wv.coherence_l1(wv.DensityOperator(state), obs) <= (dim + 4) ** 2 * EPS
+        return
     assert l1_rows
     for state, value in l1_rows:
         want = wv.coherence_l1(wv.DensityOperator(_projectors(state[None])[0] if pure else state), obs)
@@ -422,6 +438,23 @@ def test_scan_rows_are_the_rotated_kernels_bits(monkeypatch, kind, dim):
             assert abs(value - want) <= _pure_rounding(dim, want)
         else:
             assert value == want
+
+
+# Every pairing of kinds the library takes, so rows lifted to matrices are chunked too.
+SCAN_PAIRINGS = [(kind, kind) for kind in SAMPLER_KINDS] + [(DIAGONAL, MIXED_FULL_RANK), (HAAR_PURE, DIAGONAL)]
+
+
+@pytest.mark.parametrize("kinds", SCAN_PAIRINGS, ids="-".join)
+@pytest.mark.parametrize("dim", (2, 3, 8, 17))
+def test_scan_counts_do_not_depend_on_the_chunk_size(monkeypatch, kinds, dim):
+    obs = wv.eigensystem(np.diag(np.arange(dim, dtype=float)))
+    spec_phi, spec_psi = SamplerSpec(dim, kinds[0], 71), SamplerSpec(dim, kinds[1], 72)
+    n = _block_size(dim) + 40
+    bands = (wv.DEFAULT_TOL, WIDE_BAND)
+    want = [scan_anomaly_rate(spec_phi, spec_psi, obs, n, tol) for tol in bands]
+    for chunk in (1, 7, _block_size(dim)):
+        monkeypatch.setattr(explore, "_chunk_size", lambda dim, chunk=chunk: chunk)
+        assert [scan_anomaly_rate(spec_phi, spec_psi, obs, n, tol) for tol in bands] == want
 
 
 @st.composite
@@ -497,6 +530,16 @@ def test_a_block_prefix_does_not_depend_on_the_block_size(case):
     kind, dim, seed, block, m, full = case
     spec = SamplerSpec(dim=dim, kind=kind, seed=seed)
     assert np.array_equal(_density_block(spec, block, m), _density_block(spec, block, full)[:m])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(SAMPLER_KINDS), st.integers(2, 17), st.integers(0, 2 ** 64 - 1), st.integers(0, 1000),
+       st.integers(1, 40), st.integers(1, 40))
+def test_two_draws_in_a_row_are_one_draw_of_their_summed_size(kind, dim, seed, block, first, second):
+    # The scan draws a matrix block chunk after chunk from one stream, and must get the whole block.
+    rng = _task_rng(seed, block)
+    got = np.concatenate([_draw(kind, dim, rng, first), _draw(kind, dim, rng, second)])
+    assert np.array_equal(got, _draw(kind, dim, _task_rng(seed, block), first + second))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -615,9 +658,11 @@ def test_sampler_bits_stay_pinned(kind):
 
 def test_scan_block_stack_stays_within_one_mebibyte():
     for dim in (2, 3, 5, 8, 64, 300):
-        assert _block_size(dim) >= 1
+        assert _block_size(dim) >= _chunk_size(dim) >= 1
         if dim <= 256:
             assert _block_size(dim) * dim * dim * 16 <= 2 ** 20
+        if dim <= 128:
+            assert _chunk_size(dim) * dim * dim * 16 <= 2 ** 18
 
 
 def test_scan_diagonal_pairs_never_anomalous(proj_zero):

@@ -26,9 +26,11 @@ the parent commit unpacked into a directory). Every request calls
 - ``scan --tol-anom 0.2`` over the complex ensembles (``WIDE_BAND_KINDS``) at
   d = 2, 3, 5 and 8 with each n in ``SCAN_SIZES``, in both formats: at the
   default band every pair of theirs counts as anomalous, whatever its states;
-- ``scan`` over every ensemble at d = 16 and 64 (``LARGE_SCAN_DIMS``) with
-  n = ``LARGE_SCAN_N``, in JSON: the dimensions where numpy sums a row of g in
-  pairwise blocks, and the largest a scan takes (4,179 requests in all).
+- ``scan`` over every ensemble at d = 16, 17, 33 and 64 (``LARGE_SCAN_DIMS``)
+  with n = ``LARGE_SCAN_N``, in JSON: the dimensions where numpy sums a row of
+  g in pairwise blocks, two where a block of density matrices splits into
+  chunks with a remainder, and the largest a scan takes (4,189 requests in
+  all).
 
 With ``--detail-full`` this tree's problem-command requests carry ``--detail
 full``, and so do the other tree's when it is at report schema 0.2 or later (a
@@ -72,8 +74,10 @@ DECK_SEEDS = (1, 2, 3)
 SCAN_SIZES = (300, 20_000)
 SCAN_KINDS = ("haar", "mixed", "real-pure", "real-mixed", "diagonal")
 SCAN_DIMS = (2, 3, 5, 8)
-# At these d numpy sums each row of g in pairwise blocks; 64 is the largest --dim. Several blocks at both.
-LARGE_SCAN_DIMS = (16, 64)
+# At these d numpy sums each row of g in pairwise blocks; 64 is the largest --dim. Several blocks at each.
+# At 17 and 33 a block of density matrices is scored in chunks that do not divide it: 226 = 4 * 56 + 2 pairs
+# at d = 17, and at d = 33 the last block, 20 = 15 + 5.
+LARGE_SCAN_DIMS = (16, 17, 33, 64)
 LARGE_SCAN_N = 2000
 # Twelve more seeds for the sampled states, whose last bits a change to the sampler or kernel may move.
 WIDE_SCAN_SEEDS = range(100, 112)
