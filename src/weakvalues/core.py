@@ -282,10 +282,11 @@ def _l1_in_eigenbasis(stack: np.ndarray) -> np.ndarray:
     """l1 coherence of every matrix of an (n, d, d) stack written in the eigenbasis: moduli sum minus trace.
 
     The moduli are summed in transposed order, the layout in which :func:`coherence_l1` forms
-    V^dagger rho V, so a stack drawn in the eigenbasis gets the bits of the rotated route.
+    V^dagger rho V, so a stack drawn in the eigenbasis gets the bits of the rotated route. The
+    difference is clamped at 0: for an incoherent state it can round to a few eps below it.
     """
     moduli = np.ascontiguousarray(np.abs(stack).transpose(0, 2, 1))
-    return moduli.sum(axis=(1, 2)) - np.trace(moduli, axis1=1, axis2=2)
+    return np.maximum(moduli.sum(axis=(1, 2)) - np.trace(moduli, axis1=1, axis2=2), 0.0)
 
 
 def coherence_l1(rho: DensityOperator, basis: Observable) -> float:

@@ -34,7 +34,7 @@ from .core import (
     require_dims,
 )
 from .invariants import overlap_stack
-from .quasiprob import _g_contraction, _scaled_g, anomalous_mask
+from .quasiprob import _g_contraction, _row_any, _scaled_g, anomalous_mask
 
 __all__ = [
     "HAAR_PURE",
@@ -165,7 +165,8 @@ def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
     """Block ``block`` of a scan as a (size, d, d) stack of density matrices, of :func:`_draw`'s dtype.
 
     A float64 block of the real kinds gives its complex128 twin's overlaps, g, A_w and l1 bit for bit,
-    by the two rules of :func:`_g_contraction`: g scales by 1/Tr, and A_w is summed over complex g.
+    A_w as the twin's real part, by the two rules of :func:`_g_contraction`: g scales by 1/Tr, and A_w
+    is summed in the twin's complex lanes.
     """
     return _as_matrices(spec.kind, _draw(spec.kind, spec.dim, _task_rng(spec.seed, block), size))
 
@@ -176,7 +177,8 @@ def _pure_contraction(phi: np.ndarray, psi: np.ndarray,
 
     With c_i = conj(phi_i) psi_i and <phi|psi> = sum_i c_i, the overlap is T = |<phi|psi>|^2 and
     g_i = c_i conj(<phi|psi>) / T, the rows :func:`quasi_prob_stack` gives on the projectors to
-    within the record's ``error``. T is real by construction. The weak values are summed over complex g.
+    within the record's ``error``. T is real by construction. The weak values are summed as
+    :func:`_scaled_g` sums them, and are float64 for ``real-pure`` rows.
     """
     cross = phi.conj() * psi
     amp = np.einsum("ni->n", cross)
@@ -332,16 +334,16 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
                 den = overlap_stack(phi, psi)
                 g, value = _g_contraction(psi.transpose(0, 2, 1), phi, den, a)
             kept = den > DEFAULT_SELECTION_THRESHOLD
-            g_bad = anomalous_mask(g, 0.0, 1.0, tol.anom).any(axis=1) & kept
+            g_bad = _row_any(anomalous_mask(g, 0.0, 1.0, tol.anom)) & kept
             aw_bad = anomalous_mask(value, a[0], a[-1], tol.anom) & kept
-            g_count += int(g_bad.sum())
-            aw_count += int(aw_bad.sum())
-            skipped += size - int(kept.sum())
+            g_count += int(np.count_nonzero(g_bad))
+            aw_count += int(np.count_nonzero(aw_bad))
+            skipped += size - int(np.count_nonzero(kept))
             if not populations:
                 quiet = kept & ~g_bad & ~aw_bad
                 # psi's l1 is taken only on the rows whose phi is already coherent.
                 quiet[quiet] = l1(phi[quiet]) >= DEFAULT_COHERENCE_TOL
                 quiet[quiet] = l1(psi[quiet]) >= DEFAULT_COHERENCE_TOL
-                quiet_count += int(quiet.sum())
+                quiet_count += int(np.count_nonzero(quiet))
     return ScanSummary(n=n, anomalous_g=g_count, anomalous_aw=aw_count,
                        coherent_non_anomalous=quiet_count, skipped=skipped)

@@ -75,6 +75,18 @@ def test_diagonal_kind_has_no_coherence():
         assert wv.coherence_l1(wv.DensityOperator(rho), obs) < 1e-14
 
 
+def test_an_incoherent_state_has_no_negative_coherence():
+    # The moduli sum minus the trace rounds to either side of 0 on the lifted diagonal rows of seed 9301,
+    # block 0, at d = 5: below it on 281 of the 2,621 rows, down to -4.4e-16. Those rows read exactly 0.
+    obs = wv.eigensystem(np.diag(np.arange(5.0)))
+    block = _density_block(SamplerSpec(dim=5, kind=DIAGONAL, seed=9301), 0, _block_size(5))
+    moduli = np.abs(block)
+    raw = moduli.sum(axis=(1, 2)) - np.trace(moduli, axis1=1, axis2=2)
+    assert np.count_nonzero(raw < 0.0) == 281
+    l1 = np.array([wv.coherence_l1(wv.DensityOperator(rho), obs) for rho in block])
+    assert np.array_equal(l1, np.maximum(raw, 0.0)) and np.array_equal(_l1_in_eigenbasis(block), l1)
+
+
 def test_spec_validation():
     with pytest.raises(wv.ValidationError):
         SamplerSpec(dim=1, kind=HAAR_PURE, seed=0)
@@ -363,6 +375,11 @@ def _pure_rounding(d: int, l1: np.ndarray) -> np.ndarray:
     return (d + 4) ** 2 * EPS * (1.0 + l1)
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float64 or complex128 array, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
 def _assert_pure_rows_within_error(phi, psi, den, g, value, obs):
     """The pure rule's rows against :func:`quasi_prob_stack` on the projectors: g within each record's
     ``error``, A_w within its ``value_error``, the overlaps within rounding."""
@@ -417,15 +434,25 @@ def test_scan_rows_are_the_rotated_kernels_bits(monkeypatch, kind, dim):
     if pure:
         assert np.array_equal(_projectors(first), stacks[0]) and np.array_equal(_projectors(second), stacks[1])
         _assert_pure_rows_within_error(first, second, *out, obs)
-    elif populations:
-        # diag(p) as p_i times the identity's rows: every off-diagonal entry is 1 * 0.
-        assert np.array_equal(first[:, :, None] * np.eye(dim), stacks[0])
-        assert np.array_equal(second[:, :, None] * np.eye(dim), stacks[1])
-        assert all(np.array_equal(got, want) for got, want in zip(out, quasi_prob_stack(*stacks, obs)))
+        assert out[2].dtype == (np.float64 if kind == REAL_PURE else np.complex128)
     else:
-        # _g_contraction reads (rho_psi^T, rho_phi).
-        assert np.array_equal(second, stacks[0]) and np.array_equal(first.transpose(0, 2, 1), stacks[1])
-        assert all(np.array_equal(got, want) for got, want in zip(out, quasi_prob_stack(*stacks, obs)[1:]))
+        if populations:
+            # diag(p) as p_i times the identity's rows: every off-diagonal entry is 1 * 0.
+            assert np.array_equal(first[:, :, None] * np.eye(dim), stacks[0])
+            assert np.array_equal(second[:, :, None] * np.eye(dim), stacks[1])
+        else:
+            # _g_contraction reads (rho_psi^T, rho_phi).
+            assert np.array_equal(second, stacks[0]) and np.array_equal(first.transpose(0, 2, 1), stacks[1])
+        # The population rule returns its overlaps, _g_contraction none.
+        *den, g, value = out
+        den_want, g_want, value_want = quasi_prob_stack(*stacks, obs)
+        assert all(np.array_equal(got, den_want) for got in den)
+        assert np.array_equal(g, g_want)
+        # A real kind's weak values are float64, the real parts of the rotated route's bit for bit.
+        if kind in (REAL_MIXED, DIAGONAL):
+            assert value.dtype == np.float64 and np.all(value_want.imag == 0.0)
+            value_want = value_want.real
+        assert np.array_equal(_bits(value), _bits(value_want))
     if populations:
         assert not l1_rows
         for state in np.concatenate(stacks):

@@ -9,12 +9,15 @@ pairs down to Tr(rho_phi rho_psi) = 1e-11 and holds each verdict to exact
 rational arithmetic or to its flag. The phase property draws pure pairs in the
 same way as the stacks. The dtype properties draw real and complex stacks at
 d = 2..64 with signed zeros and hold the float64 kernels to the bits of their
-complex128 twins, and g to numpy's complex division. The last two properties draw real
+complex128 twins, and g to numpy's complex division. The row-rule property
+draws (n, d) rows with signed zeros, infinities and NaNs and holds the column
+sums and ORs to numpy's row reductions. The last two properties draw real
 qubit pairs instead and check the contextuality certificate that the paper
 attaches to every real-qubit anomaly.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -22,10 +25,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
+from weakvalues import quasiprob
 from weakvalues.contextuality import anomaly_implies_violation, fragment_cycles
 from weakvalues.core import _l1_in_eigenbasis
 from weakvalues.invariants import overlap_stack
-from weakvalues.quasiprob import _g_contraction, anomalous_mask, classify, quasi_prob_stack
+from weakvalues.quasiprob import _g_contraction, _row_any, _row_sum, anomalous_mask, classify, quasi_prob_stack
 
 from oracles import classify as oracle_classify
 from oracles import exact_verdicts, verdicts
@@ -166,7 +170,8 @@ stack_shapes = dict(d=st.integers(2, 64), n=st.integers(1, 8), seed=st.integers(
 @example(d=9, n=8, seed=2, zeros=(0.25, 0.0))
 @example(d=64, n=4, seed=3, zeros=(0.1, 0.1))
 def test_a_real_stack_gives_its_complex_twins_bits(d, n, seed, zeros):
-    """The scan's real kinds stay float64: overlaps, g, A_w and l1 of a real stack are those of its twin."""
+    """The scan's real kinds stay float64: overlaps, g, A_w and l1 of a real stack are those of its twin,
+    A_w as the real part of the twin's, whose imaginary part is 0."""
     rng = np.random.default_rng(seed)
     phi, psi = _signed_zero_stacks(rng, (2, n, d, d), zeros)
     eigenvalues = np.sort(rng.standard_normal(d))
@@ -177,9 +182,10 @@ def test_a_real_stack_gives_its_complex_twins_bits(d, n, seed, zeros):
     assert np.array_equal(_bits(den[kept]), _bits(twin_den[kept]))
     g, value = _g_contraction(psi.transpose(0, 2, 1), phi, den, eigenvalues)
     twin_g, twin_value = _g_contraction(twin_psi.transpose(0, 2, 1), twin_phi, twin_den, eigenvalues)
-    assert (g.dtype, value.dtype) == (np.float64, np.complex128)
+    assert (g.dtype, value.dtype) == (np.float64, np.float64)
     assert np.array_equal(_bits(g[kept].astype(complex)), _bits(twin_g[kept]))
-    assert np.array_equal(_bits(value[kept]), _bits(twin_value[kept]))
+    assert np.array_equal(_bits(value[kept]), _bits(twin_value[kept].real))
+    assert np.all(twin_value[kept].imag == 0.0)
     for stack, twin in ((phi, twin_phi), (psi, twin_psi)):
         assert np.array_equal(_bits(_l1_in_eigenbasis(stack[kept])), _bits(_l1_in_eigenbasis(twin[kept])))
 
@@ -201,6 +207,49 @@ def test_g_of_a_complex_stack_is_the_quotient(d, n, seed, zeros):
     assert g.dtype == np.complex128
     num = np.einsum("nki->ni", left * phi)
     assert np.array_equal(_bits(g[kept]), _bits(num[kept] / den[kept, None]))
+
+
+def _special_rows(rng, shape, shares):
+    """Normal variates of ``shape`` over 60 decades, with shares ``shares`` of them set to -0.0, +inf, -inf and NaN."""
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    for special, share in zip((-0.0, np.inf, -np.inf, np.nan), shares):
+        rows[rng.random(shape) < share] = special
+    return rows
+
+
+def _bits_or_nan(values: np.ndarray) -> np.ndarray:
+    """:func:`_bits` with every NaN read as one NaN: numpy's own add loops keep either operand's NaN
+    payload, depending on the length of the call, so no row sum can promise a NaN's sign."""
+    words = _bits(values).copy()
+    words[np.isnan(np.ascontiguousarray(values).view(np.float64))] = _bits(np.array(np.nan))
+    return words
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(2, 64), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       shares=st.tuples(*[st.sampled_from((0.0, 0.02, 0.3))] * 4), signed_zero_rows=st.integers(0, 3))
+# At d = 4 a complex row first fills its lanes, at d = 9 a float row first leaves a column over.
+@example(d=4, n=5, seed=1, shares=(0.3, 0.0, 0.0, 0.0), signed_zero_rows=2)
+@example(d=9, n=300, seed=2, shares=(0.02, 0.02, 0.02, 0.02), signed_zero_rows=1)
+@example(d=64, n=3, seed=3, shares=(0.0, 0.02, 0.02, 0.0), signed_zero_rows=0)
+def test_the_column_rules_are_numpys_row_reductions(d, n, seed, shares, signed_zero_rows):
+    """_row_sum is numpy's row sum, zero signs and infinities included, in both the column form and
+    numpy's, with a float row in complex lanes the real part of its twin's; _row_any is numpy's any."""
+    rng = np.random.default_rng(seed)
+    rows = _special_rows(rng, (n, d), shares)
+    entries = np.empty((n, d), dtype=complex)
+    entries.real, entries.imag = rows, _special_rows(rng, (n, d), shares)
+    rows[:signed_zero_rows] = entries[:signed_zero_rows] = -0.0
+    g = rng.uniform(-0.1, 1.1, (n, d)) + 1j * rng.choice((0.0, 1e-12, 1e-6), (n, d))
+    for rows_per_width in (0, quasiprob._COLUMN_ROWS_PER_WIDTH, 10 ** 9):
+        with mock.patch.object(quasiprob, "_COLUMN_ROWS_PER_WIDTH", rows_per_width), \
+                np.errstate(invalid="ignore"):
+            for x in (rows, entries):
+                assert np.array_equal(_bits_or_nan(_row_sum(x)), _bits_or_nan(x.sum(axis=-1)))
+            twin = entries.real.astype(complex).sum(axis=-1).real
+            assert np.array_equal(_bits_or_nan(_row_sum(entries.real, complex_lanes=True)), _bits_or_nan(twin))
+            mask = anomalous_mask(g, 0.0, 1.0, wv.DEFAULT_TOL.anom)
+            assert np.array_equal(_row_any(mask), mask.any(axis=1))
 
 
 # signed distances from a decision line, in units of the band: anom/10, anom and 10 anom, or anything within 20 anom

@@ -18,18 +18,19 @@ the parent commit unpacked into a directory). Every request calls
 - the three problems of ``EDGE_PROBLEMS``, each through the five problem
   commands in both formats;
 - ``reproduce-paper``;
-- ``scan`` over every ensemble at d = 2, 3, 5 and 8 with each n in
-  ``SCAN_SIZES``, and ``search`` on every built-in observable at the budgets
-  in ``SEARCH_BUDGETS``, at fixed seeds in both formats;
-- ``scan`` over every ensemble at d = 2, 3, 5 and 8 with n = 20,000 at each
-  seed in ``WIDE_SCAN_SEEDS``, in JSON;
+- ``scan`` over every ensemble at each d in ``SCAN_DIMS`` (2, 3, 4, 5, 8
+  and 9) with each n in ``SCAN_SIZES``, and ``search`` on every built-in
+  observable at the budgets in ``SEARCH_BUDGETS``, at fixed seeds in both
+  formats;
+- ``scan`` over every ensemble at each d in ``SCAN_DIMS`` with n = 20,000 at
+  each seed in ``WIDE_SCAN_SEEDS``, in JSON;
 - ``scan --tol-anom 0.2`` over the complex ensembles (``WIDE_BAND_KINDS``) at
-  d = 2, 3, 5 and 8 with each n in ``SCAN_SIZES``, in both formats: at the
+  each d in ``SCAN_DIMS`` with each n in ``SCAN_SIZES``, in both formats: at the
   default band every pair of theirs counts as anomalous, whatever its states;
 - ``scan`` over every ensemble at d = 16, 17, 33 and 64 (``LARGE_SCAN_DIMS``)
   with n = ``LARGE_SCAN_N``, in JSON: the dimensions where numpy sums a row of
   g in pairwise blocks, two where a block of density matrices splits into
-  chunks with a remainder, and the largest a scan takes (4,189 requests in
+  chunks with a remainder, and the largest a scan takes (4,365 requests in
   all).
 
 With ``--detail-full`` this tree's problem-command requests carry ``--detail
@@ -73,7 +74,9 @@ DECK_SEEDS = (1, 2, 3)
 # Less than one scan block, and more than one at every d here, the last of them short.
 SCAN_SIZES = (300, 20_000)
 SCAN_KINDS = ("haar", "mixed", "real-pure", "real-mixed", "diagonal")
-SCAN_DIMS = (2, 3, 5, 8)
+# The benchmark's dimensions, and two more for the column sum of A_w (quasiprob._row_sum): at d = 4 a row
+# first fills the 4 lanes numpy sums a complex row in, at d = 9 it adds into them twice and leaves a column over.
+SCAN_DIMS = (2, 3, 4, 5, 8, 9)
 # At these d numpy sums each row of g in pairwise blocks; 64 is the largest --dim. Several blocks at each.
 # At 17 and 33 a block of density matrices is scored in chunks that do not divide it: 226 = 4 * 56 + 2 pairs
 # at d = 17, and at d = 33 the last block, 20 = 15 + 5.
