@@ -167,7 +167,7 @@ class QuasiProbDist:
 
 # numpy's pairwise sum of a row of doubles: below 8 it adds them in sequence, up to its 128-double block in
 # 8 interleaved lanes, past the block in halves. A complex128 entry is 2 doubles, so its lanes are 4 wide.
-_LANE_DOUBLES = 8
+_COMPLEX_LANES = 4
 _BLOCK_DOUBLES = 128
 # Rows per unit of row width from which O(d) whole-column operations beat numpy's reduction (:func:`_by_columns`).
 _COLUMN_ROWS_PER_WIDTH = 48
@@ -188,32 +188,30 @@ def _by_columns(x: np.ndarray) -> bool:
     return n >= _COLUMN_ROWS_PER_WIDTH * d
 
 
-def _row_sum(x: np.ndarray, complex_lanes: bool = False) -> np.ndarray:
-    """``x.sum(axis=-1)`` of an (n, d) float64 or complex128 array from O(d) whole-column adds, bit for bit.
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """The row sums of an (n, d) complex128 array ``x``, or of a float64 ``x``'s complex twin's real parts,
+    from O(d) whole-column adds, bit for bit.
 
-    The adds follow numpy's pairwise order, from +0.0, where numpy's reduction starts: a row of fewer
-    than 8 doubles in sequence; a row up to the 128-double block in lanes, column j adding into lane
-    j mod 8 (j mod 4 for complex entries), the lanes combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)) or (r0 + r1) + (r2 + r3), then the columns left over. Past the block, and where
-    :func:`_by_columns` says numpy is as fast, numpy sums. With ``complex_lanes`` a float64 ``x`` is
-    grouped as its complex twin is, and the sum is the real part of the twin's, without the cast. NaN
-    payloads may differ, as they do between numpy's own loops.
+    For complex128 this is ``x.sum(axis=-1)``; for float64 it is ``x.astype(complex).sum(axis=-1).real``
+    without the cast, since from d = 4 up numpy groups the real parts of a complex row differently from a
+    float row. The adds follow numpy's pairwise order for complex rows, from +0.0, where numpy's reduction
+    starts: a row of fewer than 4 entries in sequence; a row up to the 128-double block in 4 lanes,
+    column j adding into lane j mod 4, the lanes combined as (r0 + r1) + (r2 + r3), then the columns left
+    over. Past the block, and where :func:`_by_columns` says numpy is as fast, numpy sums. NaN payloads
+    may differ, as they do between numpy's own loops.
     """
     n, d = x.shape
-    twin = complex_lanes and not np.iscomplexobj(x)
-    width = 2 if complex_lanes or np.iscomplexobj(x) else 1
-    if d * width > _BLOCK_DOUBLES or not _by_columns(x):
+    twin = not np.iscomplexobj(x)
+    if 2 * d > _BLOCK_DOUBLES or not _by_columns(x):
         return x.astype(complex).sum(axis=-1).real if twin else x.sum(axis=-1)
-    columns, lane = x.T, _LANE_DOUBLES // width
+    columns, lane = x.T, _COMPLEX_LANES
     whole = d - d % lane
     total = np.zeros(n, x.dtype)
     if whole:
         lanes = list(columns[:lane])
         for start in range(lane, whole, lane):
             lanes = [acc + column for acc, column in zip(lanes, columns[start:start + lane])]
-        while len(lanes) > 1:
-            lanes = [lanes[k] + lanes[k + 1] for k in range(0, len(lanes), 2)]
-        total += lanes[0]
+        total += (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
     for column in columns[whole:]:
         total += column
     return total
@@ -261,7 +259,7 @@ def _scaled_g(num: np.ndarray, scale: np.ndarray, eigenvalues: np.ndarray) -> tu
     g = num * scale[:, None]
     # An elementwise product and a row sum give row k the same bits in any
     # stack; a matrix-vector product does not.
-    return g, _row_sum(g * eigenvalues, complex_lanes=True)
+    return g, _row_sum(g * eigenvalues)
 
 
 def quasi_prob_stack(rho_phi: np.ndarray, rho_psi: np.ndarray,

@@ -77,12 +77,13 @@ def test_diagonal_kind_has_no_coherence():
 
 def test_an_incoherent_state_has_no_negative_coherence():
     # The moduli sum minus the trace rounds to either side of 0 on the lifted diagonal rows of seed 9301,
-    # block 0, at d = 5: below it on 281 of the 2,621 rows, down to -4.4e-16. Those rows read exactly 0.
+    # block 0, at d = 5 (with numpy 2's reduction order, below it on 281 of the 2,621 rows, down to
+    # -4.4e-16). Those rows read exactly 0.
     obs = wv.eigensystem(np.diag(np.arange(5.0)))
     block = _density_block(SamplerSpec(dim=5, kind=DIAGONAL, seed=9301), 0, _block_size(5))
     moduli = np.abs(block)
     raw = moduli.sum(axis=(1, 2)) - np.trace(moduli, axis1=1, axis2=2)
-    assert np.count_nonzero(raw < 0.0) == 281
+    assert np.count_nonzero(raw < 0.0) > 0
     l1 = np.array([wv.coherence_l1(wv.DensityOperator(rho), obs) for rho in block])
     assert np.array_equal(l1, np.maximum(raw, 0.0)) and np.array_equal(_l1_in_eigenbasis(block), l1)
 

@@ -228,13 +228,13 @@ def _bits_or_nan(values: np.ndarray) -> np.ndarray:
 @PROPERTY_SETTINGS
 @given(d=st.integers(2, 64), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
        shares=st.tuples(*[st.sampled_from((0.0, 0.02, 0.3))] * 4), signed_zero_rows=st.integers(0, 3))
-# At d = 4 a complex row first fills its lanes, at d = 9 a float row first leaves a column over.
+# At d = 4 a row first fills its 4 lanes, at d = 9 it fills them twice and leaves a column over.
 @example(d=4, n=5, seed=1, shares=(0.3, 0.0, 0.0, 0.0), signed_zero_rows=2)
 @example(d=9, n=300, seed=2, shares=(0.02, 0.02, 0.02, 0.02), signed_zero_rows=1)
 @example(d=64, n=3, seed=3, shares=(0.0, 0.02, 0.02, 0.0), signed_zero_rows=0)
 def test_the_column_rules_are_numpys_row_reductions(d, n, seed, shares, signed_zero_rows):
-    """_row_sum is numpy's row sum, zero signs and infinities included, in both the column form and
-    numpy's, with a float row in complex lanes the real part of its twin's; _row_any is numpy's any."""
+    """_row_sum is numpy's row sum of a complex row, zero signs and infinities included, in both the
+    column form and numpy's, and of a float row the real part of its complex twin's; _row_any is numpy's any."""
     rng = np.random.default_rng(seed)
     rows = _special_rows(rng, (n, d), shares)
     entries = np.empty((n, d), dtype=complex)
@@ -244,10 +244,9 @@ def test_the_column_rules_are_numpys_row_reductions(d, n, seed, shares, signed_z
     for rows_per_width in (0, quasiprob._COLUMN_ROWS_PER_WIDTH, 10 ** 9):
         with mock.patch.object(quasiprob, "_COLUMN_ROWS_PER_WIDTH", rows_per_width), \
                 np.errstate(invalid="ignore"):
-            for x in (rows, entries):
-                assert np.array_equal(_bits_or_nan(_row_sum(x)), _bits_or_nan(x.sum(axis=-1)))
-            twin = entries.real.astype(complex).sum(axis=-1).real
-            assert np.array_equal(_bits_or_nan(_row_sum(entries.real, complex_lanes=True)), _bits_or_nan(twin))
+            assert np.array_equal(_bits_or_nan(_row_sum(entries)), _bits_or_nan(entries.sum(axis=-1)))
+            twin = rows.astype(complex).sum(axis=-1).real
+            assert np.array_equal(_bits_or_nan(_row_sum(rows)), _bits_or_nan(twin))
             mask = anomalous_mask(g, 0.0, 1.0, wv.DEFAULT_TOL.anom)
             assert np.array_equal(_row_any(mask), mask.any(axis=1))
 
