@@ -34,7 +34,7 @@ from .core import (
     require_dims,
 )
 from .invariants import overlap_stack
-from .quasiprob import _g_contraction, _row_any, _scaled_g, anomalous_mask
+from .quasiprob import _g_contraction, _row_any, _row_sum, _scaled_g, anomalous_mask
 
 __all__ = [
     "HAAR_PURE",
@@ -161,16 +161,6 @@ def _chunk_size(dim: int) -> int:
     return max(1, 16384 // dim ** 2)
 
 
-def _density_block(spec: SamplerSpec, block: int, size: int) -> np.ndarray:
-    """Block ``block`` of a scan as a (size, d, d) stack of density matrices, of :func:`_draw`'s dtype.
-
-    A float64 block of the real kinds gives its complex128 twin's overlaps, g, A_w and l1 bit for bit,
-    A_w as the twin's real part, by the two rules of :func:`_g_contraction`: g scales by 1/Tr, and A_w
-    is summed in the twin's complex lanes.
-    """
-    return _as_matrices(spec.kind, _draw(spec.kind, spec.dim, _task_rng(spec.seed, block), size))
-
-
 def _pure_contraction(phi: np.ndarray, psi: np.ndarray,
                       eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Overlaps, g rows and weak values of (n, d) pure amplitude rows in the eigenbasis, in O(d) a pair.
@@ -199,13 +189,12 @@ def _population_contraction(phi: np.ndarray, psi: np.ndarray,
 
     g_i = psi_i phi_i / T for T = sum_i psi_i phi_i, O(d) a pair. On diag(phi) and diag(psi) every other
     product of :func:`overlap_stack` and :func:`_g_contraction` is an exact zero, so these are their
-    bits: T is summed one column after another, the order in which the overlap's einsum meets the
-    diagonal products, where an einsum or a reduction over the rows groups them otherwise from d = 3.
+    bits: T is summed by :func:`_row_sum`, one column after another, the order in which the overlap's
+    einsum meets the diagonal products, where an einsum or numpy's reduction over the rows groups them
+    otherwise from d = 3.
     """
     num = psi * phi
-    overlap = num[:, 0].copy()
-    for column in num.T[1:]:
-        overlap += column
+    overlap = _row_sum(num)
     with np.errstate(divide="ignore", invalid="ignore"):
         return overlap, *_scaled_g(num, 1.0 / overlap, eigenvalues)
 
@@ -297,7 +286,9 @@ def scan_anomaly_rate(spec_phi: SamplerSpec, spec_psi: SamplerSpec, obs: Observa
     as coherent. Any other block goes through the contraction of
     :func:`quasi_prob_stack` as density matrices, in chunks of
     ``max(1, 16384 // d**2)`` pairs, each chunk the next states of the
-    block's streams, so the chunks give the bits of the whole block. The
+    block's streams, so the chunks give the bits of the whole block. Every
+    route sums A_w by the row rule the one-pair record sums it by, column
+    after column, so a matrix block's rows carry the records' bits. The
     rules of ``classify`` and ``coherence_l1`` apply elementwise. Pairs
     whose overlap falls at or below the selection threshold are skipped and
     tallied apart.

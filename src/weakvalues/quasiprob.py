@@ -165,65 +165,26 @@ class QuasiProbDist:
         return 2.0 * moved + (len(self.labels) - 1) ** 2 * self.slack / (2.0 * self.denominator)
 
 
-# numpy's pairwise sum of a row of doubles: below 8 it adds them in sequence, up to its 128-double block in
-# 8 interleaved lanes, past the block in halves. A complex128 entry is 2 doubles, so its lanes are 4 wide.
-_COMPLEX_LANES = 4
-_BLOCK_DOUBLES = 128
-# Rows per unit of row width from which O(d) whole-column operations beat numpy's reduction (:func:`_by_columns`).
-_COLUMN_ROWS_PER_WIDTH = 48
-
-
-def _by_columns(x: np.ndarray) -> bool:
-    """True when whole-column operations on the (n, d) array ``x`` beat numpy's reduction over its rows.
-
-    numpy reduces each row of a short trailing axis in an inner loop of its own, a fixed cost per row,
-    while the column form costs a fixed amount per column. Timed on one core of an x86-64 machine with
-    AVX-512 (best of 7 x 300 calls, numpy's reduction against the column form): a float64 row sum in
-    complex lanes at d = 2 took 4.3 against 3.0 us at n = 64 and 9.4 against 3.5 us at n = 256; at
-    d = 8, 13.8 against 17.9 us at n = 256 and 19.7 against 12.7 us at n = 512; the boolean OR crossed
-    at about the same n. So the column form is taken from n = 48 d rows, and an n = 1 record or a d = 8
-    chunk of 256 density pairs keeps numpy's reduction. Both forms give the same bits.
-    """
-    n, d = x.shape
-    return n >= _COLUMN_ROWS_PER_WIDTH * d
-
-
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """The row sums of an (n, d) complex128 array ``x``, or of a float64 ``x``'s complex twin's real parts,
-    from O(d) whole-column adds, bit for bit.
+    """The row sums of an (n, d) array ``x``: column 0, then each later column added in sequence.
 
-    For complex128 this is ``x.sum(axis=-1)``; for float64 it is ``x.astype(complex).sum(axis=-1).real``
-    without the cast, since from d = 4 up numpy groups the real parts of a complex row differently from a
-    float row. The adds follow numpy's pairwise order for complex rows, from +0.0, where numpy's reduction
-    starts: a row of fewer than 4 entries in sequence; a row up to the 128-double block in 4 lanes,
-    column j adding into lane j mod 4, the lanes combined as (r0 + r1) + (r2 + r3), then the columns left
-    over. Past the block, and where :func:`_by_columns` says numpy is as fast, numpy sums. NaN payloads
-    may differ, as they do between numpy's own loops.
+    One order for every caller, the n = 1 record and a scan stack alike, so a row gets the same bits
+    in any stack: O(d) whole-column adds, with no inner loop per row, in the order of
+    ``np.add.accumulate(x, axis=-1)[:, -1]``. A float64 row's sum is the real part of its complex
+    twin's, since complex addition adds the real parts on their own.
     """
-    n, d = x.shape
-    twin = not np.iscomplexobj(x)
-    if 2 * d > _BLOCK_DOUBLES or not _by_columns(x):
-        return x.astype(complex).sum(axis=-1).real if twin else x.sum(axis=-1)
-    columns, lane = x.T, _COMPLEX_LANES
-    whole = d - d % lane
-    total = np.zeros(n, x.dtype)
-    if whole:
-        lanes = list(columns[:lane])
-        for start in range(lane, whole, lane):
-            lanes = [acc + column for acc, column in zip(lanes, columns[start:start + lane])]
-        total += (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    for column in columns[whole:]:
+    columns = x.T
+    total = columns[0].copy()
+    for column in columns[1:]:
         total += column
     return total
 
 
 def _row_any(mask: np.ndarray) -> np.ndarray:
-    """``mask.any(axis=1)`` of an (n, d) boolean array, as an OR of its columns where :func:`_by_columns` says so."""
-    if not _by_columns(mask):
-        return mask.any(axis=1)
+    """``mask.any(axis=1)`` of an (n, d) boolean array, as an OR of its columns."""
     columns = mask.T
-    found = columns[0] | columns[1]
-    for column in columns[2:]:
+    found = columns[0].copy()
+    for column in columns[1:]:
         found |= column
     return found
 
@@ -240,9 +201,8 @@ def _g_contraction(left: np.ndarray, right: np.ndarray, den: np.ndarray,
     Two rules give a float64 stack its complex128 twin's bits, the weak values as the twin's real parts
     (whose imaginary parts are 0). g is the contraction times the reciprocal 1/den, the product numpy's
     complex division by a real den forms (Smith's method with a zero imaginary part), zero signs
-    included, since no einsum sum is -0. The weak values are summed by :func:`_row_sum` in complex
-    lanes, because from d = 4 up numpy's pairwise sum groups the real parts of a complex row
-    differently from a float row: whole-column adds in the twin's order, with no cast to complex.
+    included, since no einsum sum is -0. The weak values are summed by :func:`_row_sum`, whose adds
+    give a float row the real parts of its complex twin's, with no cast to complex.
     """
     # An einsum, not .sum(axis=1): numpy runs that reduction as one inner loop per row.
     num = np.einsum("nki->ni", left * right)
@@ -253,7 +213,7 @@ def _g_contraction(left: np.ndarray, right: np.ndarray, den: np.ndarray,
 def _scaled_g(num: np.ndarray, scale: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g = ``num`` times each row's ``scale``, and the weak values sum_i a_i g_i, of g's dtype.
 
-    The row sum is :func:`_row_sum` in complex lanes, so a float64 g gives the real part of its complex
+    The row sum is :func:`_row_sum`, left to right, so a float64 g gives the real part of its complex
     twin's weak values bit for bit: the twin's products a_i (g_i + 0i) have real parts a_i g_i exactly.
     """
     g = num * scale[:, None]

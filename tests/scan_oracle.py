@@ -7,12 +7,19 @@ V rho V^dagger over the observable's eigenvectors V, and walks the pairs one
 at a time through ``quasi_prob`` and ``coherence_l1`` on ``DensityOperator``
 objects, with the selection gate raising as it does for single problems. So
 it checks the eigenbasis contract for any V. One record per pair gives both
-the g_i verdicts and the A_w classification.
+the g_i verdicts and the A_w classification. ``_density_block`` forms a
+block's draws as density matrices whatever their kind, the stacks the other
+scan tests read.
 """
 
 import weakvalues as wv
 from weakvalues.core import DEFAULT_COHERENCE_TOL
-from weakvalues.explore import _block_size, _density_block
+from weakvalues.explore import _as_matrices, _block_size, _draw, _task_rng
+
+
+def _density_block(spec, block, size):
+    """Block ``block`` of a scan as a (size, d, d) stack of density matrices, of the sampler's dtype."""
+    return _as_matrices(spec.kind, _draw(spec.kind, spec.dim, _task_rng(spec.seed, block), size))
 
 
 def pairwise_counts(spec_phi, spec_psi, obs, n, tol=wv.DEFAULT_TOL):

@@ -20,12 +20,12 @@ from weakvalues.explore import (
     HAAR_PURE,
     MIXED_FULL_RANK,
     SamplerSpec,
-    _density_block,
     search_max_negativity,
 )
 from weakvalues.pointer import extrapolate, simulate, PointerConfig
 
 from oracles import antipodal, corollary_projector_weak_value, incoherent_quasi_prob
+from scan_oracle import _density_block
 
 HALF_SQRT3 = np.sqrt(3.0) / 2.0
 

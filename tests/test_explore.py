@@ -24,10 +24,10 @@ from weakvalues.explore import (
     scan_anomaly_rate,
     search_max_negativity,
 )
-from weakvalues.explore import _block_size, _chunk_size, _density_block, _draw, _task_rng
+from weakvalues.explore import _block_size, _chunk_size, _draw, _task_rng
 from weakvalues.quasiprob import _g_contraction, quasi_prob_stack
 from oracles import draw_rounding_bound, reference_draw, scalar_search, trace_ratio_weak_value
-from scan_oracle import pairwise_counts
+from scan_oracle import _density_block, pairwise_counts
 
 
 def test_sampling_is_bit_reproducible():

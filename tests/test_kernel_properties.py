@@ -7,17 +7,20 @@ property judges one such pair, its values pushed next to the decision lines
 and its stated error set beside the band. The rounding property draws pure
 pairs down to Tr(rho_phi rho_psi) = 1e-11 and holds each verdict to exact
 rational arithmetic or to its flag. The phase property draws pure pairs in the
-same way as the stacks. The dtype properties draw real and complex stacks at
-d = 2..64 with signed zeros and hold the float64 kernels to the bits of their
-complex128 twins, and g to numpy's complex division. The row-rule property
-draws (n, d) rows with signed zeros, infinities and NaNs and holds the column
-sums and ORs to numpy's row reductions. The last two properties draw real
-qubit pairs instead and check the contextuality certificate that the paper
-attaches to every real-qubit anomaly.
+same way as the stacks. The A_w rounding property draws pure and mixed pairs at
+d = 2 to 64 down to Tr(rho_phi rho_psi) = 1e-10 and holds the record's A_w to
+the exact sum over its stored a_i and g_i within the stated error. The dtype
+properties draw real and complex stacks at d = 2..64 with signed zeros and hold
+the float64 kernels to the bits of their complex128 twins, and g to numpy's
+complex division. The row-rule property draws (n, d) rows with signed zeros,
+infinities and NaNs and holds the column sums to numpy's left-to-right
+accumulation and the column ORs to numpy's any. The last two properties draw
+real qubit pairs instead and check the contextuality certificate that the
+paper attaches to every real-qubit anomaly.
 """
 
 from dataclasses import replace
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -25,14 +28,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import weakvalues as wv
-from weakvalues import quasiprob
 from weakvalues.contextuality import anomaly_implies_violation, fragment_cycles
 from weakvalues.core import _l1_in_eigenbasis
 from weakvalues.invariants import overlap_stack
 from weakvalues.quasiprob import _g_contraction, _row_any, _row_sum, anomalous_mask, classify, quasi_prob_stack
 
 from oracles import classify as oracle_classify
-from oracles import exact_verdicts, verdicts
+from oracles import _exact, _sum, exact_verdicts, verdicts
 
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
@@ -228,27 +230,25 @@ def _bits_or_nan(values: np.ndarray) -> np.ndarray:
 @PROPERTY_SETTINGS
 @given(d=st.integers(2, 64), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
        shares=st.tuples(*[st.sampled_from((0.0, 0.02, 0.3))] * 4), signed_zero_rows=st.integers(0, 3))
-# At d = 4 a row first fills its 4 lanes, at d = 9 it fills them twice and leaves a column over.
+# Rows of signed zeros at d = 4, every special value at d = 9 over 300 rows, and the largest d a scan takes.
 @example(d=4, n=5, seed=1, shares=(0.3, 0.0, 0.0, 0.0), signed_zero_rows=2)
 @example(d=9, n=300, seed=2, shares=(0.02, 0.02, 0.02, 0.02), signed_zero_rows=1)
 @example(d=64, n=3, seed=3, shares=(0.0, 0.02, 0.02, 0.0), signed_zero_rows=0)
-def test_the_column_rules_are_numpys_row_reductions(d, n, seed, shares, signed_zero_rows):
-    """_row_sum is numpy's row sum of a complex row, zero signs and infinities included, in both the
-    column form and numpy's, and of a float row the real part of its complex twin's; _row_any is numpy's any."""
+def test_the_row_rules_add_the_columns_left_to_right(d, n, seed, shares, signed_zero_rows):
+    """_row_sum of a complex or float row is numpy's left-to-right accumulation of it, zero signs and
+    infinities included, and a float row's sum the real part of its complex twin's; _row_any is numpy's any."""
     rng = np.random.default_rng(seed)
     rows = _special_rows(rng, (n, d), shares)
     entries = np.empty((n, d), dtype=complex)
     entries.real, entries.imag = rows, _special_rows(rng, (n, d), shares)
     rows[:signed_zero_rows] = entries[:signed_zero_rows] = -0.0
     g = rng.uniform(-0.1, 1.1, (n, d)) + 1j * rng.choice((0.0, 1e-12, 1e-6), (n, d))
-    for rows_per_width in (0, quasiprob._COLUMN_ROWS_PER_WIDTH, 10 ** 9):
-        with mock.patch.object(quasiprob, "_COLUMN_ROWS_PER_WIDTH", rows_per_width), \
-                np.errstate(invalid="ignore"):
-            assert np.array_equal(_bits_or_nan(_row_sum(entries)), _bits_or_nan(entries.sum(axis=-1)))
-            twin = rows.astype(complex).sum(axis=-1).real
-            assert np.array_equal(_bits_or_nan(_row_sum(rows)), _bits_or_nan(twin))
-            mask = anomalous_mask(g, 0.0, 1.0, wv.DEFAULT_TOL.anom)
-            assert np.array_equal(_row_any(mask), mask.any(axis=1))
+    with np.errstate(invalid="ignore"):
+        for x in (entries, rows):
+            assert np.array_equal(_bits_or_nan(_row_sum(x)), _bits_or_nan(np.add.accumulate(x, axis=-1)[:, -1]))
+        assert np.array_equal(_bits_or_nan(_row_sum(rows)), _bits_or_nan(_row_sum(rows.astype(complex)).real))
+    mask = anomalous_mask(g, 0.0, 1.0, wv.DEFAULT_TOL.anom)
+    assert np.array_equal(_row_any(mask), mask.any(axis=1))
 
 
 # signed distances from a decision line, in units of the band: anom/10, anom and 10 anom, or anything within 20 anom
@@ -295,6 +295,18 @@ def test_the_record_verdicts_are_the_free_function_rules(records):
         assert anomalous_mask(dist.value, lo, hi, anom) == (oracle_classify(dist.value, lo, hi, anom) != wv.NORMAL)
 
 
+def _unit_vectors(rng, d, real):
+    """A draw of random unit vectors of C^d (R^d when ``real``), each orthogonal to the unit vectors passed to it."""
+
+    def unit(*against):
+        v = rng.normal(size=d) + (0.0 if real else 1j * rng.normal(size=d))
+        for u in against:
+            v = v - np.vdot(u, v) * u
+        return v / np.linalg.norm(v)
+
+    return unit
+
+
 @st.composite
 def near_orthogonal_selections(draw):
     """Pure selections at d = 2..4, real or complex, with Tr(rho_phi rho_psi) = 10^u for u in [-11, 0],
@@ -304,13 +316,7 @@ def near_orthogonal_selections(draw):
     d = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     real = draw(st.booleans())
-
-    def unit(*against):
-        v = rng.normal(size=d) + (0.0 if real else 1j * rng.normal(size=d))
-        for u in against:
-            v = v - np.vdot(u, v) * u
-        return v / np.linalg.norm(v)
-
+    unit = _unit_vectors(rng, d, real)
     psi = unit()
     perp = unit(psi)
     overlap = 10.0 ** draw(st.floats(-11.0, 0.0))
@@ -348,6 +354,33 @@ def test_a_verdict_that_rounding_flips_is_flagged(case):
     assert dist.classification == classification or dist.marginal
     for i in range(obs.dim):
         assert (i in dist.anomalous_indices) == (i in anomalous_indices) or i in dist.marginal_indices
+
+
+@PROPERTY_SETTINGS
+@given(d=st.sampled_from((2, 5, 16, 33, 64)), mixed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       log_overlap=st.floats(-10.0, 0.0))
+def test_the_weak_value_sum_stays_within_its_stated_error(d, mixed, seed, log_overlap):
+    """A_w = sum_i a_i g_i, summed column after column, lies within ``value_error`` of the same sum in
+    exact rational arithmetic over the record's stored eigenvalues and g_i, up to d = 64 and down to
+    Tr(rho_phi rho_psi) = 1e-10. A mixed pair is each pure state mixed with I / d at that overlap's weight."""
+    rng = np.random.default_rng(seed)
+    unit = _unit_vectors(rng, d, real=False)
+    psi = unit()
+    overlap = 10.0 ** log_overlap
+    phi = np.sqrt(1.0 - overlap) * unit(psi) + np.sqrt(overlap) * psi
+    weight = overlap if mixed else 0.0
+    rho_phi, rho_psi = (wv.DensityOperator((1.0 - weight) * np.outer(v, v.conj()) + weight * np.eye(d) / d)
+                        for v in (phi, psi))
+    basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    spectrum = np.cumsum(rng.uniform(0.1, 2.0, d)) - rng.uniform(-3.0, 3.0)
+    obs = wv.eigensystem((basis * spectrum) @ basis.conj().T)
+    try:
+        dist = wv.quasi_prob(rho_phi, rho_psi, obs)
+    except wv.OrthogonalSelectionError:
+        assume(False)
+    exact = _sum(_exact(a) * _exact(w) for a, w in zip(dist.labels, dist.weights))
+    value = _exact(dist.value)
+    assert (value.real - exact.real) ** 2 + (value.imag - exact.imag) ** 2 <= Fraction(dist.value_error) ** 2
 
 
 @PROPERTY_SETTINGS

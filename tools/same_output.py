@@ -28,10 +28,9 @@ the parent commit unpacked into a directory). Every request calls
   each d in ``SCAN_DIMS`` with each n in ``SCAN_SIZES``, in both formats: at the
   default band every pair of theirs counts as anomalous, whatever its states;
 - ``scan`` over every ensemble at d = 16, 17, 33 and 64 (``LARGE_SCAN_DIMS``)
-  with n = ``LARGE_SCAN_N``, in JSON: the dimensions where numpy sums a row of
-  g in pairwise blocks, two where a block of density matrices splits into
-  chunks with a remainder, and the largest a scan takes (4,365 requests in
-  all).
+  with n = ``LARGE_SCAN_N``, in JSON: several scan blocks at each, two
+  dimensions where a block of density matrices splits into chunks with a
+  remainder, and the largest a scan takes (4,365 requests in all).
 
 With ``--detail-full`` this tree's problem-command requests carry ``--detail
 full``, and so do the other tree's when it is at report schema 0.2 or later (a
@@ -74,12 +73,11 @@ DECK_SEEDS = (1, 2, 3)
 # Less than one scan block, and more than one at every d here, the last of them short.
 SCAN_SIZES = (300, 20_000)
 SCAN_KINDS = ("haar", "mixed", "real-pure", "real-mixed", "diagonal")
-# The benchmark's dimensions, and two more for the column sum of A_w (quasiprob._row_sum): at d = 4 a row
-# first fills the 4 lanes numpy sums a complex row in, at d = 9 it adds into them twice and leaves a column over.
+# The benchmark's dimensions, and two more row widths for the column sum of A_w (quasiprob._row_sum):
+# d = 4 between the benchmark's and d = 9 past them.
 SCAN_DIMS = (2, 3, 4, 5, 8, 9)
-# At these d numpy sums each row of g in pairwise blocks; 64 is the largest --dim. Several blocks at each.
-# At 17 and 33 a block of density matrices is scored in chunks that do not divide it: 226 = 4 * 56 + 2 pairs
-# at d = 17, and at d = 33 the last block, 20 = 15 + 5.
+# Several scan blocks at each d; 64 is the largest --dim. At 17 and 33 a block of density matrices is scored
+# in chunks that do not divide it: 226 = 4 * 56 + 2 pairs at d = 17, and at d = 33 the last block, 20 = 15 + 5.
 LARGE_SCAN_DIMS = (16, 17, 33, 64)
 LARGE_SCAN_N = 2000
 # Twelve more seeds for the sampled states, whose last bits a change to the sampler or kernel may move.
